@@ -192,6 +192,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
+	// Catch SIGINT/SIGTERM before announcing readiness: a signal sent the
+	// moment the daemon reports it is listening must drain it, not kill it.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "rescqd:", err)
@@ -241,10 +247,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		}
 		go hb.Run(hbCtx)
 	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
 
 	select {
 	case sig := <-sigCh:

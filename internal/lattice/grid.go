@@ -100,6 +100,8 @@ type Grid struct {
 	ancTile []Coord // ancilla ID -> tile coordinate
 
 	blockRows, blockCols int
+
+	bfs *pathScratch // ShortestAncillaPath's scratch; never shared by clones
 }
 
 // NewSTARGrid builds the uncompressed STAR grid for n program qubits. The
@@ -507,6 +509,7 @@ func (g *Grid) Clone() *Grid {
 	ng.dataTile = append([]Coord(nil), g.dataTile...)
 	ng.ancID = append([]int(nil), g.ancID...)
 	ng.ancTile = append([]Coord(nil), g.ancTile...)
+	ng.bfs = nil
 	return &ng
 }
 

@@ -9,70 +9,105 @@ package lattice
 // returns true (busy ancillas). Both src and dst members must be ancilla
 // tiles; blocked is not consulted for them if they coincide. It returns the
 // tile sequence including the chosen endpoints, or nil if no path exists.
+//
+// The search reuses scratch owned by the grid, so it allocates only the
+// returned path; concurrent calls on one Grid are not safe (each seeded run
+// owns its grid, and Clone never shares the scratch).
 func (g *Grid) ShortestAncillaPath(src, dst []Coord, blocked func(Coord) bool) []Coord {
 	if len(src) == 0 || len(dst) == 0 {
 		return nil
 	}
-	isDst := make(map[Coord]bool, len(dst))
+	sc := g.bfsScratch()
+	ep := sc.epoch
+	anyDst := false
 	for _, c := range dst {
 		if g.Kind(c) == TileAncilla && (blocked == nil || !blocked(c)) {
-			isDst[c] = true
+			sc.dst[g.idx(c)] = ep
+			anyDst = true
 		}
 	}
-	if len(isDst) == 0 {
+	if !anyDst {
 		return nil
 	}
-	prev := make(map[Coord]Coord, 64)
-	visited := make(map[Coord]bool, 64)
-	var queue []Coord
+	queue := sc.queue[:0]
+	defer func() { sc.queue = queue }()
 	for _, c := range src {
 		if g.Kind(c) != TileAncilla || (blocked != nil && blocked(c)) {
 			continue
 		}
-		if visited[c] {
+		i := g.idx(c)
+		if sc.seen[i] == ep {
 			continue
 		}
-		visited[c] = true
-		queue = append(queue, c)
-		if isDst[c] {
+		sc.seen[i] = ep
+		sc.prev[i] = -1
+		queue = append(queue, int32(i))
+		if sc.dst[i] == ep {
 			return []Coord{c}
 		}
 	}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		i := queue[head]
+		c := Coord{int(i) / g.cols, int(i) % g.cols}
 		for d := North; d <= West; d++ {
 			n := c.Step(d)
-			if g.Kind(n) != TileAncilla || visited[n] {
+			if g.Kind(n) != TileAncilla {
 				continue
 			}
-			if blocked != nil && blocked(n) {
+			ni := g.idx(n)
+			if sc.seen[ni] == ep || (blocked != nil && blocked(n)) {
 				continue
 			}
-			visited[n] = true
-			prev[n] = c
-			if isDst[n] {
-				// Reconstruct.
-				var rev []Coord
-				cur := n
-				for {
-					rev = append(rev, cur)
-					p, ok := prev[cur]
-					if !ok {
-						break
-					}
-					cur = p
-				}
-				path := make([]Coord, len(rev))
-				for i := range rev {
-					path[i] = rev[len(rev)-1-i]
-				}
-				return path
+			sc.seen[ni] = ep
+			sc.prev[ni] = i
+			if sc.dst[ni] == ep {
+				return g.tracePath(sc.prev, int32(ni))
 			}
-			queue = append(queue, n)
+			queue = append(queue, int32(ni))
 		}
 	}
 	return nil
+}
+
+// tracePath walks prev back from tile index end to its source.
+func (g *Grid) tracePath(prev []int32, end int32) []Coord {
+	n := 0
+	for i := end; i >= 0; i = prev[i] {
+		n++
+	}
+	path := make([]Coord, n)
+	for i := end; i >= 0; i = prev[i] {
+		n--
+		path[n] = Coord{int(i) / g.cols, int(i) % g.cols}
+	}
+	return path
+}
+
+// pathScratch is ShortestAncillaPath's dense, reusable search state. Marks
+// are epoch-stamped, so starting a search clears nothing: a tile is seen
+// (or a destination) in the current search iff its stamp equals epoch.
+type pathScratch struct {
+	epoch uint32
+	seen  []uint32 // tile index -> epoch it was visited in
+	dst   []uint32 // tile index -> epoch it was marked a destination in
+	prev  []int32  // tile index -> predecessor tile index, -1 at a source
+	queue []int32
+}
+
+// bfsScratch returns the grid's search scratch, advanced to a fresh epoch.
+func (g *Grid) bfsScratch() *pathScratch {
+	n := g.rows * g.cols
+	if g.bfs == nil {
+		g.bfs = &pathScratch{seen: make([]uint32, n), dst: make([]uint32, n), prev: make([]int32, n)}
+	}
+	sc := g.bfs
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(sc.seen)
+		clear(sc.dst)
+		sc.epoch = 1
+	}
+	return sc
 }
 
 // BraidPath builds an AutoBraid-style two-segment path between ancilla

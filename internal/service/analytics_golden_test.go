@@ -316,12 +316,12 @@ func TestAnalyticsEndpointErrors(t *testing.T) {
 	s, _ := newTestServer(t, config.Daemon{Workers: 1}, newGatedRunner())
 	h := s.Handler()
 	for _, url := range []string{
-		"/v1/analytics/groupby",                       // no axes
-		"/v1/analytics/groupby?by=flavor",             // unknown axis
-		"/v1/analytics/groupby?by=scheduler&flavor=x", // unknown filter axis
-		"/v1/analytics/pareto",                        // no benchmark
-		"/v1/analytics/sensitivity?a=rescq",           // missing b
-		"/v1/analytics/sensitivity?axis=k&a=3&b=3",    // equal values
+		"/v1/analytics/groupby",                                      // no axes
+		"/v1/analytics/groupby?by=flavor",                            // unknown axis
+		"/v1/analytics/groupby?by=scheduler&flavor=x",                // unknown filter axis
+		"/v1/analytics/pareto",                                       // no benchmark
+		"/v1/analytics/sensitivity?a=rescq",                          // missing b
+		"/v1/analytics/sensitivity?axis=k&a=3&b=3",                   // equal values
 		"/v1/analytics/sensitivity?a=rescq&b=greedy&scheduler=rescq", // filter on swept axis
 	} {
 		rec := httptest.NewRecorder()
@@ -349,4 +349,3 @@ func TestAnalyticsEndpointErrors(t *testing.T) {
 		}
 	}
 }
-

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,17 +16,11 @@ import (
 )
 
 // This file wires the horizontal scale-out layer (internal/cluster) into
-// the server. In coordinator mode the public API, WAL, admission control
-// and result cache stay exactly as in standalone mode, but a job's
-// configurations are sharded into batches and dispatched over HTTP to
-// registered workers: least-loaded worker first (ties broken by smallest
-// worker id), at most one batch per free worker slot, batches from dead
-// workers re-dispatched to survivors, and every returned configuration
-// checkpointed to the WAL in index order — so streaming, resume and
-// kill-restart semantics are byte-identical to a standalone run. With no
-// live workers the coordinator falls back to its local pool. In worker
-// mode the daemon serves POST /internal/v1/execute and keeps itself
-// registered with the coordinator via heartbeats.
+// the server. On a coordinator, leased worker slots are runJob's slot
+// source (pipeline.go): batches go over HTTP to the least-loaded worker,
+// and dead or failing workers' batches are retried, hedged or run locally,
+// all delivered in index order. In worker mode the daemon serves POST
+// /internal/v1/execute and keeps itself registered via heartbeats.
 
 // clusterState holds a clustered server's scale-out machinery; nil on a
 // standalone server.
@@ -147,7 +140,7 @@ func (s *Server) scaleSignal() (backlogMS, slots int64, perSlotMS float64) {
 // executes them in order on the request goroutine, and returns one result
 // per configuration. Batch concurrency is the coordinator's job (one
 // in-flight batch per acquired worker slot); within a batch,
-// configurations run sequentially like a standalone sweep.
+// configurations run sequentially.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	// Chaos hook: an injected delay stalls this worker like an overloaded
 	// node (exercising the coordinator's deadline and hedging paths); an
@@ -215,67 +208,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// dispatchable reports whether a job should go through the sharded
-// cluster path: coordinator mode with at least one live worker. Evaluated
-// per job, so a coordinator whose workers all died simply falls back to
-// its local pool for the next job.
-func (s *Server) dispatchable() bool {
-	return s.clust != nil && s.clust.registry != nil && s.clust.registry.Len() > 0
-}
-
-// sequencer releases out-of-order batch results in strict index order:
-// results are buffered until their index is next, then appended to the
-// job, checkpointed to the WAL, and published to the events stream —
-// exactly the order a standalone run produces, which is what keeps
-// streaming output, resume prefixes and the WAL byte-identical across the
-// two paths.
-type sequencer struct {
-	mu    sync.Mutex
-	s     *Server
-	j     *Job
-	next  int
-	ready map[int]ConfigResult
-}
-
-func (q *sequencer) deliver(idx int, res ConfigResult) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	// First result wins. Hedged re-dispatch can legitimately complete the
-	// same index twice (the straggler and its hedge both finish); a released
-	// or buffered index must be dropped here, or the job would append the
-	// configuration twice and decrement its pending backlog twice.
-	if idx < q.next {
-		return
-	}
-	if _, dup := q.ready[idx]; dup {
-		return
-	}
-	q.ready[idx] = res
-	for {
-		r, ok := q.ready[q.next]
-		if !ok {
-			return
-		}
-		delete(q.ready, q.next)
-		q.j.mu.Lock()
-		q.j.results = append(q.j.results, r)
-		q.j.mu.Unlock()
-		q.s.persistResult(q.j, q.j.specs[q.next], r)
-		q.j.events <- r // buffered to len(specs): never blocks
-		q.s.pending.Add(-1)
-		q.s.sched.Completed(q.j.Tenant, 1)
-		q.next++
-	}
-}
-
-// progress returns the contiguous completed prefix length — the index the
-// job would resume from if preempted right now.
-func (q *sequencer) progress() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.next
-}
-
 // Deadline and hedge derivation. Both are multiples of the observed
 // per-configuration p99 scaled by batch size, and neither engages until
 // the histogram holds minLatencySamples — a deadline guessed from a few
@@ -309,91 +241,6 @@ func (s *Server) hedgeDelay(batchLen int) time.Duration {
 	}
 	d := time.Duration(hedgeSlack*batchLen*p99) * time.Millisecond
 	return max(d, minHedgeDelay)
-}
-
-// workQueue is one job's index-ordered queue of cache-miss configurations.
-// The streaming prepass appends to it while the dispatch loop (the single
-// consumer) pulls batches off its head, so first dispatch overlaps the
-// cache scan. unscanned counts configurations the prepass has not yet
-// classified; queued()+unscanned is the dispatch loop's backlog estimate
-// (an overestimate while hits remain unscanned, exact at the tail — which
-// is when the tail-split rule needs it exact).
-type workQueue struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	idxs      []int
-	closed    bool
-	unscanned atomic.Int64
-}
-
-func newWorkQueue(unscanned int) *workQueue {
-	q := &workQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	q.unscanned.Store(int64(unscanned))
-	return q
-}
-
-func (q *workQueue) add(idx int) {
-	q.mu.Lock()
-	q.idxs = append(q.idxs, idx)
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// close marks the producer done; wait drains to false once the queue
-// empties.
-func (q *workQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}
-
-// wait blocks until work is queued (true) or the queue is closed empty or
-// ctx ends (false). With a single consumer, true guarantees the next pull
-// returns at least one index.
-func (q *workQueue) wait(ctx context.Context) bool {
-	// cond.Wait cannot watch a context; convert cancellation into a
-	// broadcast so the loop re-checks ctx (same pattern as Registry.Acquire).
-	stop := context.AfterFunc(ctx, func() {
-		q.mu.Lock()
-		q.cond.Broadcast()
-		q.mu.Unlock()
-	})
-	defer stop()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if len(q.idxs) > 0 {
-			return true
-		}
-		if q.closed || ctx.Err() != nil {
-			return false
-		}
-		q.cond.Wait()
-	}
-}
-
-// pull removes and returns up to n indices from the head of the queue.
-func (q *workQueue) pull(n int) []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n = min(n, len(q.idxs))
-	out := q.idxs[:n:n]
-	q.idxs = q.idxs[n:]
-	return out
-}
-
-func (q *workQueue) queued() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.idxs)
-}
-
-// backlog estimates the configurations still to dispatch: queued misses
-// plus everything the prepass has not classified yet.
-func (q *workQueue) backlog() int {
-	return q.queued() + int(q.unscanned.Load())
 }
 
 // batchSizer picks adaptive batch lengths for the pull loop. Three regimes:
@@ -444,206 +291,67 @@ func (z *batchSizer) steady() int {
 	return int(z.target.Milliseconds() / int64(p50))
 }
 
-// executeSharded runs a job's unfinished configurations through the
-// cluster with a pull-based dispatch loop: a streaming prepass serves
-// coordinator-cache hits through the sequencer and queues the misses (pre-
-// marshalled once) in index order, while this loop pulls adaptively sized
-// batches off the queue — one per acquired worker slot. A worker that
-// finishes a batch early frees its slot and the loop immediately pulls the
-// next batch for it: work steals itself to fast workers without a stealing
-// protocol. Returns whether the job was cancelled, and whether the
-// scheduler preempted it at a batch boundary (the caller requeues it as a
-// resumable continuation).
-func (s *Server) executeSharded(j *Job, startIdx int) (cancelled, preempted bool) {
-	seq := &sequencer{s: s, j: j, next: startIdx, ready: make(map[int]ConfigResult)}
-	q := newWorkQueue(len(j.specs) - startIdx)
-	if j.encSpecs == nil {
-		j.encSpecs = make([][]byte, len(j.specs))
-	}
-
-	var wg sync.WaitGroup
-	// Local fallback runs are bounded by a semaphore the width of the local
-	// pool, so a cluster that dies mid-job degrades to standalone
-	// parallelism instead of unbounded goroutines.
-	localSlots := make(chan struct{}, max(1, s.workers))
-	runLocal := func(idxs []int) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case localSlots <- struct{}{}:
-			case <-j.ctx.Done():
-				return
-			}
-			defer func() { <-localSlots }()
-			s.runBatchLocally(j.ctx, j, idxs, seq)
-		}()
-	}
-
-	// Streaming prepass: classify configurations in index order,
-	// delivering cache hits through the sequencer and queueing misses for
-	// dispatch — concurrently with the dispatch loop, so a mostly-cached
-	// sweep's first batch leaves before the scan finishes. Misses are NOT
-	// counted here — the engine run (and its hit/miss accounting) happens
-	// wherever the configuration lands. The sharded path does not consult
-	// the in-flight coalescing table: cross-job duplicate configurations
-	// dispatched concurrently can compute twice (once per worker). The
-	// waste is bounded — every remote result re-seeds the coordinator cache
-	// the moment it lands, and deterministic simulations make the
-	// duplicates harmless.
-	// preempt stops both the prepass and the dispatch loop at the next
-	// boundary once the scheduler asks for the slot back. In-flight batches
-	// still land (wg.Wait below): their results re-seed the coordinator
-	// cache, so the resumed job replays them as hits instead of recomputing.
-	var preempt atomic.Bool
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer q.close()
-		for i := startIdx; i < len(j.specs); i++ {
-			if preempt.Load() {
-				return
-			}
-			spec := j.specs[i]
-			if s.cache != nil {
-				if v, ok := s.cache.get(specKey(spec)); ok && cacheUsable(v, spec) {
-					s.stats.CacheHits.Add(1)
-					res := newConfigResult(spec)
-					res.Index = i
-					res.Cached = true
-					fillResult(&res, spec, v)
-					seq.deliver(i, res)
-					q.unscanned.Add(-1)
-					continue
-				}
-			}
-			data, err := json.Marshal(spec)
-			if err != nil {
-				// Specs are plain validated structs, so this cannot happen in
-				// practice; route the orphan to the local pool, which needs
-				// no wire encoding.
-				q.unscanned.Add(-1)
-				runLocal([]int{i})
-				continue
-			}
-			j.encSpecs[i] = data
-			q.unscanned.Add(-1)
-			q.add(i)
-		}
-	}()
-
-	sizer := newBatchSizer(s)
-	for bi := 0; q.wait(j.ctx); {
-		// Preemption check at the batch boundary, only once the quantum has
-		// made progress (the contiguous prefix grew past the pickup point) —
-		// the same ≥1-configuration guarantee as the local path.
-		if seq.progress() > startIdx && s.shouldPreempt(j) {
-			preempt.Store(true)
-			break
-		}
-		lease, err := s.clust.registry.Acquire(j.ctx)
-		if errors.Is(err, cluster.ErrNoWorkers) {
-			// The whole cluster is gone right now. Drain one batch through
-			// the local pool, then re-check membership — a worker that
-			// (re-)registers mid-job takes the rest of the queue back.
-			if idxs := q.pull(s.clust.cfg.BatchSize); len(idxs) > 0 {
-				runLocal(idxs)
-			}
-			continue
-		}
-		if err != nil {
-			break // job cancelled while waiting for a slot
-		}
-		_, free := s.clust.registry.Capacity()
-		idxs := q.pull(sizer.next(q.backlog(), free+1)) // +1: the slot this lease holds
-		if len(idxs) == 0 {
-			lease.Release()
-			continue
-		}
-		wg.Add(1)
-		go func(bi int, idxs []int, lease cluster.Lease) {
-			defer wg.Done()
-			s.dispatchPulled(j, bi, idxs, seq, lease)
-		}(bi, idxs, lease)
-		bi++
-	}
-	// The barrier below is also the preemption fence: every in-flight batch
-	// and the old sequencer are fully drained before the job re-enters the
-	// scheduler, so a resumed quantum can never race this one.
-	wg.Wait()
-	cancelled = j.ctx.Err() != nil
-	return cancelled, preempt.Load() && !cancelled
-}
-
-// buildExecuteRequest assembles one batch's wire form from the job's
-// pre-marshalled specs (encoded once by the prepass; reused across every
-// dispatch, retry and hedge of the batch).
+// buildExecuteRequest assembles one batch's wire form. A hedge reuses its
+// primary's request; only a re-dispatch encodes the specs again.
 func buildExecuteRequest(j *Job, bi int, idxs []int) (cluster.ExecuteRequest, error) {
 	req := cluster.ExecuteRequest{JobID: j.ID, Batch: bi, Configs: make([]cluster.ExecuteConfig, len(idxs))}
 	for k, idx := range idxs {
-		data := j.encSpecs[idx]
-		if data == nil {
-			// Unreachable: the prepass encodes every index before queueing it.
-			return req, fmt.Errorf("service: config %d has no encoded spec", idx)
+		data, err := json.Marshal(j.specs[idx])
+		if err != nil {
+			return req, fmt.Errorf("service: encode config %d: %w", idx, err)
 		}
 		req.Configs[k] = cluster.ExecuteConfig{Index: idx, Spec: data}
 	}
 	return req, nil
 }
 
-// dispatchPulled drives one pulled batch to completion on the slot the
-// dispatch loop acquired for it: POST the batch (racing a hedge replica if
-// it straggles), deliver its results. Retryable failures — transport
-// errors, 5xx, blown deadlines — charge the worker's circuit breaker and
-// re-dispatch the batch on a freshly acquired slot with backoff, up to the
-// configured retry budget; terminal failures (a worker 4xx: the batch
-// itself is poison) and exhausted budgets fall back to the coordinator's
-// local pool, so a batch always makes progress. Cancellation of the job
-// abandons the batch (the job's final accounting releases its backlog).
-func (s *Server) dispatchPulled(j *Job, bi int, idxs []int, seq *sequencer, lease cluster.Lease) {
-	ctx := j.ctx
-	haveLease := true
+// dispatch drives one claimed batch on the worker slot the dispatch loop
+// leased for it: POST it (racing a hedge if it straggles), then fill the
+// cache and deliver. Retryable failures (transport errors, 5xx, blown
+// deadlines) charge the worker's breaker and re-dispatch with backoff, up
+// to the retry budget; a worker 4xx (the batch is poison), an exhausted
+// budget or no live worker hands the batch to the job's local slots.
+// Flights land with their results, or on the way out.
+func (r *jobRun) dispatch(bi int, idxs []int, lease cluster.Lease) {
+	s, j, ctx := r.s, r.j, r.j.ctx
+	held := true // the lease is ours to release
 	release := func() {
-		if haveLease {
+		if held {
 			lease.Release()
-			haveLease = false
+			held = false
 		}
 	}
-	req, err := buildExecuteRequest(j, bi, idxs)
-	if err != nil {
+	local := func() {
 		release()
-		s.runBatchLocally(ctx, j, idxs, seq)
-		return
+		r.runOnPool(idxs) // takes over the batch's flights
+		idxs = nil
 	}
+	defer func() {
+		release()
+		r.leaveFlights(idxs)
+	}()
 	backoff := cluster.Backoff{Base: s.clust.cfg.RetryBackoff(), Max: 20 * s.clust.cfg.RetryBackoff()}
-	for attempt := 0; ; attempt++ {
-		if ctx.Err() != nil {
-			release()
-			return
-		}
-		if attempt > s.clust.cfg.DispatchRetries {
-			release()
-			s.runBatchLocally(ctx, j, idxs, seq)
+	for attempt := 0; ctx.Err() == nil; attempt++ {
+		req, err := buildExecuteRequest(j, bi, idxs)
+		if err != nil || attempt > s.clust.cfg.DispatchRetries {
+			local()
 			return
 		}
 		if attempt > 0 {
 			s.stats.DispatchRetries.Add(1)
 			if !backoff.Sleep(ctx, attempt-1) {
-				release()
 				return // job cancelled mid-backoff
 			}
-		}
-		if !haveLease {
-			lease, err = s.clust.registry.Acquire(ctx)
-			if errors.Is(err, cluster.ErrNoWorkers) {
-				s.runBatchLocally(ctx, j, idxs, seq)
-				return
-			}
-			if err != nil {
+			var remote bool
+			if lease, remote, err = s.acquireRemote(ctx); err != nil {
 				return // job cancelled while waiting for a slot
 			}
+			if !remote {
+				local()
+				return
+			}
 		}
-		haveLease = false // raceBatch releases every lease it launches
+		held = false // raceBatch releases every lease it launches
 		start := time.Now()
 		resp, winner, err := s.raceBatch(ctx, lease, req)
 		if err != nil {
@@ -654,7 +362,7 @@ func (s *Server) dispatchPulled(j *Job, bi int, idxs []int, seq *sequencer, leas
 				// The worker inspected the batch and rejected it (4xx):
 				// every other worker would too. Only the local pool — which
 				// needs no wire decode — can make progress on it.
-				s.runBatchLocally(ctx, j, idxs, seq)
+				local()
 				return
 			}
 			s.stats.BatchesRedispatched.Add(1)
@@ -680,22 +388,16 @@ func (s *Server) dispatchPulled(j *Job, bi int, idxs []int, seq *sequencer, leas
 				s.stats.BatchesRedispatched.Add(1)
 				break
 			}
-			res.Index = idx // the coordinator's index is authoritative
-			s.cacheRemoteResult(j.specs[idx], res)
+			s.cacheFill(j.keys[idx], j.specs[idx].KeepLatencies, res)
+			s.leaveFlight(j.keys[idx])
 			s.stats.RemoteConfigs.Add(1)
-			seq.deliver(idx, res)
+			r.deliver(idx, res)
 			delivered++
-		}
-		if delivered == len(idxs) {
-			return // whole batch delivered
 		}
 		// A partial decode re-dispatches only the undelivered tail: the
 		// sequencer has already released the decoded prefix, and re-sending
 		// a released index would append its result a second time.
-		idxs = idxs[delivered:]
-		req, err = buildExecuteRequest(j, bi, idxs)
-		if err != nil {
-			s.runBatchLocally(ctx, j, idxs, seq)
+		if idxs = idxs[delivered:]; len(idxs) == 0 {
 			return
 		}
 	}
@@ -822,40 +524,4 @@ func (s *Server) executeOnWorker(ctx context.Context, lease cluster.Lease, req c
 		s.stats.WireJSONBytesIn.Add(traffic.BytesIn)
 	}
 	return resp, err
-}
-
-// runBatchLocally is the no-live-workers fallback: the coordinator's own
-// pool executes the batch, with standalone semantics (runOne re-checks
-// the cache, counts hits/misses/engine runs).
-func (s *Server) runBatchLocally(ctx context.Context, j *Job, idxs []int, seq *sequencer) {
-	for _, idx := range idxs {
-		if ctx.Err() != nil {
-			return
-		}
-		res := s.runOne(ctx, j.specs[idx])
-		res.Index = idx
-		if res.Error != "" && ctx.Err() != nil {
-			return // aborted mid-run by cancellation: discard the partial result
-		}
-		seq.deliver(idx, res)
-	}
-}
-
-// cacheRemoteResult re-seeds the coordinator cache from a worker-computed
-// result. Workers strip latency arrays unless the spec kept them, so a
-// stripped summary is cached as partialSummary — an include_latencies
-// request later recomputes, exactly like a WAL-reseeded entry.
-func (s *Server) cacheRemoteResult(spec runSpec, res ConfigResult) {
-	if s.cache == nil || res.Error != "" {
-		return
-	}
-	key := specKey(spec)
-	switch {
-	case res.Report != "":
-		s.cache.put(key, res.Report)
-	case res.Summary != nil && spec.KeepLatencies:
-		s.cache.put(key, *res.Summary)
-	case res.Summary != nil:
-		s.cache.put(key, partialSummary{sum: *res.Summary})
-	}
 }

@@ -55,12 +55,18 @@ func startCoordinator(t *testing.T, storeDir string) *clusterNode {
 	return n
 }
 
-// startWorker boots a worker node with the given runner and keeps it
-// heartbeating against the coordinator.
+// startWorker boots a one-slot worker node with the given runner and keeps
+// it heartbeating against the coordinator.
 func startWorker(t *testing.T, coordURL string, runner Runner) *clusterNode {
 	t.Helper()
+	return startWorkerSlots(t, coordURL, runner, 1)
+}
+
+// startWorkerSlots is startWorker advertising the given slot capacity.
+func startWorkerSlots(t *testing.T, coordURL string, runner Runner, slots int) *clusterNode {
+	t.Helper()
 	cfg := config.Daemon{
-		Workers: 1,
+		Workers: slots,
 		Cluster: config.Cluster{
 			Mode:                config.ModeWorker,
 			CoordinatorURL:      coordURL,
@@ -75,7 +81,7 @@ func startWorker(t *testing.T, coordURL string, runner Runner) *clusterNode {
 	hb := &cluster.Heartbeater{
 		Client:         cluster.NewClient(nil),
 		CoordinatorURL: coordURL,
-		Self:           cluster.RegisterRequest{ID: ts.URL, URL: ts.URL, Capacity: 1, Codecs: cluster.SupportedCodecs()},
+		Self:           cluster.RegisterRequest{ID: ts.URL, URL: ts.URL, Capacity: slots, Codecs: cluster.SupportedCodecs()},
 		Interval:       cfg.Cluster.HeartbeatInterval(),
 		Draining:       s.WorkerDraining,
 		OnReleased:     func() { close(released) },

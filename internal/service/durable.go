@@ -19,11 +19,12 @@ import (
 // under the same canonical rescq.CacheKeys, and interrupted jobs are
 // re-enqueued to resume at their first unfinished configuration.
 
-// partialSummary wraps a cache value re-seeded from the WAL: the WAL
-// stores results with their per-gate latency arrays stripped (tens of
-// thousands of ints per run), so a post-restart request that asks for
-// include_latencies must treat the hit as a miss and recompute (which
-// then overwrites the entry with the full value).
+// partialSummary wraps a cache value whose per-gate latency arrays were
+// stripped (tens of thousands of ints per run): every result the WAL
+// re-seeds, and every result computed for a request that did not ask for
+// include_latencies (see cacheFill). A request that does ask must treat
+// the hit as a miss and recompute, which then overwrites the entry with
+// the full value.
 type partialSummary struct{ sum rescq.Summary }
 
 // ReplayStats reports what AttachStore recovered from the WAL.
@@ -85,15 +86,7 @@ func (s *Server) AttachStore(dir string) (ReplayStats, error) {
 			rs.Results++
 			s.stats.ReplayedResults.Add(1)
 			s.analyticsFold(rj.Job.ID, rj.Job.Tenant, res)
-			if s.cache == nil || rr.Key == "" || res.Error != "" {
-				continue
-			}
-			switch {
-			case res.Report != "":
-				s.cache.put(rr.Key, res.Report)
-				rs.Reseeded++
-			case res.Summary != nil:
-				s.cache.put(rr.Key, partialSummary{sum: *res.Summary})
+			if rr.Key != "" && s.cacheFill(rr.Key, false, res) {
 				rs.Reseeded++
 			}
 		}
@@ -311,7 +304,7 @@ func (s *Server) persistJob(j *Job) {
 	inherited := append([]ConfigResult(nil), j.results...)
 	j.mu.Unlock()
 	for i := range inherited {
-		s.persistResultLocked(j.ID, j.Tenant, j.specs[i], inherited[i])
+		s.persistResult(j, specKey(j.specs[i]), inherited[i])
 	}
 }
 
@@ -319,15 +312,11 @@ func (s *Server) persistJob(j *Job) {
 // attached, analytics mirrors exactly the records the WAL accepted (so a
 // replay reconstructs the same aggregates); without one, every completed
 // result feeds analytics directly.
-func (s *Server) persistResult(j *Job, spec runSpec, res ConfigResult) {
+func (s *Server) persistResult(j *Job, key string, res ConfigResult) {
 	if s.store == nil {
 		s.analyticsIngest(j.ID, j.Tenant, res)
 		return
 	}
-	s.persistResultLocked(j.ID, j.Tenant, spec, res)
-}
-
-func (s *Server) persistResultLocked(jobID, tenant string, spec runSpec, res ConfigResult) {
 	if s.skipPersist() {
 		return
 	}
@@ -344,7 +333,7 @@ func (s *Server) persistResultLocked(jobID, tenant string, spec runSpec, res Con
 		return
 	}
 	if err := s.store.AppendResult(store.ResultRecord{
-		JobID: jobID, Index: res.Index, Key: specKey(spec), Result: payload,
+		JobID: j.ID, Index: res.Index, Key: key, Result: payload,
 	}); err != nil {
 		s.persistFailed()
 		return
@@ -352,7 +341,7 @@ func (s *Server) persistResultLocked(jobID, tenant string, spec runSpec, res Con
 	// Fold what the WAL just saw (duplicate appends are dropped by the
 	// store AND rejected by the analytics watermark, so the /resume
 	// re-checkpoint path stays idempotent end to end).
-	s.analyticsIngest(jobID, tenant, res)
+	s.analyticsIngest(j.ID, j.Tenant, res)
 }
 
 // persistDone checkpoints a job's terminal state.

@@ -32,18 +32,21 @@
 // sweep never computes identical work twice — and admitted against two
 // bounds: the configuration backlog (Daemon.MaxQueueDepth; beyond it the
 // submission is shed with 429 + Retry-After) and the job queue itself (a
-// full queue rejects with 503). A bounded worker pool — built on
-// sim.ParallelFor, one long-lived worker per slot — drains the queue.
-// Jobs move through queued -> running -> done | failed | cancelled. Sweep
-// configurations execute in submission order with per-configuration
-// progress; cancellation (client disconnect on a waiting/streaming
-// request, a failed stream write, or DELETE) propagates through the job
-// context into the engine's per-cycle loop, so even a long configuration
-// aborts promptly mid-run. On shutdown the daemon stops accepting work,
-// lets the workers drain every accepted job, and only cancels in-flight
-// jobs if the drain budget expires. Terminal jobs stay inspectable via
-// GET /v1/jobs up to a retention bound (the most recent 1024); older ones
-// are evicted so a long-running daemon's memory stays flat.
+// full queue rejects with 503). A bounded pool of job drivers — built on
+// sim.ParallelFor, one per engine slot — drains the queue. Jobs move
+// through queued -> running -> done | failed | cancelled. A job's
+// configurations execute on every idle slot (pipeline.go: its driver's
+// own, idle pool slots it borrows while nothing else is queued, or worker
+// slots on a coordinator) and are delivered in index order, so progress,
+// streams and the WAL are byte-identical however many slots ran them.
+// Cancellation (client disconnect on a waiting/streaming request, a failed
+// stream write, or DELETE) propagates through the job context into the
+// engine's per-cycle loop, so even a long configuration aborts promptly
+// mid-run. On shutdown the daemon stops accepting work, lets the drivers
+// drain every accepted job, and only cancels in-flight jobs if the drain
+// budget expires. Terminal jobs stay inspectable via GET /v1/jobs up to a
+// retention bound (the most recent 1024); older ones are evicted so a
+// long-running daemon's memory stays flat.
 //
 // # Durability
 //
@@ -69,11 +72,15 @@
 // deterministic given that key, so a hit is byte-identical to a re-run and
 // is served without invoking the engine. Identical configurations inside
 // one sweep, across sweeps, and across run/sweep requests all share the
-// cache. Concurrent identical configurations are coalesced: followers wait
-// for the in-flight leader and are then served from the freshly filled
-// cache instead of re-running the engine. Paper experiments are cached by
-// (experiment id, quick). The hit/miss/engine-run counters on /metrics
-// make cache behavior observable (and testable).
+// cache. It has one fill rule, whoever computed the result (local engine,
+// cluster worker or WAL replay): it stores what the request returned, so
+// latency arrays are kept only for include_latencies requests, and an
+// include_latencies request after a plain one recomputes, with identical
+// bytes. Concurrent identical configurations are coalesced on every path:
+// followers wait for the in-flight leader and are then served from the
+// freshly filled cache. Paper experiments are cached by (experiment id,
+// quick). The hit/miss/engine-run counters on /metrics make cache
+// behavior observable (and testable).
 package service
 
 import (
@@ -171,12 +178,7 @@ type Job struct {
 	Tenant string
 
 	specs []runSpec
-	// encSpecs caches each spec's wire encoding, filled lazily by the
-	// cluster prepass the first time the job is dispatched: one marshal per
-	// configuration, reused across every dispatch, retry and hedge. Written
-	// only by the prepass goroutine; each entry is read by dispatchers only
-	// after its index passes through the work queue's mutex.
-	encSpecs [][]byte
+	keys  []string // specKey of every spec; set by the first pickup, then read-only
 
 	// fromStore marks a job reconstructed from the WAL (its job record is
 	// already on disk); resumedFrom names the job this one continues.
@@ -302,6 +304,8 @@ type Server struct {
 	flightMu sync.Mutex
 	inflight map[string]chan struct{} // cache keys being computed right now
 
+	pool localPool // engine-slot accounting behind every job's local slots
+
 	// Degraded durability: lossy flips true when a WAL append fails, and
 	// from then on persist* calls skip the disk (counted, not errored)
 	// while a background probe retries the store at probeEvery until the
@@ -360,6 +364,7 @@ func New(cfg config.Daemon, runner Runner) *Server {
 		s.an = analytics.New(cfg.AnalyticsMaxGroups)
 	}
 	s.clust = newClusterState(cfg.Cluster)
+	s.pool.cond = sync.NewCond(&s.pool.mu)
 	for i := range s.shards {
 		s.shards[i].jobs = make(map[string]*Job)
 	}
@@ -622,18 +627,22 @@ func (s *Server) failFast(j *Job, err error) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 	if !j.fromStore {
-		// Checkpoint the failure when the job record already reached the
-		// WAL (queue-full after the pre-send checkpoint) so replay does
-		// not resurrect a rejected job; for shed/draining rejections the
-		// store never saw the job and AppendDone no-ops. Replayed jobs
-		// are the exception: they stay interrupted on disk so the NEXT
-		// restart can retry the re-enqueue.
+		// Replayed jobs stay interrupted on disk, so the NEXT restart can
+		// retry the re-enqueue.
 		s.persistDone(j, JobFailed, err)
 	}
+	s.closeJob(j)
+}
+
+// closeJob releases a terminal job: its streams close, its analytics
+// watermark is dropped, and it joins the retention-bounded history.
+func (s *Server) closeJob(j *Job) {
 	s.analyticsForget(j.ID)
 	close(j.events)
 	close(j.doneCh)
-	j.cancel() // release the baseCtx child (see execute)
+	// Release the context child registered on baseCtx; without this every
+	// terminal job would stay in baseCtx's children set forever.
+	j.cancel()
 	s.retireJob(j.ID)
 }
 
@@ -687,6 +696,8 @@ func (s *Server) execute(j *Job) {
 	j.mu.Unlock()
 	s.stats.JobsRunning.Add(1)
 	defer s.stats.JobsRunning.Add(-1)
+	s.pool.add(1)
+	defer s.pool.add(-1)
 	tc := s.stats.Tenant(j.Tenant)
 	tc.Running.Add(1)
 	defer tc.Running.Add(-1)
@@ -694,15 +705,7 @@ func (s *Server) execute(j *Job) {
 	var cancelled bool
 	for {
 		var preempted bool
-		if s.dispatchable() {
-			// Coordinator mode with live workers: shard the unfinished
-			// configurations into batches dispatched across the cluster. The
-			// sequencer inside keeps results, WAL records and streamed events
-			// in exactly the order this loop would produce them.
-			cancelled, preempted = s.executeSharded(j, startIdx)
-		} else {
-			cancelled, preempted = s.executeLocal(j, startIdx)
-		}
+		cancelled, preempted = s.runJob(j, startIdx)
 		if !preempted {
 			break
 		}
@@ -751,13 +754,7 @@ func (s *Server) execute(j *Job) {
 	s.sched.JobDone(j.Tenant)
 	tc.Done.Add(1)
 	s.persistDone(j, state, err)
-	s.analyticsForget(j.ID)
-	close(j.events)
-	close(j.doneCh)
-	// Release the context child registered on baseCtx; without this every
-	// terminal job would stay in baseCtx's children set forever.
-	j.cancel()
-	s.retireJob(j.ID)
+	s.closeJob(j)
 	s.stats.ObserveLatency(time.Since(start))
 }
 
@@ -786,40 +783,6 @@ func (s *Server) shouldPreempt(j *Job) bool {
 	return !s.draining.Load() && s.sched.Yield(j.Tenant)
 }
 
-// executeLocal is the standalone execution path: every unfinished
-// configuration runs in submission order on this worker slot. Returns
-// whether the job was cancelled, and whether it was preempted at a
-// configuration boundary (the completed prefix is checkpointed; the caller
-// requeues the job as a resumable continuation).
-func (s *Server) executeLocal(j *Job, startIdx int) (cancelled, preempted bool) {
-	for i := startIdx; i < len(j.specs); i++ {
-		if j.ctx.Err() != nil {
-			return true, false
-		}
-		// At least one configuration per pickup (i > startIdx): a quantum
-		// always makes progress, so two preempting tenants cannot livelock
-		// each other into requeue loops.
-		if i > startIdx && s.shouldPreempt(j) {
-			return false, true
-		}
-		res := s.runOne(j.ctx, j.specs[i])
-		res.Index = i
-		if res.Error != "" && j.ctx.Err() != nil {
-			// The configuration was aborted mid-run by cancellation, not
-			// by a real engine failure: discard the partial result.
-			return true, false
-		}
-		j.mu.Lock()
-		j.results = append(j.results, res)
-		j.mu.Unlock()
-		s.persistResult(j, j.specs[i], res)
-		j.events <- res // buffered to len(specs): never blocks
-		s.pending.Add(-1)
-		s.sched.Completed(j.Tenant, 1)
-	}
-	return false, false
-}
-
 // specKey returns the configuration's cache/store identity: the canonical
 // rescq.CacheKey for simulations, an experiment-id key for paper reports.
 // It is the key the result cache, the in-flight coalescing table and the
@@ -835,12 +798,37 @@ func specKey(spec runSpec) string {
 	}
 }
 
-// cacheUsable reports whether a cache hit can serve this spec. Values
-// reseeded from the WAL carry stripped latency arrays (partialSummary); a
-// request that asked to keep them must recompute.
-func cacheUsable(v any, spec runSpec) bool {
+// lookup returns the cache entry for key if it can serve spec: an entry
+// with stripped latency arrays (partialSummary) cannot serve a request
+// that keeps them. A nil cache never hits.
+func (c *resultCache) lookup(key string, spec runSpec) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	v, ok := c.get(key)
 	_, partial := v.(partialSummary)
-	return !(partial && spec.KeepLatencies)
+	return v, ok && !(partial && spec.KeepLatencies)
+}
+
+// cacheFill is the cache's one fill rule, for engine runs, worker results
+// and WAL replay alike: store what the request returned. Unless the
+// request kept its latency arrays, the summary is stored as
+// partialSummary. Reports whether anything was stored.
+func (s *Server) cacheFill(key string, kept bool, res ConfigResult) bool {
+	if s.cache == nil || res.Error != "" {
+		return false
+	}
+	switch {
+	case res.Report != "":
+		s.cache.put(key, res.Report)
+	case res.Summary != nil && kept:
+		s.cache.put(key, *res.Summary)
+	case res.Summary != nil:
+		s.cache.put(key, partialSummary{sum: *res.Summary})
+	default:
+		return false
+	}
+	return true
 }
 
 // newConfigResult builds the result skeleton for a spec: the identity
@@ -864,47 +852,80 @@ func newConfigResult(spec runSpec) ConfigResult {
 	return res
 }
 
-// runOne executes (or serves from cache) a single configuration.
-func (s *Server) runOne(ctx context.Context, spec runSpec) ConfigResult {
+// cachedResult renders a cache hit for spec.
+func cachedResult(spec runSpec, v any) ConfigResult {
 	res := newConfigResult(spec)
-	key := specKey(spec)
+	res.Cached = true
+	fillResult(&res, spec, v)
+	return res
+}
 
-	if s.cache != nil {
-		if v, ok := s.cache.get(key); ok && cacheUsable(v, spec) {
-			s.stats.CacheHits.Add(1)
-			res.Cached = true
-			fillResult(&res, spec, v)
-			return res
-		}
-		// Coalesce concurrent identical configurations: followers wait for
-		// the in-flight leader instead of re-running the engine, then are
-		// served from the freshly filled cache.
-		leader, err := s.joinFlight(ctx, key)
+// claim routes one configuration through the cache and the in-flight
+// table atomically: a hit returns the entry; an identical configuration
+// computing right now returns its wait channel (claim again once it
+// closes); otherwise the caller leads, and must leaveFlight(key) after the
+// cache fill. Without a cache every claim leads.
+func (s *Server) claim(key string, spec runSpec) (v any, wait <-chan struct{}, hit bool) {
+	if s.cache == nil {
+		return nil, nil, false
+	}
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if c, ok := s.inflight[key]; ok {
+		return nil, c, false
+	}
+	if v, ok := s.cache.lookup(key, spec); ok {
+		return v, nil, true
+	}
+	s.inflight[key] = make(chan struct{})
+	return nil, nil, false
+}
+
+// leaveFlight ends a leader's flight, waking its waiters.
+func (s *Server) leaveFlight(key string) {
+	if s.cache == nil {
+		return
+	}
+	s.flightMu.Lock()
+	c, ok := s.inflight[key]
+	delete(s.inflight, key)
+	s.flightMu.Unlock()
+	if ok {
+		close(c)
+	}
+}
+
+// runOne serves one configuration on the calling goroutine (the worker
+// execute endpoint), claiming it like runJob does.
+func (s *Server) runOne(ctx context.Context, spec runSpec) ConfigResult {
+	key := specKey(spec)
+	for {
+		v, wait, hit := s.claim(key, spec)
 		switch {
-		case err != nil:
-			// The follower's own job was cancelled while waiting; don't
-			// inherit or compute anything for a reader that is gone.
-			res.Error = err.Error()
-			return res
-		case !leader:
-			s.stats.Coalesced.Add(1)
-			if v, ok := s.cache.get(key); ok && cacheUsable(v, spec) {
-				s.stats.CacheHits.Add(1)
-				res.Cached = true
-				fillResult(&res, spec, v)
-				return res
-			}
-			// The leader failed (or could not cache); compute it ourselves.
-		default:
+		case hit:
+			s.stats.CacheHits.Add(1)
+			return cachedResult(spec, v)
+		case wait == nil:
 			defer s.leaveFlight(key)
+			return s.compute(ctx, key, spec)
 		}
+		s.stats.Coalesced.Add(1)
+		select {
+		case <-wait:
+		case <-ctx.Done(): // the caller is gone
+			res := newConfigResult(spec)
+			res.Error = fmt.Sprintf("service: abandoned coalesced wait: %v", ctx.Err())
+			return res
+		}
+	}
+}
+
+// compute runs one claimed configuration on the engine and fills the cache.
+func (s *Server) compute(ctx context.Context, key string, spec runSpec) ConfigResult {
+	res := newConfigResult(spec)
+	if s.cache != nil {
 		s.stats.CacheMisses.Add(1)
 	}
-
-	// The cache always stores the full Summary (so a later request with
-	// include_latencies can still be served); fillResult trims the stored
-	// per-job copy unless this spec asked to keep the arrays.
-
 	s.stats.EngineRuns.Add(1)
 	start := time.Now()
 	var (
@@ -924,47 +945,14 @@ func (s *Server) runOne(ctx context.Context, spec runSpec) ConfigResult {
 		res.Error = err.Error()
 		return res
 	}
-	if s.cache != nil {
-		s.cache.put(key, val)
-	}
 	fillResult(&res, spec, val)
+	s.cacheFill(key, spec.KeepLatencies, res)
 	return res
-}
-
-// joinFlight returns true if the caller became the leader for key (and
-// must call leaveFlight when done); false means an in-flight leader existed
-// and has since finished — the caller should re-check the cache. Followers
-// block for the leader's whole engine run, which is the point: computing
-// the same configuration in parallel would cost the same wall-clock for
-// N× the CPU. A follower whose own job is cancelled stops waiting and
-// returns ctx's error instead of pinning its worker on the leader.
-func (s *Server) joinFlight(ctx context.Context, key string) (leader bool, err error) {
-	s.flightMu.Lock()
-	if c, ok := s.inflight[key]; ok {
-		s.flightMu.Unlock()
-		select {
-		case <-c:
-			return false, nil
-		case <-ctx.Done():
-			return false, fmt.Errorf("service: abandoned coalesced wait: %w", ctx.Err())
-		}
-	}
-	s.inflight[key] = make(chan struct{})
-	s.flightMu.Unlock()
-	return true, nil
-}
-
-func (s *Server) leaveFlight(key string) {
-	s.flightMu.Lock()
-	c := s.inflight[key]
-	delete(s.inflight, key)
-	s.flightMu.Unlock()
-	close(c)
 }
 
 func fillResult(res *ConfigResult, spec runSpec, val any) {
 	if p, ok := val.(partialSummary); ok {
-		val = p.sum // WAL-reseeded: already latency-stripped
+		val = p.sum // already latency-stripped
 	}
 	switch v := val.(type) {
 	case rescq.Summary:

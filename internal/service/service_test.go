@@ -541,7 +541,7 @@ func TestInflightCoalescing(t *testing.T) {
 	<-runner.started // the leader is inside the engine
 	b := decode[JobView](t, postJSON(t, ts.URL+"/v1/run", req))
 
-	// Give the follower worker a moment to reach joinFlight, then release.
+	// Give the follower worker a moment to reach its claim, then release.
 	time.Sleep(20 * time.Millisecond)
 	close(runner.block)
 

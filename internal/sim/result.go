@@ -48,13 +48,19 @@ func RunSeeded(g *lattice.Grid, c *circuit.Circuit, cfg Config, seed int64, sche
 // polls ctx inside its cycle loop, so cancelling a request aborts a long
 // simulation promptly instead of at the run boundary.
 func RunSeededContext(ctx context.Context, g *lattice.Grid, c *circuit.Circuit, cfg Config, seed int64, sched Scheduler) (*Result, error) {
-	dag := circuit.NewDAG(c)
-	eng := NewEngine(g, dag, cfg, seed, sched)
-	res, err := eng.RunContext(ctx)
+	return RunDAGContext(ctx, g, circuit.NewDAG(c), cfg, seed, sched)
+}
+
+// RunDAGContext is RunSeededContext over a prebuilt dependency DAG. The
+// engine only reads the DAG, so one DAG can serve every seeded run of a
+// configuration — concurrent runs included.
+func RunDAGContext(ctx context.Context, g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64, sched Scheduler) (*Result, error) {
+	name := dag.Circuit().Name
+	res, err := NewEngine(g, dag, cfg, seed, sched).RunContext(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s (seed %d): %w", sched.Name(), c.Name, seed, err)
+		return nil, fmt.Errorf("sim: %s on %s (seed %d): %w", sched.Name(), name, seed, err)
 	}
-	res.Benchmark = c.Name
+	res.Benchmark = name
 	res.Seed = seed
 	return res, nil
 }

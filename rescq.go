@@ -85,6 +85,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -339,12 +340,23 @@ func Run(benchmark string, opts Options) (Summary, error) {
 // cancellation promptly instead of at configuration boundaries). The
 // returned error wraps ctx.Err() when the run was aborted.
 func RunContext(ctx context.Context, benchmark string, opts Options) (Summary, error) {
-	spec, ok := qbench.ByName(benchmark)
+	dag, ok := benchDAGs[benchmark]
 	if !ok {
 		return Summary{}, fmt.Errorf("rescq: unknown benchmark %q (see Benchmarks())", benchmark)
 	}
-	return runCircuit(ctx, spec.Circuit(), opts)
+	return runDAG(ctx, dag(), opts)
 }
+
+// benchDAGs memoizes each benchmark's circuit and dependency DAG, built on
+// first use. Both are deterministic in the benchmark name and the engine
+// only reads them, so every configuration in the process shares one copy.
+var benchDAGs = func() map[string]func() *circuit.DAG {
+	m := make(map[string]func() *circuit.DAG)
+	for _, spec := range qbench.All() {
+		m[spec.Name] = sync.OnceValue(func() *circuit.DAG { return circuit.NewDAG(spec.Circuit()) })
+	}
+	return m
+}()
 
 // RunCircuitText simulates a circuit given in the artifact text format:
 // the gate count on the first line, then one "<gate> <qubits> [angle]" per
@@ -360,10 +372,11 @@ func RunCircuitTextContext(ctx context.Context, name, text string, opts Options)
 	if err != nil {
 		return Summary{}, err
 	}
-	return runCircuit(ctx, c, opts)
+	return runDAG(ctx, circuit.NewDAG(c), opts)
 }
 
-func runCircuit(ctx context.Context, c *circuit.Circuit, opts Options) (Summary, error) {
+func runDAG(ctx context.Context, dag *circuit.DAG, opts Options) (Summary, error) {
+	c := dag.Circuit()
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return Summary{}, err
@@ -397,7 +410,7 @@ func runCircuit(ctx context.Context, c *circuit.Circuit, opts Options) (Summary,
 			errs[i] = err
 			return
 		}
-		results[i], errs[i] = sim.RunSeededContext(ctx, g, c, cfg, opts.Seed+int64(i), s)
+		results[i], errs[i] = sim.RunDAGContext(ctx, g, dag, cfg, opts.Seed+int64(i), s)
 	})
 	for _, err := range errs {
 		if err != nil {
