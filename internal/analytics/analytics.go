@@ -135,6 +135,7 @@ type footprint struct {
 // ingest order can never change its state for a given result multiset.
 type cell struct {
 	axes    Axes
+	key     string // axes.key(), the cell's map key and sort tie-break
 	results int64
 	runs    int64
 	cycles  int64 // sum of per-run makespans
@@ -234,7 +235,7 @@ func (s *Store) Ingest(jobID string, index int, sm *Sample) bool {
 			s.dropped++
 			return false
 		}
-		c = &cell{axes: a, minCyc: math.MaxInt64, area: areaFor(a, sm.Params)}
+		c = &cell{axes: a, key: k, minCyc: math.MaxInt64, area: areaFor(a, sm.Params)}
 		s.cells[k] = c
 		bs := s.slice(a.Benchmark)
 		bs.cells = append(bs.cells, c)
@@ -415,7 +416,8 @@ func (s *Store) Restore(data []byte) error {
 			maxCyc:  cs.MaxCycles,
 			area:    footprint{Tiles: cs.AreaTiles, Phys: cs.AreaPhys},
 		}
-		s.cells[c.axes.key()] = c
+		c.key = c.axes.key()
+		s.cells[c.key] = c
 		bs := s.slice(c.axes.Benchmark)
 		bs.cells = append(bs.cells, c)
 		bs.dirty = true

@@ -229,6 +229,47 @@ func joinKey(vals []string) string {
 	return out
 }
 
+// TestQueriesBesideIngest runs every query kind in a loop while another
+// goroutine ingests many rounds of a sweep (run it under -race: queries
+// work on copies of the cells once they release the lock), then checks
+// the final answers match a store that saw no concurrent queries.
+func TestQueriesBesideIngest(t *testing.T) {
+	jobs := sweepSamples()
+	order := interleavings(jobs, 7)
+	ingest := func(st *Store) {
+		for round := 0; round < 200; round++ {
+			next := make(map[string]int)
+			for _, job := range order {
+				i := next[job]
+				st.Ingest(fmt.Sprintf("%s-r%d", job, round), i, jobs[job][i])
+				next[job] = i + 1
+			}
+		}
+	}
+	want := New(0)
+	ingest(want)
+
+	st := New(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ingest(st)
+	}()
+	queries := 0
+	for running := true; running; queries++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		queryFingerprint(t, st)
+	}
+	if got, exp := queryFingerprint(t, st), queryFingerprint(t, want); !bytes.Equal(got, exp) {
+		t.Fatalf("queries beside ingest diverged:\n got %s\nwant %s", got, exp)
+	}
+	t.Logf("%d query rounds ran beside ingest", queries)
+}
+
 func TestWatermarkRejectsReplaysAndGaps(t *testing.T) {
 	st := New(0)
 	sm := mkSample("default", "gcm_n13", "rescq", "star", 7, 0, 1, 100)

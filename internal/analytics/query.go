@@ -36,6 +36,27 @@ func (c *cell) matches(filter map[string]string) bool {
 	return true
 }
 
+// copyMatching counts a query and copies out every cell that passes
+// filter, so the query groups, sorts and pairs them after releasing the
+// lock. Ingest folds results on the daemon's delivery path and takes the
+// same lock; it must not wait out a whole query.
+func (s *Store) copyMatching(filter map[string]string) []*cell {
+	s.mu.Lock()
+	s.queries++
+	buf := make([]cell, 0, len(s.cells))
+	for _, c := range s.cells {
+		if c.matches(filter) {
+			buf = append(buf, *c)
+		}
+	}
+	s.mu.Unlock()
+	out := make([]*cell, len(buf))
+	for i := range buf {
+		out[i] = &buf[i]
+	}
+	return out
+}
+
 // AreaStats summarizes the lattice footprints of a group's member
 // configurations (per configuration, not per result — area is a property
 // of the configuration). Configs counts members with a known footprint;
@@ -121,16 +142,9 @@ func (s *Store) GroupBy(by []string, filter map[string]string) (*GroupByResponse
 	if err := validFilter(filter); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-
 	groups := make(map[string]*groupAcc)
 	resp := &GroupByResponse{By: by, Filter: filter, Groups: []GroupStats{}}
-	for _, c := range s.cells {
-		if !c.matches(filter) {
-			continue
-		}
+	for _, c := range s.copyMatching(filter) {
 		vals := make([]string, len(by))
 		for i, axis := range by {
 			vals[i], _ = c.axes.value(axis)
@@ -191,7 +205,7 @@ func sortCells(cs []*cell) {
 		if mi != mj {
 			return mi < mj
 		}
-		return cs[i].axes.key() < cs[j].axes.key()
+		return cs[i].key < cs[j].key
 	})
 }
 
@@ -266,7 +280,7 @@ func frontierOf(cs []*cell) (frontier []*cell, candidates int) {
 		if mi != mj {
 			return mi < mj
 		}
-		return withArea[i].axes.key() < withArea[j].axes.key()
+		return withArea[i].key < withArea[j].key
 	})
 	best := math.Inf(1)
 	for _, c := range withArea {
@@ -421,17 +435,10 @@ func (s *Store) Sensitivity(axis, va, vb string, filter map[string]string) (*Sen
 	if _, ok := filter[axis]; ok {
 		return nil, fmt.Errorf("analytics: cannot filter on the swept axis %q", axis)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-
 	resp := &SensitivityResponse{Axis: axis, A: va, B: vb, Filter: filter, Pairs: []SensitivityPair{}}
 	var aSide []*cell
 	bIndex := make(map[string][]*cell)
-	for _, c := range s.cells {
-		if !c.matches(filter) {
-			continue
-		}
+	for _, c := range s.copyMatching(filter) {
 		switch v, _ := c.axes.value(axis); v {
 		case va:
 			aSide = append(aSide, c)
@@ -440,7 +447,7 @@ func (s *Store) Sensitivity(axis, va, vb string, filter map[string]string) (*Sen
 			bIndex[nk] = append(bIndex[nk], c)
 		}
 	}
-	sort.Slice(aSide, func(i, j int) bool { return aSide[i].axes.key() < aSide[j].axes.key() })
+	sort.Slice(aSide, func(i, j int) bool { return aSide[i].key < aSide[j].key })
 
 	var sumLog float64
 	var logged int

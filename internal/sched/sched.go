@@ -70,10 +70,10 @@ type layered struct {
 	name string
 	path PathFinder
 
-	layer   int     // current executing layer
-	left    int     // unfinished gates in the current layer
-	byLayer [][]int // layer -> node IDs, sorted by descending height
-	drivers map[int]driver
+	layer   int      // current executing layer
+	left    int      // unfinished gates in the current layer
+	byLayer [][]int  // layer -> node IDs, sorted by descending height
+	drivers []driver // node -> its gate's state machine while it executes, else nil
 }
 
 // driver advances one gate's execution state machine each cycle.
@@ -100,7 +100,7 @@ func (l *layered) Init(st *sim.State) error {
 		})
 	}
 	l.layer = -1
-	l.drivers = make(map[int]driver)
+	l.drivers = make([]driver, dag.Len())
 	return nil
 }
 
@@ -120,19 +120,22 @@ func (l *layered) OnCycle(st *sim.State) {
 		return
 	}
 	for _, n := range l.byLayer[l.layer] {
-		if d, ok := l.drivers[n]; ok {
+		if d := l.drivers[n]; d != nil {
 			d.tick(st)
 		}
 	}
 }
 
 func (l *layered) OnOpDone(st *sim.State, op *sim.Op, success bool) {
-	d, ok := l.drivers[op.Node]
-	if !ok {
+	if op.Node < 0 || op.Node >= len(l.drivers) {
+		return // not a gate's op (e.g. a bare preparation)
+	}
+	d := l.drivers[op.Node]
+	if d == nil {
 		return
 	}
 	if d.opDone(st, op, success) {
-		delete(l.drivers, op.Node)
+		l.drivers[op.Node] = nil
 		l.left--
 	}
 }

@@ -19,13 +19,19 @@ import (
 // under the same canonical rescq.CacheKeys, and interrupted jobs are
 // re-enqueued to resume at their first unfinished configuration.
 
-// partialSummary wraps a cache value whose per-gate latency arrays were
-// stripped (tens of thousands of ints per run): every result the WAL
-// re-seeds, and every result computed for a request that did not ask for
-// include_latencies (see cacheFill). A request that does ask must treat
-// the hit as a miss and recompute, which then overwrites the entry with
-// the full value.
-type partialSummary struct{ sum rescq.Summary }
+// cachedSummary is a simulation's cache value: its canonical options and
+// summary, immutable once cached and shared by every result the entry
+// serves, so a cache hit copies neither. Partial entries had their
+// per-gate latency arrays stripped (tens of thousands of ints per run):
+// every result the WAL re-seeds, and every result computed for a request
+// that did not ask for include_latencies (see cacheFill). A request that
+// does ask must treat a partial hit as a miss and recompute, which then
+// overwrites the entry with the full value.
+type cachedSummary struct {
+	opts    *rescq.Options // nil when the filling result carried none
+	sum     *rescq.Summary
+	partial bool
+}
 
 // ReplayStats reports what AttachStore recovered from the WAL.
 type ReplayStats struct {
@@ -78,10 +84,16 @@ func (s *Server) AttachStore(dir string) (ReplayStats, error) {
 			maxID = id
 		}
 		// Re-seed the cache from every persisted result, job or orphan.
-		for _, rr := range rj.Results {
+		// Each payload is decoded once: the rebuilt job keeps its
+		// decodable contiguous prefix, sharing summaries with the cache.
+		var prefix []ConfigResult
+		for i, rr := range rj.Results {
 			var res ConfigResult
 			if err := json.Unmarshal(rr.Result, &res); err != nil {
 				continue
+			}
+			if len(prefix) == i {
+				prefix = append(prefix, res)
 			}
 			rs.Results++
 			s.stats.ReplayedResults.Add(1)
@@ -97,7 +109,7 @@ func (s *Server) AttachStore(dir string) (ReplayStats, error) {
 		if err := json.Unmarshal(rj.Job.Specs, &specs); err != nil || len(specs) == 0 {
 			continue
 		}
-		j := s.replayJob(rj, specs)
+		j := s.replayJob(rj, specs, prefix)
 		rs.Jobs++
 		s.stats.ReplayedJobs.Add(1)
 		if !rj.Terminal() {
@@ -180,10 +192,11 @@ func (s *Server) durabilityProbe() {
 	}
 }
 
-// replayJob reconstructs a Job from its WAL records and registers it.
-// Terminal jobs come back closed (pure history); interrupted jobs come
-// back queued with their completed prefix in place, ready to resume.
-func (s *Server) replayJob(rj store.ReplayedJob, specs []runSpec) *Job {
+// replayJob reconstructs a Job from its WAL records and its decoded
+// results prefix, and registers it. Terminal jobs come back closed (pure
+// history); interrupted jobs come back queued with their completed prefix
+// in place, ready to resume.
+func (s *Server) replayJob(rj store.ReplayedJob, specs []runSpec, prefix []ConfigResult) *Job {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	tenant := rj.Job.Tenant
 	if tenant == "" {
@@ -201,22 +214,15 @@ func (s *Server) replayJob(rj store.ReplayedJob, specs []runSpec) *Job {
 		ctx:       ctx,
 		cancel:    cancel,
 		doneCh:    make(chan struct{}),
-		events:    make(chan ConfigResult, len(specs)),
+		delivered: make(chan struct{}, 1),
+		results:   append(make([]ConfigResult, 0, len(specs)), prefix...),
 		state:     JobQueued,
-	}
-	for _, rr := range rj.Results {
-		var res ConfigResult
-		if err := json.Unmarshal(rr.Result, &res); err != nil {
-			break // keep only the decodable contiguous prefix
-		}
-		j.results = append(j.results, res)
 	}
 	if rj.Terminal() {
 		j.state = JobState(rj.State)
 		if rj.Error != "" {
 			j.err = errors.New(rj.Error)
 		}
-		close(j.events)
 		close(j.doneCh)
 		cancel() // history never runs; release the baseCtx child now
 	}
@@ -247,7 +253,7 @@ func (s *Server) resumeJob(j *Job) *Job {
 	_, _, _, results, _ := j.snapshot()
 	nj := s.buildJob(j.Kind, j.Tenant, j.specs)
 	nj.resumedFrom = j.ID
-	nj.results = results
+	nj.results = append(nj.results, results...)
 	s.registerJob(nj) // visible to listings only once fully populated
 	// Checkpoint the job and its inherited prefix here, outside the
 	// server lock — a large prefix means many appends (and possibly a
@@ -322,7 +328,7 @@ func (s *Server) persistResult(j *Job, key string, res ConfigResult) {
 	}
 	// The WAL never stores per-gate latency arrays (tens of thousands of
 	// ints per run), even for include_latencies jobs: replay re-seeds the
-	// cache as partialSummary anyway, and the only jobs that can carry
+	// cache as a partial entry anyway, and the only jobs that can carry
 	// latencies are single-configuration runs, which have no resumable
 	// prefix. stripLatencies copies before trimming, so the in-memory
 	// result handed to the client keeps its arrays.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -742,4 +743,40 @@ func TestStreamingDisconnectFreesGoroutines(t *testing.T) {
 		runtime.GC()
 		return runtime.NumGoroutine() <= before+2
 	})
+}
+
+// TestCompactionTimeObservable: the time compactions took is on /metrics
+// beside the compaction count, and in the /healthz store section, so a
+// latency spike can be attributed to compaction from the daemon alone.
+func TestCompactionTimeObservable(t *testing.T) {
+	s, ts, _ := durableServer(t, config.Daemon{Workers: 1}, &countingRunner{}, t.TempDir())
+	decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", RunRequest{Benchmark: "gcm_n13", Options: rescq.Options{Runs: 1}}))
+	if err := s.store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var secs float64
+	for _, line := range strings.Split(string(prom), "\n") {
+		if v, ok := strings.CutPrefix(line, "rescqd_store_compaction_seconds_total "); ok {
+			if secs, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatalf("bad sample %q: %v", line, err)
+			}
+		}
+	}
+	if secs <= 0 {
+		t.Fatalf("rescqd_store_compaction_seconds_total = %v after a compaction", secs)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := decode[healthBody](t, resp)
+	if health.Store == nil || health.Store.Compactions < 1 || health.Store.CompactionSeconds <= 0 {
+		t.Fatalf("healthz store section = %+v", health.Store)
+	}
 }

@@ -363,18 +363,31 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, j *Job) {
 }
 
 // streamEvents drives a streaming response: per-configuration callbacks in
-// completion order, then the terminal callback. A client disconnect —
-// whether surfaced by the request context or by a failed write — cancels
-// the job and ends the stream, so neither this goroutine nor the job keeps
-// burning engine time for a reader that is gone.
+// index order, read straight from the job's results as they are
+// delivered, then the terminal callback. A client disconnect — whether
+// surfaced by the request context or by a failed write — cancels the job
+// and ends the stream, so neither this goroutine nor the job keeps burning
+// engine time for a reader that is gone.
 func (s *Server) streamEvents(r *http.Request, j *Job, onConfig func(ConfigResult) error, onDone func()) {
+	sent := 0
 	for {
+		finished := false
 		select {
-		case res, ok := <-j.events:
-			if !ok {
-				onDone()
-				return
-			}
+		case <-j.delivered:
+		case <-j.doneCh:
+			finished = true // every result is in place before doneCh closes
+		case <-r.Context().Done():
+			// The sequencer's wake-ups never block, so abandoning the
+			// stream cannot stall it; stop the job and return now rather
+			// than pinning this goroutine until a (possibly still queued)
+			// job reaches its cancellation boundary.
+			j.Cancel()
+			return
+		}
+		j.mu.Lock()
+		fresh := j.results[sent:] // append-only: the elements stay put
+		j.mu.Unlock()
+		for _, res := range fresh {
 			if err := onConfig(res); err != nil {
 				// The write failed: the connection is dead even if the
 				// request context has not fired yet. Stop the job rather
@@ -382,12 +395,10 @@ func (s *Server) streamEvents(r *http.Request, j *Job, onConfig func(ConfigResul
 				j.Cancel()
 				return
 			}
-		case <-r.Context().Done():
-			// The worker's sends are buffered to len(specs), so abandoning
-			// the channel cannot block it; stop the job and return now
-			// rather than pinning this goroutine until a (possibly still
-			// queued) job reaches its cancellation boundary.
-			j.Cancel()
+		}
+		sent += len(fresh)
+		if finished {
+			onDone()
 			return
 		}
 	}
@@ -526,6 +537,9 @@ type storeHealth struct {
 	Records     int   `json:"records"`
 	Bytes       int64 `json:"bytes"`
 	Compactions int64 `json:"compactions"`
+	// CompactionSeconds is the time compactions took since startup; they
+	// run inline under the WAL lock, so appends stall for this long.
+	CompactionSeconds float64 `json:"compaction_seconds"`
 	// Codec is the WAL's on-disk record format ("binary" or "json").
 	Codec           string `json:"codec,omitempty"`
 	ReplayedJobs    int64  `json:"replayed_jobs"`
@@ -641,16 +655,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if st, ok := s.StoreStats(); ok {
 		body.Store = &storeHealth{
-			Jobs:            st.Jobs,
-			Records:         st.Records,
-			Bytes:           st.Bytes,
-			Compactions:     st.Compactions,
-			Codec:           st.Codec,
-			ReplayedJobs:    s.stats.ReplayedJobs.Load(),
-			ReplayedResults: s.stats.ReplayedResults.Load(),
-			Durable:         !s.Lossy(),
-			ReplayDropped:   s.ReplayInfo().Dropped,
-			LossyWrites:     s.stats.LossyWrites.Load(),
+			Jobs:              st.Jobs,
+			Records:           st.Records,
+			Bytes:             st.Bytes,
+			Compactions:       st.Compactions,
+			CompactionSeconds: st.CompactionSeconds,
+			Codec:             st.Codec,
+			ReplayedJobs:      s.stats.ReplayedJobs.Load(),
+			ReplayedResults:   s.stats.ReplayedResults.Load(),
+			Durable:           !s.Lossy(),
+			ReplayDropped:     s.ReplayInfo().Dropped,
+			LossyWrites:       s.stats.LossyWrites.Load(),
 		}
 	}
 	if s.an != nil {
@@ -720,6 +735,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP rescqd_store_records Records in the WAL file.\n# TYPE rescqd_store_records gauge\nrescqd_store_records %d\n", st.Records)
 		fmt.Fprintf(w, "# HELP rescqd_store_bytes WAL file size in bytes.\n# TYPE rescqd_store_bytes gauge\nrescqd_store_bytes %d\n", st.Bytes)
 		fmt.Fprintf(w, "# HELP rescqd_store_compactions_total WAL compactions performed.\n# TYPE rescqd_store_compactions_total counter\nrescqd_store_compactions_total %d\n", st.Compactions)
+		fmt.Fprintf(w, "# HELP rescqd_store_compaction_seconds_total Time spent in WAL compactions, which stall appends while they run.\n# TYPE rescqd_store_compaction_seconds_total counter\nrescqd_store_compaction_seconds_total %g\n", st.CompactionSeconds)
 		fmt.Fprint(w, "# HELP rescqd_store_appends_total WAL records appended, by on-disk codec.\n# TYPE rescqd_store_appends_total counter\n")
 		fmt.Fprintf(w, "rescqd_store_appends_total{codec=\"binary\"} %d\n", st.AppendsBinary)
 		fmt.Fprintf(w, "rescqd_store_appends_total{codec=\"json\"} %d\n", st.AppendsJSON)

@@ -263,7 +263,7 @@ func (r *jobRun) keep() bool {
 }
 
 // deliver releases results in index order to the job, the WAL and the
-// events stream, so all three are byte-identical however many slots ran.
+// job's stream, so all three are byte-identical however many slots ran.
 func (r *jobRun) deliver(idx int, res ConfigResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -282,7 +282,10 @@ func (r *jobRun) deliver(idx int, res ConfigResult) {
 		r.j.results = append(r.j.results, out)
 		r.j.mu.Unlock()
 		r.s.persistResult(r.j, r.j.keys[r.next], out)
-		r.j.events <- out // buffered to len(specs): never blocks
+		select {
+		case r.j.delivered <- struct{}{}:
+		default: // a wake-up is already pending
+		}
 		r.s.pending.Add(-1)
 		r.s.sched.Completed(r.j.Tenant, 1)
 		r.next++

@@ -188,13 +188,15 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	doneCh chan struct{}
-	events chan ConfigResult // buffered len(specs); closed when job finishes
+	// delivered wakes the job's stream (buffer 1, never blocks the
+	// sender): results appended, read them from results.
+	delivered chan struct{}
 
 	mu       sync.Mutex
 	state    JobState
 	started  time.Time
 	finished time.Time
-	results  []ConfigResult
+	results  []ConfigResult // sized to len(specs) up front; append-only
 	err      error
 	// resumedTo names the job that continued this one; set (and checked)
 	// under mu so concurrent POST .../resume calls cannot both mint a
@@ -489,16 +491,17 @@ func (s *Server) buildJob(kind, tenant string, specs []runSpec) *Job {
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	return &Job{
-		ID:      fmt.Sprintf("job-%06d", s.nextID.Add(1)),
-		Kind:    kind,
-		Created: time.Now(),
-		Tenant:  tenant,
-		specs:   specs,
-		ctx:     ctx,
-		cancel:  cancel,
-		doneCh:  make(chan struct{}),
-		events:  make(chan ConfigResult, len(specs)),
-		state:   JobQueued,
+		ID:        fmt.Sprintf("job-%06d", s.nextID.Add(1)),
+		Kind:      kind,
+		Created:   time.Now(),
+		Tenant:    tenant,
+		specs:     specs,
+		ctx:       ctx,
+		cancel:    cancel,
+		doneCh:    make(chan struct{}),
+		delivered: make(chan struct{}, 1),
+		results:   make([]ConfigResult, 0, len(specs)),
+		state:     JobQueued,
 	}
 }
 
@@ -638,7 +641,6 @@ func (s *Server) failFast(j *Job, err error) {
 // watermark is dropped, and it joins the retention-bounded history.
 func (s *Server) closeJob(j *Job) {
 	s.analyticsForget(j.ID)
-	close(j.events)
 	close(j.doneCh)
 	// Release the context child registered on baseCtx; without this every
 	// terminal job would stay in baseCtx's children set forever.
@@ -799,21 +801,22 @@ func specKey(spec runSpec) string {
 }
 
 // lookup returns the cache entry for key if it can serve spec: an entry
-// with stripped latency arrays (partialSummary) cannot serve a request
-// that keeps them. A nil cache never hits.
+// with stripped latency arrays (a partial cachedSummary) cannot serve a
+// request that keeps them. A nil cache never hits.
 func (c *resultCache) lookup(key string, spec runSpec) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	v, ok := c.get(key)
-	_, partial := v.(partialSummary)
-	return v, ok && !(partial && spec.KeepLatencies)
+	cs, isSum := v.(*cachedSummary)
+	return v, ok && !(isSum && cs.partial && spec.KeepLatencies)
 }
 
 // cacheFill is the cache's one fill rule, for engine runs, worker results
-// and WAL replay alike: store what the request returned. Unless the
-// request kept its latency arrays, the summary is stored as
-// partialSummary. Reports whether anything was stored.
+// and WAL replay alike: store what the request returned — the result's
+// own options and summary, which are never mutated once delivered. Unless
+// the request kept its latency arrays, the entry is partial. Reports
+// whether anything was stored.
 func (s *Server) cacheFill(key string, kept bool, res ConfigResult) bool {
 	if s.cache == nil || res.Error != "" {
 		return false
@@ -821,10 +824,8 @@ func (s *Server) cacheFill(key string, kept bool, res ConfigResult) bool {
 	switch {
 	case res.Report != "":
 		s.cache.put(key, res.Report)
-	case res.Summary != nil && kept:
-		s.cache.put(key, *res.Summary)
 	case res.Summary != nil:
-		s.cache.put(key, partialSummary{sum: *res.Summary})
+		s.cache.put(key, &cachedSummary{opts: res.Options, sum: res.Summary, partial: !kept})
 	default:
 		return false
 	}
@@ -950,16 +951,25 @@ func (s *Server) compute(ctx context.Context, key string, spec runSpec) ConfigRe
 	return res
 }
 
+// fillResult fills a result's payload from an engine value or a cache
+// entry. A cache hit shares the entry's options and summary: equal cache
+// keys mean equal canonical options (rescq.CacheKey digests every field
+// of the canonical form), so the entry's are the spec's own.
 func fillResult(res *ConfigResult, spec runSpec, val any) {
-	if p, ok := val.(partialSummary); ok {
-		val = p.sum // already latency-stripped
-	}
 	switch v := val.(type) {
+	case *cachedSummary:
+		res.Options, res.Summary = v.opts, v.sum
+		if res.Options == nil {
+			opts := spec.Opts.Canonical()
+			res.Options = &opts
+		}
+		if !v.partial && !spec.KeepLatencies {
+			stripLatencies(res)
+		}
 	case rescq.Summary:
 		opts := spec.Opts.Canonical()
 		res.Options = &opts
-		sum := v
-		res.Summary = &sum
+		res.Summary = &v
 		if !spec.KeepLatencies {
 			stripLatencies(res)
 		}

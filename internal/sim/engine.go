@@ -174,7 +174,6 @@ func (e *Engine) advance() bool {
 func (e *Engine) finish(op *Op) {
 	st := e.st
 	op.done = true
-	delete(st.ops, op.ID)
 	for _, q := range op.Qubits {
 		if st.qubitOp[q] == op {
 			st.qubitOp[q] = nil

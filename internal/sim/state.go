@@ -75,7 +75,6 @@ type State struct {
 	tileOp  []*Op
 	qubitOp []*Op
 
-	ops    map[int]*Op
 	nextOp int
 	// active is the advancing subset of ops (prepared preps are parked),
 	// kept in ID order: IDs increase monotonically and ops are appended at
@@ -128,7 +127,6 @@ func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State 
 		prepExpected: params.ExpectedPrepCycles(),
 		tileOp:       make([]*Op, g.NumTiles()),
 		qubitOp:      make([]*Op, g.NumQubits()),
-		ops:          make(map[int]*Op),
 		active:       make([]*Op, 0, 64),
 		status:       make([]GateStatus, dag.Len()),
 		predLeft:     make([]int, dag.Len()),
@@ -223,9 +221,6 @@ func (st *State) Activity(ancID int) float64 {
 	return float64(st.actSum[ancID]) / float64(st.actWindow)
 }
 
-// Op returns a live op by ID, or nil.
-func (st *State) Op(id int) *Op { return st.ops[id] }
-
 // --- Op starters -----------------------------------------------------
 
 func (st *State) newOp(kind OpKind, node int, dur int) *Op {
@@ -233,7 +228,6 @@ func (st *State) newOp(kind OpKind, node int, dur int) *Op {
 	op := &Op{ID: st.nextOp, Kind: kind, Node: node, start: st.cycle, remaining: dur}
 	op.Qubits = op.qubitsBuf[:0]
 	op.Tiles = op.tilesBuf[:0]
-	st.ops[op.ID] = op
 	st.active = append(st.active, op)
 	st.startedThisCycle++
 	return op
@@ -388,7 +382,6 @@ func (st *State) StartInjection(n, q int, prepTile lattice.Coord, kind rus.Injec
 	// Consume the parked prep: its tile transfers to the injection op.
 	prepOp.consumed = true
 	prepOp.done = true
-	delete(st.ops, prepOp.ID)
 	st.tileOp[st.grid.TileIndex(prepTile)] = nil
 
 	op := st.newOp(OpInjection, n, spec.Cycles)
@@ -411,7 +404,6 @@ func (st *State) DiscardPrepared(tile lattice.Coord) error {
 		return fmt.Errorf("sim: no prepared state at %v to discard", tile)
 	}
 	op.done = true
-	delete(st.ops, op.ID)
 	st.tileOp[st.grid.TileIndex(tile)] = nil
 	return nil
 }
@@ -425,7 +417,6 @@ func (st *State) CancelPrep(tile lattice.Coord) error {
 		return fmt.Errorf("sim: no cancellable preparation at %v", tile)
 	}
 	op.done = true
-	delete(st.ops, op.ID)
 	st.tileOp[st.grid.TileIndex(tile)] = nil
 	return nil
 }

@@ -91,3 +91,46 @@ func benchReplay(b *testing.B, codec string) {
 
 func BenchmarkWALReplayBinary(b *testing.B) { benchReplay(b, CodecBinary) }
 func BenchmarkWALReplayJSON(b *testing.B)   { benchReplay(b, CodecJSON) }
+
+// BenchmarkWALCompact measures one compaction of a store holding about 40k
+// live results — 104 finished 384-configuration sweeps, the payload
+// fixtures of benchAppend — the whole-snapshot rewrite that runs inline
+// under the store lock every CompactEvery appends.
+func BenchmarkWALCompact(b *testing.B) {
+	const jobs, perJob = 104, 384
+	s, err := Open(b.TempDir(), Options{RetainJobs: jobs, CompactEvery: 1 << 30})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	payloads := make([]json.RawMessage, 16)
+	for i := range payloads {
+		payloads[i] = resultPayload(b, i)
+	}
+	for j := 1; j <= jobs; j++ {
+		id := fmt.Sprintf("job-%06d", j)
+		if err := s.AppendJob(JobRecord{ID: id, Kind: "sweep", Created: time.Unix(1700000000, 0).UTC(),
+			Specs: mustJSON(b, []map[string]string{{"benchmark": "gcm_n13"}})}); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < perJob; i++ {
+			if err := s.AppendResult(ResultRecord{JobID: id, Index: i,
+				Key: fmt.Sprintf("cachekey-%032d", j*perJob+i), Result: payloads[i%len(payloads)]}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.AppendDone(DoneRecord{JobID: id, State: "done"}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.SnapshotRecords != jobs*(perJob+2) {
+		b.Fatalf("snapshot holds %d records", st.SnapshotRecords)
+	}
+}

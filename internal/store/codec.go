@@ -305,6 +305,78 @@ func decodeBinaryBody(kind byte, body []byte) (any, error) {
 	return nil, errCorruptRecord
 }
 
+// peekFrameSize reports the size of the binary frame at br's read
+// position — length prefix, payload and CRC — without consuming it. The
+// result is meaningful only when readBinaryRecord then reads the frame
+// successfully.
+func peekFrameSize(br *bufio.Reader) int {
+	hdr, _ := br.Peek(binary.MaxVarintLen64)
+	n, sz := binary.Uvarint(hdr)
+	if sz <= 0 || n > maxRecordBytes {
+		return 0
+	}
+	return sz + int(n) + 4
+}
+
+// verifyFrame checks that b is exactly one intact binary frame: its length
+// prefix spans all of b and its CRC matches.
+func verifyFrame(b []byte) error {
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 || n < 2 || n > maxRecordBytes || uint64(len(b)-sz) != n+4 {
+		return errCorruptRecord
+	}
+	payload := b[sz : sz+int(n)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[sz+int(n):]) {
+		return errCorruptRecord
+	}
+	return nil
+}
+
+// jsonHead is the type discriminator every JSON log line carries.
+type jsonHead struct {
+	Type string `json:"type"`
+}
+
+// errUnknownRecord marks a JSON line whose type no record kind claims.
+var errUnknownRecord = errors.New("store: unknown record type")
+
+// decodeJSONRecord parses one JSON log line of the given record type.
+func decodeJSONRecord(typ string, line []byte) (any, error) {
+	switch typ {
+	case recJob:
+		return unmarshalRecord[JobRecord](line)
+	case recResult:
+		return unmarshalRecord[ResultRecord](line)
+	case recDone:
+		return unmarshalRecord[DoneRecord](line)
+	case recState:
+		return unmarshalRecord[StateRecord](line)
+	}
+	return nil, errUnknownRecord
+}
+
+func unmarshalRecord[R any](line []byte) (any, error) {
+	var r R
+	if err := json.Unmarshal(line, &r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeFrame decodes one record's on-disk encoding in the given codec:
+// compaction's path for frames it cannot copy verbatim.
+func decodeFrame(codec string, b []byte) (any, error) {
+	if codec == CodecJSON {
+		var head jsonHead
+		if err := json.Unmarshal(b, &head); err != nil {
+			return nil, err
+		}
+		return decodeJSONRecord(head.Type, b)
+	}
+	rec, _, err := readBinaryRecord(bufio.NewReader(bytes.NewReader(b)))
+	return rec, err
+}
+
 // readBinaryRecord reads one frame off br. Errors classify the failure:
 // io.EOF is a clean end of stream, io.ErrUnexpectedEOF a torn (incomplete)
 // frame — the crash signature — and errCorruptRecord a complete frame that

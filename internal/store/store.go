@@ -48,17 +48,29 @@
 //
 // # Compaction
 //
-// The in-memory index mirrors the on-disk state: jobs, their results,
-// terminal states. Compact writes the index into a snapshot file
-// (atomically renamed over the previous one), then truncates the log in
-// place, so replay cost is bounded by live state: Open reads the snapshot
-// and the log delta, and the log holds only records appended since the
-// last compaction. Compaction always emits the configured codec, which is
-// how an old JSON log migrates forward on its first binary-default Open.
+// The in-memory index mirrors the on-disk state without holding it: for
+// every live job it keeps where the job record and each result record sit
+// on disk (file, offset, length) and the job's terminal state, never the
+// payloads. Compact writes the live state into a snapshot file by copying
+// those frames verbatim, in coalesced reads from the current snapshot and
+// log, so its cost is a byte copy rather than a re-encode. Only records
+// compaction makes up itself are encoded afresh — done markers, state
+// blobs, stub job records for orphan results — plus frames in the other
+// codec, which is how an old JSON log migrates forward on its first
+// binary-default Open. The snapshot is fsynced and atomically renamed over
+// the previous one, then the log is truncated in place, so replay cost is
+// bounded by live state: Open reads the snapshot and the log delta, and
+// the log holds only records appended since the last compaction.
 // Open compacts automatically when the replayed state carries enough
-// garbage to matter (or is in the wrong codec), and Append* triggers an
-// inline compaction when the records since the last one exceed a
-// threshold.
+// garbage to matter (or is in the wrong codec), and AppendResult,
+// AppendDone and PutState compact inline, under the store lock, once the
+// log (records appended since the last compaction, plus any replayed at
+// Open) holds at least a threshold and at least as many records as the
+// snapshot, or once the terminal jobs pass twice the retention bound. A
+// store that keeps growing thus rewrites its snapshot at doubling sizes:
+// compaction writes and fsyncs O(n) bytes over n appends, and the log
+// stays about as large as the snapshot or the threshold, whichever is
+// larger (AppendJob never compacts, so job records can overshoot briefly).
 package store
 
 import (
@@ -73,6 +85,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unicode"
 
 	"repro/internal/fault"
 )
@@ -174,6 +187,11 @@ type Stats struct {
 	TailDropped int    `json:"tail_dropped"` // partial/corrupt tail records discarded at Open
 	Codec       string `json:"codec"`        // the log's active append codec
 
+	// CompactionSeconds is the wall time spent compacting since Open
+	// (failed attempts included). Compaction runs under the store lock,
+	// so this is also how long appends stalled behind it.
+	CompactionSeconds float64 `json:"compaction_seconds"`
+
 	SnapshotRecords int   `json:"snapshot_records"` // records in the snapshot file
 	SnapshotBytes   int64 `json:"snapshot_bytes"`   // snapshot file size
 
@@ -190,8 +208,11 @@ type Options struct {
 	// evicted first); 0 means the default 1024. Interrupted and running
 	// jobs are always retained.
 	RetainJobs int
-	// CompactEvery triggers an inline compaction after this many appended
-	// records; 0 means the default 8192.
+	// CompactEvery is the fewest log records that trigger an inline
+	// compaction; 0 means the default 8192. Past that, the log must also
+	// have grown to the snapshot's record count, so a growing store
+	// rewrites its snapshot at doubling sizes and compaction's total I/O
+	// stays proportional to the records appended, not to their square.
 	CompactEvery int
 	// Codec selects the append format: CodecBinary (the default) or
 	// CodecJSON (the debug/compat path). Replay always sniffs per file,
@@ -220,26 +241,56 @@ const WALName = "wal.jsonl"
 // replaced, replayed before the log delta.
 const SnapName = "wal.snap"
 
+// Which file a frameRef points into.
+const (
+	fileSnap uint8 = iota
+	fileLog
+)
+
+// frameRef locates one record's encoding on disk: a binary frame, or a
+// JSON line (its newline optional).
+type frameRef struct {
+	off  int64
+	n    uint32 // bytes; maxRecordBytes fits
+	file uint8  // fileSnap or fileLog
+}
+
+// indexedJob is one job in the store's in-memory index: where its records
+// sit on disk and its terminal state, not their payloads.
+type indexedJob struct {
+	job frameRef
+	// stub, when set, is the job record compaction encodes instead of
+	// copying job: a spec-less stub for orphan results whose job record
+	// never appeared, or the merge of two job records that no single frame
+	// holds. Cleared once a snapshot holds its frame.
+	stub    *JobRecord
+	results []frameRef // in index order
+	state   string     // terminal state, "" while interrupted
+	err     string
+}
+
 // Store is the durable job + result log. All methods are safe for
 // concurrent use.
 type Store struct {
 	mu   sync.Mutex
 	opts Options
 	path string
-	f    *os.File
+	f    *os.File // the log
+	snap *os.File // the snapshot, read by compaction; nil until one exists
 
-	jobs   map[string]*ReplayedJob
+	jobs   map[string]*indexedJob
 	order  []string          // job ids in first-seen order
 	states map[string][]byte // named auxiliary state blobs, last writer wins
 
 	codec       string // the log's active append codec
+	snapCodec   string // the snapshot's codec
 	records     int    // records currently in the log file (including garbage)
-	sinceComp   int    // records appended since the last compaction
 	bytes       int64  // log file size
 	snapRecords int    // records in the snapshot file
 	snapBytes   int64  // snapshot file size
 	torn        bool   // a failed append left a tail we could not truncate yet
 	compactions int64
+	compactTime time.Duration
 	tailDropped int
 
 	appendsBinary     int64
@@ -247,7 +298,7 @@ type Store struct {
 	appendBytesBinary int64
 	appendBytesJSON   int64
 
-	replayed []ReplayedJob // snapshot taken at Open, in log order
+	replayed []ReplayedJob // decoded at Open, until Replayed hands it over
 }
 
 // Open opens (creating if needed) the store in dir and replays the
@@ -279,41 +330,40 @@ func Open(dir string, opts Options) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: %s: %w", path, err)
 	}
-	s := &Store{opts: opts, path: path, f: f, jobs: make(map[string]*ReplayedJob)}
+	s := &Store{opts: opts, path: path, f: f}
+	fail := func(err error) (*Store, error) {
+		s.closeFiles()
+		return nil, err
+	}
 
 	// Snapshot first, then the log delta, merged into one replay state.
 	st := newReplayState()
 	snapPath := filepath.Join(dir, SnapName)
-	snapCodec := ""
 	if sf, serr := os.Open(snapPath); serr == nil {
-		snapCodec, serr = replayStream(st, sf)
-		sf.Close()
+		s.snap = sf // kept open: compaction copies frames out of it
+		s.snapCodec, serr = replayStream(st, sf)
 		if serr == nil && st.dropped > 0 {
 			serr = fmt.Errorf("%d torn records in an atomically-written file", st.dropped)
 		}
 		if serr != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: replay snapshot %s: %w", snapPath, serr)
+			return fail(fmt.Errorf("store: replay snapshot %s: %w", snapPath, serr))
 		}
 		s.snapRecords = st.records
-		if fi, err := os.Stat(snapPath); err == nil {
+		if fi, err := sf.Stat(); err == nil {
 			s.snapBytes = fi.Size()
 		}
 	} else if !errors.Is(serr, os.ErrNotExist) {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", serr)
+		return fail(fmt.Errorf("store: %w", serr))
 	}
+	st.file = fileLog
 	logCodec, err := replayStream(st, f)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: replay %s: %w", path, err)
+		return fail(fmt.Errorf("store: replay %s: %w", path, err))
 	}
 	s.records = st.records - s.snapRecords
 	s.tailDropped = st.dropped
-	for _, id := range st.order {
-		s.jobs[id] = st.jobs[id]
-		s.order = append(s.order, id)
-	}
+	s.jobs = st.index
+	s.order = st.order
 	s.states = st.states
 	if s.states == nil {
 		s.states = make(map[string][]byte)
@@ -329,8 +379,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if s.codec == CodecBinary && s.bytes == 0 {
 			n, werr := f.Write(walMagic[:])
 			if werr != nil {
-				f.Close()
-				return nil, fmt.Errorf("store: write log header: %w", werr)
+				return fail(fmt.Errorf("store: write log header: %w", werr))
 			}
 			s.bytes = int64(n)
 		}
@@ -340,20 +389,34 @@ func Open(dir string, opts Options) (*Store, error) {
 	// compacted right away, so a crash-loop cannot grow the files without
 	// bound and a JSON-era log migrates forward on its first Open.
 	if s.tailDropped > 0 || len(s.order) > opts.RetainJobs || st.records > s.liveRecords() ||
-		s.codec != opts.Codec || (snapCodec != "" && snapCodec != opts.Codec) {
+		s.codec != opts.Codec || (s.snapCodec != "" && s.snapCodec != opts.Codec) {
 		if err := s.compactLocked(); err != nil {
-			f.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 	return s, nil
 }
 
-// Replayed returns the jobs reconstructed at Open, in log order.
+// closeFiles closes the log and the snapshot reader.
+func (s *Store) closeFiles() error {
+	err := s.f.Close()
+	if s.snap != nil {
+		s.snap.Close()
+		s.snap = nil
+	}
+	return err
+}
+
+// Replayed hands over the jobs reconstructed at Open, in id order, with
+// their decoded records. The store keeps no copy — its index holds only
+// frame locations — so only the first call returns them; later calls
+// return nil.
 func (s *Store) Replayed() []ReplayedJob {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]ReplayedJob(nil), s.replayed...)
+	r := s.replayed
+	s.replayed = nil
+	return r
 }
 
 // Stats reports the store's current size.
@@ -365,6 +428,7 @@ func (s *Store) Stats() Stats {
 		Records:           s.snapRecords + s.records,
 		Bytes:             s.snapBytes + s.bytes,
 		Compactions:       s.compactions,
+		CompactionSeconds: s.compactTime.Seconds(),
 		TailDropped:       s.tailDropped,
 		Codec:             s.codec,
 		SnapshotRecords:   s.snapRecords,
@@ -379,10 +443,11 @@ func (s *Store) Stats() Stats {
 // AppendJob logs a submitted job. Re-appending a known id is a no-op
 // (resumed jobs are already on disk). AppendJob never compacts inline:
 // the service calls it on its submission path (holding a server-wide
-// lock so a result can never precede its job record), and a cascaded
-// whole-log rewrite there would stall every submission. Results and
-// terminal markers — appended from worker goroutines — carry the
-// compaction trigger instead, and every job eventually produces one.
+// lock so a result can never precede its job record), and even a
+// frame-copying whole-snapshot rewrite there would stall every
+// submission. Results and terminal markers — appended from worker
+// goroutines — carry the compaction trigger instead, and every job
+// eventually produces one.
 func (s *Store) AppendJob(r JobRecord) error {
 	r.Type = recJob
 	s.mu.Lock()
@@ -393,10 +458,11 @@ func (s *Store) AppendJob(r JobRecord) error {
 	if _, ok := s.jobs[r.ID]; ok {
 		return nil
 	}
-	if err := s.writeLocked(r); err != nil {
+	ref, err := s.writeLocked(r)
+	if err != nil {
 		return err
 	}
-	s.jobs[r.ID] = &ReplayedJob{Job: r}
+	s.jobs[r.ID] = &indexedJob{job: ref}
 	s.order = append(s.order, r.ID)
 	return nil
 }
@@ -412,13 +478,14 @@ func (s *Store) AppendResult(r ResultRecord) error {
 		return errClosed
 	}
 	j, ok := s.jobs[r.JobID]
-	if !ok || r.Index != len(j.Results) {
+	if !ok || r.Index != len(j.results) {
 		return nil
 	}
-	if err := s.writeLocked(r); err != nil {
+	ref, err := s.writeLocked(r)
+	if err != nil {
 		return err
 	}
-	j.Results = append(j.Results, r)
+	j.results = append(j.results, ref)
 	return s.maybeCompactLocked()
 }
 
@@ -431,13 +498,13 @@ func (s *Store) AppendDone(r DoneRecord) error {
 		return errClosed
 	}
 	j, ok := s.jobs[r.JobID]
-	if !ok || j.State != "" {
+	if !ok || j.state != "" {
 		return nil
 	}
-	if err := s.writeLocked(r); err != nil {
+	if _, err := s.writeLocked(r); err != nil {
 		return err
 	}
-	j.State, j.Error = r.State, r.Error
+	j.state, j.err = r.State, r.Error
 	return s.maybeCompactLocked()
 }
 
@@ -454,7 +521,7 @@ func (s *Store) PutState(name string, payload []byte) error {
 	if s.f == nil {
 		return errClosed
 	}
-	if err := s.writeLocked(r); err != nil {
+	if _, err := s.writeLocked(r); err != nil {
 		return err
 	}
 	s.states[name] = append([]byte(nil), payload...)
@@ -501,10 +568,12 @@ func (s *Store) rollbackTailLocked() {
 	}
 }
 
-func (s *Store) writeLocked(v any) error {
+// writeLocked appends one record to the log and reports where its frame
+// landed.
+func (s *Store) writeLocked(v any) (frameRef, error) {
 	frame, err := encodeRecord(s.codec, v)
 	if err != nil {
-		return err
+		return frameRef{}, err
 	}
 	if err := fault.Check(FaultWrite); err != nil {
 		// An injected "short" message simulates a write that only
@@ -517,13 +586,13 @@ func (s *Store) writeLocked(v any) error {
 				s.rollbackTailLocked()
 			}
 		}
-		return fmt.Errorf("store: append: %w", err)
+		return frameRef{}, fmt.Errorf("store: append: %w", err)
 	}
 	if s.torn {
 		// A previous failed append left a tail we could not truncate;
 		// retry before writing anything after it.
 		if terr := s.f.Truncate(s.bytes); terr != nil {
-			return fmt.Errorf("store: append: torn tail: %w", terr)
+			return frameRef{}, fmt.Errorf("store: append: torn tail: %w", terr)
 		}
 		s.torn = false
 	}
@@ -537,11 +606,11 @@ func (s *Store) writeLocked(v any) error {
 		if werr == nil {
 			werr = io.ErrShortWrite
 		}
-		return fmt.Errorf("store: append: %w", werr)
+		return frameRef{}, fmt.Errorf("store: append: %w", werr)
 	}
+	ref := frameRef{file: fileLog, off: s.bytes, n: uint32(n)}
 	s.bytes += int64(n)
 	s.records++
-	s.sinceComp++
 	if s.codec == CodecJSON {
 		s.appendsJSON++
 		s.appendBytesJSON += int64(n)
@@ -549,15 +618,15 @@ func (s *Store) writeLocked(v any) error {
 		s.appendsBinary++
 		s.appendBytesBinary += int64(n)
 	}
-	return nil
+	return ref, nil
 }
 
 // liveRecords counts the records a compacted log would hold.
 func (s *Store) liveRecords() int {
 	n := len(s.states)
 	for _, j := range s.jobs {
-		n += 1 + len(j.Results)
-		if j.State != "" {
+		n += 1 + len(j.results)
+		if j.state != "" {
 			n++
 		}
 	}
@@ -565,7 +634,7 @@ func (s *Store) liveRecords() int {
 }
 
 func (s *Store) maybeCompactLocked() error {
-	if s.sinceComp < s.opts.CompactEvery && len(s.order) <= 2*s.opts.RetainJobs {
+	if s.records < max(s.opts.CompactEvery, s.snapRecords) && len(s.order) <= 2*s.opts.RetainJobs {
 		return nil
 	}
 	return s.compactLocked()
@@ -584,17 +653,20 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
+	start := time.Now()
+	defer func() { s.compactTime += time.Since(start) }()
+
 	// Evict the oldest terminal jobs beyond the retention bound.
 	terminal := 0
 	for _, id := range s.order {
-		if s.jobs[id].Terminal() {
+		if s.jobs[id].state != "" {
 			terminal++
 		}
 	}
 	if evict := terminal - s.opts.RetainJobs; evict > 0 {
 		kept := s.order[:0]
 		for _, id := range s.order {
-			if evict > 0 && s.jobs[id].Terminal() {
+			if evict > 0 && s.jobs[id].state != "" {
 				delete(s.jobs, id)
 				evict--
 				continue
@@ -611,35 +683,33 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after the successful rename
-	w := bufio.NewWriter(tmp)
+	renamed := false
+	defer func() {
+		if !renamed {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	sw := &snapWriter{s: s, w: bufio.NewWriterSize(tmp, copyRunMax)}
 	if s.opts.Codec == CodecBinary {
-		w.Write(walMagic[:])
+		sw.w.Write(walMagic[:])
+		sw.off = int64(len(walMagic))
 	}
-	records := 0
-	emit := func(v any) bool {
-		frame, err := encodeRecord(s.opts.Codec, v)
-		if err != nil {
-			return false
-		}
-		if _, err := w.Write(frame); err != nil {
-			return false
-		}
-		records++
-		return true
-	}
+	// The new locations of every job and result record, in emission order;
+	// the index adopts them only once the snapshot is in place.
+	refs := make([]frameRef, 0, s.liveRecords())
 	for _, id := range s.order {
 		j := s.jobs[id]
-		ok := emit(j.Job)
-		for _, r := range j.Results {
-			ok = ok && emit(r)
+		if j.stub != nil {
+			refs = append(refs, sw.encode(*j.stub))
+		} else {
+			refs = append(refs, sw.copy(j.job))
 		}
-		if j.State != "" {
-			ok = ok && emit(DoneRecord{Type: recDone, JobID: id, State: j.State, Error: j.Error})
+		for _, r := range j.results {
+			refs = append(refs, sw.copy(r))
 		}
-		if !ok {
-			tmp.Close()
-			return fmt.Errorf("store: compact: rewrite failed")
+		if j.state != "" {
+			sw.encode(DoneRecord{Type: recDone, JobID: id, State: j.state, Error: j.err})
 		}
 	}
 	// Auxiliary state blobs survive compaction at their latest value,
@@ -650,29 +720,33 @@ func (s *Store) compactLocked() error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if !emit(StateRecord{Type: recState, Name: name, Payload: json.RawMessage(s.states[name])}) {
-			tmp.Close()
-			return fmt.Errorf("store: compact: rewrite failed")
-		}
+		sw.encode(StateRecord{Type: recState, Name: name, Payload: json.RawMessage(s.states[name])})
 	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
+	if err := sw.finish(); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compact: %w", err)
-	}
-	fi, err := tmp.Stat()
-	if err != nil {
-		tmp.Close()
 		return fmt.Errorf("store: compact: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, SnapName)); err != nil {
-		tmp.Close()
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	tmp.Close()
+	renamed = true
+	// The renamed handle is the new snapshot: the next compaction copies
+	// out of it, so the index moves over to it now.
+	if s.snap != nil {
+		s.snap.Close()
+	}
+	s.snap, s.snapCodec = tmp, s.opts.Codec
+	s.snapRecords = sw.records
+	s.snapBytes = sw.off
+	k := 0
+	for _, id := range s.order {
+		j := s.jobs[id]
+		j.job, j.stub = refs[k], nil
+		k++
+		k += copy(j.results, refs[k:])
+	}
 
 	// The snapshot now holds everything: empty the log in place. The fd,
 	// its flock and the O_APPEND mode all stay — a crash between the
@@ -694,12 +768,151 @@ func (s *Store) compactLocked() error {
 		s.bytes = int64(n)
 	}
 	s.records = 0
-	s.sinceComp = 0
-	s.snapRecords = records
-	s.snapBytes = fi.Size()
 	s.compactions++
 	s.torn = false
 	return nil
+}
+
+// copyRunMax caps one coalesced read of a compaction's frame copy.
+const copyRunMax = 1 << 20
+
+// snapWriter assembles a compaction snapshot. Frames already in the
+// snapshot's codec are copied verbatim: adjacent frames of one file are
+// gathered into a single read, and every frame's length prefix and CRC are
+// checked before it is written, so an index that disagrees with the disk
+// fails the compaction instead of poisoning the snapshot. Everything else
+// is encoded afresh. After the first failure every call is a no-op and
+// finish reports it.
+type snapWriter struct {
+	s       *Store
+	w       *bufio.Writer
+	off     int64 // bytes emitted so far, header included
+	records int
+	run     []frameRef // adjacent frames of one file awaiting one read
+	runLen  int
+	buf     []byte
+	err     error
+}
+
+// copy emits the frame at ref and returns its location in the snapshot.
+func (sw *snapWriter) copy(ref frameRef) frameRef {
+	if sw.s.frameCodec(ref) != CodecBinary || sw.s.opts.Codec != CodecBinary {
+		return sw.reencode(ref)
+	}
+	if n := len(sw.run); n > 0 {
+		last := sw.run[n-1]
+		if last.file != ref.file || last.off+int64(last.n) != ref.off || sw.runLen+int(ref.n) > copyRunMax {
+			sw.flush()
+		}
+	}
+	sw.run = append(sw.run, ref)
+	sw.runLen += int(ref.n)
+	return sw.emitted(int(ref.n))
+}
+
+// reencode emits the record at ref in the snapshot's codec.
+func (sw *snapWriter) reencode(ref frameRef) frameRef {
+	sw.flush()
+	b := sw.read(ref.file, ref.off, int(ref.n))
+	if sw.err != nil {
+		return frameRef{}
+	}
+	rec, err := decodeFrame(sw.s.frameCodec(ref), b)
+	if err != nil {
+		sw.err = fmt.Errorf("record at %d of %s: %w", ref.off, fileName(ref.file), err)
+		return frameRef{}
+	}
+	return sw.encode(rec)
+}
+
+// encode emits v, encoded in the snapshot's codec.
+func (sw *snapWriter) encode(v any) frameRef {
+	sw.flush()
+	if sw.err != nil {
+		return frameRef{}
+	}
+	frame, err := encodeRecord(sw.s.opts.Codec, v)
+	if err == nil {
+		_, err = sw.w.Write(frame)
+	}
+	if err != nil {
+		sw.err = err
+		return frameRef{}
+	}
+	return sw.emitted(len(frame))
+}
+
+// emitted accounts for n bytes of snapshot output and returns their
+// location.
+func (sw *snapWriter) emitted(n int) frameRef {
+	ref := frameRef{file: fileSnap, off: sw.off, n: uint32(n)}
+	sw.off += int64(n)
+	sw.records++
+	return ref
+}
+
+// flush reads, verifies and writes the pending run of frames.
+func (sw *snapWriter) flush() {
+	run := sw.run
+	sw.run, sw.runLen = sw.run[:0], 0
+	if len(run) == 0 || sw.err != nil {
+		return
+	}
+	first, last := run[0], run[len(run)-1]
+	b := sw.read(first.file, first.off, int(last.off-first.off)+int(last.n))
+	for _, ref := range run {
+		if sw.err != nil {
+			return
+		}
+		if err := verifyFrame(b[ref.off-first.off:][:ref.n]); err != nil {
+			sw.err = fmt.Errorf("frame at %d of %s does not match the index: %w", ref.off, fileName(ref.file), err)
+		}
+	}
+	if sw.err == nil {
+		_, sw.err = sw.w.Write(b)
+	}
+}
+
+// read returns n bytes of the given file at off, in a buffer reused until
+// the next read.
+func (sw *snapWriter) read(file uint8, off int64, n int) []byte {
+	if cap(sw.buf) < n {
+		sw.buf = make([]byte, n)
+	}
+	b := sw.buf[:n]
+	f := sw.s.f
+	if file == fileSnap {
+		f = sw.s.snap
+	}
+	if f == nil {
+		sw.err = fmt.Errorf("index points into a missing %s", fileName(file))
+	} else if _, err := f.ReadAt(b, off); err != nil {
+		sw.err = fmt.Errorf("read %s: %w", fileName(file), err)
+	}
+	return b
+}
+
+func (sw *snapWriter) finish() error {
+	sw.flush()
+	if sw.err == nil {
+		sw.err = sw.w.Flush()
+	}
+	return sw.err
+}
+
+// frameCodec reports the codec of the file ref points into.
+func (s *Store) frameCodec(ref frameRef) string {
+	if ref.file == fileSnap {
+		return s.snapCodec
+	}
+	return s.codec
+}
+
+func fileName(file uint8) string {
+	if file == fileSnap {
+		return SnapName
+	}
+	return WALName
 }
 
 // Sync flushes the log to stable storage (fsync). Appends themselves only
@@ -748,7 +961,7 @@ func (s *Store) Close() error {
 	if serr := s.f.Sync(); err == nil {
 		err = serr
 	}
-	if cerr := s.f.Close(); err == nil {
+	if cerr := s.closeFiles(); err == nil {
 		err = cerr
 	}
 	s.f = nil
@@ -756,48 +969,55 @@ func (s *Store) Close() error {
 }
 
 // replayState accumulates jobs across one or more replayed streams (the
-// snapshot, then the log delta).
+// snapshot, then the log delta): the decoded records for Replayed, and
+// the frame-location index the store keeps.
 type replayState struct {
 	jobs    map[string]*ReplayedJob
+	index   map[string]*indexedJob
 	order   []string // first-seen order
 	states  map[string][]byte
 	records int
 	dropped int
+	file    uint8 // the file being replayed, for the index's frame refs
 }
 
 func newReplayState() *replayState {
-	return &replayState{jobs: make(map[string]*ReplayedJob)}
+	return &replayState{jobs: make(map[string]*ReplayedJob), index: make(map[string]*indexedJob)}
 }
 
-func (st *replayState) get(id string) *ReplayedJob {
+func (st *replayState) get(id string) (*ReplayedJob, *indexedJob) {
 	j, ok := st.jobs[id]
 	if !ok {
 		j = &ReplayedJob{Job: JobRecord{Type: recJob, ID: id}}
 		st.jobs[id] = j
+		st.index[id] = &indexedJob{stub: &JobRecord{Type: recJob, ID: id}}
 		st.order = append(st.order, id)
 	}
-	return j
+	return j, st.index[id]
 }
 
-// apply merges one decoded record into the state, enforcing the replay
-// semantics shared by both codecs: results and done markers arriving
-// before their job record are buffered under a synthetic job, duplicate
-// and out-of-order result indices are dropped, and the first job record /
-// done marker for an id wins. An error means the record is invalid
-// (missing its id), not that the merge failed.
-func (st *replayState) apply(rec any) error {
+// apply merges one decoded record, whose encoding sits at ref, into the
+// state, enforcing the replay semantics shared by both codecs: results
+// and done markers arriving before their job record are buffered under a
+// synthetic job, duplicate and out-of-order result indices are dropped,
+// and the first job record / done marker for an id wins. An error means
+// the record is invalid (missing its id), not that the merge failed.
+func (st *replayState) apply(rec any, ref frameRef) error {
 	switch r := rec.(type) {
 	case JobRecord:
 		if r.ID == "" {
 			return errors.New("job record without id")
 		}
 		r.Type = recJob
-		j := st.get(r.ID)
+		j, x := st.get(r.ID)
 		if j.Job.Specs == nil {
 			created := j.Job.Created
 			j.Job = r
-			if r.Created.IsZero() {
+			x.job, x.stub = ref, nil
+			if r.Created.IsZero() && !created.IsZero() {
 				j.Job.Created = created
+				merged := j.Job
+				x.stub = &merged
 			}
 		}
 	case ResultRecord:
@@ -805,18 +1025,20 @@ func (st *replayState) apply(rec any) error {
 			return errors.New("result record without job id")
 		}
 		r.Type = recResult
-		j := st.get(r.JobID)
+		j, x := st.get(r.JobID)
 		if r.Index == len(j.Results) {
 			j.Results = append(j.Results, r)
+			x.results = append(x.results, ref)
 		}
 	case DoneRecord:
 		if r.JobID == "" {
 			return errors.New("done record without job id")
 		}
 		r.Type = recDone
-		j := st.get(r.JobID)
+		j, x := st.get(r.JobID)
 		if j.State == "" {
 			j.State, j.Error = r.State, r.Error
+			x.state, x.err = r.State, r.Error
 		}
 	case StateRecord:
 		if r.Name == "" {
@@ -868,15 +1090,22 @@ func replayStream(st *replayState, r io.Reader) (string, error) {
 func replayJSON(st *replayState, r *bufio.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxRecordBytes)
+	// Track each line's file offset for the index.
+	var pos, lineStart int64
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		lineStart = pos
+		pos += int64(adv)
+		return adv, tok, err
+	})
 	var pendingErr error
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+		raw := sc.Bytes()
+		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
 			continue
 		}
-		var head struct {
-			Type string `json:"type"`
-		}
+		var head jsonHead
 		if err := json.Unmarshal(line, &head); err != nil {
 			// Only acceptable as the torn final record of a crash; if more
 			// complete records follow, the log is corrupt mid-stream.
@@ -887,34 +1116,15 @@ func replayJSON(st *replayState, r *bufio.Reader) error {
 		if pendingErr != nil {
 			return pendingErr
 		}
-		var rec any
-		switch head.Type {
-		case recJob:
-			var jr JobRecord
-			if err := json.Unmarshal(line, &jr); err == nil {
-				rec = jr
-			}
-		case recResult:
-			var rr ResultRecord
-			if err := json.Unmarshal(line, &rr); err == nil {
-				rec = rr
-			}
-		case recDone:
-			var dr DoneRecord
-			if err := json.Unmarshal(line, &dr); err == nil {
-				rec = dr
-			}
-		case recState:
-			var sr StateRecord
-			if err := json.Unmarshal(line, &sr); err == nil {
-				rec = sr
-			}
-		default:
+		rec, err := decodeJSONRecord(head.Type, line)
+		if errors.Is(err, errUnknownRecord) {
 			st.dropped++
 			pendingErr = fmt.Errorf("store: unknown record type %q", head.Type)
 			continue
 		}
-		if rec == nil || st.apply(rec) != nil {
+		lead := len(raw) - len(bytes.TrimLeftFunc(raw, unicode.IsSpace))
+		ref := frameRef{file: st.file, off: lineStart + int64(lead), n: uint32(len(line))}
+		if err != nil || st.apply(rec, ref) != nil {
 			st.dropped++
 			pendingErr = fmt.Errorf("store: bad %s record %d", head.Type, st.records+st.dropped)
 			continue
@@ -937,7 +1147,9 @@ func replayJSON(st *replayState, r *bufio.Reader) error {
 // signature and is dropped; a complete-but-corrupt frame is dropped only
 // when nothing follows it — bytes after it prove mid-log corruption.
 func replayBinary(st *replayState, br *bufio.Reader) error {
+	off := int64(len(walMagic))
 	for {
+		size := peekFrameSize(br)
 		rec, _, err := readBinaryRecord(br)
 		if err != nil {
 			if err == io.EOF {
@@ -953,13 +1165,14 @@ func replayBinary(st *replayState, br *bufio.Reader) error {
 			}
 			return nil
 		}
-		if aerr := st.apply(rec); aerr != nil {
+		if aerr := st.apply(rec, frameRef{file: st.file, off: off, n: uint32(size)}); aerr != nil {
 			st.dropped++
 			if _, perr := br.Peek(1); perr == nil {
 				return fmt.Errorf("store: bad record %d: %w", st.records+st.dropped, aerr)
 			}
 			return nil
 		}
+		off += int64(size)
 	}
 }
 

@@ -247,6 +247,33 @@ func TestAutoCompactionOnThreshold(t *testing.T) {
 	}
 }
 
+// TestAutoCompactionIsGeometric: once the snapshot outgrows CompactEvery,
+// the log must grow as large as the snapshot before the next compaction,
+// so a growing store compacts at doubling sizes (8, 16, 32, ... records
+// here) rather than rewriting the whole snapshot every CompactEvery
+// appends.
+func TestAutoCompactionIsGeometric(t *testing.T) {
+	const every = 8
+	s, err := Open(t.TempDir(), Options{CompactEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	appendJob(t, s, "job-000001", "sweep")
+	for i := 0; i < 1000; i++ {
+		appendResult(t, s, "job-000001", i)
+		st := s.Stats()
+		if log := st.Records - st.SnapshotRecords; log > max(every, st.SnapshotRecords) {
+			t.Fatalf("after %d results the log holds %d records beside a %d-record snapshot", i+1, log, st.SnapshotRecords)
+		}
+	}
+	// 1,001 appends compact at 8, 16, 32, ..., 512 records: 7 times,
+	// where a fixed interval of 8 would have compacted 125 times.
+	if st := s.Stats(); st.Compactions != 7 || st.Records != 1001 {
+		t.Fatalf("compactions = %d, records = %d; want 7 compactions over 1001 records", st.Compactions, st.Records)
+	}
+}
+
 func TestAppendAfterCloseFails(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
