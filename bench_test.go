@@ -234,3 +234,13 @@ func BenchmarkSimulatorGreedy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSimulatorAutoBraid is the AutoBraid baseline's counterpart: its
+// per-cycle braid retries make it the engine's heaviest router.
+func BenchmarkSimulatorAutoBraid(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := Run("gcm_n13", Options{Scheduler: AutoBraid, Runs: 1, Seed: int64(i) + 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

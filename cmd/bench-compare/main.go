@@ -2,10 +2,15 @@
 // regressions: it parses `go test -bench` output from stdin, compares each
 // benchmark's ns/op against the "after" snapshot in BENCH_baseline.json,
 // and exits non-zero when any benchmark regressed beyond the tolerance.
-// CI pipes the benchmark run straight into it:
+// Entries whose "after" point pins allocs_per_op are also gated on the
+// measured allocs/op (run with -benchmem), with the same tolerance and an
+// absolute slack of two allocations for small pins: allocation counts do
+// not depend on runner speed, so that gate is exact where the timing one
+// is coarse. CI pipes the benchmark run straight into
+// it:
 //
 //	go test -run '^$' -bench 'BenchmarkSimulatorRESCQ|BenchmarkFigure13MSTFrequency|BenchmarkMSTCompute' \
-//	    -benchtime 3x . | bench-compare -baseline BENCH_baseline.json -tolerance 0.25
+//	    -benchtime 3x -benchmem . | bench-compare -baseline BENCH_baseline.json -tolerance 0.25
 //
 // Benchmarks present in the baseline but absent from the input are
 // reported with the named ErrMissingBenchmark and fail the run (a deleted
@@ -68,6 +73,8 @@ type baselineEntry struct {
 
 type baselinePoint struct {
 	NsPerOp float64 `json:"ns_per_op"`
+	// AllocsPerOp, when present, pins allocs/op as well (0 is a valid pin).
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
 func main() {
@@ -99,7 +106,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("parse %s: %w", *baselinePath, err))
 	}
 
-	current, err := parseBenchOutput(stdin, stdout)
+	current, allocs, err := parseBenchOutput(stdin, stdout)
 	if err != nil {
 		return fail(err)
 	}
@@ -107,13 +114,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// Emit before comparing: a regressed run is exactly the one whose
 	// measurements are worth keeping as an artifact.
 	if *emitPath != "" {
-		if err := emitSnapshot(*emitPath, current); err != nil {
+		if err := emitSnapshot(*emitPath, current, allocs); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "bench-compare: wrote %d measurement(s) to %s\n", len(current), *emitPath)
 	}
 
 	lines, warnings, failures := compareBenchmarks(base, current, *tolerance)
+	allocLines, allocWarnings, allocFailures := compareAllocs(base, allocs, *tolerance)
+	lines = append(lines, allocLines...)
+	warnings = append(warnings, allocWarnings...)
+	failures = append(failures, allocFailures...)
 	for _, line := range lines {
 		fmt.Fprintln(stdout, line)
 	}
@@ -147,17 +158,21 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// emitSnapshot writes the measured ns/op values in the BENCH_baseline.json
-// shape, so a run's measurements can be archived per-PR (and even promoted
-// to a new baseline verbatim).
-func emitSnapshot(path string, current map[string]float64) error {
+// emitSnapshot writes the measured ns/op (and, where measured, allocs/op)
+// values in the BENCH_baseline.json shape, so a run's measurements can be
+// archived per change (and even promoted to a new baseline verbatim).
+func emitSnapshot(path string, current, allocs map[string]float64) error {
 	out := baselineFile{
 		Description: "bench-compare measurement snapshot (ns/op as baseline 'after' points)",
 		Machine:     fmt.Sprintf("%s/%s", runtime.GOOS, runtime.GOARCH),
 		Benchmarks:  make(map[string]baselineEntry, len(current)),
 	}
 	for name, ns := range current {
-		out.Benchmarks[name] = baselineEntry{After: &baselinePoint{NsPerOp: ns}}
+		pt := &baselinePoint{NsPerOp: ns}
+		if a, ok := allocs[name]; ok {
+			pt.AllocsPerOp = &a
+		}
+		out.Benchmarks[name] = baselineEntry{After: pt}
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -212,12 +227,51 @@ func compareBenchmarks(base baselineFile, current map[string]float64, tolerance 
 	return lines, warnings, failures
 }
 
-// parseBenchOutput extracts "BenchmarkName ... <ns> ns/op" measurements
-// from go test -bench output, echoing every line so the measurements stay
-// visible in CI logs. The trailing "-8" GOMAXPROCS suffix is stripped.
-// Repeated runs of one benchmark keep the last measurement.
-func parseBenchOutput(r io.Reader, echo io.Writer) (map[string]float64, error) {
-	out := make(map[string]float64)
+// allocSlack is the absolute allocs/op headroom every allocation pin
+// gets on top of the tolerance. For small pins a fractional tolerance is
+// less than one allocation, so a one-off buffer growth or runtime change
+// would fail the gate with no real regression.
+const allocSlack = 2
+
+// compareAllocs gates every baseline entry that pins after.allocs_per_op
+// on the measured allocs/op: the limit is the larger of the pin times
+// (1+tolerance) and the pin plus allocSlack. A pinned benchmark measured
+// without allocation counts (no -benchmem) is a warning; a missing
+// benchmark is already reported by compareBenchmarks.
+func compareAllocs(base baselineFile, allocs map[string]float64, tolerance float64) (lines []string, warnings, failures []error) {
+	names := make([]string, 0, len(base.Benchmarks))
+	for name, entry := range base.Benchmarks {
+		if entry.After != nil && entry.After.AllocsPerOp != nil {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		want := *base.Benchmarks[name].After.AllocsPerOp
+		got, ok := allocs[name]
+		if !ok {
+			warnings = append(warnings, fmt.Errorf("%s: allocs/op pinned but not measured (run with -benchmem)", name))
+			continue
+		}
+		limit := max(want*(1+tolerance), want+allocSlack)
+		verdict := "ok"
+		if got > limit {
+			verdict = "REGRESSED"
+			failures = append(failures, fmt.Errorf("%s: %.0f allocs/op vs baseline %.0f (limit %.0f)", name, got, want, limit))
+		}
+		lines = append(lines, fmt.Sprintf("bench-compare: %-32s %12.0f allocs/op vs baseline %9.0f (limit %.0f): %s",
+			name, got, want, limit, verdict))
+	}
+	return lines, warnings, failures
+}
+
+// parseBenchOutput extracts "BenchmarkName ... <ns> ns/op" measurements,
+// and "<n> allocs/op" where present, from go test -bench output, echoing
+// every line so the measurements stay visible in CI logs. The trailing
+// "-8" GOMAXPROCS suffix is stripped. Repeated runs of one benchmark keep
+// the last measurement.
+func parseBenchOutput(r io.Reader, echo io.Writer) (ns, allocs map[string]float64, err error) {
+	ns, allocs = make(map[string]float64), make(map[string]float64)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -240,15 +294,21 @@ func parseBenchOutput(r io.Reader, echo io.Writer) (map[string]float64, error) {
 			}
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
-			if fields[i+1] == "ns/op" {
-				v, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad ns/op value in %q: %w", line, err)
-				}
-				out[name] = v
-				break
+			var dst map[string]float64
+			switch fields[i+1] {
+			case "ns/op":
+				dst = ns
+			case "allocs/op":
+				dst = allocs
+			default:
+				continue
 			}
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return nil, nil, fmt.Errorf("bad %s value in %q: %w", fields[i+1], line, err)
+			}
+			dst[name] = v
 		}
 	}
-	return out, sc.Err()
+	return ns, allocs, sc.Err()
 }

@@ -159,8 +159,42 @@ func TestZeroBaselineTolerated(t *testing.T) {
 	}
 }
 
+// TestAllocsRegressionFails: an entry pinning after.allocs_per_op fails
+// when the measured allocs/op exceed it beyond the tolerance, even if
+// ns/op is fine; within the tolerance it passes. Small pins get an
+// absolute slack of allocSlack instead, so 0 -> 2 passes and 0 -> 3 fails.
+func TestAllocsRegressionFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(path, []byte(`{
+	  "benchmarks": {
+	    "BenchmarkSimulatorRESCQ": {"after": {"ns_per_op": 10000000, "allocs_per_op": 800}},
+	    "BenchmarkPickNext": {"after": {"ns_per_op": 1000, "allocs_per_op": 0}}
+	  }
+	}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, input string
+		code        int
+		want        string
+	}{
+		{"within", "BenchmarkSimulatorRESCQ-8 100 9000000 ns/op 300000 B/op 990 allocs/op\nBenchmarkPickNext-8 1 900 ns/op 0 B/op 0 allocs/op\n", 0, ""},
+		{"regressed", "BenchmarkSimulatorRESCQ-8 100 9000000 ns/op 3990000 B/op 35301 allocs/op\nBenchmarkPickNext-8 1 900 ns/op 0 B/op 0 allocs/op\n", 1, "35301 allocs/op vs baseline 800"},
+		{"zero pin within slack", "BenchmarkSimulatorRESCQ-8 100 9000000 ns/op 300000 B/op 800 allocs/op\nBenchmarkPickNext-8 1 900 ns/op 48 B/op 2 allocs/op\n", 0, ""},
+		{"zero pin beyond slack", "BenchmarkSimulatorRESCQ-8 100 9000000 ns/op 300000 B/op 800 allocs/op\nBenchmarkPickNext-8 1 900 ns/op 96 B/op 3 allocs/op\n", 1, "BenchmarkPickNext: 3 allocs/op vs baseline 0 (limit 2)"},
+		{"not measured", "BenchmarkSimulatorRESCQ-8 100 9000000 ns/op\nBenchmarkPickNext-8 1 900 ns/op\n", 0, "-benchmem"},
+	}
+	for _, tc := range cases {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-baseline", path, "-tolerance", "0.25"}, strings.NewReader(tc.input), &out, &errOut)
+		if code != tc.code || !strings.Contains(errOut.String(), tc.want) {
+			t.Errorf("%s: exit %d (want %d), stderr %q should contain %q", tc.name, code, tc.code, errOut.String(), tc.want)
+		}
+	}
+}
+
 func TestParseStripsGomaxprocsSuffix(t *testing.T) {
-	got, err := parseBenchOutput(strings.NewReader(
+	got, _, err := parseBenchOutput(strings.NewReader(
 		"BenchmarkSimulatorRESCQ-16 100 12345 ns/op\nBenchmarkX 1 7 ns/op\n"), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,7 @@ type DAG struct {
 func NewDAG(c *Circuit) *DAG {
 	d := &DAG{
 		circ:  c,
+		nodes: make([]Gate, 0, len(c.Gates)),
 		index: make([]int, len(c.Gates)),
 	}
 	for i := range d.index {
@@ -42,8 +43,18 @@ func NewDAG(c *Circuit) *DAG {
 		d.nodes = append(d.nodes, g)
 	}
 	n := len(d.nodes)
+	// Every edge joins consecutive gates on one qubit, so a node has at
+	// most arity predecessors and successors: each node's lists are cut
+	// from one shared array with room for arity, and appending to them
+	// never allocates.
+	succBuf, predBuf := make([]int, n*arity), make([]int, n*arity)
 	d.succ = make([][]int, n)
 	d.pred = make([][]int, n)
+	for i := range n {
+		j := i * arity
+		d.succ[i] = succBuf[j : j : j+arity]
+		d.pred[i] = predBuf[j : j : j+arity]
+	}
 	d.height = make([]int, n)
 	d.layer = make([]int, n)
 
@@ -108,6 +119,9 @@ func (d *DAG) Gates() []Gate { return d.nodes }
 // NodeOf returns the node index for a gate ID, or -1 if the gate is
 // frame-only and therefore not part of the DAG.
 func (d *DAG) NodeOf(gateID int) int { return d.index[gateID] }
+
+// arity is the most qubits a gate acts on.
+const arity = len(Gate{}.Qubits)
 
 // Succ returns the successor node indices of node i (shared slice).
 func (d *DAG) Succ(i int) []int { return d.succ[i] }

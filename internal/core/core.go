@@ -94,6 +94,7 @@ type Scheduler struct {
 	mst    *mstPipeline
 
 	gates   []*gateState // node -> live gate state, nil once completed
+	spare   []*gateState // completed gate states, reused by plan
 	live    []int        // live node ids in enqueue order
 	pending []int        // ready nodes awaiting planning/enqueue
 	staged  []bool       // node already staged for enqueue (dedup guard)
@@ -232,12 +233,26 @@ func (s *Scheduler) complete(st *sim.State, gs *gateState) {
 	}
 	st.CompleteGate(gs.node)
 	s.gates[gs.node] = nil
+	s.spare = append(s.spare, gs) // reachable from nothing else now
 	for _, succ := range st.DAG().Succ(gs.node) {
 		if st.Status(succ) == sim.GateReady && !s.staged[succ] {
 			s.staged[succ] = true
 			s.pending = append(s.pending, succ)
 		}
 	}
+}
+
+// newGateState returns a zeroed gate state for node n, reusing a completed
+// one (and the capacity of its slices) when available.
+func (s *Scheduler) newGateState(n int, kind circuit.Kind) *gateState {
+	k := len(s.spare)
+	if k == 0 {
+		return &gateState{node: n, kind: kind}
+	}
+	gs := s.spare[k-1]
+	s.spare = s.spare[:k-1]
+	*gs = gateState{node: n, kind: kind, ancs: gs.ancs[:0], path: gs.path[:0], cands: gs.cands[:0]}
+	return gs
 }
 
 // dropPreps cancels in-progress and discards parked preparations belonging

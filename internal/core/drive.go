@@ -192,7 +192,7 @@ func (s *Scheduler) rotationDone(st *sim.State, gs *gateState, op *sim.Op) {
 		}
 	case circuit.KindRz:
 		gs.rotBusy = false
-		gs.cands = rzCandidates(st.Grid(), gs.q)
+		gs.cands = s.rzCandidates(st.Grid(), gs.q, gs.cands[:0])
 		gs.needRotate = len(gs.cands) == 0
 		// If even the flipped orientation offers nothing the fabric is
 		// unusable for this qubit; Compress guarantees this cannot

@@ -47,7 +47,7 @@ type injCand struct {
 // ancilla queues the gate must join.
 func (s *Scheduler) plan(st *sim.State, n int) *gateState {
 	g := st.DAG().Gate(n)
-	gs := &gateState{node: n, kind: g.Kind}
+	gs := s.newGateState(n, g.Kind)
 	switch g.Kind {
 	case circuit.KindCNOT:
 		gs.control, gs.target = g.Control(), g.Target()
@@ -83,22 +83,24 @@ func (s *Scheduler) planRz(st *sim.State, gs *gateState) {
 	for _, c := range s.nbrBufA {
 		reserve(c)
 	}
-	for _, c := range grid.DiagonalAncillas(gs.q) {
+	s.nbrBufB = grid.DiagonalAncillas(gs.q, s.nbrBufB[:0])
+	for _, c := range s.nbrBufB {
 		reserve(c)
 	}
-	gs.cands = rzCandidates(grid, gs.q)
+	gs.cands = s.rzCandidates(grid, gs.q, gs.cands[:0])
 	gs.needRotate = len(gs.cands) == 0
 }
 
-// rzCandidates enumerates the injection options for qubit q under its
-// current orientation.
-func rzCandidates(grid *lattice.Grid, q int) []injCand {
-	var cands []injCand
-	for _, t := range grid.ZEdgeAncillas(q) {
+// rzCandidates appends to cands the injection options for qubit q under
+// its current orientation. It uses nbrBufA and nbrBufB as scratch.
+func (s *Scheduler) rzCandidates(grid *lattice.Grid, q int, cands []injCand) []injCand {
+	s.nbrBufA = grid.ZEdgeAncillas(q, s.nbrBufA[:0])
+	for _, t := range s.nbrBufA {
 		cands = append(cands, injCand{prep: t, kind: rus.InjectZZ})
 	}
 	dataTile := grid.DataTile(q)
-	for _, helper := range grid.XEdgeAncillas(q) {
+	s.nbrBufB = grid.XEdgeAncillas(q, s.nbrBufB[:0])
+	for _, helper := range s.nbrBufB {
 		for dir := lattice.North; dir <= lattice.West; dir++ {
 			p := helper.Step(dir)
 			if p == dataTile || grid.Kind(p) != lattice.TileAncilla {
@@ -206,7 +208,7 @@ func (s *Scheduler) planCNOT(st *sim.State, gs *gateState) {
 			}
 		}
 	}
-	if gs.path == nil {
+	if len(gs.path) == 0 {
 		// The ancilla network is connected by construction, so every
 		// neighbour pair yields a tree path; reaching here means the
 		// data qubit lost all neighbours, which Compress forbids.
@@ -241,19 +243,17 @@ func containsInt(s []int, x int) bool {
 // no ancilla.
 func (s *Scheduler) planCNOTShortest(st *sim.State, gs *gateState) {
 	grid := st.Grid()
-	srcs := grid.ZEdgeAncillas(gs.control)
-	if len(srcs) == 0 {
+	s.nbrBufA = grid.ZEdgeAncillas(gs.control, s.nbrBufA[:0])
+	if len(s.nbrBufA) == 0 {
 		gs.rotC = true
-		s.nbrBufA = grid.AncillaNeighbors(grid.DataTile(gs.control), s.nbrBufA[:0])
-		srcs = s.nbrBufA
+		s.nbrBufA = grid.AncillaNeighbors(grid.DataTile(gs.control), s.nbrBufA)
 	}
-	dsts := grid.XEdgeAncillas(gs.target)
-	if len(dsts) == 0 {
+	s.nbrBufB = grid.XEdgeAncillas(gs.target, s.nbrBufB[:0])
+	if len(s.nbrBufB) == 0 {
 		gs.rotT = true
-		s.nbrBufB = grid.AncillaNeighbors(grid.DataTile(gs.target), s.nbrBufB[:0])
-		dsts = s.nbrBufB
+		s.nbrBufB = grid.AncillaNeighbors(grid.DataTile(gs.target), s.nbrBufB)
 	}
-	path := grid.ShortestAncillaPath(srcs, dsts, nil)
+	path := grid.ShortestAncillaPathInto(s.nbrBufA, s.nbrBufB, nil, gs.path[:0])
 	if path == nil {
 		panic("core: no shortest-path CNOT plan found")
 	}

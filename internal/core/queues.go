@@ -8,8 +8,17 @@ type queueSet struct {
 	q [][]int
 }
 
+// queueCap is each queue's initial capacity, carved from one shared
+// backing array so that only unusually deep queues grow their own.
+const queueCap = 4
+
 func newQueueSet(numAncilla int) *queueSet {
-	return &queueSet{q: make([][]int, numAncilla)}
+	qs := &queueSet{q: make([][]int, numAncilla)}
+	arena := make([]int, queueCap*numAncilla)
+	for a := range qs.q {
+		qs.q[a] = arena[a*queueCap : a*queueCap : (a+1)*queueCap]
+	}
+	return qs
 }
 
 // enqueue appends node to ancilla anc's queue.

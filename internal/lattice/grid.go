@@ -101,7 +101,7 @@ type Grid struct {
 
 	blockRows, blockCols int
 
-	bfs *pathScratch // ShortestAncillaPath's scratch; never shared by clones
+	bfs *pathScratch // ShortestAncillaPathInto's scratch; never shared by clones
 }
 
 // NewSTARGrid builds the uncompressed STAR grid for n program qubits. The
@@ -287,49 +287,43 @@ func (g *Grid) AncillaNeighbors(c Coord, buf []Coord) []Coord {
 	return buf
 }
 
-// ZEdgeAncillas returns the ancilla tiles adjacent to qubit q across its Z
-// edges (at most two).
-func (g *Grid) ZEdgeAncillas(q int) []Coord {
-	var out []Coord
-	c := g.dataTile[q]
-	for _, d := range g.ZEdgeDirs(q) {
-		n := c.Step(d)
-		if g.Kind(n) == TileAncilla {
-			out = append(out, n)
-		}
-	}
-	return out
+// ZEdgeAncillas appends to buf the ancilla tiles adjacent to qubit q
+// across its Z edges (at most two) and returns the extended slice.
+func (g *Grid) ZEdgeAncillas(q int, buf []Coord) []Coord {
+	return g.edgeAncillas(q, g.ZEdgeDirs(q), buf)
 }
 
-// XEdgeAncillas returns the ancilla tiles adjacent to qubit q across its X
-// edges (at most two).
-func (g *Grid) XEdgeAncillas(q int) []Coord {
-	var out []Coord
-	c := g.dataTile[q]
-	for _, d := range g.XEdgeDirs(q) {
-		n := c.Step(d)
-		if g.Kind(n) == TileAncilla {
-			out = append(out, n)
-		}
-	}
-	return out
+// XEdgeAncillas appends to buf the ancilla tiles adjacent to qubit q
+// across its X edges (at most two) and returns the extended slice.
+func (g *Grid) XEdgeAncillas(q int, buf []Coord) []Coord {
+	return g.edgeAncillas(q, g.XEdgeDirs(q), buf)
 }
 
-// DiagonalAncillas returns the ancilla tiles diagonally adjacent to qubit q.
-// RESCQ enqueues Rz preparations on these when they can be routed to the
-// data qubit through an X-edge-adjacent routing ancilla (Figure 7).
-func (g *Grid) DiagonalAncillas(q int) []Coord {
+func (g *Grid) edgeAncillas(q int, dirs [2]Dir, buf []Coord) []Coord {
 	c := g.dataTile[q]
-	var out []Coord
+	for _, d := range dirs {
+		if n := c.Step(d); g.Kind(n) == TileAncilla {
+			buf = append(buf, n)
+		}
+	}
+	return buf
+}
+
+// DiagonalAncillas appends to buf the ancilla tiles diagonally adjacent to
+// qubit q and returns the extended slice. RESCQ enqueues Rz preparations
+// on these when they can be routed to the data qubit through an
+// X-edge-adjacent routing ancilla (Figure 7).
+func (g *Grid) DiagonalAncillas(q int, buf []Coord) []Coord {
+	c := g.dataTile[q]
 	for _, dc := range [4]Coord{
 		{c.Row - 1, c.Col - 1}, {c.Row - 1, c.Col + 1},
 		{c.Row + 1, c.Col - 1}, {c.Row + 1, c.Col + 1},
 	} {
 		if g.Kind(dc) == TileAncilla {
-			out = append(out, dc)
+			buf = append(buf, dc)
 		}
 	}
-	return out
+	return buf
 }
 
 // AncillaGraph builds the undirected graph over ancilla IDs with one edge

@@ -71,15 +71,15 @@ func TestEdgeDirections(t *testing.T) {
 func TestEdgeAncillas(t *testing.T) {
 	g := NewSTARGrid(4)
 	// Qubit 0 at (1,1): Z neighbours at (0,1) and (2,1).
-	za := g.ZEdgeAncillas(0)
+	za := g.ZEdgeAncillas(0, nil)
 	if len(za) != 2 {
 		t.Fatalf("ZEdgeAncillas = %v, want 2 tiles", za)
 	}
-	xa := g.XEdgeAncillas(0)
+	xa := g.XEdgeAncillas(0, nil)
 	if len(xa) != 2 {
 		t.Fatalf("XEdgeAncillas = %v, want 2 tiles", xa)
 	}
-	diag := g.DiagonalAncillas(0)
+	diag := g.DiagonalAncillas(0, nil)
 	if len(diag) != 4 {
 		t.Fatalf("DiagonalAncillas = %v, want 4 tiles", diag)
 	}

@@ -137,15 +137,15 @@ func checkLayoutInvariants(t *testing.T, name string, n int, g *Grid) {
 			t.Fatalf("%s n=%d: two qubits share tile %v", name, n, c)
 		}
 		seen[c] = true
-		if len(g.ZEdgeAncillas(q))+len(g.XEdgeAncillas(q)) == 0 {
+		if len(g.ZEdgeAncillas(q, nil))+len(g.XEdgeAncillas(q, nil)) == 0 {
 			t.Fatalf("%s n=%d: qubit %d has neither Z- nor X-edge ancillas", name, n, q)
 		}
 		// The full-corridor layouts guarantee both edge types.
 		if name == "star" || name == "linear" {
-			if len(g.ZEdgeAncillas(q)) == 0 {
+			if len(g.ZEdgeAncillas(q, nil)) == 0 {
 				t.Fatalf("%s n=%d: qubit %d has no Z-edge ancilla", name, n, q)
 			}
-			if len(g.XEdgeAncillas(q)) == 0 {
+			if len(g.XEdgeAncillas(q, nil)) == 0 {
 				t.Fatalf("%s n=%d: qubit %d has no X-edge ancilla", name, n, q)
 			}
 		}

@@ -117,7 +117,7 @@ func TestShortestAncillaPathMatchesReference(t *testing.T) {
 	for name, g := range testGrids(t, rng) {
 		for q := 0; q < 300; q++ {
 			src, dst, blocked := randomQuery(g, rng)
-			got := g.ShortestAncillaPath(src, dst, blocked)
+			got := g.ShortestAncillaPathInto(src, dst, blocked, nil)
 			want := referenceShortestPath(g, src, dst, blocked)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s query %d (src %v dst %v): path %v, reference %v", name, q, src, dst, got, want)
@@ -130,7 +130,7 @@ func TestShortestAncillaPathMatchesReference(t *testing.T) {
 // clones of one grid at once; under -race any shared scratch is a report.
 func TestShortestAncillaPathClonesDoNotShareScratch(t *testing.T) {
 	base := NewSTARGrid(16)
-	base.ShortestAncillaPath([]Coord{{0, 0}}, []Coord{{0, 4}}, nil) // parent scratch allocated before cloning
+	base.ShortestAncillaPathInto([]Coord{{0, 0}}, []Coord{{0, 4}}, nil, nil) // parent scratch allocated before cloning
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		g := base.Clone()
@@ -140,7 +140,7 @@ func TestShortestAncillaPathClonesDoNotShareScratch(t *testing.T) {
 			defer wg.Done()
 			for q := 0; q < 200; q++ {
 				src, dst, blocked := randomQuery(g, rng)
-				if got, want := g.ShortestAncillaPath(src, dst, blocked), referenceShortestPath(g, src, dst, blocked); !slices.Equal(got, want) {
+				if got, want := g.ShortestAncillaPathInto(src, dst, blocked, nil), referenceShortestPath(g, src, dst, blocked); !slices.Equal(got, want) {
 					t.Errorf("clone %d query %d: path %v, reference %v", w, q, got, want)
 					return
 				}
@@ -154,9 +154,9 @@ func TestShortestAncillaPathEpochWrap(t *testing.T) {
 	g := NewSTARGrid(9)
 	src, dst := []Coord{{0, 0}}, []Coord{{6, 6}}
 	want := referenceShortestPath(g, src, dst, nil)
-	g.ShortestAncillaPath(src, dst, nil)
+	g.ShortestAncillaPathInto(src, dst, nil, nil)
 	g.bfs.epoch = ^uint32(0) // the next search wraps the stamp counter
-	if got := g.ShortestAncillaPath(src, dst, nil); !slices.Equal(got, want) {
+	if got := g.ShortestAncillaPathInto(src, dst, nil, nil); !slices.Equal(got, want) {
 		t.Fatalf("after wrap: path %v, want %v", got, want)
 	}
 }

@@ -4,16 +4,19 @@ package lattice
 // shortest path used by the greedy baseline and the row/column "braid"
 // paths used by the AutoBraid-style baseline.
 
-// ShortestAncillaPath runs a breadth-first search over ancilla tiles from
-// any tile in src to any tile in dst, skipping tiles for which blocked
+import "slices"
+
+// ShortestAncillaPathInto runs a breadth-first search over ancilla tiles
+// from any tile in src to any tile in dst, skipping tiles for which blocked
 // returns true (busy ancillas). Both src and dst members must be ancilla
-// tiles; blocked is not consulted for them if they coincide. It returns the
-// tile sequence including the chosen endpoints, or nil if no path exists.
+// tiles; blocked is not consulted for them if they coincide. It appends
+// the tile sequence, including the chosen endpoints, to buf and returns
+// the extended slice, or returns nil if no path exists.
 //
-// The search reuses scratch owned by the grid, so it allocates only the
-// returned path; concurrent calls on one Grid are not safe (each seeded run
-// owns its grid, and Clone never shares the scratch).
-func (g *Grid) ShortestAncillaPath(src, dst []Coord, blocked func(Coord) bool) []Coord {
+// The search reuses scratch owned by the grid, so with a buf of enough
+// capacity it allocates nothing; concurrent calls on one Grid are not safe
+// (each seeded run owns its grid, and Clone never shares the scratch).
+func (g *Grid) ShortestAncillaPathInto(src, dst []Coord, blocked func(Coord) bool, buf []Coord) []Coord {
 	if len(src) == 0 || len(dst) == 0 {
 		return nil
 	}
@@ -43,7 +46,7 @@ func (g *Grid) ShortestAncillaPath(src, dst []Coord, blocked func(Coord) bool) [
 		sc.prev[i] = -1
 		queue = append(queue, int32(i))
 		if sc.dst[i] == ep {
-			return []Coord{c}
+			return append(buf, c)
 		}
 	}
 	for head := 0; head < len(queue); head++ {
@@ -61,7 +64,7 @@ func (g *Grid) ShortestAncillaPath(src, dst []Coord, blocked func(Coord) bool) [
 			sc.seen[ni] = ep
 			sc.prev[ni] = i
 			if sc.dst[ni] == ep {
-				return g.tracePath(sc.prev, int32(ni))
+				return g.tracePath(sc.prev, int32(ni), buf)
 			}
 			queue = append(queue, int32(ni))
 		}
@@ -69,21 +72,18 @@ func (g *Grid) ShortestAncillaPath(src, dst []Coord, blocked func(Coord) bool) [
 	return nil
 }
 
-// tracePath walks prev back from tile index end to its source.
-func (g *Grid) tracePath(prev []int32, end int32) []Coord {
-	n := 0
+// tracePath walks prev back from tile index end to its source, appending
+// the path (source first) to buf.
+func (g *Grid) tracePath(prev []int32, end int32, buf []Coord) []Coord {
+	from := len(buf)
 	for i := end; i >= 0; i = prev[i] {
-		n++
+		buf = append(buf, Coord{int(i) / g.cols, int(i) % g.cols})
 	}
-	path := make([]Coord, n)
-	for i := end; i >= 0; i = prev[i] {
-		n--
-		path[n] = Coord{int(i) / g.cols, int(i) % g.cols}
-	}
-	return path
+	slices.Reverse(buf[from:])
+	return buf
 }
 
-// pathScratch is ShortestAncillaPath's dense, reusable search state. Marks
+// pathScratch is ShortestAncillaPathInto's dense, reusable search state. Marks
 // are epoch-stamped, so starting a search clears nothing: a tile is seen
 // (or a destination) in the current search iff its stamp equals epoch.
 type pathScratch struct {
@@ -110,22 +110,24 @@ func (g *Grid) bfsScratch() *pathScratch {
 	return sc
 }
 
-// BraidPath builds an AutoBraid-style two-segment path between ancilla
-// tiles a and b: it walks along a's row to b's column, then along b's
-// column (an "L" route). Every tile on the route must be a live, unblocked
-// ancilla; otherwise it tries the transposed "L" (column first), and
-// returns nil if neither works. This mimics the row/column braid corridors
-// of Hua et al. without global search.
-func (g *Grid) BraidPath(a, b Coord, blocked func(Coord) bool) []Coord {
-	if p := g.straightL(a, b, true, blocked); p != nil {
+// BraidPathInto builds an AutoBraid-style two-segment path between
+// ancilla tiles a and b: it walks along a's row to b's column, then along
+// b's column (an "L" route). Every tile on the route must be a live,
+// unblocked ancilla; otherwise it tries the transposed "L" (column first),
+// and returns nil if neither works. This mimics the row/column braid
+// corridors of Hua et al. without global search. The path is appended to
+// buf and the extended slice returned, so per-cycle route retries reuse
+// one buffer; on nil, buf's contents past len(buf) are unspecified.
+func (g *Grid) BraidPathInto(a, b Coord, blocked func(Coord) bool, buf []Coord) []Coord {
+	if p := g.straightL(a, b, true, blocked, buf); p != nil {
 		return p
 	}
-	return g.straightL(a, b, false, blocked)
+	return g.straightL(a, b, false, blocked, buf)
 }
 
-// straightL walks row-first (or column-first) from a to b.
-func (g *Grid) straightL(a, b Coord, rowFirst bool, blocked func(Coord) bool) []Coord {
-	var path []Coord
+// straightL walks row-first (or column-first) from a to b, appending the
+// route to path.
+func (g *Grid) straightL(a, b Coord, rowFirst bool, blocked func(Coord) bool, path []Coord) []Coord {
 	ok := func(c Coord) bool {
 		return g.Kind(c) == TileAncilla && (blocked == nil || !blocked(c))
 	}

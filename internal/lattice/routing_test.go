@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -9,7 +10,7 @@ import (
 func TestShortestAncillaPathTrivial(t *testing.T) {
 	g := NewSTARGrid(4)
 	a := Coord{0, 1}
-	p := g.ShortestAncillaPath([]Coord{a}, []Coord{a}, nil)
+	p := g.ShortestAncillaPathInto([]Coord{a}, []Coord{a}, nil, nil)
 	if len(p) != 1 || p[0] != a {
 		t.Errorf("self path = %v, want [%v]", p, a)
 	}
@@ -18,7 +19,7 @@ func TestShortestAncillaPathTrivial(t *testing.T) {
 func TestShortestAncillaPathStraightLine(t *testing.T) {
 	g := NewSTARGrid(4)
 	// Row 0 is a full ancilla corridor: (0,0) to (0,4) is length 5.
-	p := g.ShortestAncillaPath([]Coord{{0, 0}}, []Coord{{0, 4}}, nil)
+	p := g.ShortestAncillaPathInto([]Coord{{0, 0}}, []Coord{{0, 4}}, nil, nil)
 	if len(p) != 5 {
 		t.Fatalf("path = %v, want 5 tiles", p)
 	}
@@ -30,7 +31,7 @@ func TestShortestAncillaPathStraightLine(t *testing.T) {
 func TestShortestAncillaPathAvoidsBlocked(t *testing.T) {
 	g := NewSTARGrid(4)
 	blocked := func(c Coord) bool { return c == Coord{0, 2} }
-	p := g.ShortestAncillaPath([]Coord{{0, 0}}, []Coord{{0, 4}}, blocked)
+	p := g.ShortestAncillaPathInto([]Coord{{0, 0}}, []Coord{{0, 4}}, blocked, nil)
 	if p == nil {
 		t.Fatal("detour should exist")
 	}
@@ -50,7 +51,7 @@ func TestShortestAncillaPathAvoidsBlocked(t *testing.T) {
 func TestShortestAncillaPathNoRoute(t *testing.T) {
 	g := NewSTARGrid(4)
 	blockAll := func(c Coord) bool { return c.Row != 0 }
-	p := g.ShortestAncillaPath([]Coord{{0, 0}}, []Coord{{4, 4}}, blockAll)
+	p := g.ShortestAncillaPathInto([]Coord{{0, 0}}, []Coord{{4, 4}}, blockAll, nil)
 	if p != nil {
 		t.Errorf("expected nil path, got %v", p)
 	}
@@ -59,7 +60,7 @@ func TestShortestAncillaPathNoRoute(t *testing.T) {
 func TestShortestAncillaPathMultiSource(t *testing.T) {
 	g := NewSTARGrid(4)
 	// Sources on opposite corners; nearest one should win.
-	p := g.ShortestAncillaPath([]Coord{{4, 4}, {0, 0}}, []Coord{{0, 1}}, nil)
+	p := g.ShortestAncillaPathInto([]Coord{{4, 4}, {0, 0}}, []Coord{{0, 1}}, nil, nil)
 	if p == nil || p[0] != (Coord{0, 0}) {
 		t.Errorf("path = %v, want to start at (0,0)", p)
 	}
@@ -71,7 +72,7 @@ func TestShortestAncillaPathMultiSource(t *testing.T) {
 func TestBraidPath(t *testing.T) {
 	g := NewSTARGrid(9) // 7x7 tiles
 	a, b := Coord{0, 0}, Coord{0, 6}
-	p := g.BraidPath(a, b, nil)
+	p := g.BraidPathInto(a, b, nil, nil)
 	if p == nil {
 		t.Fatal("row corridor braid should exist")
 	}
@@ -89,7 +90,7 @@ func TestBraidPathAroundData(t *testing.T) {
 	// row-first L fails; column-first goes through row? Column-first from
 	// (1,0): walk column 0 to row 1 (already there), then row 1 East —
 	// also blocked. BraidPath should return nil here.
-	p := g.BraidPath(Coord{1, 0}, Coord{1, 6}, nil)
+	p := g.BraidPathInto(Coord{1, 0}, Coord{1, 6}, nil, nil)
 	if p != nil {
 		t.Errorf("expected nil braid through data row, got %v", p)
 	}
@@ -97,7 +98,7 @@ func TestBraidPathAroundData(t *testing.T) {
 
 func TestBraidPathLShape(t *testing.T) {
 	g := NewSTARGrid(9)
-	p := g.BraidPath(Coord{0, 0}, Coord{6, 0}, nil)
+	p := g.BraidPathInto(Coord{0, 0}, Coord{6, 0}, nil, nil)
 	if p == nil {
 		t.Fatal("column corridor braid should exist")
 	}
@@ -124,8 +125,8 @@ func TestShortestPathProperty(t *testing.T) {
 			if blockedSet[a] || blockedSet[b] {
 				continue
 			}
-			bfs := g.ShortestAncillaPath([]Coord{a}, []Coord{b}, blocked)
-			braid := g.BraidPath(a, b, blocked)
+			bfs := g.ShortestAncillaPathInto([]Coord{a}, []Coord{b}, blocked, nil)
+			braid := g.BraidPathInto(a, b, blocked, nil)
 			if bfs == nil {
 				if braid != nil {
 					return false // BFS is complete; braid cannot beat it
@@ -148,5 +149,35 @@ func TestShortestPathProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPathIntoVariantsAppendWithoutAllocating checks that the buffer
+// queries append the same route after a caller's prefix as into an empty
+// buffer, and allocate nothing once the buffer has capacity.
+func TestPathIntoVariantsAppendWithoutAllocating(t *testing.T) {
+	g := NewSTARGrid(16)
+	prefix := Coord{-1, -1}
+	buf := make([]Coord, 0, 64)
+	for i := 0; i < g.NumAncilla(); i += 7 {
+		a, b := g.AncillaTile(0), g.AncillaTile(i)
+		if got, want := g.BraidPathInto(a, b, nil, append(buf[:0], prefix)), g.BraidPathInto(a, b, nil, nil); want != nil && !slices.Equal(got, append([]Coord{prefix}, want...)) {
+			t.Fatalf("BraidPathInto(%v, %v) = %v, want prefix + %v", a, b, got, want)
+		}
+		want := g.ShortestAncillaPathInto([]Coord{a}, []Coord{b}, nil, nil)
+		if got := g.ShortestAncillaPathInto([]Coord{a}, []Coord{b}, nil, append(buf[:0], prefix)); !slices.Equal(got, append([]Coord{prefix}, want...)) {
+			t.Fatalf("ShortestAncillaPathInto(%v, %v) = %v, want prefix + %v", a, b, got, want)
+		}
+	}
+	src, dst := []Coord{g.AncillaTile(0)}, []Coord{g.AncillaTile(g.NumAncilla() - 1)}
+	allocs := testing.AllocsPerRun(50, func() {
+		buf = g.BraidPathInto(src[0], dst[0], nil, buf[:0])
+		buf = g.ShortestAncillaPathInto(src, dst, nil, buf[:0])
+		buf = g.ZEdgeAncillas(3, buf[:0])
+		buf = g.XEdgeAncillas(3, buf)
+		buf = g.DiagonalAncillas(3, buf)
+	})
+	if allocs != 0 {
+		t.Errorf("buffer variants allocate %v times per call, want 0", allocs)
 	}
 }

@@ -24,25 +24,24 @@ type cnotDriver struct {
 	control, target int
 	find            PathFinder
 
-	path       []lattice.Coord // chosen once, then kept (static schedule)
+	path       []lattice.Coord // chosen once, then kept (static schedule); empty until then
 	rotC, rotT bool
 	rotating   bool // an edge rotation op is in flight
 	inFlight   bool // the CNOT op is in flight
 }
 
-func (d *cnotDriver) tick(st *sim.State) {
+func (d *cnotDriver) tick(st *sim.State, sc *scratch) {
 	if d.rotating || d.inFlight {
 		return
 	}
 	g := st.Grid()
-	if d.path == nil {
+	if len(d.path) == 0 {
 		if !st.QubitFree(d.control) || !st.QubitFree(d.target) {
 			return
 		}
-		var cBuf, tBuf []lattice.Coord
-		srcs := g.AncillaNeighbors(g.DataTile(d.control), cBuf)
-		dsts := g.AncillaNeighbors(g.DataTile(d.target), tBuf)
-		p := d.find(g, srcs, dsts, blockedByOps(st))
+		sc.nbrs = g.AncillaNeighbors(g.DataTile(d.control), sc.nbrs[:0])
+		sc.dsts = g.AncillaNeighbors(g.DataTile(d.target), sc.dsts[:0])
+		p := d.find(g, sc.nbrs, sc.dsts, sc.blocked, d.path[:0])
 		if p == nil {
 			return // congested; retry next cycle
 		}
@@ -131,10 +130,10 @@ const (
 	rzInjecting
 )
 
-func (d *rzDriver) tick(st *sim.State) {
+func (d *rzDriver) tick(st *sim.State, sc *scratch) {
 	switch d.phase {
 	case rzIdle:
-		d.begin(st)
+		d.begin(st, sc)
 	case rzPrepared:
 		d.tryInject(st)
 	}
@@ -145,9 +144,10 @@ func (d *rzDriver) tick(st *sim.State) {
 // 1-cycle ZZ injection, else a diagonal ancilla routed through an X-edge
 // helper with the 2-cycle CNOT injection, else an edge rotation to expose
 // a usable edge.
-func (d *rzDriver) begin(st *sim.State) {
+func (d *rzDriver) begin(st *sim.State, sc *scratch) {
 	g := st.Grid()
-	for _, t := range g.ZEdgeAncillas(d.q) {
+	sc.zEdge = g.ZEdgeAncillas(d.q, sc.zEdge[:0])
+	for _, t := range sc.zEdge {
 		if !st.TileFree(t) {
 			continue
 		}
@@ -157,7 +157,7 @@ func (d *rzDriver) begin(st *sim.State) {
 			return
 		}
 	}
-	if cand := cnotInjectionCandidates(st, d.q); len(cand) > 0 {
+	if cand := cnotInjectionCandidates(st, d.q, sc); len(cand) > 0 {
 		for _, pc := range cand {
 			if !st.TileFree(pc.prep) {
 				continue
@@ -170,14 +170,14 @@ func (d *rzDriver) begin(st *sim.State) {
 		}
 		return // candidates exist but are busy; wait
 	}
-	if len(g.ZEdgeAncillas(d.q)) > 0 {
+	if len(sc.zEdge) > 0 {
 		return // Z-edge tiles exist but are busy; wait
 	}
 	// No usable geometry in this orientation: rotate the qubit.
 	if !st.QubitFree(d.q) {
 		return
 	}
-	if helper, ok := freeAdjacentAncilla(st, d.q); ok {
+	if helper, ok := freeAdjacentAncilla(st, d.q, sc); ok {
 		if _, err := st.StartEdgeRotation(d.node, d.q, helper); err == nil {
 			d.phase = rzRotating
 		}
@@ -229,14 +229,16 @@ type prepCandidate struct {
 	prep, helper lattice.Coord
 }
 
-// cnotInjectionCandidates enumerates (prep, helper) pairs for qubit q: the
-// helper must be an ancilla on q's X edge and the prep tile an ancilla
-// adjacent to the helper (diagonal to q, or further along the row/column).
-func cnotInjectionCandidates(st *sim.State, q int) []prepCandidate {
+// cnotInjectionCandidates enumerates (prep, helper) pairs for qubit q into
+// sc.cands: the helper must be an ancilla on q's X edge and the prep tile
+// an ancilla adjacent to the helper (diagonal to q, or further along the
+// row/column).
+func cnotInjectionCandidates(st *sim.State, q int, sc *scratch) []prepCandidate {
 	g := st.Grid()
-	var out []prepCandidate
+	out := sc.cands[:0]
 	dataTile := g.DataTile(q)
-	for _, helper := range g.XEdgeAncillas(q) {
+	sc.xEdge = g.XEdgeAncillas(q, sc.xEdge[:0])
+	for _, helper := range sc.xEdge {
 		for dir := lattice.North; dir <= lattice.West; dir++ {
 			p := helper.Step(dir)
 			if p == dataTile || g.Kind(p) != lattice.TileAncilla {
@@ -245,6 +247,7 @@ func cnotInjectionCandidates(st *sim.State, q int) []prepCandidate {
 			out = append(out, prepCandidate{prep: p, helper: helper})
 		}
 	}
+	sc.cands = out
 	return out
 }
 
@@ -256,11 +259,11 @@ type hDriver struct {
 	inFlight bool
 }
 
-func (d *hDriver) tick(st *sim.State) {
+func (d *hDriver) tick(st *sim.State, sc *scratch) {
 	if d.inFlight || !st.QubitFree(d.q) {
 		return
 	}
-	if helper, ok := freeAdjacentAncilla(st, d.q); ok {
+	if helper, ok := freeAdjacentAncilla(st, d.q, sc); ok {
 		if _, err := st.StartHadamard(d.node, d.q, helper); err == nil {
 			d.inFlight = true
 		}

@@ -11,25 +11,26 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/lattice"
 	"repro/internal/sim"
 )
 
-// PathFinder selects a routing path for a CNOT: it returns a contiguous
-// sequence of free ancilla tiles starting at one of srcs and ending at one
-// of dsts, or nil if none is currently available.
-type PathFinder func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool) []lattice.Coord
+// PathFinder selects a routing path for a CNOT: it appends to buf a
+// contiguous sequence of free ancilla tiles starting at one of srcs and
+// ending at one of dsts and returns the extended slice, or returns nil if
+// none is currently available.
+type PathFinder func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool, buf []lattice.Coord) []lattice.Coord
 
 // NewGreedy returns the greedy shortest-path baseline: BFS over free
 // ancilla tiles from the control's Z edge to the target's X edge.
 func NewGreedy() sim.Scheduler {
 	return &layered{
 		name: "greedy",
-		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool) []lattice.Coord {
-			return g.ShortestAncillaPath(srcs, dsts, blocked)
+		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool, buf []lattice.Coord) []lattice.Coord {
+			return g.ShortestAncillaPathInto(srcs, dsts, blocked, buf)
 		},
 	}
 }
@@ -40,10 +41,11 @@ func NewGreedy() sim.Scheduler {
 // braid. When no braid corridor is open it falls back to BFS so the
 // schedule can always make progress.
 func NewAutoBraid() sim.Scheduler {
+	var cand []lattice.Coord // per-run scratch for the braid being tried
 	return &layered{
 		name: "autobraid",
-		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool) []lattice.Coord {
-			var best []lattice.Coord
+		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool, buf []lattice.Coord) []lattice.Coord {
+			n, best := len(buf), -1 // best: length of the shortest braid so far
 			for _, s := range srcs {
 				if blocked(s) || g.Kind(s) != lattice.TileAncilla {
 					continue
@@ -52,15 +54,20 @@ func NewAutoBraid() sim.Scheduler {
 					if blocked(d) || g.Kind(d) != lattice.TileAncilla {
 						continue
 					}
-					if p := g.BraidPath(s, d, blocked); p != nil && (best == nil || len(p) < len(best)) {
-						best = p
+					p := g.BraidPathInto(s, d, blocked, cand[:0])
+					if p == nil {
+						continue
+					}
+					cand = p
+					if best < 0 || len(p) < best {
+						buf, best = append(buf[:n], p...), len(p)
 					}
 				}
 			}
-			if best != nil {
-				return best
+			if best >= 0 {
+				return buf
 			}
-			return g.ShortestAncillaPath(srcs, dsts, blocked)
+			return g.ShortestAncillaPathInto(srcs, dsts, blocked, buf)
 		},
 	}
 }
@@ -74,11 +81,29 @@ type layered struct {
 	left    int      // unfinished gates in the current layer
 	byLayer [][]int  // layer -> node IDs, sorted by descending height
 	drivers []driver // node -> its gate's state machine while it executes, else nil
+
+	// Driver pools, sized in Init to the widest layer of each gate kind
+	// and reused layer after layer, so running a layer allocates nothing.
+	cnots []cnotDriver
+	rzs   []rzDriver
+	hs    []hDriver
+
+	sc scratch
+}
+
+// scratch is per-run storage shared by all drivers. Drivers run one at a
+// time and none keeps a scratch slice across calls.
+type scratch struct {
+	blocked func(lattice.Coord) bool // "tile is reserved", built once in Init
+
+	nbrs, zEdge, xEdge []lattice.Coord
+	dsts               []lattice.Coord
+	cands              []prepCandidate
 }
 
 // driver advances one gate's execution state machine each cycle.
 type driver interface {
-	tick(st *sim.State)
+	tick(st *sim.State, sc *scratch)
 	opDone(st *sim.State, op *sim.Op, success bool) (finished bool)
 }
 
@@ -86,21 +111,44 @@ func (l *layered) Name() string { return l.name }
 
 func (l *layered) Init(st *sim.State) error {
 	dag := st.DAG()
+	// Bucket the nodes by layer in one flat array (a counting sort).
+	start := make([]int, dag.NumLayers()+1)
+	for n := 0; n < dag.Len(); n++ {
+		start[dag.Layer(n)+1]++
+	}
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	flat := make([]int, dag.Len())
 	l.byLayer = make([][]int, dag.NumLayers())
+	for i := range l.byLayer {
+		l.byLayer[i] = flat[start[i]:start[i]:start[i+1]]
+	}
 	for n := 0; n < dag.Len(); n++ {
 		l.byLayer[dag.Layer(n)] = append(l.byLayer[dag.Layer(n)], n)
 	}
+	var widest [3]int // CNOT, Rz, H drivers needed by the widest layer
 	for _, nodes := range l.byLayer {
-		sort.Slice(nodes, func(a, b int) bool {
-			ha, hb := dag.Height(nodes[a]), dag.Height(nodes[b])
-			if ha != hb {
-				return ha > hb // critical path first
+		slices.SortFunc(nodes, func(a, b int) int {
+			if ha, hb := dag.Height(a), dag.Height(b); ha != hb {
+				return hb - ha // critical path first
 			}
-			return nodes[a] < nodes[b]
+			return a - b
 		})
+		var count [3]int
+		for _, n := range nodes {
+			count[driverPool(dag.Gate(n).Kind)]++
+		}
+		for i := range widest {
+			widest[i] = max(widest[i], count[i])
+		}
 	}
+	l.cnots = make([]cnotDriver, widest[0])
+	l.rzs = make([]rzDriver, widest[1])
+	l.hs = make([]hDriver, widest[2])
 	l.layer = -1
 	l.drivers = make([]driver, dag.Len())
+	l.sc.blocked = func(c lattice.Coord) bool { return !st.TileFree(c) }
 	return nil
 }
 
@@ -112,8 +160,9 @@ func (l *layered) OnCycle(st *sim.State) {
 		}
 		nodes := l.byLayer[l.layer]
 		l.left = len(nodes)
+		var used [3]int
 		for _, n := range nodes {
-			l.drivers[n] = l.newDriver(st, n)
+			l.drivers[n] = l.newDriver(st, n, &used)
 		}
 	}
 	if l.layer >= len(l.byLayer) {
@@ -121,7 +170,7 @@ func (l *layered) OnCycle(st *sim.State) {
 	}
 	for _, n := range l.byLayer[l.layer] {
 		if d := l.drivers[n]; d != nil {
-			d.tick(st)
+			d.tick(st, &l.sc)
 		}
 	}
 }
@@ -140,32 +189,48 @@ func (l *layered) OnOpDone(st *sim.State, op *sim.Op, success bool) {
 	}
 }
 
-// newDriver builds the state machine for one gate.
-func (l *layered) newDriver(st *sim.State, n int) driver {
-	g := st.DAG().Gate(n)
-	switch g.Kind {
+// driverPool maps a gate kind to its driver pool index.
+func driverPool(k circuit.Kind) int {
+	switch k {
 	case circuit.KindCNOT:
-		return &cnotDriver{node: n, control: g.Control(), target: g.Target(), find: l.path}
+		return 0
 	case circuit.KindRz:
-		return &rzDriver{node: n, q: g.Qubit(), angle: g.Angle}
+		return 1
 	case circuit.KindH:
-		return &hDriver{node: n, q: g.Qubit()}
+		return 2
 	default:
-		panic(fmt.Sprintf("sched: unschedulable gate kind %v", g.Kind))
+		panic(fmt.Sprintf("sched: unschedulable gate kind %v", k))
 	}
 }
 
-// blockedByOps returns the standard "tile is reserved" predicate.
-func blockedByOps(st *sim.State) func(lattice.Coord) bool {
-	return func(c lattice.Coord) bool { return !st.TileFree(c) }
+// newDriver resets the next free pooled state machine for gate n; used
+// counts the pool slots the current layer has taken.
+func (l *layered) newDriver(st *sim.State, n int, used *[3]int) driver {
+	g := st.DAG().Gate(n)
+	i := driverPool(g.Kind)
+	slot := used[i]
+	used[i]++
+	switch i {
+	case 0:
+		d := &l.cnots[slot]
+		*d = cnotDriver{node: n, control: g.Control(), target: g.Target(), find: l.path, path: d.path[:0]}
+		return d
+	case 1:
+		d := &l.rzs[slot]
+		*d = rzDriver{node: n, q: g.Qubit(), angle: g.Angle}
+		return d
+	default:
+		d := &l.hs[slot]
+		*d = hDriver{node: n, q: g.Qubit()}
+		return d
+	}
 }
 
 // freeAdjacentAncilla returns a free ancilla tile adjacent to qubit q, or
 // ok=false.
-func freeAdjacentAncilla(st *sim.State, q int) (lattice.Coord, bool) {
-	var buf []lattice.Coord
-	buf = st.Grid().AncillaNeighbors(st.Grid().DataTile(q), buf)
-	for _, c := range buf {
+func freeAdjacentAncilla(st *sim.State, q int, sc *scratch) (lattice.Coord, bool) {
+	sc.nbrs = st.Grid().AncillaNeighbors(st.Grid().DataTile(q), sc.nbrs[:0])
+	for _, c := range sc.nbrs {
 		if st.TileFree(c) {
 			return c, true
 		}

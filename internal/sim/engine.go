@@ -22,7 +22,9 @@ type Scheduler interface {
 	// OnOpDone reports op completion. For OpInjection, success carries
 	// the measurement outcome (true with probability 1/2); for all other
 	// kinds success is true. The scheduler owns gate-completion logic
-	// (calling st.CompleteGate) and failure handling.
+	// (calling st.CompleteGate) and failure handling. op is valid only
+	// until the end of the current cycle (see Op): the scheduler must not
+	// retain it.
 	OnOpDone(st *State, op *Op, success bool)
 }
 
@@ -86,12 +88,12 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 			return nil, fmt.Errorf("sim: exceeded max cycles %d (%d/%d gates done)",
 				st.cfg.MaxCycles, st.numDone, st.dag.Len())
 		}
+		st.recycle()
 		st.startedThisCycle = 0
 		e.sched.OnCycle(st)
 		// Occupancy is accounted before ops advance so that a tile or
 		// qubit counts as busy through the final cycle of its op.
-		e.accountActivity()
-		e.accountIdle()
+		st.account()
 		progressed := e.advance()
 		if st.startedThisCycle == 0 && !progressed && len(st.active) == 0 {
 			stall++
@@ -122,8 +124,12 @@ func (e *Engine) advance() bool {
 	completions := e.completions[:0]
 	progressed := false
 	for _, op := range prev {
-		if op.done || (op.Kind == OpPrep && op.prepared) {
-			continue // finished or parked outside this loop (e.g. CancelPrep)
+		if op.done && !op.prepared {
+			st.retire(op) // cancelled mid-preparation (CancelPrep)
+			continue
+		}
+		if op.done || op.prepared {
+			continue // parked, or parked and then consumed / discarded
 		}
 		if op.start > st.cycle {
 			live = append(live, op) // starts next cycle (created inside a callback)
@@ -149,6 +155,7 @@ func (e *Engine) advance() bool {
 					}
 				}
 				e.finish(op)
+				st.retire(op)
 				completions = append(completions, completion{op, success})
 			} else {
 				live = append(live, op)
@@ -176,13 +183,12 @@ func (e *Engine) finish(op *Op) {
 	op.done = true
 	for _, q := range op.Qubits {
 		if st.qubitOp[q] == op {
-			st.qubitOp[q] = nil
+			st.setQubitOp(q, nil)
 		}
 	}
 	for _, t := range op.Tiles {
-		i := st.grid.TileIndex(t)
-		if st.tileOp[i] == op {
-			st.tileOp[i] = nil
+		if st.tileOp[st.grid.TileIndex(t)] == op {
+			st.setTileOp(t, nil)
 		}
 	}
 	if op.Kind == OpEdgeRotation {
@@ -190,32 +196,59 @@ func (e *Engine) finish(op *Op) {
 	}
 }
 
-// accountActivity updates the sliding-window busy counters per ancilla,
-// using the tile indices precomputed at state construction.
-func (e *Engine) accountActivity() {
-	st := e.st
-	slot := st.cycle % st.actWindow
-	for ancID, tile := range st.ancTileIdx {
-		busy := uint8(0)
-		if st.tileOp[tile] != nil {
-			busy = 1
+// account records the occupancy of the current cycle. Only ancillas and
+// qubits marked dirty since the previous pass can have changed state, so
+// the pass costs O(changes), not O(ancillas + qubits); the counts it keeps
+// equal a full per-cycle scan's.
+func (st *State) account() {
+	t := st.cycle
+	for _, a := range st.dirtyAnc {
+		st.ancDirty[a] = false
+		busy := st.tileOp[st.ancTileIdx[a]] != nil
+		switch open := st.runStart[a] > 0; {
+		case busy && !open:
+			st.runStart[a] = int32(t)
+		case !busy && open:
+			st.closeRun(int(a), int32(t-1))
 		}
-		pos := ancID*st.actWindow + slot
-		st.actSum[ancID] += int(busy) - int(st.actBuf[pos])
-		st.actBuf[pos] = busy
-		st.actTotal[ancID] += int(busy)
 	}
+	st.dirtyAnc = st.dirtyAnc[:0]
+	st.actCycle = t
+
+	for _, q := range st.dirtyQubit {
+		st.qubitDirty[q] = false
+		idle := st.gatesLeft[q] > 0 && st.qubitOp[q] == nil
+		switch since := st.idleSince[q]; {
+		case idle && since == 0:
+			st.idleSince[q] = t
+		case !idle && since > 0:
+			st.idleCycles[q] += t - since
+			st.idleSince[q] = 0
+		}
+	}
+	st.dirtyQubit = st.dirtyQubit[:0]
 }
 
-// accountIdle counts cycles in which a data qubit still has work but is
-// not participating in any op.
-func (e *Engine) accountIdle() {
-	st := e.st
-	for q := range st.idleCycles {
-		if st.gatesLeft[q] > 0 && st.qubitOp[q] == nil {
-			st.idleCycles[q]++
-		}
+// closeRun ends ancilla a's open busy run at cycle end. Runs that can no
+// longer overlap any future activity window are pruned first, so each
+// ancilla keeps at most about actWindow/2 runs.
+func (st *State) closeRun(a int, end int32) {
+	start := st.runStart[a]
+	st.runStart[a] = 0
+	st.actTotal[a] += int(end - start + 1)
+	lo := end + 2 - int32(st.actWindow) // first cycle of the next window
+	rs := st.runs[a]
+	k := 0
+	for k < len(rs) && rs[k].end < lo {
+		k++
 	}
+	if k > 0 {
+		rs = append(rs[:0], rs[k:]...)
+	}
+	if end >= lo {
+		rs = append(rs, busyRun{start, end})
+	}
+	st.runs[a] = rs
 }
 
 // collect builds the Result after completion.
@@ -225,10 +258,10 @@ func (e *Engine) collect() *Result {
 		Scheduler:          e.sched.Name(),
 		TotalCycles:        st.cycle,
 		AncillaUtilization: make([]float64, st.grid.NumAncilla()),
-		PrepsStarted:       st.prepsStarted,
-		InjectionsStarted:  st.injectionsStarted,
+		PrepsStarted:       st.started[OpPrep],
+		InjectionsStarted:  st.started[OpInjection],
 		InjectionFailures:  st.injectionFailures,
-		EdgeRotations:      st.edgeRotations,
+		EdgeRotations:      st.started[OpEdgeRotation],
 		IdlePerQubit:       make([]float64, st.grid.NumQubits()),
 	}
 	for n := 0; n < st.dag.Len(); n++ {
@@ -242,7 +275,11 @@ func (e *Engine) collect() *Result {
 	}
 	if st.cycle > 0 {
 		for a := range r.AncillaUtilization {
-			r.AncillaUtilization[a] = float64(st.actTotal[a]) / float64(st.cycle)
+			busy := st.actTotal[a]
+			if s := int(st.runStart[a]); s > 0 {
+				busy += st.cycle - s + 1 // the run still open at the end
+			}
+			r.AncillaUtilization[a] = float64(busy) / float64(st.cycle)
 		}
 	}
 	var idleSum float64
@@ -251,7 +288,11 @@ func (e *Engine) collect() *Result {
 		if span <= 0 {
 			span = st.cycle
 		}
-		f := float64(st.idleCycles[q]) / float64(span)
+		idle := st.idleCycles[q]
+		if s := st.idleSince[q]; s > 0 {
+			idle += st.cycle - s + 1
+		}
+		f := float64(idle) / float64(span)
 		r.IdlePerQubit[q] = f
 		idleSum += f
 	}

@@ -37,6 +37,8 @@ const (
 	// OpInjection consumes a prepared |m_theta> and injects it into a
 	// data qubit; it succeeds with probability 1/2.
 	OpInjection
+
+	numOpKinds = iota
 )
 
 var opKindNames = [...]string{
@@ -58,8 +60,15 @@ const (
 )
 
 // Op is an in-flight operation. Ops are created by the State.Start*
-// methods and owned by the engine; schedulers hold references but must not
+// methods and owned by the engine; schedulers may read them but must not
 // mutate them.
+//
+// Lifetime: the engine recycles ops. An op stays valid while it holds a
+// tile or qubit and until the end of the cycle in which it leaves the
+// engine (finishes, or is consumed, discarded or cancelled), so a
+// completion callback may read it. From the next cycle on the same *Op may
+// describe a different operation. Schedulers must not retain an *Op across
+// cycles; they look live ops up through State.TileOp and State.QubitOp.
 type Op struct {
 	ID   int
 	Kind OpKind

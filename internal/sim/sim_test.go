@@ -440,6 +440,30 @@ func TestActivityWindowTracksBusyAncilla(t *testing.T) {
 	}
 }
 
+// TestIdleStopsWhenLastGateCompletesWithoutOp completes a qubit's only
+// gate straight from OnCycle, with no op releasing the qubit: its idle
+// count must still stop at that cycle.
+func TestIdleStopsWhenLastGateCompletesWithoutOp(t *testing.T) {
+	g := lattice.MustBuild("star", 2, nil)
+	c := circuit.New("h", 2)
+	c.H(0)
+	sched := &scriptSched{
+		onCycle: func(st *State) {
+			if st.Cycle() == 5 {
+				st.CompleteGate(0)
+			}
+		},
+	}
+	res, err := RunSeeded(g, c, testCfg(), 1, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Idle in cycles 1-4; from cycle 5 the qubit has no work left.
+	if got, want := res.IdlePerQubit[0], 4.0/5; got != want {
+		t.Errorf("idle fraction = %v, want %v", got, want)
+	}
+}
+
 func TestAggregateResults(t *testing.T) {
 	rs := []*Result{
 		{Scheduler: "s", Benchmark: "b", TotalCycles: 10, MeanIdleFraction: 0.2, CNOTLatencies: []int{2}},

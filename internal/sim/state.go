@@ -71,7 +71,8 @@ type State struct {
 	prepExpected float64
 
 	// Occupancy: tileOp[tileIndex] and qubitOp[q] hold the reserving op,
-	// or nil.
+	// or nil. Every write goes through setTileOp / setQubitOp, which mark
+	// the ancilla or qubit dirty for the next accounting pass.
 	tileOp  []*Op
 	qubitOp []*Op
 
@@ -82,6 +83,13 @@ type State struct {
 	// complete outside the engine's advance loop (e.g. CancelPrep) stay in
 	// place until the next advance compacts them away.
 	active []*Op
+
+	// Op recycling. An op that has left the engine for good (finished,
+	// consumed, discarded, or cancelled and compacted out of active) is
+	// retired; retired ops become reusable at the next cycle boundary, so
+	// completion callbacks can still read them (see Op).
+	retired []*Op
+	free    []*Op
 
 	// Gate bookkeeping.
 	status     []GateStatus
@@ -94,25 +102,43 @@ type State struct {
 	// Per-cycle outputs collected by the engine.
 	startedThisCycle int
 
-	// Activity tracking: ring buffer of busy flags per ancilla ID, plus
-	// cumulative busy counts for the utilization heatmap.
+	// Activity tracking by events. Each ancilla's busy cycles are kept as
+	// runs: runStart is the first cycle of the open run (0 while free),
+	// runs holds the closed runs that may still overlap the activity
+	// window (older ones are pruned as runs are appended), and actTotal
+	// counts the busy cycles of every closed run for the utilization
+	// heatmap. Only ancillas whose tile changed hands since the last
+	// accounting pass (dirtyAnc) are visited.
 	actWindow  int
-	actBuf     []uint8 // [ancID * actWindow + (cycle % actWindow)]
-	actSum     []int   // rolling sums per ancilla
-	actTotal   []int   // cumulative busy cycles per ancilla
-	ancTileIdx []int32 // ancilla ID -> dense tile index, precomputed
+	actCycle   int // last accounted cycle
+	runStart   []int32
+	runs       [][]busyRun
+	actTotal   []int
+	ancDirty   []bool
+	dirtyAnc   []int32
+	ancTileIdx []int32 // ancilla ID -> dense tile index
 
-	// Idle tracking per data qubit.
+	// Idle tracking per data qubit, by the same events: idleSince is the
+	// first cycle of the qubit's current idle run (0 while not idle), and
+	// idleCycles counts the cycles of its closed idle runs.
 	idleCycles []int
+	idleSince  []int
+	qubitDirty []bool
+	dirtyQubit []int32
 	lastGateAt []int // cycle when the qubit's last gate finished (-1 while pending)
 	gatesLeft  []int // outstanding scheduled gates per qubit
 
-	// Counters for Result.
-	prepsStarted      int
-	injectionsStarted int
+	// Counters for Result, by op kind: ops started and ops retired.
+	started           [numOpKinds]int
+	retiredCount      [numOpKinds]int
 	injectionFailures int
-	edgeRotations     int
 }
+
+// busyRun is a closed run of busy cycles [start, end] of one ancilla.
+type busyRun struct{ start, end int32 }
+
+// runsPerAncilla is the initial run capacity of each ancilla.
+const runsPerAncilla = 16
 
 // newState wires a State for the engine; schedulers receive it via Init.
 func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State {
@@ -133,10 +159,15 @@ func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State 
 		readyAt:      make([]int, dag.Len()),
 		doneAt:       make([]int, dag.Len()),
 		actWindow:    cfg.ActivityWindow,
-		actBuf:       make([]uint8, g.NumAncilla()*cfg.ActivityWindow),
-		actSum:       make([]int, g.NumAncilla()),
+		runStart:     make([]int32, g.NumAncilla()),
+		runs:         make([][]busyRun, g.NumAncilla()),
 		actTotal:     make([]int, g.NumAncilla()),
+		ancDirty:     make([]bool, g.NumAncilla()),
+		ancTileIdx:   make([]int32, g.NumAncilla()),
 		idleCycles:   make([]int, g.NumQubits()),
+		idleSince:    make([]int, g.NumQubits()),
+		qubitDirty:   make([]bool, g.NumQubits()),
+		dirtyQubit:   make([]int32, 0, g.NumQubits()),
 		lastGateAt:   make([]int, g.NumQubits()),
 		gatesLeft:    make([]int, g.NumQubits()),
 	}
@@ -155,10 +186,14 @@ func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State 
 	}
 	for q := range st.lastGateAt {
 		st.lastGateAt[q] = -1
+		st.markQubit(q) // every qubit's idle state is evaluated in cycle 1
 	}
-	st.ancTileIdx = make([]int32, g.NumAncilla())
+	// Every ancilla's runs start in one shared backing array, so only
+	// ancillas with unusually many runs per window ever grow their own.
+	arena := make([]busyRun, runsPerAncilla*g.NumAncilla())
 	for a := range st.ancTileIdx {
 		st.ancTileIdx[a] = int32(g.TileIndex(g.AncillaTile(a)))
+		st.runs[a] = arena[a*runsPerAncilla : a*runsPerAncilla : (a+1)*runsPerAncilla]
 	}
 	return st
 }
@@ -216,30 +251,94 @@ func (st *State) QubitFree(q int) bool { return st.qubitOp[q] == nil }
 func (st *State) QubitOp(q int) *Op { return st.qubitOp[q] }
 
 // Activity returns the fraction of the last c cycles during which ancilla
-// ancID was reserved (paper section 4.2).
+// ancID was reserved (paper section 4.2). It sums the ancilla's busy runs
+// that overlap the window ending at the last accounted cycle.
 func (st *State) Activity(ancID int) float64 {
-	return float64(st.actSum[ancID]) / float64(st.actWindow)
+	last := int32(st.actCycle)
+	lo := last - int32(st.actWindow) + 1
+	busy := int32(0)
+	for _, r := range st.runs[ancID] {
+		if r.end >= lo {
+			busy += r.end - max(r.start, lo) + 1
+		}
+	}
+	if s := st.runStart[ancID]; s > 0 {
+		busy += last - max(s, lo) + 1
+	}
+	return float64(busy) / float64(st.actWindow)
 }
 
 // --- Op starters -----------------------------------------------------
 
+// newOp starts an op, reusing a retired one when available: the reused
+// op keeps its reservation slices' capacity, so even a long CNOT path
+// stops allocating once one op has carried it.
 func (st *State) newOp(kind OpKind, node int, dur int) *Op {
+	var op *Op
+	if n := len(st.free); n > 0 {
+		op = st.free[n-1]
+		st.free[n-1] = nil
+		st.free = st.free[:n-1]
+		*op = Op{Qubits: op.Qubits[:0], Tiles: op.Tiles[:0]}
+	} else {
+		op = new(Op)
+		op.Qubits = op.qubitsBuf[:0]
+		op.Tiles = op.tilesBuf[:0]
+	}
 	st.nextOp++
-	op := &Op{ID: st.nextOp, Kind: kind, Node: node, start: st.cycle, remaining: dur}
-	op.Qubits = op.qubitsBuf[:0]
-	op.Tiles = op.tilesBuf[:0]
+	op.ID, op.Kind, op.Node, op.start, op.remaining = st.nextOp, kind, node, st.cycle, dur
 	st.active = append(st.active, op)
+	st.started[kind]++
 	st.startedThisCycle++
 	return op
 }
 
-func (st *State) reserveTile(op *Op, c lattice.Coord) {
+// retire records that op has left the engine: no tile, qubit or active
+// entry refers to it any more.
+func (st *State) retire(op *Op) {
+	st.retired = append(st.retired, op)
+	st.retiredCount[op.Kind]++
+}
+
+// recycle makes the ops retired before this cycle reusable. The engine
+// calls it at each cycle boundary, after the previous cycle's completion
+// callbacks are done with them.
+func (st *State) recycle() {
+	st.free = append(st.free, st.retired...)
+	st.retired = st.retired[:0]
+}
+
+// setTileOp changes the holder of ancilla tile c and marks the ancilla for
+// the next activity accounting pass.
+func (st *State) setTileOp(c lattice.Coord, op *Op) {
 	st.tileOp[st.grid.TileIndex(c)] = op
+	if a := st.grid.AncillaID(c); !st.ancDirty[a] {
+		st.ancDirty[a] = true
+		st.dirtyAnc = append(st.dirtyAnc, int32(a))
+	}
+}
+
+// setQubitOp changes the holder of qubit q and marks it for the next idle
+// accounting pass.
+func (st *State) setQubitOp(q int, op *Op) {
+	st.qubitOp[q] = op
+	st.markQubit(q)
+}
+
+func (st *State) markQubit(q int) {
+	if !st.qubitDirty[q] {
+		st.qubitDirty[q] = true
+		st.dirtyQubit = append(st.dirtyQubit, int32(q))
+	}
+}
+
+func (st *State) reserveTile(op *Op, c lattice.Coord) {
+	st.setTileOp(c, op)
 	op.Tiles = append(op.Tiles, c)
 }
 
 func (st *State) reserveQubit(op *Op, q int) {
-	st.qubitOp[q] = op
+	st.setQubitOp(q, op)
 	op.Qubits = append(op.Qubits, q)
 }
 
@@ -298,7 +397,6 @@ func (st *State) StartEdgeRotation(node, q int, helper lattice.Coord) (*Op, erro
 	op := st.newOp(OpEdgeRotation, node, EdgeRotationCycles)
 	st.reserveQubit(op, q)
 	st.reserveTile(op, helper)
-	st.edgeRotations++
 	return op, nil
 }
 
@@ -337,7 +435,6 @@ func (st *State) StartPrep(node int, tile lattice.Coord, angle circuit.Angle) (*
 	op := st.newOp(OpPrep, node, 0)
 	op.Angle = angle
 	st.reserveTile(op, tile)
-	st.prepsStarted++
 	return op, nil
 }
 
@@ -382,7 +479,8 @@ func (st *State) StartInjection(n, q int, prepTile lattice.Coord, kind rus.Injec
 	// Consume the parked prep: its tile transfers to the injection op.
 	prepOp.consumed = true
 	prepOp.done = true
-	st.tileOp[st.grid.TileIndex(prepTile)] = nil
+	st.retire(prepOp)
+	st.setTileOp(prepTile, nil)
 
 	op := st.newOp(OpInjection, n, spec.Cycles)
 	op.Angle = angle
@@ -392,7 +490,6 @@ func (st *State) StartInjection(n, q int, prepTile lattice.Coord, kind rus.Injec
 	if kind == rus.InjectCNOT {
 		st.reserveTile(op, helper)
 	}
-	st.injectionsStarted++
 	return op, nil
 }
 
@@ -404,7 +501,8 @@ func (st *State) DiscardPrepared(tile lattice.Coord) error {
 		return fmt.Errorf("sim: no prepared state at %v to discard", tile)
 	}
 	op.done = true
-	st.tileOp[st.grid.TileIndex(tile)] = nil
+	st.retire(op) // parked, so already out of active
+	st.setTileOp(tile, nil)
 	return nil
 }
 
@@ -416,8 +514,8 @@ func (st *State) CancelPrep(tile lattice.Coord) error {
 	if op == nil || op.Kind != OpPrep || op.prepared {
 		return fmt.Errorf("sim: no cancellable preparation at %v", tile)
 	}
-	op.done = true
-	st.tileOp[st.grid.TileIndex(tile)] = nil
+	op.done = true // retired once advance compacts it out of active
+	st.setTileOp(tile, nil)
 	return nil
 }
 
@@ -438,6 +536,7 @@ func (st *State) CompleteGate(n int) {
 		st.gatesLeft[q]--
 		if st.gatesLeft[q] == 0 {
 			st.lastGateAt[q] = st.cycle
+			st.markQubit(q) // no work left: the qubit stops counting idle
 		}
 	}
 	for _, s := range st.dag.Succ(n) {

@@ -57,10 +57,17 @@
 //     when a snapshot changes a large fraction of the edges. Published
 //     trees are cloned from the working tree and recycled through a free
 //     list, so the Figure 8 pipeline allocates nothing at steady state.
-//   - The engine's per-cycle loop is allocation-free: active ops live in
+//   - Once its reused buffers have grown, the engine's cycle loop
+//     allocates nothing, for every built-in scheduler. Active ops live in
 //     an ID-ordered list (no map iteration, no per-cycle sort), completion
-//     callbacks reuse one buffer, and per-ancilla activity accounting uses
-//     precomputed tile indices.
+//     callbacks reuse one buffer, and finished ops are recycled at the
+//     next cycle boundary, so a scheduler must not keep an *sim.Op past
+//     the cycle it finishes in. Lattice queries append into caller-owned
+//     buffers, and the schedulers reuse their per-gate state and routing
+//     paths. Ancilla activity and qubit idle time are accounted by
+//     events: only the tiles and qubits whose holder changed in a cycle
+//     are visited, not every ancilla. A test checks that a longer run
+//     allocates no more than a shorter one.
 //   - Options.Parallel runs the Options.Runs seeded simulations on a
 //     bounded worker pool (one worker per CPU). Each run owns its grid,
 //     scheduler and RNG, and results are aggregated in seed order, so a
