@@ -12,10 +12,13 @@
 //	rescqd -store-dir /var/lib/rescqd # durable: jobs + results survive restarts
 //	rescqd -config daemon.json        # JSON config (see internal/config.Daemon)
 //
-// Scale-out (see internal/cluster and the README's "Scaling out" section):
+// Scale-out (see internal/cluster and the README's "Scaling out" section);
+// a coordinator and its workers must run the same build:
 //
 //	rescqd -mode coordinator -addr :8321
 //	rescqd -mode worker -addr :8322 -coordinator http://coord-host:8321
+//
+// The WAL is binary; rescq-walcat prints its records as JSON lines.
 package main
 
 import (
@@ -35,16 +38,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/service"
 )
-
-// workerCodecs is what a worker advertises at registration: everything it
-// speaks, unless -wire-codec json pinned it to the debug path (then it
-// advertises only JSON, and every coordinator falls back accordingly).
-func workerCodecs(wireCodec string) []string {
-	if wireCodec == cluster.CodecJSON {
-		return []string{cluster.CodecJSON}
-	}
-	return cluster.SupportedCodecs()
-}
 
 // deriveAdvertiseURL turns a bound listen address into a dialable base URL
 // for the local-machine quickstart case: a wildcard or unspecified host
@@ -82,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		layout   = fs.String("layout", "", "default lattice layout for requests that name none (default star; see GET /v1/capabilities)")
 		storeDir = fs.String("store-dir", "", "durable job+result store directory (WAL); empty disables persistence")
 		maxDepth = fs.Int("max-queue-depth", 0, "admission-control bound on unfinished run configurations; beyond it submissions get 429 (0 = default 4096, negative disables)")
-		walCodec = fs.String("wal-codec", "", "WAL record format for a fresh store: binary (default) or json (debug; existing logs replay either way)")
 
 		analyticsOn  = fs.Bool("analytics", true, "maintain sweep analytics aggregates and serve GET /v1/analytics/* (false also keeps the WAL free of analytics state records)")
 		analyticsCap = fs.Int("analytics-max-groups", 0, "cardinality cap on analytics aggregate cells, one per distinct sweep-axis tuple (0 = default 8192)")
@@ -98,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		expiry      = fs.Duration("liveness-expiry", 0, "how long a worker may miss heartbeats before the coordinator expires it (0 = default 3x heartbeat)")
 		batchSize   = fs.Int("batch-size", 0, "hard cap on sweep configurations per dispatch batch (0 = default 8; coordinator only)")
 		batchTarget = fs.Duration("batch-target", 0, "estimated work the adaptive sizer packs per batch (0 = default 500ms; coordinator only)")
-		wireCodec   = fs.String("wire-codec", "", "coordinator<->worker dispatch encoding: binary (default) or json (debug; cluster modes only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -121,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	cfg := config.Daemon{
 		Addr: *addr, Workers: *workers, QueueDepth: *queue,
 		CacheEntries: *cache, DrainTimeoutSec: *drain, Layout: *layout,
-		StoreDir: *storeDir, MaxQueueDepth: *maxDepth, WALCodec: *walCodec,
+		StoreDir: *storeDir, MaxQueueDepth: *maxDepth,
 		Analytics: analyticsOn, AnalyticsMaxGroups: *analyticsCap,
 		QueuePolicy: *queuePolicy, Tenants: tenants,
 		Cluster: config.Cluster{
@@ -132,7 +123,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			LivenessExpiryMS:    int(expiry.Milliseconds()),
 			BatchSize:           *batchSize,
 			BatchTargetMS:       int(batchTarget.Milliseconds()),
-			WireCodec:           *wireCodec,
 		},
 	}.WithDefaults()
 	if *cfgPath != "" {
@@ -235,7 +225,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 				IdleConnTimeout: cfg.Cluster.IdleConnTimeout(),
 			}),
 			CoordinatorURL: cfg.Cluster.CoordinatorURL,
-			Self:           cluster.RegisterRequest{ID: self, URL: self, Capacity: svc.Workers(), Codecs: workerCodecs(cfg.Cluster.WireCodec)},
+			Self:           cluster.RegisterRequest{ID: self, URL: self, Capacity: svc.Workers()},
 			Interval:       cfg.Cluster.HeartbeatInterval(),
 			Jitter:         cfg.Cluster.HeartbeatJitter,
 			Retries:        cfg.Cluster.DispatchRetries,

@@ -23,60 +23,26 @@ func benchBatch(b *testing.B, configs int) (ExecuteRequest, ExecuteResponse) {
 	return req, resp
 }
 
-// benchWireRoundTrip measures one batch dispatch's serialization work both
-// ways: encode request, decode request (worker), encode response, decode
-// response (coordinator). bytes/batch is the wire cost before compression.
-func benchWireRoundTrip(b *testing.B, codec string) {
+// BenchmarkWireBatchRoundTripBinary measures one batch dispatch's
+// serialization work both ways: encode request, decode request (worker),
+// encode response, decode response (coordinator). bytes/batch is the wire
+// cost before compression.
+func BenchmarkWireBatchRoundTripBinary(b *testing.B) {
 	req, resp := benchBatch(b, 64)
-	encReq := func() []byte {
-		if codec == CodecBinary {
-			return EncodeExecuteRequestBinary(req)
-		}
-		data, err := json.Marshal(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return data
-	}
-	encResp := func() []byte {
-		if codec == CodecBinary {
-			return EncodeExecuteResponseBinary(resp)
-		}
-		data, err := json.Marshal(resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return data
-	}
-	b.ReportMetric(float64(len(encReq())+len(encResp())), "bytes/batch")
+	b.ReportMetric(float64(len(EncodeExecuteRequestBinary(req))+len(EncodeExecuteResponseBinary(resp))), "bytes/batch")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reqWire, respWire := encReq(), encResp()
-		var (
-			gotReq  ExecuteRequest
-			gotResp ExecuteResponse
-			err     error
-		)
-		if codec == CodecBinary {
-			if gotReq, err = DecodeExecuteRequestBinary(bytes.NewReader(reqWire)); err != nil {
-				b.Fatal(err)
-			}
-			if gotResp, err = DecodeExecuteResponseBinary(respWire); err != nil {
-				b.Fatal(err)
-			}
-		} else {
-			if gotReq, err = DecodeExecuteRequest(bytes.NewReader(reqWire)); err != nil {
-				b.Fatal(err)
-			}
-			if err = json.Unmarshal(respWire, &gotResp); err != nil {
-				b.Fatal(err)
-			}
+		reqWire, respWire := EncodeExecuteRequestBinary(req), EncodeExecuteResponseBinary(resp)
+		gotReq, err := DecodeExecuteRequestBinary(bytes.NewReader(reqWire))
+		if err != nil {
+			b.Fatal(err)
+		}
+		gotResp, err := DecodeExecuteResponseBinary(respWire)
+		if err != nil {
+			b.Fatal(err)
 		}
 		if len(gotReq.Configs) != len(req.Configs) || len(gotResp.Results) != len(resp.Results) {
 			b.Fatal("round trip lost configs or results")
 		}
 	}
 }
-
-func BenchmarkWireBatchRoundTripBinary(b *testing.B) { benchWireRoundTrip(b, CodecBinary) }
-func BenchmarkWireBatchRoundTripJSON(b *testing.B)   { benchWireRoundTrip(b, CodecJSON) }

@@ -186,70 +186,39 @@ func (c *Client) Drain(ctx context.Context, workerURL string) (DrainResponse, er
 	return resp, err
 }
 
-// Execute dispatches one batch to a worker and returns its results. Any
-// transport error (a SIGKILLed worker resets the connection) or non-200
-// status marks the batch undelivered; the caller re-dispatches it.
-func (c *Client) Execute(ctx context.Context, workerURL string, req ExecuteRequest) (ExecuteResponse, error) {
-	resp, _, err := c.ExecuteWith(ctx, workerURL, req, CodecJSON)
-	return resp, err
-}
-
 // WireTraffic reports what one dispatch actually put on the wire: the
-// codec spoken and the body bytes in each direction as transmitted (after
-// compression), so the coordinator's wire metrics measure the network, not
-// the pre-encoding payload.
+// body bytes in each direction as transmitted (after compression), so the
+// coordinator's wire metrics measure the network, not the pre-encoding
+// payload. Zero BytesOut means nothing was sent.
 type WireTraffic struct {
-	Codec    string
 	BytesOut int64
 	BytesIn  int64
 }
 
-// ExecuteWith dispatches one batch in the given wire codec. The binary
-// path frames the request with EncodeExecuteRequestBinary, gzips it when
-// that pays, and advertises gzip for the response; CodecJSON (or anything
-// unrecognized) is the plain JSON path old workers speak. The response is
-// decoded by its own Content-Type, so a worker that answers a binary
-// request in JSON — mid-upgrade, or a debug build — still round-trips.
-func (c *Client) ExecuteWith(ctx context.Context, workerURL string, req ExecuteRequest, codec string) (ExecuteResponse, WireTraffic, error) {
+// Execute dispatches one batch to a worker and returns its results. The
+// request is framed with EncodeExecuteRequestBinary and gzipped when that
+// pays, and gzip is advertised for the binary response. Any transport
+// error (a SIGKILLed worker resets the connection) or non-200 status marks
+// the batch undelivered; the caller re-dispatches it.
+func (c *Client) Execute(ctx context.Context, workerURL string, req ExecuteRequest) (ExecuteResponse, WireTraffic, error) {
 	if err := fault.Check(FaultDispatch); err != nil {
 		return ExecuteResponse{}, WireTraffic{}, err
 	}
-	var (
-		payload     []byte
-		contentType string
-		err         error
-	)
-	if codec == CodecBinary {
-		payload = EncodeExecuteRequestBinary(req)
-		contentType = BinaryContentType
-	} else {
-		codec = CodecJSON
-		if payload, err = json.Marshal(req); err != nil {
-			return ExecuteResponse{}, WireTraffic{}, fmt.Errorf("cluster: encode request: %w", err)
-		}
-		contentType = "application/json"
-	}
-	traffic := WireTraffic{Codec: codec}
-	body, gzipped := payload, false
-	if codec == CodecBinary {
-		body, gzipped = MaybeGzip(payload)
-	}
-	traffic.BytesOut = int64(len(body))
+	body, gzipped := MaybeGzip(EncodeExecuteRequestBinary(req))
+	traffic := WireTraffic{BytesOut: int64(len(body))}
 	url := joinURL(workerURL, ExecutePath)
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %w", err)
 	}
-	httpReq.Header.Set("Content-Type", contentType)
+	httpReq.Header.Set("Content-Type", BinaryContentType)
 	if gzipped {
 		httpReq.Header.Set("Content-Encoding", "gzip")
 	}
-	if codec == CodecBinary {
-		// Setting Accept-Encoding explicitly disables the transport's
-		// transparent decompression, so the raw (compressed) response length
-		// is observable for BytesIn and we gunzip ourselves below.
-		httpReq.Header.Set("Accept-Encoding", "gzip")
-	}
+	// Setting Accept-Encoding explicitly disables the transport's
+	// transparent decompression, so the raw (compressed) response length
+	// is observable for BytesIn and we gunzip ourselves below.
+	httpReq.Header.Set("Accept-Encoding", "gzip")
 	httpResp, err := c.hc.Do(httpReq)
 	if err != nil {
 		return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %s: %w", url, err)
@@ -280,12 +249,8 @@ func (c *Client) ExecuteWith(ctx context.Context, workerURL string, req ExecuteR
 		}
 		zr.Close()
 	}
-	var resp ExecuteResponse
-	if ct, _, _ := strings.Cut(httpResp.Header.Get("Content-Type"), ";"); strings.TrimSpace(ct) == BinaryContentType {
-		if resp, err = DecodeExecuteResponseBinary(raw); err != nil {
-			return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %s: decode response: %w", url, err)
-		}
-	} else if err := json.Unmarshal(raw, &resp); err != nil {
+	resp, err := DecodeExecuteResponseBinary(raw)
+	if err != nil {
 		return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %s: decode response: %w", url, err)
 	}
 	if len(resp.Results) != len(req.Configs) {

@@ -45,7 +45,7 @@ func TestErrorRepliesReuseConnection(t *testing.T) {
 	c := NewTunedClient(ClientOptions{})
 	req := sampleExecuteRequest()
 	for i := 0; i < 5; i++ {
-		_, err := c.Execute(context.Background(), srv.URL, req)
+		_, _, err := c.Execute(context.Background(), srv.URL, req)
 		var se *StatusError
 		if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
 			t.Fatalf("attempt %d: err = %v", i, err)
@@ -60,12 +60,12 @@ func TestErrorRepliesReuseConnection(t *testing.T) {
 // path — a 200 whose body the client gives up on mid-decode.
 func TestDecodeErrorReuseConnection(t *testing.T) {
 	srv, conns := countingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"results": "not an array", "padding": %q}`, strings.Repeat("x", 4096))
+		w.Header().Set("Content-Type", BinaryContentType)
+		fmt.Fprintf(w, `{"results": "not a frame", "padding": %q}`, strings.Repeat("x", 4096))
 	}))
 	c := NewTunedClient(ClientOptions{})
 	for i := 0; i < 3; i++ {
-		if _, err := c.Execute(context.Background(), srv.URL, sampleExecuteRequest()); err == nil {
+		if _, _, err := c.Execute(context.Background(), srv.URL, sampleExecuteRequest()); err == nil {
 			t.Fatal("bad response decoded")
 		}
 	}
@@ -74,35 +74,31 @@ func TestDecodeErrorReuseConnection(t *testing.T) {
 	}
 }
 
-// echoWorker is a handler that decodes an execute request in whatever
-// codec arrived and answers one result per config, in the request's codec
-// (gzipped when the client advertised it and the body is big enough).
-func echoWorker(t *testing.T, sawCodec *atomic.Value) http.Handler {
+// echoWorker is a handler that decodes an execute request as a worker
+// does and answers one result per config (gzipped when the client
+// advertised it and the body is big enough), recording the request's
+// Content-Encoding.
+func echoWorker(t *testing.T, sawEncoding *atomic.Value) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req, codec, err := DecodeExecuteRequestAuto(r.Body, r.Header.Get("Content-Type"), r.Header.Get("Content-Encoding"))
+		req, err := DecodeExecuteRequestAuto(r.Body, r.Header.Get("Content-Type"), r.Header.Get("Content-Encoding"))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		sawCodec.Store(codec)
+		sawEncoding.Store(r.Header.Get("Content-Encoding"))
 		resp := ExecuteResponse{Results: make([]json.RawMessage, len(req.Configs))}
 		for i, c := range req.Configs {
 			resp.Results[i] = mustMarshal(t, map[string]any{"index": c.Index, "spec_bytes": len(c.Spec)})
 		}
-		if codec == CodecBinary {
-			body := EncodeExecuteResponseBinary(resp)
-			if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-				if gz, ok := MaybeGzip(body); ok {
-					body = gz
-					w.Header().Set("Content-Encoding", "gzip")
-				}
+		body := EncodeExecuteResponseBinary(resp)
+		if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			if gz, ok := MaybeGzip(body); ok {
+				body = gz
+				w.Header().Set("Content-Encoding", "gzip")
 			}
-			w.Header().Set("Content-Type", BinaryContentType)
-			w.Write(body)
-			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+		w.Header().Set("Content-Type", BinaryContentType)
+		w.Write(body)
 	})
 }
 
@@ -114,17 +110,17 @@ func TestExecuteWithBinary(t *testing.T) {
 	srv, _ := countingServer(t, echoWorker(t, &saw))
 	c := NewTunedClient(ClientOptions{})
 	req := bigExecuteRequest(64)
-	resp, traffic, err := c.ExecuteWith(context.Background(), srv.URL, req, CodecBinary)
+	resp, traffic, err := c.Execute(context.Background(), srv.URL, req)
 	if err != nil {
-		t.Fatalf("ExecuteWith: %v", err)
+		t.Fatalf("Execute: %v", err)
 	}
-	if saw.Load() != CodecBinary {
-		t.Fatalf("worker decoded codec %v, want binary", saw.Load())
+	if saw.Load() != "gzip" {
+		t.Fatalf("worker saw content encoding %v, want gzip", saw.Load())
 	}
 	if len(resp.Results) != len(req.Configs) {
 		t.Fatalf("got %d results", len(resp.Results))
 	}
-	if traffic.Codec != CodecBinary || traffic.BytesOut == 0 || traffic.BytesIn == 0 {
+	if traffic.BytesOut == 0 || traffic.BytesIn == 0 {
 		t.Fatalf("traffic = %+v", traffic)
 	}
 	// The request body repeats the same spec 64 times: gzip must have paid.
@@ -133,35 +129,15 @@ func TestExecuteWithBinary(t *testing.T) {
 	}
 }
 
-// TestExecuteWithJSONFallback: the same worker spoken to in JSON — the
-// compatibility path a coordinator takes for workers that never advertised
-// the binary codec.
-func TestExecuteWithJSONFallback(t *testing.T) {
-	var saw atomic.Value
-	srv, _ := countingServer(t, echoWorker(t, &saw))
-	c := NewTunedClient(ClientOptions{})
-	req := bigExecuteRequest(8)
-	resp, traffic, err := c.ExecuteWith(context.Background(), srv.URL, req, CodecJSON)
-	if err != nil {
-		t.Fatalf("ExecuteWith: %v", err)
-	}
-	if saw.Load() != CodecJSON || traffic.Codec != CodecJSON {
-		t.Fatalf("codec: worker=%v traffic=%q", saw.Load(), traffic.Codec)
-	}
-	if len(resp.Results) != len(req.Configs) {
-		t.Fatalf("got %d results", len(resp.Results))
-	}
-}
-
-// TestExecuteWithBinaryResultCountMismatch: the short-batch guard holds on
-// the binary path too.
+// TestExecuteWithBinaryResultCountMismatch: a worker that returns fewer
+// results than the batch holds is an error, never a short success.
 func TestExecuteWithBinaryResultCountMismatch(t *testing.T) {
 	srv, _ := countingServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", BinaryContentType)
 		w.Write(EncodeExecuteResponseBinary(ExecuteResponse{Results: []json.RawMessage{[]byte(`{}`)}}))
 	}))
 	c := NewTunedClient(ClientOptions{})
-	_, _, err := c.ExecuteWith(context.Background(), srv.URL, bigExecuteRequest(4), CodecBinary)
+	_, _, err := c.Execute(context.Background(), srv.URL, bigExecuteRequest(4))
 	if err == nil || !strings.Contains(err.Error(), "results for a") {
 		t.Fatalf("err = %v", err)
 	}

@@ -25,6 +25,14 @@
 // fully-validated run specifications — to the worker's execute endpoint and
 // collects per-configuration results.
 //
+// # Wire format
+//
+// The register and drain control calls are JSON. Batches travel in one
+// format only: binary frames (see EncodeExecuteRequestBinary), gzipped
+// when that pays, in both directions. There is no codec negotiation, so a
+// coordinator and its workers must run the same build; a worker answers
+// any other Content-Type with 415.
+//
 // The package is deliberately ignorant of the service layer's spec and
 // result schemas: specs and results travel as json.RawMessage, so
 // internal/service owns the payload shapes and this package owns
@@ -35,7 +43,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -67,10 +74,6 @@ type RegisterRequest struct {
 	// Capacity is the worker's batch parallelism: the coordinator keeps at
 	// most this many batches in flight on the worker (min 1).
 	Capacity int `json:"capacity"`
-	// Codecs lists the wire codecs the worker can decode, most preferred
-	// first (see SupportedCodecs). Absent on workers that predate codec
-	// negotiation; the coordinator speaks JSON to those.
-	Codecs []string `json:"codecs,omitempty"`
 	// Draining announces that the worker is retiring: the coordinator must
 	// fence it from new batches and release it (deregister, ack with
 	// Released) once its in-flight count reaches zero. omitempty keeps
@@ -128,7 +131,7 @@ type ExecuteResponse struct {
 }
 
 // Decoder limits: a hostile or corrupt dispatch request must not buffer
-// unbounded JSON into a worker.
+// unbounded bytes into a worker.
 const (
 	// MaxExecuteBody caps the encoded request size (circuit-text specs are
 	// the largest legitimate payloads, well under a megabyte each).
@@ -137,27 +140,6 @@ const (
 	// batch size is always far below it.
 	MaxBatchConfigs = 1024
 )
-
-// DecodeExecuteRequest strictly parses a batch-dispatch request: size
-// capped, unknown fields rejected, batch shape validated. It is the
-// worker-side trust boundary for coordinator traffic (and is fuzzed).
-func DecodeExecuteRequest(r io.Reader) (ExecuteRequest, error) {
-	var req ExecuteRequest
-	dec := json.NewDecoder(io.LimitReader(r, MaxExecuteBody+1))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return ExecuteRequest{}, fmt.Errorf("cluster: bad execute request: %w", err)
-	}
-	// A second JSON value after the request object is as malformed as a
-	// trailing garbage byte.
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return ExecuteRequest{}, errors.New("cluster: bad execute request: trailing data")
-	}
-	if err := req.validate(); err != nil {
-		return ExecuteRequest{}, err
-	}
-	return req, nil
-}
 
 func (req *ExecuteRequest) validate() error {
 	if req.JobID == "" {
@@ -199,9 +181,6 @@ type WorkerInfo struct {
 	// is its circuit state: "closed", "open" or "half-open".
 	Failures int    `json:"failures,omitempty"`
 	Breaker  string `json:"breaker"`
-	// Codecs is what the worker advertised at registration; empty means a
-	// pre-negotiation worker that is spoken to in JSON.
-	Codecs []string `json:"codecs,omitempty"`
 	// Draining reports that the worker announced a drain and is fenced
 	// from new batches while its in-flight ones finish.
 	Draining bool `json:"draining,omitempty"`

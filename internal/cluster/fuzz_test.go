@@ -2,62 +2,73 @@ package cluster
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
-	"strings"
 	"testing"
 )
 
-// FuzzDecodeExecuteRequest hammers the worker-side trust boundary: the
-// batch-dispatch decoder must never panic, must never accept a request
-// that violates its own invariants, and accepted requests must re-encode
-// and re-decode to the same batch (the coordinator and worker speak the
-// same dialect).
-func FuzzDecodeExecuteRequest(f *testing.F) {
-	f.Add([]byte(validExecuteJSON()))
-	f.Add([]byte(`{"job_id":"j","batch":1,"configs":[{"index":0,"spec":{"Benchmark":"x","Opts":{"distance":5}}}]}`))
-	f.Add([]byte(`{"job_id":"","configs":[]}`))
-	f.Add([]byte(`{"configs":[{"index":-1,"spec":{}}]}`))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(`{"job_id":"j","configs":[{"index":0,"spec":0}]}`))
-	f.Add([]byte("\x00\xff garbage"))
+// checkAccepted fails the fuzz run if an accepted request breaks the
+// decoder's documented invariants or does not survive a binary
+// re-encode/re-decode.
+func checkAccepted(t *testing.T, req ExecuteRequest) {
+	t.Helper()
+	if req.JobID == "" || req.Batch < 0 {
+		t.Fatalf("accepted request with bad header: %+v", req)
+	}
+	if len(req.Configs) == 0 || len(req.Configs) > MaxBatchConfigs {
+		t.Fatalf("accepted batch of %d configs", len(req.Configs))
+	}
+	for i, c := range req.Configs {
+		if c.Index < 0 || len(c.Spec) == 0 {
+			t.Fatalf("accepted bad config %d: %+v", i, c)
+		}
+		if i > 0 && c.Index <= req.Configs[i-1].Index {
+			t.Fatalf("accepted non-increasing indices at %d", i)
+		}
+	}
+	again, err := DecodeExecuteRequestBinary(bytes.NewReader(EncodeExecuteRequestBinary(req)))
+	if err != nil {
+		t.Fatalf("re-decode encoded request: %v", err)
+	}
+	if again.JobID != req.JobID || len(again.Configs) != len(req.Configs) {
+		t.Fatalf("round trip changed the batch: %+v vs %+v", again, req)
+	}
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeExecuteRequest(bytes.NewReader(data))
+// FuzzDecodeExecuteRequest hammers the worker-side trust boundary as the
+// execute handler drives it: a body under the binary Content-Type, gzip
+// unwrapped when the Content-Encoding says so. It must never panic, never
+// accept a request that violates its own invariants, and accepted
+// requests must re-encode and re-decode to the same batch.
+func FuzzDecodeExecuteRequest(f *testing.F) {
+	valid := EncodeExecuteRequestBinary(sampleExecuteRequest())
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(valid)
+	zw.Close()
+	f.Add(valid, false)
+	f.Add(gz.Bytes(), true)
+	f.Add(gz.Bytes()[:gz.Len()/2], true) // torn gzip stream
+	f.Add(valid, true)                   // gzip header missing
+	f.Add([]byte(`{"job_id":"j","configs":[{"index":0,"spec":{}}]}`), false)
+	f.Add([]byte{}, true)
+	f.Add([]byte("\x00\xff garbage"), false)
+
+	f.Fuzz(func(t *testing.T, data []byte, gzipped bool) {
+		encoding := ""
+		if gzipped {
+			encoding = "gzip"
+		}
+		req, err := DecodeExecuteRequestAuto(bytes.NewReader(data), BinaryContentType, encoding)
 		if err != nil {
 			return
 		}
-		// Accepted requests must satisfy the documented invariants.
-		if req.JobID == "" || req.Batch < 0 {
-			t.Fatalf("accepted request with bad header: %+v", req)
-		}
-		if len(req.Configs) == 0 || len(req.Configs) > MaxBatchConfigs {
-			t.Fatalf("accepted batch of %d configs", len(req.Configs))
-		}
-		for i, c := range req.Configs {
-			if c.Index < 0 || len(c.Spec) == 0 {
-				t.Fatalf("accepted bad config %d: %+v", i, c)
-			}
-			if i > 0 && c.Index <= req.Configs[i-1].Index {
-				t.Fatalf("accepted non-increasing indices at %d", i)
-			}
-		}
-		// Round trip: encode and strictly re-decode.
-		enc, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("re-encode accepted request: %v", err)
-		}
-		again, err := DecodeExecuteRequest(strings.NewReader(string(enc)))
-		if err != nil {
-			t.Fatalf("re-decode encoded request: %v\n%s", err, enc)
-		}
-		if again.JobID != req.JobID || len(again.Configs) != len(req.Configs) {
-			t.Fatalf("round trip changed the batch: %+v vs %+v", again, req)
-		}
+		checkAccepted(t, req)
 	})
 }
 
-// FuzzDecodeExecuteRequestBinary is the same trust-boundary contract for
-// the binary wire: no panics, no cap violations in accepted requests, and
+// FuzzDecodeExecuteRequestBinary is the same contract for the frame
+// decoder alone: no panics, no cap violations in accepted requests, and
 // every accepted request survives a binary re-encode/re-decode.
 func FuzzDecodeExecuteRequestBinary(f *testing.F) {
 	valid := EncodeExecuteRequestBinary(ExecuteRequest{JobID: "job-000001", Batch: 2,
@@ -83,26 +94,6 @@ func FuzzDecodeExecuteRequestBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if req.JobID == "" || req.Batch < 0 {
-			t.Fatalf("accepted request with bad header: %+v", req)
-		}
-		if len(req.Configs) == 0 || len(req.Configs) > MaxBatchConfigs {
-			t.Fatalf("accepted batch of %d configs", len(req.Configs))
-		}
-		for i, c := range req.Configs {
-			if c.Index < 0 || len(c.Spec) == 0 {
-				t.Fatalf("accepted bad config %d: %+v", i, c)
-			}
-			if i > 0 && c.Index <= req.Configs[i-1].Index {
-				t.Fatalf("accepted non-increasing indices at %d", i)
-			}
-		}
-		again, err := DecodeExecuteRequestBinary(bytes.NewReader(EncodeExecuteRequestBinary(req)))
-		if err != nil {
-			t.Fatalf("re-decode encoded request: %v", err)
-		}
-		if again.JobID != req.JobID || len(again.Configs) != len(req.Configs) {
-			t.Fatalf("round trip changed the batch: %+v vs %+v", again, req)
-		}
+		checkAccepted(t, req)
 	})
 }

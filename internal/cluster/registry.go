@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -21,10 +20,6 @@ type worker struct {
 	capacity int
 	lastSeen time.Time
 	inflight int
-	// codecs is what the worker advertised at registration; binary caches
-	// whether CodecBinary is among them (the per-dispatch question).
-	codecs []string
-	binary bool
 	// gone is closed when the worker is removed (explicitly or by liveness
 	// expiry); dispatchers watching it abort their in-flight call so the
 	// batch can be re-dispatched instead of waiting on a dead socket.
@@ -126,8 +121,6 @@ func (r *Registry) Upsert(req RegisterRequest) UpsertStatus {
 	w.url = req.URL
 	w.capacity = capacity
 	w.lastSeen = r.now()
-	w.codecs = req.Codecs
-	w.binary = slices.Contains(req.Codecs, CodecBinary)
 	// The drain flag follows the worker's announcement both ways: a worker
 	// restarted after an aborted drain re-enters rotation on its first
 	// non-draining heartbeat.
@@ -191,14 +184,11 @@ func (r *Registry) Len() int {
 // plus the release handle. Gone is closed if the worker dies while the
 // lease is held.
 type Lease struct {
-	ID  string
-	URL string
-	// Binary reports whether the worker advertised the binary wire codec;
-	// false means it must be spoken to in JSON.
-	Binary bool
-	Gone   <-chan struct{}
-	r      *Registry
-	w      *worker
+	ID   string
+	URL  string
+	Gone <-chan struct{}
+	r    *Registry
+	w    *worker
 }
 
 // Release frees the lease's in-flight slot. Safe to call after the worker
@@ -317,7 +307,7 @@ func (r *Registry) leaseLocked(exclude string) (Lease, bool) {
 		w.probing = true
 	}
 	w.inflight++
-	return Lease{ID: w.id, URL: w.url, Binary: w.binary, Gone: w.gone, r: r, w: w}, true
+	return Lease{ID: w.id, URL: w.url, Gone: w.gone, r: r, w: w}, true
 }
 
 // waitWorthwhileLocked reports whether a blocked Acquire can be unblocked
@@ -407,7 +397,6 @@ func (r *Registry) Snapshot() []WorkerInfo {
 			AgeSec:   now.Sub(w.lastSeen).Seconds(),
 			Failures: w.fails,
 			Breaker:  state,
-			Codecs:   slices.Clone(w.codecs),
 			Draining: w.draining,
 		})
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"compress/flate"
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
@@ -13,22 +12,13 @@ import (
 	"strings"
 )
 
-// Wire codec names, advertised by workers in RegisterRequest.Codecs and
-// selected per-dispatch by the coordinator. JSON is both the debug path
-// and the compatibility floor: a worker that advertises nothing predates
-// codec negotiation and is spoken to in JSON.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-)
-
-// SupportedCodecs lists the wire codecs this build can serve, most
-// preferred first — what a worker advertises when registering.
-func SupportedCodecs() []string { return []string{CodecBinary, CodecJSON} }
-
-// BinaryContentType labels binary-framed execute requests and responses;
-// anything else on the wire is treated as JSON.
+// BinaryContentType labels binary-framed execute requests and responses,
+// the only format the execute endpoint speaks.
 const BinaryContentType = "application/x-rescq-binary"
+
+// ErrUnsupportedMediaType marks an execute request whose Content-Type or
+// Content-Encoding this build does not speak; workers answer it with 415.
+var ErrUnsupportedMediaType = errors.New("cluster: unsupported media type")
 
 // wireVersion is the binary wire format version, carried in the frame
 // magic. A frame with an unknown version is rejected whole.
@@ -117,8 +107,8 @@ func EncodeExecuteRequestBinary(req ExecuteRequest) []byte {
 }
 
 // DecodeExecuteRequestBinary strictly parses a binary batch-dispatch
-// request under the same size/count/index caps as the JSON decoder — the
-// worker-side trust boundary for coordinator traffic (and fuzzed like it).
+// request: size capped, batch shape validated. It is the worker-side trust
+// boundary for coordinator traffic (and is fuzzed).
 func DecodeExecuteRequestBinary(r io.Reader) (ExecuteRequest, error) {
 	frame, err := io.ReadAll(io.LimitReader(r, MaxExecuteBody+1))
 	if err != nil {
@@ -180,9 +170,9 @@ func EncodeExecuteResponseBinary(resp ExecuteResponse) []byte {
 }
 
 // DecodeExecuteResponseBinary parses a binary execute response. Responses
-// are deliberately not size-capped, matching the JSON path: they come from
-// peers this node chose to dial, and a large batch of KeepLatencies
-// results is legitimately bigger than any request bound.
+// are deliberately not size-capped: they come from peers this node chose
+// to dial, and a large batch of KeepLatencies results is legitimately
+// bigger than any request bound.
 func DecodeExecuteResponseBinary(frame []byte) (ExecuteResponse, error) {
 	body, err := openWireFrame(frame, wireKindResponse)
 	if err != nil {
@@ -207,35 +197,28 @@ func DecodeExecuteResponseBinary(frame []byte) (ExecuteResponse, error) {
 	return resp, nil
 }
 
-// DecodeExecuteRequestAuto decodes a worker-side execute request in
-// whichever codec and stream compression the coordinator sent, reporting
-// the codec used. Content-Encoding is unwrapped first (the decompressed
-// stream still flows through the strictly-capped decoders), then the
-// Content-Type selects the codec; anything but BinaryContentType is
-// treated as the JSON compatibility path.
-func DecodeExecuteRequestAuto(body io.Reader, contentType, contentEncoding string) (ExecuteRequest, string, error) {
+// DecodeExecuteRequestAuto decodes a worker-side execute request as the
+// coordinator sends it: a binary frame, gzipped when that paid. The
+// Content-Type must be BinaryContentType and the Content-Encoding gzip or
+// none; anything else is ErrUnsupportedMediaType. The decompressed stream
+// still flows through the strictly capped binary decoder.
+func DecodeExecuteRequestAuto(body io.Reader, contentType, contentEncoding string) (ExecuteRequest, error) {
+	if ct, _, _ := strings.Cut(contentType, ";"); strings.TrimSpace(ct) != BinaryContentType {
+		return ExecuteRequest{}, fmt.Errorf("%w: content type %q", ErrUnsupportedMediaType, contentType)
+	}
 	switch strings.ToLower(strings.TrimSpace(contentEncoding)) {
 	case "", "identity":
 	case "gzip":
 		zr, err := gzip.NewReader(body)
 		if err != nil {
-			return ExecuteRequest{}, "", fmt.Errorf("cluster: bad execute request: gzip: %w", err)
+			return ExecuteRequest{}, fmt.Errorf("cluster: bad execute request: gzip: %w", err)
 		}
 		defer zr.Close()
 		body = zr
-	case "deflate":
-		zr := flate.NewReader(body)
-		defer zr.Close()
-		body = zr
 	default:
-		return ExecuteRequest{}, "", fmt.Errorf("cluster: unsupported content encoding %q", contentEncoding)
+		return ExecuteRequest{}, fmt.Errorf("%w: content encoding %q", ErrUnsupportedMediaType, contentEncoding)
 	}
-	if ct, _, _ := strings.Cut(contentType, ";"); strings.TrimSpace(ct) == BinaryContentType {
-		req, err := DecodeExecuteRequestBinary(body)
-		return req, CodecBinary, err
-	}
-	req, err := DecodeExecuteRequest(body)
-	return req, CodecJSON, err
+	return DecodeExecuteRequestBinary(body)
 }
 
 // MaybeGzip compresses a wire body when it is big enough to matter and

@@ -4,76 +4,86 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"io"
-	"strings"
 	"testing"
 )
 
-func validExecuteJSON() string {
-	return `{"job_id":"job-000001","batch":0,"configs":[` +
-		`{"index":0,"spec":{"Benchmark":"gcm_n13"}},` +
-		`{"index":2,"spec":{"Benchmark":"qft_n18"}}]}`
+// decodeAsWorker decodes a request body the way a worker's execute
+// handler receives it from the coordinator: binary, gzip unwrapped.
+func decodeAsWorker(body []byte, contentEncoding string) (ExecuteRequest, error) {
+	return DecodeExecuteRequestAuto(bytes.NewReader(body), BinaryContentType, contentEncoding)
 }
 
 func TestDecodeExecuteRequestValid(t *testing.T) {
-	req, err := DecodeExecuteRequest(strings.NewReader(validExecuteJSON()))
+	req, err := decodeAsWorker(EncodeExecuteRequestBinary(sampleExecuteRequest()), "")
 	if err != nil {
 		t.Fatalf("decode valid request: %v", err)
 	}
-	if req.JobID != "job-000001" || len(req.Configs) != 2 || req.Configs[1].Index != 2 {
+	if req.JobID != "job-000042" || len(req.Configs) != 2 || req.Configs[1].Index != 7 {
 		t.Fatalf("decoded request = %+v", req)
 	}
 }
 
+// TestDecodeExecuteRequestRejects: every malformed batch shape is refused
+// at the worker's decode boundary. Shapes the binary encoding cannot
+// express directly (a negative batch or index) arrive as the out-of-range
+// uvarints a buggy encoder would produce.
 func TestDecodeExecuteRequestRejects(t *testing.T) {
-	huge := `{"job_id":"j","batch":0,"configs":[` +
-		strings.Repeat(`{"index":0,"spec":{}},`, MaxBatchConfigs) +
-		`{"index":1,"spec":{}}]}`
+	spec := []byte(`{}`)
+	frame := func(req ExecuteRequest) []byte { return EncodeExecuteRequestBinary(req) }
+	var huge ExecuteRequest
+	huge.JobID = "j"
+	for i := 0; i <= MaxBatchConfigs; i++ {
+		huge.Configs = append(huge.Configs, ExecuteConfig{Index: i, Spec: spec})
+	}
+	valid := frame(sampleExecuteRequest())
+	// A well-formed frame whose body carries one field more than this
+	// build knows: a trailing blob after the last config.
+	body, err := openWireFrame(valid, wireKindRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknownField := sealWireFrame(wireKindRequest, appendWireBlob(append([]byte(nil), body...), []byte("surprise")))
 	cases := []struct {
 		name string
-		body string
+		body []byte
 	}{
-		{"empty body", ""},
-		{"not json", "batch batch batch"},
-		{"trailing data", validExecuteJSON() + `{"job_id":"x"}`},
-		{"unknown field", `{"job_id":"j","surprise":1,"configs":[{"index":0,"spec":{}}]}`},
-		{"missing job id", `{"batch":0,"configs":[{"index":0,"spec":{}}]}`},
-		{"negative batch", `{"job_id":"j","batch":-1,"configs":[{"index":0,"spec":{}}]}`},
-		{"empty batch", `{"job_id":"j","batch":0,"configs":[]}`},
-		{"negative index", `{"job_id":"j","configs":[{"index":-1,"spec":{}}]}`},
-		{"non-increasing indices", `{"job_id":"j","configs":[{"index":1,"spec":{}},{"index":1,"spec":{}}]}`},
-		{"empty spec", `{"job_id":"j","configs":[{"index":0}]}`},
-		{"oversized batch", huge},
+		{"empty body", nil},
+		{"not json", []byte(`{"job_id":"j","batch":0,"configs":[{"index":0,"spec":{}}]}`)},
+		{"trailing data", append(append([]byte(nil), valid...), frame(ExecuteRequest{JobID: "x"})...)},
+		{"unknown field", unknownField},
+		{"missing job id", frame(ExecuteRequest{Configs: []ExecuteConfig{{Index: 0, Spec: spec}}})},
+		{"negative batch", frame(ExecuteRequest{JobID: "j", Batch: -1, Configs: []ExecuteConfig{{Index: 0, Spec: spec}}})},
+		{"empty batch", frame(ExecuteRequest{JobID: "j"})},
+		{"negative index", frame(ExecuteRequest{JobID: "j", Configs: []ExecuteConfig{{Index: -1, Spec: spec}}})},
+		{"non-increasing indices", frame(ExecuteRequest{JobID: "j", Configs: []ExecuteConfig{{Index: 1, Spec: spec}, {Index: 1, Spec: spec}}})},
+		{"empty spec", frame(ExecuteRequest{JobID: "j", Configs: []ExecuteConfig{{Index: 0}}})},
+		{"oversized batch", frame(huge)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeExecuteRequest(strings.NewReader(tc.body)); err == nil {
+			if _, err := decodeAsWorker(tc.body, ""); err == nil {
 				t.Fatalf("decode accepted %s", tc.name)
 			}
 		})
 	}
 }
 
-// TestExecuteRequestRoundTrip: an encoded request decodes back to itself,
-// so the coordinator's marshal and the worker's strict decoder agree.
+// TestExecuteRequestRoundTrip: a request encoded and compressed as the
+// coordinator sends it decodes back to itself, so the coordinator's
+// encoder and the worker's strict decoder agree.
 func TestExecuteRequestRoundTrip(t *testing.T) {
-	in := ExecuteRequest{
-		JobID: "job-000042",
-		Batch: 3,
-		Configs: []ExecuteConfig{
-			{Index: 4, Spec: json.RawMessage(`{"Benchmark":"gcm_n13","Opts":{"runs":1}}`)},
-			{Index: 7, Spec: json.RawMessage(`{"Experiment":"fig10","Quick":true}`)},
-		},
+	in := bigExecuteRequest(32)
+	body, gzipped := MaybeGzip(EncodeExecuteRequestBinary(in))
+	if !gzipped {
+		t.Fatal("a 32-config batch did not compress")
 	}
-	data, err := json.Marshal(in)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	out, err := DecodeExecuteRequest(strings.NewReader(string(data)))
+	out, err := decodeAsWorker(body, "gzip")
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if out.JobID != in.JobID || out.Batch != in.Batch || len(out.Configs) != 2 {
+	if out.JobID != in.JobID || out.Batch != in.Batch || len(out.Configs) != len(in.Configs) {
 		t.Fatalf("round trip mismatch: %+v", out)
 	}
 	for i := range in.Configs {
@@ -95,8 +105,8 @@ func sampleExecuteRequest() ExecuteRequest {
 	}
 }
 
-// TestBinaryExecuteRequestRoundTrip: the binary framing carries exactly
-// what the JSON wire carries, byte-for-byte on every spec.
+// TestBinaryExecuteRequestRoundTrip: the binary framing carries every
+// field, byte-for-byte on every spec.
 func TestBinaryExecuteRequestRoundTrip(t *testing.T) {
 	in := sampleExecuteRequest()
 	frame := EncodeExecuteRequestBinary(in)
@@ -134,9 +144,9 @@ func TestBinaryExecuteResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryExecuteRequestRejects: the binary decoder is the same trust
-// boundary as the JSON one — every malformed or cap-violating frame must
-// be refused, never mis-parsed.
+// TestBinaryExecuteRequestRejects: the binary decoder is the worker's
+// trust boundary — every malformed or cap-violating frame must be refused,
+// never mis-parsed.
 func TestBinaryExecuteRequestRejects(t *testing.T) {
 	valid := EncodeExecuteRequestBinary(sampleExecuteRequest())
 	flipCRC := append([]byte(nil), valid...)
@@ -177,8 +187,9 @@ func TestBinaryExecuteRequestRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeExecuteRequestAuto: the worker-side dispatcher picks codec by
-// Content-Type and unwraps Content-Encoding first.
+// TestDecodeExecuteRequestAuto: the worker-side decoder unwraps
+// Content-Encoding and accepts only binary frames; a JSON body, however
+// encoded, is an unsupported media type.
 func TestDecodeExecuteRequestAuto(t *testing.T) {
 	in := sampleExecuteRequest()
 	jsonBody, err := json.Marshal(in)
@@ -190,30 +201,38 @@ func TestDecodeExecuteRequestAuto(t *testing.T) {
 	cases := []struct {
 		name, ct, ce string
 		body         []byte
-		wantCodec    string
+		unsupported  bool
 	}{
-		{"json", "application/json", "", jsonBody, CodecJSON},
-		{"json default ct", "", "", jsonBody, CodecJSON},
-		{"binary", BinaryContentType, "", binBody, CodecBinary},
-		{"binary with charset", BinaryContentType + "; charset=utf-8", "", binBody, CodecBinary},
-		{"binary gzip", BinaryContentType, "gzip", gzBody, CodecBinary},
-		{"json gzip", "application/json", "gzip", gzipBytes(t, jsonBody), CodecJSON},
+		{"json", "application/json", "", jsonBody, true},
+		{"json default ct", "", "", jsonBody, true},
+		{"binary", BinaryContentType, "", binBody, false},
+		{"binary with charset", BinaryContentType + "; charset=utf-8", "", binBody, false},
+		{"binary gzip", BinaryContentType, "gzip", gzBody, false},
+		{"json gzip", "application/json", "gzip", gzipBytes(t, jsonBody), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, codec, err := DecodeExecuteRequestAuto(bytes.NewReader(tc.body), tc.ct, tc.ce)
+			req, err := DecodeExecuteRequestAuto(bytes.NewReader(tc.body), tc.ct, tc.ce)
+			if tc.unsupported {
+				if !errors.Is(err, ErrUnsupportedMediaType) {
+					t.Fatalf("err = %v, want ErrUnsupportedMediaType", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if codec != tc.wantCodec || req.JobID != in.JobID || len(req.Configs) != len(in.Configs) {
-				t.Fatalf("codec=%q req=%+v", codec, req)
+			if req.JobID != in.JobID || len(req.Configs) != len(in.Configs) {
+				t.Fatalf("req=%+v", req)
 			}
 		})
 	}
-	if _, _, err := DecodeExecuteRequestAuto(bytes.NewReader(binBody), BinaryContentType, "br"); err == nil {
-		t.Fatal("unsupported content encoding accepted")
+	for _, ce := range []string{"br", "deflate"} {
+		if _, err := DecodeExecuteRequestAuto(bytes.NewReader(binBody), BinaryContentType, ce); !errors.Is(err, ErrUnsupportedMediaType) {
+			t.Fatalf("content encoding %q: err = %v, want ErrUnsupportedMediaType", ce, err)
+		}
 	}
-	if _, _, err := DecodeExecuteRequestAuto(bytes.NewReader(binBody), BinaryContentType, "gzip"); err == nil {
+	if _, err := DecodeExecuteRequestAuto(bytes.NewReader(binBody), BinaryContentType, "gzip"); err == nil {
 		t.Fatal("non-gzip body with gzip encoding accepted")
 	}
 }

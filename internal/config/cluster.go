@@ -77,12 +77,6 @@ type Cluster struct {
 	// hit by a synchronized re-register thundering herd (default 0.2,
 	// max 0.5; negative disables — exact cadence, test use only).
 	HeartbeatJitter float64 `json:"heartbeat_jitter,omitempty"`
-	// WireCodec selects the coordinator<->worker dispatch encoding:
-	// "binary" (the default — compact frames, gzip-compressed when that
-	// pays) or "json" (the debug path, and what old workers are spoken to
-	// in regardless of this knob). On a worker, "json" stops advertising
-	// the binary codec, forcing coordinators onto the JSON path.
-	WireCodec string `json:"wire_codec,omitempty"`
 }
 
 // Clustered reports whether the daemon participates in a cluster (either
@@ -133,9 +127,6 @@ func (c Cluster) WithDefaults() Cluster {
 	}
 	if c.HeartbeatJitter < 0 {
 		c.HeartbeatJitter = 0 // explicit opt-out: exact cadence
-	}
-	if c.WireCodec == "" {
-		c.WireCodec = cluster.CodecBinary
 	}
 	return c
 }
@@ -271,12 +262,6 @@ func (c Cluster) Validate() error {
 	}
 	if c.HeartbeatJitter > 0.5 {
 		return fmt.Errorf("config: heartbeat_jitter must be at most 0.5, got %g", c.HeartbeatJitter)
-	}
-	switch c.WireCodec {
-	case "", cluster.CodecBinary, cluster.CodecJSON:
-	default:
-		return fmt.Errorf("config: unknown wire_codec %q (want %q or %q)",
-			c.WireCodec, cluster.CodecBinary, cluster.CodecJSON)
 	}
 	return nil
 }

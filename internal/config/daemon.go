@@ -30,10 +30,6 @@ type Daemon struct {
 	// DrainTimeoutSec bounds graceful shutdown: in-flight jobs get this
 	// many seconds to finish before the daemon exits anyway (default 30).
 	DrainTimeoutSec int `json:"drain_timeout_sec,omitempty"`
-	// ParallelRuns makes each simulation spread its seeded runs over the
-	// worker pool's CPUs (rescq.Options.Parallel) unless the request says
-	// otherwise (default false: one job, one core, many jobs in flight).
-	ParallelRuns bool `json:"parallel_runs,omitempty"`
 	// Layout is the default lattice layout for requests that do not name
 	// one ("" means the engine default, "star"). Must be a registered
 	// layout name; see GET /v1/capabilities for the live list.
@@ -44,12 +40,6 @@ type Daemon struct {
 	// restart the daemon replays the WAL, re-seeds the result cache and
 	// re-enqueues interrupted jobs. Empty disables persistence.
 	StoreDir string `json:"store_dir,omitempty"`
-	// WALCodec selects the on-disk record format for a fresh WAL: "binary"
-	// (the default — length-prefixed CRC-protected frames) or "json" (the
-	// debug/compat path, one JSON object per line). Existing logs are read
-	// in whichever format they were written and migrated to this codec at
-	// the first compaction.
-	WALCodec string `json:"wal_codec,omitempty"`
 	// MaxQueueDepth bounds admission control: the total backlog of
 	// admitted-but-unfinished run configurations across all queued and
 	// running jobs (a sweep counts one per configuration). Submissions
@@ -141,11 +131,6 @@ func (d Daemon) Validate() error {
 	if !lattice.Known(d.Layout) {
 		return fmt.Errorf("config: unknown layout %q (registered: %s)",
 			d.Layout, strings.Join(lattice.Layouts(), ", "))
-	}
-	switch d.WALCodec {
-	case "", "binary", "json":
-	default:
-		return fmt.Errorf("config: unknown wal_codec %q (want \"binary\" or \"json\")", d.WALCodec)
 	}
 	if d.Failpoints != "" {
 		if err := fault.Validate(d.Failpoints); err != nil {

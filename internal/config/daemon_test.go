@@ -11,8 +11,8 @@ func TestDaemonDefaults(t *testing.T) {
 	if d.Addr != ":8321" || d.QueueDepth != 256 || d.CacheEntries != 1024 || d.DrainTimeoutSec != 30 {
 		t.Fatalf("defaults = %+v", d)
 	}
-	if d.Workers != 0 || d.ParallelRuns {
-		t.Fatalf("workers/parallel defaults = %+v", d)
+	if d.Workers != 0 {
+		t.Fatalf("workers default = %+v", d)
 	}
 	if d.MaxQueueDepth != 4096 {
 		t.Fatalf("max_queue_depth default = %d, want 4096", d.MaxQueueDepth)

@@ -50,15 +50,12 @@ type ServiceStats struct {
 	WorkerExpiries      atomic.Int64 // workers expired by the liveness sweeper
 	WorkersDrained      atomic.Int64 // draining workers released after their last in-flight batch
 
-	// Wire-codec counters (coordinator side): which codec each dispatched
-	// batch was spoken in, and the bytes that actually crossed the wire
+	// Wire counters (coordinator side): batches that went out in the
+	// binary wire format, and the bytes that actually crossed the wire
 	// (post-compression), per direction.
-	WireBinaryBatches  atomic.Int64 // batches dispatched in the binary wire codec
-	WireBinaryBytesOut atomic.Int64 // binary-dispatch request bytes on the wire
-	WireBinaryBytesIn  atomic.Int64 // binary-dispatch response bytes on the wire
-	WireJSONBatches    atomic.Int64 // batches dispatched in the JSON wire codec
-	WireJSONBytesOut   atomic.Int64 // JSON-dispatch request bytes on the wire
-	WireJSONBytesIn    atomic.Int64 // JSON-dispatch response bytes on the wire
+	WireBinaryBatches  atomic.Int64 // batches put on the wire
+	WireBinaryBytesOut atomic.Int64 // dispatch request bytes on the wire
+	WireBinaryBytesIn  atomic.Int64 // dispatch response bytes on the wire
 
 	mu            sync.Mutex
 	latency       *Histogram // completed-job latency in milliseconds
@@ -219,9 +216,6 @@ type Snapshot struct {
 	WireBinaryBatches  int64 `json:"wire_binary_batches"`
 	WireBinaryBytesOut int64 `json:"wire_binary_bytes_out"`
 	WireBinaryBytesIn  int64 `json:"wire_binary_bytes_in"`
-	WireJSONBatches    int64 `json:"wire_json_batches"`
-	WireJSONBytesOut   int64 `json:"wire_json_bytes_out"`
-	WireJSONBytesIn    int64 `json:"wire_json_bytes_in"`
 
 	LatencyCount int64 `json:"latency_count"`
 	LatencyP50ms int64 `json:"latency_p50_ms"`
@@ -277,9 +271,6 @@ func (s *ServiceStats) Snapshot() Snapshot {
 		WireBinaryBatches:  s.WireBinaryBatches.Load(),
 		WireBinaryBytesOut: s.WireBinaryBytesOut.Load(),
 		WireBinaryBytesIn:  s.WireBinaryBytesIn.Load(),
-		WireJSONBatches:    s.WireJSONBatches.Load(),
-		WireJSONBytesOut:   s.WireJSONBytesOut.Load(),
-		WireJSONBytesIn:    s.WireJSONBytesIn.Load(),
 
 		LatencyCount: int64(n),
 		LatencyP50ms: int64(p50),
@@ -332,18 +323,9 @@ func (s Snapshot) RenderProm(prefix string) string {
 	counter("cluster_heartbeats_total", "Worker register/heartbeat requests accepted.", s.HeartbeatsReceived)
 	counter("cluster_worker_expiries_total", "Workers expired by the liveness sweeper.", s.WorkerExpiries)
 	counter("cluster_workers_drained_total", "Draining workers released after their last in-flight batch.", s.WorkersDrained)
-	labeled := func(name, help string, rows ...[2]any) {
-		fmt.Fprintf(&sb, "# HELP %s_%s %s\n# TYPE %s_%s counter\n", prefix, name, help, prefix, name)
-		for _, r := range rows {
-			fmt.Fprintf(&sb, "%s_%s{codec=%q} %d\n", prefix, name, r[0], r[1])
-		}
-	}
-	labeled("cluster_wire_batches_total", "Batches dispatched, by wire codec.",
-		[2]any{"binary", s.WireBinaryBatches}, [2]any{"json", s.WireJSONBatches})
-	labeled("cluster_wire_bytes_out_total", "Dispatch request bytes on the wire (post-compression), by codec.",
-		[2]any{"binary", s.WireBinaryBytesOut}, [2]any{"json", s.WireJSONBytesOut})
-	labeled("cluster_wire_bytes_in_total", "Dispatch response bytes on the wire (post-compression), by codec.",
-		[2]any{"binary", s.WireBinaryBytesIn}, [2]any{"json", s.WireJSONBytesIn})
+	counter("cluster_wire_batches_total", "Batches put on the wire to cluster workers.", s.WireBinaryBatches)
+	counter("cluster_wire_bytes_out_total", "Dispatch request bytes on the wire (post-compression).", s.WireBinaryBytesOut)
+	counter("cluster_wire_bytes_in_total", "Dispatch response bytes on the wire (post-compression).", s.WireBinaryBytesIn)
 	counter("job_latency_observations_total", "Completed jobs with recorded latency.", s.LatencyCount)
 	fmt.Fprintf(&sb, "# HELP %s_job_latency_ms Completed-job latency quantiles in milliseconds.\n# TYPE %s_job_latency_ms summary\n", prefix, prefix)
 	fmt.Fprintf(&sb, "%s_job_latency_ms{quantile=\"0.5\"} %d\n", prefix, s.LatencyP50ms)

@@ -93,7 +93,7 @@ func benchCluster(b *testing.B, runner Runner, workers, capacity int) (*Server, 
 		hb := &cluster.Heartbeater{
 			Client:         cluster.NewClient(nil),
 			CoordinatorURL: coordTS.URL,
-			Self:           cluster.RegisterRequest{ID: wts.URL, URL: wts.URL, Capacity: capacity, Codecs: cluster.SupportedCodecs()},
+			Self:           cluster.RegisterRequest{ID: wts.URL, URL: wts.URL, Capacity: capacity},
 			Interval:       wCfg.Cluster.HeartbeatInterval(),
 		}
 		go hb.Run(ctx)

@@ -158,11 +158,15 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	s.execInflight.Add(1)
 	defer s.execInflight.Add(-1)
-	req, codec, err := cluster.DecodeExecuteRequestAuto(
+	req, err := cluster.DecodeExecuteRequestAuto(
 		http.MaxBytesReader(w, r.Body, cluster.MaxExecuteBody),
 		r.Header.Get("Content-Type"), r.Header.Get("Content-Encoding"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		code := http.StatusBadRequest
+		if errors.Is(err, cluster.ErrUnsupportedMediaType) {
+			code = http.StatusUnsupportedMediaType
+		}
+		writeError(w, code, err)
 		return
 	}
 	specs := make([]runSpec, len(req.Configs))
@@ -193,19 +197,15 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, data)
 	}
-	if codec == cluster.CodecBinary {
-		body := cluster.EncodeExecuteResponseBinary(resp)
-		if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-			if gz, ok := cluster.MaybeGzip(body); ok {
-				body = gz
-				w.Header().Set("Content-Encoding", "gzip")
-			}
+	body := cluster.EncodeExecuteResponseBinary(resp)
+	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+		if gz, ok := cluster.MaybeGzip(body); ok {
+			body = gz
+			w.Header().Set("Content-Encoding", "gzip")
 		}
-		w.Header().Set("Content-Type", cluster.BinaryContentType)
-		w.Write(body)
-		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", cluster.BinaryContentType)
+	w.Write(body)
 }
 
 // Deadline and hedge derivation. Both are multiples of the observed
@@ -484,18 +484,7 @@ func (s *Server) raceBatch(ctx context.Context, primary cluster.Lease, req clust
 	return cluster.ExecuteResponse{}, cluster.Lease{}, firstErr
 }
 
-// wireCodec picks the dispatch encoding for one lease: binary when the
-// worker advertised it and the coordinator's wire_codec knob has not
-// forced the JSON debug path; JSON otherwise (including every worker that
-// predates codec negotiation).
-func (s *Server) wireCodec(lease cluster.Lease) string {
-	if lease.Binary && s.clust.cfg.WireCodec != cluster.CodecJSON {
-		return cluster.CodecBinary
-	}
-	return cluster.CodecJSON
-}
-
-// executeOnWorker POSTs one batch in the lease's negotiated codec,
+// executeOnWorker POSTs one batch to the lease's worker,
 // aborting the call the moment the worker is removed from the registry
 // (liveness expiry fires while the socket is still nominally open) so the
 // batch can be re-dispatched without waiting on a dead peer.
@@ -512,16 +501,11 @@ func (s *Server) executeOnWorker(ctx context.Context, lease cluster.Lease, req c
 		}
 	}()
 	s.stats.BatchesDispatched.Add(1)
-	resp, traffic, err := s.clust.client.ExecuteWith(callCtx, lease.URL, req, s.wireCodec(lease))
-	switch traffic.Codec {
-	case cluster.CodecBinary:
+	resp, traffic, err := s.clust.client.Execute(callCtx, lease.URL, req)
+	if traffic.BytesOut > 0 {
 		s.stats.WireBinaryBatches.Add(1)
 		s.stats.WireBinaryBytesOut.Add(traffic.BytesOut)
 		s.stats.WireBinaryBytesIn.Add(traffic.BytesIn)
-	case cluster.CodecJSON:
-		s.stats.WireJSONBatches.Add(1)
-		s.stats.WireJSONBytesOut.Add(traffic.BytesOut)
-		s.stats.WireJSONBytesIn.Add(traffic.BytesIn)
 	}
 	return resp, err
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,18 @@ import (
 	"repro/internal/config"
 	"repro/internal/store"
 )
+
+// postBatch POSTs an execute request to a worker the way the coordinator
+// does: one binary frame.
+func postBatch(t *testing.T, url string, req cluster.ExecuteRequest) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+cluster.ExecutePath, cluster.BinaryContentType,
+		bytes.NewReader(cluster.EncodeExecuteRequestBinary(req)))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	return resp
+}
 
 // clusterNode is one in-process cluster member: a service.Server behind a
 // real HTTP listener, plus (for workers) the heartbeat loop keeping it
@@ -81,7 +94,7 @@ func startWorkerSlots(t *testing.T, coordURL string, runner Runner, slots int) *
 	hb := &cluster.Heartbeater{
 		Client:         cluster.NewClient(nil),
 		CoordinatorURL: coordURL,
-		Self:           cluster.RegisterRequest{ID: ts.URL, URL: ts.URL, Capacity: slots, Codecs: cluster.SupportedCodecs()},
+		Self:           cluster.RegisterRequest{ID: ts.URL, URL: ts.URL, Capacity: slots},
 		Interval:       cfg.Cluster.HeartbeatInterval(),
 		Draining:       s.WorkerDraining,
 		OnReleased:     func() { close(released) },
@@ -344,7 +357,8 @@ func TestClusterWorkerExpiry(t *testing.T) {
 }
 
 // TestWorkerExecuteEndpoint covers the worker-side dispatch surface
-// directly: a valid batch executes in order, malformed batches are 400s.
+// directly: a valid batch executes in order, malformed batches are 400s,
+// and a body in any format but the binary frame is a 415.
 func TestWorkerExecuteEndpoint(t *testing.T) {
 	runner := &countingRunner{}
 	cfg := config.Daemon{
@@ -373,11 +387,16 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 		}
 		req.Configs[i] = cluster.ExecuteConfig{Index: i + 5, Spec: data}
 	}
-	resp := postJSON(t, ts.URL+cluster.ExecutePath, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("execute: %d", resp.StatusCode)
+	resp := postBatch(t, ts.URL, req)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute: %d, %v", resp.StatusCode, err)
 	}
-	out := decode[cluster.ExecuteResponse](t, resp)
+	out, err := cluster.DecodeExecuteResponseBinary(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out.Results) != 2 {
 		t.Fatalf("execute returned %d results", len(out.Results))
 	}
@@ -395,11 +414,13 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 	}
 
 	// Malformed batches never reach the engine.
-	for _, body := range []string{
-		``, `{`, `{"job_id":"j","configs":[]}`,
-		`{"job_id":"j","configs":[{"index":0,"spec":"not-a-spec"}]}`,
+	for _, body := range [][]byte{
+		nil, []byte(`{`),
+		cluster.EncodeExecuteRequestBinary(cluster.ExecuteRequest{JobID: "j"}),
+		cluster.EncodeExecuteRequestBinary(cluster.ExecuteRequest{JobID: "j",
+			Configs: []cluster.ExecuteConfig{{Index: 0, Spec: json.RawMessage(`"not-a-spec"`)}}}),
 	} {
-		r, err := http.Post(ts.URL+cluster.ExecutePath, "application/json", strings.NewReader(body))
+		r, err := http.Post(ts.URL+cluster.ExecutePath, cluster.BinaryContentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,63 +429,42 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 			t.Fatalf("body %q: status %d, want 400", body, r.StatusCode)
 		}
 	}
+	// The same valid batch as JSON is a format this build does not speak.
+	r := postJSON(t, ts.URL+cluster.ExecutePath, req)
+	r.Body.Close()
+	if r.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("JSON batch: status %d, want 415", r.StatusCode)
+	}
+	if runner.calls.Load() != 2 {
+		t.Fatalf("rejected batches reached the runner: %d runs", runner.calls.Load())
+	}
 
 	// A standalone daemon does not expose the internal endpoints at all.
 	sa, tsa := newTestServer(t, config.Daemon{}, &countingRunner{})
 	_ = sa
-	r := postJSON(t, tsa.URL+cluster.ExecutePath, req)
+	r = postBatch(t, tsa.URL, req)
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Fatalf("standalone execute endpoint: %d, want 404", r.StatusCode)
 	}
 }
 
-// TestClusterLegacyWorkerJSONFallback is the mixed-version acceptance
-// test: a worker from a build that predates codec negotiation registers
-// without a codecs list, and the coordinator must finish the sweep over
-// the JSON wire rather than speak binary at a peer that never offered it.
-func TestClusterLegacyWorkerJSONFallback(t *testing.T) {
+// TestRegisterRejectsCodecNegotiation: a heartbeat from a build that
+// still negotiated wire codecs is refused by the strict register decoder,
+// since coordinator and workers must run the same build.
+func TestRegisterRejectsCodecNegotiation(t *testing.T) {
 	coord := startCoordinator(t, "")
-
-	cfg := config.Daemon{
-		Workers: 1,
-		Cluster: config.Cluster{
-			Mode:                config.ModeWorker,
-			CoordinatorURL:      coord.ts.URL,
-			HeartbeatIntervalMS: 50,
-		},
-	}.WithDefaults()
-	s := New(cfg, nil)
-	s.Start()
-	ts := httptest.NewServer(s.Handler())
-	ctx, cancel := context.WithCancel(context.Background())
-	hb := &cluster.Heartbeater{
-		Client:         cluster.NewClient(nil),
-		CoordinatorURL: coord.ts.URL,
-		// No Codecs field: exactly what an old worker binary sends.
-		Self:     cluster.RegisterRequest{ID: ts.URL, URL: ts.URL, Capacity: 1},
-		Interval: cfg.Cluster.HeartbeatInterval(),
+	resp, err := http.Post(coord.ts.URL+cluster.RegisterPath, "application/json",
+		strings.NewReader(`{"id":"w-old","url":"http://127.0.0.1:1","capacity":1,"codecs":["binary","json"]}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	go hb.Run(ctx)
-	legacy := &clusterNode{srv: s, ts: ts, stop: cancel}
-	t.Cleanup(func() { legacy.shutdown(t) })
-	waitForWorkers(t, coord, 1)
-
-	req := chaosSweep
-	req.Benchmarks = []string{"vqe_n13"}
-	req.Async = false
-	view := decode[JobView](t, postJSON(t, coord.ts.URL+"/v1/sweep", req))
-	if view.State != JobDone || len(view.Results) != 12 {
-		t.Fatalf("mixed-version sweep: state=%s results=%d, want done/12", view.State, len(view.Results))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("register with codecs answered %d, want 400", resp.StatusCode)
 	}
-	if n := coord.srv.Stats().RemoteConfigs.Load(); n == 0 {
-		t.Fatal("legacy worker executed nothing remotely")
-	}
-	if n := coord.srv.Stats().WireJSONBatches.Load(); n == 0 {
-		t.Fatal("no batch fell back to the JSON wire for the legacy worker")
-	}
-	if n := coord.srv.Stats().WireBinaryBatches.Load(); n != 0 {
-		t.Fatalf("%d batches went over the binary wire to a worker that never advertised it", n)
+	if n := coord.srv.clust.registry.Len(); n != 0 {
+		t.Fatalf("registry holds %d workers after a refused register", n)
 	}
 }
 
@@ -494,14 +494,11 @@ func TestWorkerExecuteCancelReturns503(t *testing.T) {
 	req := cluster.ExecuteRequest{JobID: "job-000001", Configs: []cluster.ExecuteConfig{
 		{Index: 0, Spec: spec}, {Index: 1, Spec: spec},
 	}}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := cluster.EncodeExecuteRequestBinary(req)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hr := httptest.NewRequest(http.MethodPost, cluster.ExecutePath, bytes.NewReader(body)).WithContext(ctx)
-	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set("Content-Type", cluster.BinaryContentType)
 	rec := httptest.NewRecorder()
 
 	done := make(chan struct{})
@@ -666,7 +663,7 @@ func TestClusterDrainWorkerMidSweep(t *testing.T) {
 
 	// The drained worker refuses new batches.
 	execReq := cluster.ExecuteRequest{JobID: "job-x", Configs: []cluster.ExecuteConfig{{Index: 0, Spec: json.RawMessage(`{}`)}}}
-	execResp := postJSON(t, victim.ts.URL+cluster.ExecutePath, execReq)
+	execResp := postBatch(t, victim.ts.URL, execReq)
 	execResp.Body.Close()
 	if execResp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining worker answered execute with %d, want 503", execResp.StatusCode)

@@ -54,7 +54,7 @@ func (s *Server) AttachStore(dir string) (ReplayStats, error) {
 	if s.store != nil {
 		return ReplayStats{}, errors.New("service: store already attached")
 	}
-	st, err := store.Open(dir, store.Options{RetainJobs: maxFinishedJobs, Codec: s.cfg.WALCodec})
+	st, err := store.Open(dir, store.Options{RetainJobs: maxFinishedJobs})
 	if err != nil {
 		return ReplayStats{}, err
 	}

@@ -540,10 +540,8 @@ type storeHealth struct {
 	// CompactionSeconds is the time compactions took since startup; they
 	// run inline under the WAL lock, so appends stall for this long.
 	CompactionSeconds float64 `json:"compaction_seconds"`
-	// Codec is the WAL's on-disk record format ("binary" or "json").
-	Codec           string `json:"codec,omitempty"`
-	ReplayedJobs    int64  `json:"replayed_jobs"`
-	ReplayedResults int64  `json:"replayed_results"`
+	ReplayedJobs      int64   `json:"replayed_jobs"`
+	ReplayedResults   int64   `json:"replayed_results"`
 	// Durable is false while the daemon serves in lossy mode (a WAL write
 	// failed; the probe has not yet re-attached the disk) — never omitted,
 	// because false is exactly the value a monitor alerts on.
@@ -660,7 +658,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Bytes:             st.Bytes,
 			Compactions:       st.Compactions,
 			CompactionSeconds: st.CompactionSeconds,
-			Codec:             st.Codec,
 			ReplayedJobs:      s.stats.ReplayedJobs.Load(),
 			ReplayedResults:   s.stats.ReplayedResults.Load(),
 			Durable:           !s.Lossy(),
@@ -736,12 +733,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# HELP rescqd_store_bytes WAL file size in bytes.\n# TYPE rescqd_store_bytes gauge\nrescqd_store_bytes %d\n", st.Bytes)
 		fmt.Fprintf(w, "# HELP rescqd_store_compactions_total WAL compactions performed.\n# TYPE rescqd_store_compactions_total counter\nrescqd_store_compactions_total %d\n", st.Compactions)
 		fmt.Fprintf(w, "# HELP rescqd_store_compaction_seconds_total Time spent in WAL compactions, which stall appends while they run.\n# TYPE rescqd_store_compaction_seconds_total counter\nrescqd_store_compaction_seconds_total %g\n", st.CompactionSeconds)
-		fmt.Fprint(w, "# HELP rescqd_store_appends_total WAL records appended, by on-disk codec.\n# TYPE rescqd_store_appends_total counter\n")
-		fmt.Fprintf(w, "rescqd_store_appends_total{codec=\"binary\"} %d\n", st.AppendsBinary)
-		fmt.Fprintf(w, "rescqd_store_appends_total{codec=\"json\"} %d\n", st.AppendsJSON)
-		fmt.Fprint(w, "# HELP rescqd_store_append_bytes_total WAL bytes appended, by on-disk codec.\n# TYPE rescqd_store_append_bytes_total counter\n")
-		fmt.Fprintf(w, "rescqd_store_append_bytes_total{codec=\"binary\"} %d\n", st.AppendBytesBinary)
-		fmt.Fprintf(w, "rescqd_store_append_bytes_total{codec=\"json\"} %d\n", st.AppendBytesJSON)
+		fmt.Fprintf(w, "# HELP rescqd_store_appends_total WAL records appended.\n# TYPE rescqd_store_appends_total counter\nrescqd_store_appends_total %d\n", st.AppendsBinary)
+		fmt.Fprintf(w, "# HELP rescqd_store_append_bytes_total WAL bytes appended.\n# TYPE rescqd_store_append_bytes_total counter\nrescqd_store_append_bytes_total %d\n", st.AppendBytesBinary)
 		durable := 1
 		if s.Lossy() {
 			durable = 0

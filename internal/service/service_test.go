@@ -186,6 +186,35 @@ func TestRunCacheHit(t *testing.T) {
 	}
 }
 
+// parallelRunner records whether any engine call asked for parallel seeds.
+type parallelRunner struct {
+	countingRunner
+	parallel atomic.Bool
+}
+
+func (r *parallelRunner) Run(ctx context.Context, bench string, opts rescq.Options) (rescq.Summary, error) {
+	if opts.Parallel {
+		r.parallel.Store(true)
+	}
+	return r.countingRunner.Run(ctx, bench, opts)
+}
+
+// TestRunSeedsStaySerial: a /v1/run request's options.parallel never
+// reaches the engine; each configuration's seeds run serially on its slot.
+func TestRunSeedsStaySerial(t *testing.T) {
+	runner := &parallelRunner{}
+	_, ts := newTestServer(t, config.Daemon{}, runner)
+	resp := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", RunRequest{
+		Benchmark: "gcm_n13", Options: rescq.Options{Runs: 2, Parallel: true},
+	}))
+	if resp.State != JobDone || runner.calls.Load() != 1 {
+		t.Fatalf("run = %s after %d engine calls", resp.State, runner.calls.Load())
+	}
+	if runner.parallel.Load() {
+		t.Fatal("the engine was asked to run seeds in parallel")
+	}
+}
+
 func TestRunIncludeLatencies(t *testing.T) {
 	_, ts := newTestServer(t, config.Daemon{}, &countingRunner{})
 	resp := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", RunRequest{
@@ -710,6 +739,7 @@ func TestValidationErrors(t *testing.T) {
 		{"sweep unknown benchmark", "/v1/sweep", `{"benchmarks":["nope"]}`},
 		{"sweep bad option", "/v1/sweep", `{"benchmarks":["gcm_n13"],"distances":[4]}`},
 		{"sweep bad stream mode", "/v1/sweep", `{"benchmarks":["gcm_n13"],"stream":"json"}`},
+		{"sweep parallel", "/v1/sweep", `{"benchmarks":["gcm_n13"],"parallel":true}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

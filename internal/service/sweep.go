@@ -28,10 +28,9 @@ type SweepRequest struct {
 	PhysErrors   []float64                    `json:"phys_errors,omitempty"`
 	KValues      []int                        `json:"k_values,omitempty"`
 	Compressions []float64                    `json:"compressions,omitempty"`
-	// Runs/Seed/Parallel apply to every configuration.
-	Runs     int   `json:"runs,omitempty"`
-	Seed     int64 `json:"seed,omitempty"`
-	Parallel bool  `json:"parallel,omitempty"`
+	// Runs/Seed apply to every configuration.
+	Runs int   `json:"runs,omitempty"`
+	Seed int64 `json:"seed,omitempty"`
 	// Async returns a job id immediately; Stream ("sse" or "ndjson")
 	// streams per-configuration results as they complete. Neither set:
 	// the request blocks and returns the whole job.
@@ -89,7 +88,10 @@ func (s *Server) validateRun(req RunRequest) (runSpec, error) {
 		Opts:          req.Options,
 		KeepLatencies: req.IncludeLatencies,
 	}
-	spec.Opts.Parallel = spec.Opts.Parallel || s.cfg.ParallelRuns
+	// A configuration's seeds run serially on its engine slot: the slots
+	// already fill the cores, and a nested seed pool would oversubscribe
+	// them behind -workers' back. Results are identical either way.
+	spec.Opts.Parallel = false
 	if spec.Opts.Layout == "" {
 		spec.Opts.Layout = s.cfg.Layout
 	}
@@ -185,7 +187,6 @@ func (s *Server) expandSweep(req SweepRequest) ([]runSpec, error) {
 									Compression:  comp,
 									Runs:         req.Runs,
 									Seed:         req.Seed,
-									Parallel:     req.Parallel || s.cfg.ParallelRuns,
 								}
 								if err := opts.Validate(); err != nil {
 									return nil, fmt.Errorf("service: %s/%s layout=%s d=%d p=%g k=%d c=%g: %w",

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -339,7 +337,7 @@ func TestJobsTenantFilter(t *testing.T) {
 func TestWALTenantCompat(t *testing.T) {
 	dir := t.TempDir()
 
-	a := New(config.Daemon{Workers: 1, WALCodec: store.CodecJSON}, &countingRunner{})
+	a := New(config.Daemon{Workers: 1}, &countingRunner{})
 	if _, err := a.AttachStore(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -359,32 +357,27 @@ func TestWALTenantCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, store.WALName))
+	// The default tenant is persisted as the absence of a tag, so
+	// default-only traffic writes byte-identical records to older daemons
+	// (and their logs replay here symmetrically).
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		var rec struct {
-			Type   string `json:"type"`
-			ID     string `json:"id"`
-			Tenant string `json:"tenant"`
-		}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Type != "job" {
-			continue
-		}
-		switch rec.ID {
+	for _, rj := range st.Replayed() {
+		switch rj.Job.ID {
 		case first.JobID:
-			// The default tenant is persisted as the absence of a tag, so
-			// default-only traffic writes byte-identical records to older
-			// daemons (and their logs replay here symmetrically).
-			if strings.Contains(line, "tenant") {
-				t.Fatalf("default-tenant job record carries a tenant tag: %s", line)
+			if rj.Job.Tenant != "" {
+				t.Fatalf("default-tenant job record carries tenant tag %q", rj.Job.Tenant)
 			}
 		case second.JobID:
-			if rec.Tenant != "alice" {
-				t.Fatalf("tagged job record tenant = %q, want alice: %s", rec.Tenant, line)
+			if rj.Job.Tenant != "alice" {
+				t.Fatalf("tagged job record tenant = %q, want alice", rj.Job.Tenant)
 			}
 		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Restart: the untagged record replays onto the default tenant, the

@@ -8,11 +8,12 @@ import (
 	"time"
 )
 
-// benchAppend measures the serving-path record append: one result record
-// per iteration into a live store, compaction disabled so the numbers are
-// pure encode+write. bytes/record is the acceptance criterion's metric.
-func benchAppend(b *testing.B, codec string) {
-	s, err := Open(b.TempDir(), Options{Codec: codec, RetainJobs: 1 << 20, CompactEvery: 1 << 30})
+// BenchmarkWALAppendBinary measures the serving-path record append: one
+// result record per iteration into a live store, compaction disabled so
+// the numbers are pure encode+write. bytes/record is the acceptance
+// criterion's metric.
+func BenchmarkWALAppendBinary(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{RetainJobs: 1 << 20, CompactEvery: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,23 +41,14 @@ func benchAppend(b *testing.B, codec string) {
 	}
 }
 
-func BenchmarkWALAppendBinary(b *testing.B) { benchAppend(b, CodecBinary) }
-func BenchmarkWALAppendJSON(b *testing.B)   { benchAppend(b, CodecJSON) }
-
-// benchReplayLog builds a one-job, many-result log in memory, in the
-// requested codec, for the replay benchmarks.
+// benchReplayLog builds a one-job, many-result log in memory, binary or
+// JSON-era, for the replay benchmarks.
 func benchReplayLog(b *testing.B, codec string, results int) []byte {
 	var buf bytes.Buffer
 	if codec == CodecBinary {
 		buf.Write(walMagic[:])
 	}
-	emit := func(v any) {
-		frame, err := encodeRecord(codec, v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf.Write(frame)
-	}
+	emit := func(v any) { buf.Write(refEncode(b, codec, v)) }
 	emit(JobRecord{Type: recJob, ID: "job-000001", Kind: "sweep", Created: time.Unix(1700000000, 0).UTC(),
 		Specs: mustJSON(b, []map[string]string{{"benchmark": "gcm_n13"}})})
 	payloads := make([]json.RawMessage, 16)

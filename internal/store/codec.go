@@ -14,25 +14,6 @@ import (
 	"time"
 )
 
-// Codec names for Options.Codec (and the daemon's wal_codec knob). Binary
-// is the default data plane; JSON is the debug/compat path and the format
-// of every log written before the binary codec existed.
-const (
-	CodecBinary = "binary"
-	CodecJSON   = "json"
-)
-
-// normalizeCodec maps "" to the default codec and rejects unknown names.
-func normalizeCodec(c string) (string, error) {
-	switch c {
-	case "", CodecBinary:
-		return CodecBinary, nil
-	case CodecJSON:
-		return CodecJSON, nil
-	}
-	return "", fmt.Errorf("store: unknown codec %q (want %q or %q)", c, CodecBinary, CodecJSON)
-}
-
 // binVersion is the binary log format version carried in the file header.
 // A reader that sees a version it does not speak refuses the whole file
 // rather than guessing at frame boundaries.
@@ -41,8 +22,8 @@ const binVersion = 1
 // walMagic is the 8-byte header opening every binary log and snapshot
 // file: five magic bytes, a NUL, the format version, and a newline (so
 // `head` on a binary log prints one clean line instead of flooding the
-// terminal). JSON logs are headerless — the first byte of a record is
-// always '{' — which is what makes per-file codec sniffing unambiguous.
+// terminal). JSON-era logs are headerless — the first byte of a record is
+// always '{' — which is what makes per-file format sniffing unambiguous.
 var walMagic = [8]byte{'R', 'Q', 'W', 'A', 'L', 0, binVersion, '\n'}
 
 // Binary record kinds: payload byte 0 of every frame.
@@ -69,21 +50,6 @@ const (
 // mismatch, an implausible length, or fields that decode to garbage. A
 // torn (incomplete) frame is reported as io.ErrUnexpectedEOF instead.
 var errCorruptRecord = errors.New("store: corrupt binary record")
-
-// encodeRecord renders one record ready for a single append Write: a JSON
-// line, or a length-prefixed CRC-protected binary frame. Writing a whole
-// record in one Write call is the crash-safety contract either way — a
-// crash can truncate the final record but never interleave two.
-func encodeRecord(codec string, v any) ([]byte, error) {
-	if codec == CodecJSON {
-		line, err := json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("store: encode record: %w", err)
-		}
-		return append(line, '\n'), nil
-	}
-	return encodeBinaryRecord(v)
-}
 
 // appendBlob appends a uvarint length prefix followed by the bytes.
 func appendBlob(b []byte, p []byte) []byte {
@@ -186,15 +152,17 @@ func inflate(body []byte, limit int64) ([]byte, error) {
 	return out, nil
 }
 
-// encodeBinaryRecord frames one record:
+// encodeRecord frames one record, ready for a single append Write:
 //
 //	uvarint payload length | payload | CRC32-IEEE(payload), little-endian
 //
 // with payload = kind byte, flags byte, then the (possibly
-// flate-compressed) field body. The length prefix is what makes a torn
-// tail detectable by construction; the CRC is what catches bit rot and
+// flate-compressed) field body. Writing a whole frame in one Write call is
+// the crash-safety contract: a crash can truncate the final record but
+// never interleave two. The length prefix is what makes a torn tail
+// detectable by construction; the CRC is what catches bit rot and
 // partially-flushed frames whose length survived.
-func encodeBinaryRecord(v any) ([]byte, error) {
+func encodeRecord(v any) ([]byte, error) {
 	kind, body, err := binaryBody(v)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode record: %w", err)
@@ -363,18 +331,14 @@ func unmarshalRecord[R any](line []byte) (any, error) {
 	return r, nil
 }
 
-// decodeFrame decodes one record's on-disk encoding in the given codec:
-// compaction's path for frames it cannot copy verbatim.
-func decodeFrame(codec string, b []byte) (any, error) {
-	if codec == CodecJSON {
-		var head jsonHead
-		if err := json.Unmarshal(b, &head); err != nil {
-			return nil, err
-		}
-		return decodeJSONRecord(head.Type, b)
+// decodeJSONLine decodes one JSON-era log line: the migrating
+// compaction's path for records it re-encodes instead of copying.
+func decodeJSONLine(b []byte) (any, error) {
+	var head jsonHead
+	if err := json.Unmarshal(b, &head); err != nil {
+		return nil, err
 	}
-	rec, _, err := readBinaryRecord(bufio.NewReader(bytes.NewReader(b)))
-	return rec, err
+	return decodeJSONRecord(head.Type, b)
 }
 
 // readBinaryRecord reads one frame off br. Errors classify the failure:
@@ -423,25 +387,33 @@ func readBinaryRecord(br *bufio.Reader) (rec any, complete bool, err error) {
 	return rec, true, nil
 }
 
-// sniffCodec inspects the opening bytes of a log stream: the binary magic
-// selects the binary replayer (consuming the header), anything else is a
-// JSON-lines log, and "" means the stream is empty (a fresh file, free to
-// adopt whichever codec is configured). An unknown binary version is
-// refused outright.
-func sniffCodec(br *bufio.Reader) (string, error) {
+// fileFormat is what a log or snapshot file holds, sniffed from its first
+// bytes at replay time.
+type fileFormat uint8
+
+const (
+	formatEmpty  fileFormat = iota // no bytes yet
+	formatBinary                   // the magic header, then binary frames
+	formatJSON                     // headerless JSON lines: a JSON-era file
+)
+
+// sniffFormat inspects the opening bytes of a log stream: the binary magic
+// selects the binary replayer (consuming the header), and anything else is
+// a JSON-era log. An unknown binary version is refused outright.
+func sniffFormat(br *bufio.Reader) (fileFormat, error) {
 	hdr, err := br.Peek(len(walMagic))
 	if len(hdr) == 0 {
 		if err == nil || err == io.EOF {
-			return "", nil
+			return formatEmpty, nil
 		}
-		return "", err
+		return formatEmpty, err
 	}
 	if len(hdr) == len(walMagic) && bytes.Equal(hdr, walMagic[:]) {
 		br.Discard(len(walMagic))
-		return CodecBinary, nil
+		return formatBinary, nil
 	}
 	if len(hdr) >= 7 && bytes.Equal(hdr[:6], walMagic[:6]) && hdr[6] != binVersion {
-		return "", fmt.Errorf("store: unsupported binary log version %d (this build reads version %d)", hdr[6], binVersion)
+		return formatEmpty, fmt.Errorf("store: unsupported binary log version %d (this build reads version %d)", hdr[6], binVersion)
 	}
-	return CodecJSON, nil
+	return formatJSON, nil
 }

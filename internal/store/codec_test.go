@@ -75,7 +75,7 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, rec := range recs {
-		frame, err := encodeBinaryRecord(rec)
+		frame, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatalf("encode %T: %v", rec, err)
 		}
@@ -101,18 +101,15 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 
 // TestBinaryBytesPerResultRecord pins the acceptance criterion: the
 // binary codec spends at least 2x fewer bytes per persisted result record
-// than the JSON codec, on representative result payloads.
+// than a JSON-era log line, on representative result payloads.
 func TestBinaryBytesPerResultRecord(t *testing.T) {
 	const n = 64
 	var jsonBytes, binBytes int
 	for i := 0; i < n; i++ {
 		rec := ResultRecord{Type: recResult, JobID: "job-000042", Index: i,
 			Key: fmt.Sprintf("cachekey-%032d", i), Result: resultPayload(t, i)}
-		jf, err := encodeRecord(CodecJSON, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bf, err := encodeRecord(CodecBinary, rec)
+		jf := refEncode(t, CodecJSON, rec)
+		bf, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,9 +123,9 @@ func TestBinaryBytesPerResultRecord(t *testing.T) {
 	}
 }
 
-// TestJSONLogMigratesForward: a JSON-era wal.jsonl opens under the binary
-// default, replays byte-identically, and is migrated to the binary codec
-// by the Open-time compaction.
+// TestJSONLogMigratesForward: a JSON-era wal.jsonl opens, replays
+// byte-identically, and is migrated to the binary codec by the Open-time
+// compaction.
 func TestJSONLogMigratesForward(t *testing.T) {
 	dir := t.TempDir()
 	payload := resultPayload(t, 1)
@@ -153,29 +150,19 @@ func TestJSONLogMigratesForward(t *testing.T) {
 		t.Fatalf("result payload not byte-identical after migration:\n got %s\nwant %s",
 			jobs[0].Results[0].Result, payload)
 	}
-	st := s.Stats()
-	if st.Codec != CodecBinary {
-		t.Fatalf("codec after migration = %q, want binary", st.Codec)
-	}
-	if st.Compactions == 0 {
+	if st := s.Stats(); st.Compactions == 0 {
 		t.Fatal("Open did not compact the JSON log forward")
 	}
+	checkBinaryFiles(t, dir)
 	// New appends land in the binary codec.
 	appendResult(t, s, "job-000002", 0)
-	if st = s.Stats(); st.AppendsBinary != 1 || st.AppendsJSON != 0 {
+	if st := s.Stats(); st.AppendsBinary != 1 {
 		t.Fatalf("append accounting after migration = %+v", st)
 	}
 	s.Close()
 
-	// The on-disk files are binary now, and a second Open sees it all.
-	raw, err := os.ReadFile(filepath.Join(dir, SnapName))
-	if err != nil || !bytes.HasPrefix(raw, walMagic[:]) {
-		t.Fatalf("snapshot after migration is not binary (err=%v, head=%q)", err, raw[:min(len(raw), 8)])
-	}
-	raw, err = os.ReadFile(filepath.Join(dir, WALName))
-	if err != nil || !bytes.HasPrefix(raw, walMagic[:]) {
-		t.Fatalf("log after migration is not binary (err=%v, head=%q)", err, raw[:min(len(raw), 8)])
-	}
+	// The on-disk files are still binary, and a second Open sees it all.
+	checkBinaryFiles(t, dir)
 	s2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -194,17 +181,32 @@ func TestJSONLogMigratesForward(t *testing.T) {
 // corruption bug: a short write used to leave a torn partial record that
 // the next successful append concatenated onto, making the log
 // unreplayable. Now the partial write is truncated back immediately, so
-// recovery + append + restart replays with zero dropped records.
+// recovery + append + restart replays with zero dropped records. The json
+// leg starts from a JSON-era store holding a finished job, which Open
+// migrates into the snapshot before the appends under test.
 func TestTornTailShortWriteRecovery(t *testing.T) {
 	for _, codec := range []string{CodecBinary, CodecJSON} {
 		t.Run(codec, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(dir, Options{Codec: codec})
+			wantJobs := 1
+			if codec == CodecJSON {
+				writeJSONEraLog(t, dir,
+					JobRecord{Type: recJob, ID: "job-000000", Kind: "run", Specs: mustJSON(t, []string{"spec"})},
+					DoneRecord{Type: recDone, JobID: "job-000000", State: "done"})
+				wantJobs = 2
+			}
+			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			appendJob(t, s, "job-000001", "sweep")
 			sizeBefore := s.Stats().Bytes
+			logPath := filepath.Join(dir, WALName)
+			fi, err := os.Stat(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logBefore := fi.Size()
 
 			// The disk completes half the record's write, then errors.
 			if err := fault.Configure(FaultWrite+"=1*err(short)", 1); err != nil {
@@ -223,12 +225,11 @@ func TestTornTailShortWriteRecovery(t *testing.T) {
 			if st := s.Stats(); st.Bytes != sizeBefore {
 				t.Fatalf("Stats.Bytes counted a failed append: %d, want %d", st.Bytes, sizeBefore)
 			}
-			fi, err := os.Stat(filepath.Join(dir, WALName))
-			if err != nil {
+			if fi, err = os.Stat(logPath); err != nil {
 				t.Fatal(err)
 			}
-			if fi.Size() != sizeBefore {
-				t.Fatalf("torn tail left on disk: log is %d bytes, want %d", fi.Size(), sizeBefore)
+			if fi.Size() != logBefore {
+				t.Fatalf("torn tail left on disk: log is %d bytes, want %d", fi.Size(), logBefore)
 			}
 
 			// Durability recovers, the append succeeds, and the raw log —
@@ -239,7 +240,7 @@ func TestTornTailShortWriteRecovery(t *testing.T) {
 				Key: "k0", Result: resultPayload(t, 0)}); err != nil {
 				t.Fatalf("append after recovery: %v", err)
 			}
-			raw, err := os.ReadFile(filepath.Join(dir, WALName))
+			raw, err := os.ReadFile(logPath)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +257,7 @@ func TestTornTailShortWriteRecovery(t *testing.T) {
 
 			// And the restart path agrees: Open replays without drops.
 			s.Close()
-			s2, err := Open(dir, Options{Codec: codec})
+			s2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatalf("Open after recovery: %v", err)
 			}
@@ -264,7 +265,7 @@ func TestTornTailShortWriteRecovery(t *testing.T) {
 			if st := s2.Stats(); st.TailDropped != 0 {
 				t.Fatalf("restart dropped %d records after a recovered short write", st.TailDropped)
 			}
-			if jobs := s2.Replayed(); len(jobs) != 1 || len(jobs[0].Results) != 1 {
+			if jobs := s2.Replayed(); len(jobs) != wantJobs || len(jobs[wantJobs-1].Results) != 1 {
 				t.Fatalf("restart replay = %+v", jobs)
 			}
 		})
@@ -338,7 +339,7 @@ func TestUnsupportedBinaryVersion(t *testing.T) {
 // crash tail); the same flip in the final frame is tolerated as a tail.
 func TestBinaryMidLogCorruption(t *testing.T) {
 	frame := func(v any) []byte {
-		f, err := encodeBinaryRecord(v)
+		f, err := encodeRecord(v)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,16 +10,25 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 )
 
+// The two on-disk formats a store reads, as refEncode's codec argument and
+// subtest names. The store writes only the binary one; JSON-era files are
+// seeded through refEncode.
+const (
+	CodecBinary = "binary"
+	CodecJSON   = "json"
+)
+
 // refEncode is this test's own encoder for one record, written from the
-// format description (see encodeBinaryRecord) rather than shared with the
-// store: a JSON line, or uvarint payload length | kind, flags, body
+// format description (see encodeRecord) rather than shared with the
+// store: a JSON-era line, or uvarint payload length | kind, flags, body
 // (flate-compressed from 256 bytes when that is smaller) | CRC32-IEEE.
-func refEncode(t *testing.T, codec string, v any) []byte {
+func refEncode(t testing.TB, codec string, v any) []byte {
 	t.Helper()
 	if codec == CodecJSON {
 		line, err := json.Marshal(v)
@@ -84,12 +93,61 @@ func refEncode(t *testing.T, codec string, v any) []byte {
 	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
 }
 
+// writeJSONEraLog seeds dir with a log of the given records in the
+// headerless JSON-lines format daemons wrote before the binary codec.
+func writeJSONEraLog(t testing.TB, dir string, recs ...any) {
+	t.Helper()
+	var log bytes.Buffer
+	for _, rec := range recs {
+		log.Write(refEncode(t, CodecJSON, rec))
+	}
+	if err := os.WriteFile(filepath.Join(dir, WALName), log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteJSONEra turns a binary store file into the JSON-era file holding
+// the same records in the same order, as an old daemon would have written.
+func rewriteJSONEra(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	sc := recordScan{apply: func(rec any, _ frameRef) error {
+		out.Write(refEncode(t, CodecJSON, rec))
+		return nil
+	}}
+	if format, err := sc.replay(bytes.NewReader(raw)); err != nil || format != formatBinary || sc.dropped != 0 {
+		t.Fatalf("%s: format %d, %d dropped, err %v", path, format, sc.dropped, err)
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkBinaryFiles asserts that the store files in dir open with the
+// binary header, as every file does once Open has migrated it.
+func checkBinaryFiles(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range []string{SnapName, WALName} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) && name == SnapName {
+			continue
+		}
+		if err != nil || !bytes.HasPrefix(raw, walMagic[:]) {
+			t.Fatalf("%s is not binary (err=%v, head=%q)", name, err, raw[:min(len(raw), 8)])
+		}
+	}
+}
+
 // wantSnapshot re-encodes the store directory's live state the way
 // compaction did before it copied frames: replay the snapshot and the
 // log, evict the oldest terminal jobs beyond retain, then encode every
 // job's record, results and done marker in first-seen order, and the
 // state blobs in name order.
-func wantSnapshot(t *testing.T, dir, codec string, retain int) []byte {
+func wantSnapshot(t *testing.T, dir string, retain int) []byte {
 	t.Helper()
 	st := newReplayState()
 	for _, name := range []string{SnapName, WALName} {
@@ -100,7 +158,8 @@ func wantSnapshot(t *testing.T, dir, codec string, retain int) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = replayStream(st, f)
+		sc := recordScan{apply: st.apply}
+		_, err = sc.replay(f)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -113,9 +172,7 @@ func wantSnapshot(t *testing.T, dir, codec string, retain int) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	if codec == CodecBinary {
-		buf.Write(walMagic[:])
-	}
+	buf.Write(walMagic[:])
 	evict := terminal - retain
 	for _, id := range st.order {
 		j := st.jobs[id]
@@ -123,12 +180,12 @@ func wantSnapshot(t *testing.T, dir, codec string, retain int) []byte {
 			evict--
 			continue
 		}
-		buf.Write(refEncode(t, codec, j.Job))
+		buf.Write(refEncode(t, CodecBinary, j.Job))
 		for _, r := range j.Results {
-			buf.Write(refEncode(t, codec, r))
+			buf.Write(refEncode(t, CodecBinary, r))
 		}
 		if j.Terminal() {
-			buf.Write(refEncode(t, codec, DoneRecord{Type: recDone, JobID: id, State: j.State, Error: j.Error}))
+			buf.Write(refEncode(t, CodecBinary, DoneRecord{Type: recDone, JobID: id, State: j.State, Error: j.Error}))
 		}
 	}
 	names := make([]string, 0, len(st.states))
@@ -137,7 +194,7 @@ func wantSnapshot(t *testing.T, dir, codec string, retain int) []byte {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		buf.Write(refEncode(t, codec, StateRecord{Type: recState, Name: name, Payload: st.states[name]}))
+		buf.Write(refEncode(t, CodecBinary, StateRecord{Type: recState, Name: name, Payload: st.states[name]}))
 	}
 	return buf.Bytes()
 }
@@ -146,7 +203,7 @@ func wantSnapshot(t *testing.T, dir, codec string, retain int) []byte {
 // taken just before.
 func checkCompact(t *testing.T, s *Store, dir string) {
 	t.Helper()
-	want := wantSnapshot(t, dir, s.opts.Codec, s.opts.RetainJobs)
+	want := wantSnapshot(t, dir, s.opts.RetainJobs)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +379,7 @@ func TestCompactSnapshotByteIdentical(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, WALName), stale, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		want := wantSnapshot(t, dir, CodecBinary, 2)
+		want := wantSnapshot(t, dir, 2)
 		s2, err := Open(dir, Options{RetainJobs: 2, CompactEvery: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
@@ -335,22 +392,10 @@ func TestCompactSnapshotByteIdentical(t *testing.T) {
 		checkCompact(t, s2, dir)
 	})
 
-	t.Run("json-codec", func(t *testing.T) {
-		dir := t.TempDir()
-		s, err := Open(dir, Options{Codec: CodecJSON, RetainJobs: 2, CompactEvery: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		fill(t, s, 1, 4, 3)
-		checkCompact(t, s, dir)
-		fill(t, s, 5, 6, 3)
-		checkCompact(t, s, dir)
-	})
-
 	t.Run("json-era-migration", func(t *testing.T) {
+		// A JSON-era snapshot and log delta, as an old daemon left them.
 		dir := t.TempDir()
-		s, err := Open(dir, Options{Codec: CodecJSON, RetainJobs: 3, CompactEvery: 1 << 20})
+		s, err := Open(dir, Options{RetainJobs: 3, CompactEvery: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,23 +403,64 @@ func TestCompactSnapshotByteIdentical(t *testing.T) {
 		if err := s.PutState("analytics", []byte(`{"v":1}`)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Compact(); err != nil { // a JSON snapshot...
+		if err := s.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		fill(t, s, 4, 5, 3) // ...and a JSON log delta
+		fill(t, s, 4, 5, 3)
 		crash(s)
-		want := wantSnapshot(t, dir, CodecBinary, 3)
+		rewriteJSONEra(t, filepath.Join(dir, SnapName))
+		rewriteJSONEra(t, filepath.Join(dir, WALName))
+		want := wantSnapshot(t, dir, 3)
 		s2, err := Open(dir, Options{RetainJobs: 3, CompactEvery: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s2.Close()
-		if st := s2.Stats(); st.Compactions != 1 || st.Codec != CodecBinary {
+		if st := s2.Stats(); st.Compactions != 1 {
 			t.Fatalf("Open did not migrate the JSON-era files: %+v", st)
 		}
+		checkBinaryFiles(t, dir)
 		checkSnapshot(t, dir, want)
 		fill(t, s2, 6, 7, 2)
 		checkCompact(t, s2, dir)
+	})
+
+	t.Run("json-era-crash-between-rename-and-truncate", func(t *testing.T) {
+		// The migration renamed its binary snapshot into place, then the
+		// process died before truncating the JSON-era log it absorbed.
+		dir := t.TempDir()
+		s, err := Open(dir, Options{CompactEvery: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(t, s, 1, 4, 3)
+		crash(s)
+		logPath := filepath.Join(dir, WALName)
+		rewriteJSONEra(t, logPath)
+		stale, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(dir, Options{CompactEvery: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		migrated := s2.Replayed()
+		crash(s2)
+		if err := os.WriteFile(logPath, stale, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := wantSnapshot(t, dir, 1024)
+		s3, err := Open(dir, Options{CompactEvery: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s3.Close()
+		if got := s3.Replayed(); !reflect.DeepEqual(got, migrated) {
+			t.Fatalf("reopen next to the stale JSON-era log replays\n%+v\nwant\n%+v", got, migrated)
+		}
+		checkBinaryFiles(t, dir)
+		checkSnapshot(t, dir, want)
 	})
 }
 

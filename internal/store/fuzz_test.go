@@ -13,7 +13,7 @@ import (
 // binFrame encodes one record for fuzz seeding, panicking on the
 // impossible (seed records are all encodable).
 func binFrame(v any) []byte {
-	f, err := encodeBinaryRecord(v)
+	f, err := encodeRecord(v)
 	if err != nil {
 		panic(err)
 	}
@@ -168,7 +168,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			default:
 				t.Fatalf("decoder produced unknown type %T", rec)
 			}
-			if _, err := encodeBinaryRecord(rec); err != nil {
+			if _, err := encodeRecord(rec); err != nil {
 				t.Fatalf("decoded record does not re-encode: %v (%+v)", err, rec)
 			}
 		}

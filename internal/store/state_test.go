@@ -5,24 +5,30 @@ import (
 	"testing"
 )
 
-// TestStateRoundTrip: PutState survives a close/reopen in both codecs,
-// last writer wins, and the value rides the compaction snapshot.
+// TestStateRoundTrip: PutState survives a close/reopen, last writer wins,
+// and the value rides the compaction snapshot. The json leg writes the
+// same records into a JSON-era log, which Open must replay and migrate.
 func TestStateRoundTrip(t *testing.T) {
 	for _, codec := range []string{CodecBinary, CodecJSON} {
 		t.Run(codec, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(dir, Options{Codec: codec})
+			if codec == CodecJSON {
+				writeJSONEraLog(t, dir,
+					StateRecord{Type: recState, Name: "analytics", Payload: []byte(`{"v":1}`)},
+					StateRecord{Type: recState, Name: "analytics", Payload: []byte(`{"v":2}`)},
+					StateRecord{Type: recState, Name: "other", Payload: []byte(`"x"`)},
+				)
+			}
+			s, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.PutState("analytics", []byte(`{"v":1}`)); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutState("analytics", []byte(`{"v":2}`)); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.PutState("other", []byte(`"x"`)); err != nil {
-				t.Fatal(err)
+			if codec == CodecBinary {
+				for _, put := range [][2]string{{"analytics", `{"v":1}`}, {"analytics", `{"v":2}`}, {"other", `"x"`}} {
+					if err := s.PutState(put[0], []byte(put[1])); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			if got, ok := s.State("analytics"); !ok || !bytes.Equal(got, []byte(`{"v":2}`)) {
 				t.Fatalf("State before close = %q, %v", got, ok)
@@ -32,7 +38,7 @@ func TestStateRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, err := Open(dir, Options{Codec: codec})
+			s2, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,31 +59,20 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateCrossCodecMigration: a state written in one codec survives the
-// compaction that migrates the log to the other.
+// TestStateCrossCodecMigration: a state in a JSON-era log survives the
+// compaction that migrates the log to binary.
 func TestStateCrossCodecMigration(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Codec: CodecJSON})
+	writeJSONEraLog(t, dir, StateRecord{Type: recState, Name: "analytics", Payload: []byte(`{"cells":[]}`)})
+	s, err := Open(dir, Options{}) // migrates at Open
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutState("analytics", []byte(`{"cells":[]}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Options{Codec: CodecBinary}) // migrates at Open
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got, ok := s2.State("analytics"); !ok || !bytes.Equal(got, []byte(`{"cells":[]}`)) {
+	defer s.Close()
+	if got, ok := s.State("analytics"); !ok || !bytes.Equal(got, []byte(`{"cells":[]}`)) {
 		t.Fatalf("state lost across codec migration: %q, %v", got, ok)
 	}
-	if s2.Stats().Codec != CodecBinary {
-		t.Fatalf("codec after migration = %q", s2.Stats().Codec)
-	}
+	checkBinaryFiles(t, dir)
 }
 
 func TestPutStateValidation(t *testing.T) {

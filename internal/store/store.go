@@ -3,25 +3,25 @@
 // compaction) that lets the daemon survive a restart without dropping
 // queued jobs or re-burning completed simulation work.
 //
-// # Log formats
+// # Log format
 //
-// The store speaks two record codecs, selected per-file by sniffing the
-// first bytes at replay time, so any mix of files from any daemon version
-// reads back correctly:
+// Every file the store writes is binary: an 8-byte magic+version header,
+// then length-prefixed frames — uvarint payload length, the payload (kind
+// byte, flags byte, length-prefixed fields, flate-compressed when it
+// pays), and a CRC32 of the payload. Length+CRC framing makes torn tails
+// and partial appends detectable by construction.
 //
-//   - binary (the default): the file opens with an 8-byte magic+version
-//     header, then length-prefixed frames — uvarint payload length, the
-//     payload (kind byte, flags byte, length-prefixed fields, flate-
-//     compressed when it pays), and a CRC32 of the payload. Length+CRC
-//     framing makes torn tails and partial appends detectable by
-//     construction.
+// Files written before the binary format existed are headerless
+// newline-delimited JSON records:
 //
-//   - json (debug/compat): headerless newline-delimited JSON records,
-//     the format of every log written before the binary codec existed:
+//	{"type":"job","id":"job-000001","kind":"sweep","created":...,"specs":[...]}
+//	{"type":"result","job":"job-000001","index":0,"key":"<rescq.CacheKey>","result":{...}}
+//	{"type":"done","job":"job-000001","state":"done"}
 //
-//     {"type":"job","id":"job-000001","kind":"sweep","created":...,"specs":[...]}
-//     {"type":"result","job":"job-000001","index":0,"key":"<rescq.CacheKey>","result":{...}}
-//     {"type":"done","job":"job-000001","state":"done"}
+// Replay sniffs each file's format from its first bytes, so such a
+// JSON-era log or snapshot still reads back, and the first Open migrates
+// it to binary. The store never writes JSON; Dump prints any file as JSON
+// lines for debugging (see cmd/rescq-walcat).
 //
 // The store is deliberately ignorant of the payload shapes: specs and
 // results travel as opaque bytes, so the service layer owns the schema
@@ -55,14 +55,14 @@
 // those frames verbatim, in coalesced reads from the current snapshot and
 // log, so its cost is a byte copy rather than a re-encode. Only records
 // compaction makes up itself are encoded afresh — done markers, state
-// blobs, stub job records for orphan results — plus frames in the other
-// codec, which is how an old JSON log migrates forward on its first
-// binary-default Open. The snapshot is fsynced and atomically renamed over
+// blobs, stub job records for orphan results — plus JSON-era frames,
+// which is how an old JSON log migrates forward on its first Open. The
+// snapshot is fsynced and atomically renamed over
 // the previous one, then the log is truncated in place, so replay cost is
 // bounded by live state: Open reads the snapshot and the log delta, and
 // the log holds only records appended since the last compaction.
 // Open compacts automatically when the replayed state carries enough
-// garbage to matter (or is in the wrong codec), and AppendResult,
+// garbage to matter (or a file is JSON-era), and AppendResult,
 // AppendDone and PutState compact inline, under the store lock, once the
 // log (records appended since the last compaction, plus any replayed at
 // Open) holds at least a threshold and at least as many records as the
@@ -90,7 +90,7 @@ import (
 	"repro/internal/fault"
 )
 
-// Record types, the "type" field of every JSON log line (binary frames
+// Record types, the "type" field of every JSON-era log line (binary frames
 // carry the equivalent kind byte).
 const (
 	recJob    = "job"
@@ -149,7 +149,7 @@ type DoneRecord struct {
 // — e.g. the analytics aggregate snapshot. Last writer wins per name, the
 // current value is carried through every compaction, and replay surfaces
 // it via State; it is invisible to job replay. The payload must be valid
-// JSON (the JSON codec embeds it verbatim).
+// JSON (Dump embeds it verbatim).
 //
 // Note for downgrades: daemons older than this record kind treat unknown
 // record types as corruption, so a log that carries state records does
@@ -180,12 +180,11 @@ func (r *ReplayedJob) Terminal() bool { return r.State != "" }
 // cover the snapshot plus the log delta — the full on-disk state a replay
 // reads.
 type Stats struct {
-	Jobs        int    `json:"jobs"`         // jobs in the index
-	Records     int    `json:"records"`      // records on disk (snapshot + log)
-	Bytes       int64  `json:"bytes"`        // on-disk size (snapshot + log)
-	Compactions int64  `json:"compactions"`  // lifetime compaction count
-	TailDropped int    `json:"tail_dropped"` // partial/corrupt tail records discarded at Open
-	Codec       string `json:"codec"`        // the log's active append codec
+	Jobs        int   `json:"jobs"`         // jobs in the index
+	Records     int   `json:"records"`      // records on disk (snapshot + log)
+	Bytes       int64 `json:"bytes"`        // on-disk size (snapshot + log)
+	Compactions int64 `json:"compactions"`  // lifetime compaction count
+	TailDropped int   `json:"tail_dropped"` // partial/corrupt tail records discarded at Open
 
 	// CompactionSeconds is the wall time spent compacting since Open
 	// (failed attempts included). Compaction runs under the store lock,
@@ -195,11 +194,9 @@ type Stats struct {
 	SnapshotRecords int   `json:"snapshot_records"` // records in the snapshot file
 	SnapshotBytes   int64 `json:"snapshot_bytes"`   // snapshot file size
 
-	// Per-codec append accounting since Open, for the /metrics counters.
+	// Append accounting since Open, for the /metrics counters.
 	AppendsBinary     int64 `json:"appends_binary"`
-	AppendsJSON       int64 `json:"appends_json"`
 	AppendBytesBinary int64 `json:"append_bytes_binary"`
-	AppendBytesJSON   int64 `json:"append_bytes_json"`
 }
 
 // Options tunes a Store; the zero value is production-sensible.
@@ -214,11 +211,6 @@ type Options struct {
 	// rewrites its snapshot at doubling sizes and compaction's total I/O
 	// stays proportional to the records appended, not to their square.
 	CompactEvery int
-	// Codec selects the append format: CodecBinary (the default) or
-	// CodecJSON (the debug/compat path). Replay always sniffs per file,
-	// so the knob only governs what new records look like; a log in the
-	// other codec is migrated at the first compaction.
-	Codec string
 }
 
 func (o Options) withDefaults() Options {
@@ -232,8 +224,8 @@ func (o Options) withDefaults() Options {
 }
 
 // WALName is the log's filename inside the store directory. (The name
-// predates the binary codec: a binary-codec log keeps it, and announces
-// itself with the magic header instead.)
+// predates the binary format: the log keeps it, and announces itself with
+// the magic header instead.)
 const WALName = "wal.jsonl"
 
 // SnapName is the compaction snapshot's filename inside the store
@@ -247,8 +239,8 @@ const (
 	fileLog
 )
 
-// frameRef locates one record's encoding on disk: a binary frame, or a
-// JSON line (its newline optional).
+// frameRef locates one record's encoding on disk: a binary frame, or, in a
+// JSON-era file awaiting migration, a JSON line (its newline optional).
 type frameRef struct {
 	off  int64
 	n    uint32 // bytes; maxRecordBytes fits
@@ -282,21 +274,17 @@ type Store struct {
 	order  []string          // job ids in first-seen order
 	states map[string][]byte // named auxiliary state blobs, last writer wins
 
-	codec       string // the log's active append codec
-	snapCodec   string // the snapshot's codec
-	records     int    // records currently in the log file (including garbage)
-	bytes       int64  // log file size
-	snapRecords int    // records in the snapshot file
-	snapBytes   int64  // snapshot file size
-	torn        bool   // a failed append left a tail we could not truncate yet
+	records     int   // records currently in the log file (including garbage)
+	bytes       int64 // log file size
+	snapRecords int   // records in the snapshot file
+	snapBytes   int64 // snapshot file size
+	torn        bool  // a failed append left a tail we could not truncate yet
 	compactions int64
 	compactTime time.Duration
 	tailDropped int
 
-	appendsBinary     int64
-	appendsJSON       int64
-	appendBytesBinary int64
-	appendBytesJSON   int64
+	appends     int64
+	appendBytes int64
 
 	replayed []ReplayedJob // decoded at Open, until Replayed hands it over
 }
@@ -305,14 +293,10 @@ type Store struct {
 // snapshot plus the log delta. A partial or corrupt tail record in the
 // log — the signature of a crash mid-append — is discarded; everything
 // before it is recovered. The snapshot is written atomically, so any
-// damage there is fatal rather than tolerated.
+// damage there is fatal rather than tolerated. JSON-era files are migrated
+// to binary before Open returns.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	codec, err := normalizeCodec(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
-	opts.Codec = codec
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -337,31 +321,35 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	// Snapshot first, then the log delta, merged into one replay state.
+	// Which files are JSON-era is a replay-time fact: it only tells the
+	// migrating compaction below which frames to re-encode.
 	st := newReplayState()
+	var formats [2]fileFormat // by fileSnap, fileLog
 	snapPath := filepath.Join(dir, SnapName)
 	if sf, serr := os.Open(snapPath); serr == nil {
 		s.snap = sf // kept open: compaction copies frames out of it
-		s.snapCodec, serr = replayStream(st, sf)
-		if serr == nil && st.dropped > 0 {
-			serr = fmt.Errorf("%d torn records in an atomically-written file", st.dropped)
+		sc := recordScan{file: fileSnap, apply: st.apply}
+		formats[fileSnap], serr = sc.replay(sf)
+		if serr == nil && sc.dropped > 0 {
+			serr = fmt.Errorf("%d torn records in an atomically-written file", sc.dropped)
 		}
 		if serr != nil {
 			return fail(fmt.Errorf("store: replay snapshot %s: %w", snapPath, serr))
 		}
-		s.snapRecords = st.records
+		s.snapRecords = sc.records
 		if fi, err := sf.Stat(); err == nil {
 			s.snapBytes = fi.Size()
 		}
 	} else if !errors.Is(serr, os.ErrNotExist) {
 		return fail(fmt.Errorf("store: %w", serr))
 	}
-	st.file = fileLog
-	logCodec, err := replayStream(st, f)
+	sc := recordScan{file: fileLog, apply: st.apply}
+	formats[fileLog], err = sc.replay(f)
 	if err != nil {
 		return fail(fmt.Errorf("store: replay %s: %w", path, err))
 	}
-	s.records = st.records - s.snapRecords
-	s.tailDropped = st.dropped
+	s.records = sc.records
+	s.tailDropped = sc.dropped
 	s.jobs = st.index
 	s.order = st.order
 	s.states = st.states
@@ -372,25 +360,22 @@ func Open(dir string, opts Options) (*Store, error) {
 	if fi, err := f.Stat(); err == nil {
 		s.bytes = fi.Size()
 	}
-	s.codec = logCodec
-	if s.codec == "" {
-		// Empty log: adopt the configured codec and stamp the header.
-		s.codec = opts.Codec
-		if s.codec == CodecBinary && s.bytes == 0 {
-			n, werr := f.Write(walMagic[:])
-			if werr != nil {
-				return fail(fmt.Errorf("store: write log header: %w", werr))
-			}
-			s.bytes = int64(n)
+	if formats[fileLog] == formatEmpty {
+		// A fresh log: stamp the header.
+		n, werr := f.Write(walMagic[:])
+		if werr != nil {
+			return fail(fmt.Errorf("store: write log header: %w", werr))
 		}
+		s.bytes = int64(n)
 	}
 	// A freshly replayed state that carries garbage (dropped tail,
-	// evictable jobs, duplicate records) or files in the wrong codec is
-	// compacted right away, so a crash-loop cannot grow the files without
-	// bound and a JSON-era log migrates forward on its first Open.
-	if s.tailDropped > 0 || len(s.order) > opts.RetainJobs || st.records > s.liveRecords() ||
-		s.codec != opts.Codec || (s.snapCodec != "" && s.snapCodec != opts.Codec) {
-		if err := s.compactLocked(); err != nil {
+	// evictable jobs, duplicate records) or JSON-era files is compacted
+	// right away, so a crash-loop cannot grow the files without bound and a
+	// JSON-era log migrates forward on its first Open.
+	jsonEra := [2]bool{formats[fileSnap] == formatJSON, formats[fileLog] == formatJSON}
+	if s.tailDropped > 0 || len(s.order) > opts.RetainJobs || s.snapRecords+s.records > s.liveRecords() ||
+		jsonEra[fileSnap] || jsonEra[fileLog] {
+		if err := s.rewriteLocked(jsonEra); err != nil {
 			return fail(err)
 		}
 	}
@@ -430,13 +415,10 @@ func (s *Store) Stats() Stats {
 		Compactions:       s.compactions,
 		CompactionSeconds: s.compactTime.Seconds(),
 		TailDropped:       s.tailDropped,
-		Codec:             s.codec,
 		SnapshotRecords:   s.snapRecords,
 		SnapshotBytes:     s.snapBytes,
-		AppendsBinary:     s.appendsBinary,
-		AppendsJSON:       s.appendsJSON,
-		AppendBytesBinary: s.appendBytesBinary,
-		AppendBytesJSON:   s.appendBytesJSON,
+		AppendsBinary:     s.appends,
+		AppendBytesBinary: s.appendBytes,
 	}
 }
 
@@ -571,7 +553,7 @@ func (s *Store) rollbackTailLocked() {
 // writeLocked appends one record to the log and reports where its frame
 // landed.
 func (s *Store) writeLocked(v any) (frameRef, error) {
-	frame, err := encodeRecord(s.codec, v)
+	frame, err := encodeRecord(v)
 	if err != nil {
 		return frameRef{}, err
 	}
@@ -611,13 +593,8 @@ func (s *Store) writeLocked(v any) (frameRef, error) {
 	ref := frameRef{file: fileLog, off: s.bytes, n: uint32(n)}
 	s.bytes += int64(n)
 	s.records++
-	if s.codec == CodecJSON {
-		s.appendsJSON++
-		s.appendBytesJSON += int64(n)
-	} else {
-		s.appendsBinary++
-		s.appendBytesBinary += int64(n)
-	}
+	s.appends++
+	s.appendBytes += int64(n)
 	return ref, nil
 }
 
@@ -652,7 +629,14 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
-func (s *Store) compactLocked() error {
+// compactLocked compacts a store whose files are all binary, as they are
+// once Open returns.
+func (s *Store) compactLocked() error { return s.rewriteLocked([2]bool{}) }
+
+// rewriteLocked is compaction proper. jsonEra marks the files (by
+// fileSnap, fileLog) whose frames are JSON-era lines: those are re-encoded
+// rather than copied, which is how Open migrates them.
+func (s *Store) rewriteLocked(jsonEra [2]bool) error {
 	start := time.Now()
 	defer func() { s.compactTime += time.Since(start) }()
 
@@ -676,8 +660,8 @@ func (s *Store) compactLocked() error {
 		s.order = kept
 	}
 
-	// Write the full live state into a fresh snapshot, in the configured
-	// codec — this is also where a log in the old codec migrates forward.
+	// Write the full live state into a fresh binary snapshot — this is also
+	// where a JSON-era log migrates forward.
 	dir := filepath.Dir(s.path)
 	tmp, err := os.CreateTemp(dir, SnapName+".tmp-*")
 	if err != nil {
@@ -690,11 +674,9 @@ func (s *Store) compactLocked() error {
 			os.Remove(tmp.Name())
 		}
 	}()
-	sw := &snapWriter{s: s, w: bufio.NewWriterSize(tmp, copyRunMax)}
-	if s.opts.Codec == CodecBinary {
-		sw.w.Write(walMagic[:])
-		sw.off = int64(len(walMagic))
-	}
+	sw := &snapWriter{s: s, w: bufio.NewWriterSize(tmp, copyRunMax), jsonEra: jsonEra}
+	sw.w.Write(walMagic[:])
+	sw.off = int64(len(walMagic))
 	// The new locations of every job and result record, in emission order;
 	// the index adopts them only once the snapshot is in place.
 	refs := make([]frameRef, 0, s.liveRecords())
@@ -737,7 +719,7 @@ func (s *Store) compactLocked() error {
 	if s.snap != nil {
 		s.snap.Close()
 	}
-	s.snap, s.snapCodec = tmp, s.opts.Codec
+	s.snap = tmp
 	s.snapRecords = sw.records
 	s.snapBytes = sw.off
 	k := 0
@@ -756,17 +738,14 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: compact: truncate log: %w", err)
 	}
 	s.bytes = 0
-	s.codec = s.opts.Codec
-	if s.codec == CodecBinary {
-		n, werr := s.f.Write(walMagic[:])
-		if werr != nil || n != len(walMagic) {
-			if werr == nil {
-				werr = io.ErrShortWrite
-			}
-			return fmt.Errorf("store: compact: write log header: %w", werr)
+	n, werr := s.f.Write(walMagic[:])
+	if werr != nil || n != len(walMagic) {
+		if werr == nil {
+			werr = io.ErrShortWrite
 		}
-		s.bytes = int64(n)
+		return fmt.Errorf("store: compact: write log header: %w", werr)
 	}
+	s.bytes = int64(n)
 	s.records = 0
 	s.compactions++
 	s.torn = false
@@ -776,17 +755,18 @@ func (s *Store) compactLocked() error {
 // copyRunMax caps one coalesced read of a compaction's frame copy.
 const copyRunMax = 1 << 20
 
-// snapWriter assembles a compaction snapshot. Frames already in the
-// snapshot's codec are copied verbatim: adjacent frames of one file are
-// gathered into a single read, and every frame's length prefix and CRC are
-// checked before it is written, so an index that disagrees with the disk
-// fails the compaction instead of poisoning the snapshot. Everything else
-// is encoded afresh. After the first failure every call is a no-op and
-// finish reports it.
+// snapWriter assembles a compaction snapshot. Binary frames are copied
+// verbatim: adjacent frames of one file are gathered into a single read,
+// and every frame's length prefix and CRC are checked before it is
+// written, so an index that disagrees with the disk fails the compaction
+// instead of poisoning the snapshot. JSON-era lines and records the
+// compaction makes up are encoded afresh. After the first failure every
+// call is a no-op and finish reports it.
 type snapWriter struct {
 	s       *Store
 	w       *bufio.Writer
-	off     int64 // bytes emitted so far, header included
+	jsonEra [2]bool // by file: re-encode its frames instead of copying
+	off     int64   // bytes emitted so far, header included
 	records int
 	run     []frameRef // adjacent frames of one file awaiting one read
 	runLen  int
@@ -796,7 +776,7 @@ type snapWriter struct {
 
 // copy emits the frame at ref and returns its location in the snapshot.
 func (sw *snapWriter) copy(ref frameRef) frameRef {
-	if sw.s.frameCodec(ref) != CodecBinary || sw.s.opts.Codec != CodecBinary {
+	if sw.jsonEra[ref.file] {
 		return sw.reencode(ref)
 	}
 	if n := len(sw.run); n > 0 {
@@ -810,14 +790,14 @@ func (sw *snapWriter) copy(ref frameRef) frameRef {
 	return sw.emitted(int(ref.n))
 }
 
-// reencode emits the record at ref in the snapshot's codec.
+// reencode emits the JSON-era record at ref as a binary frame.
 func (sw *snapWriter) reencode(ref frameRef) frameRef {
 	sw.flush()
 	b := sw.read(ref.file, ref.off, int(ref.n))
 	if sw.err != nil {
 		return frameRef{}
 	}
-	rec, err := decodeFrame(sw.s.frameCodec(ref), b)
+	rec, err := decodeJSONLine(b)
 	if err != nil {
 		sw.err = fmt.Errorf("record at %d of %s: %w", ref.off, fileName(ref.file), err)
 		return frameRef{}
@@ -825,13 +805,13 @@ func (sw *snapWriter) reencode(ref frameRef) frameRef {
 	return sw.encode(rec)
 }
 
-// encode emits v, encoded in the snapshot's codec.
+// encode emits v as a fresh binary frame.
 func (sw *snapWriter) encode(v any) frameRef {
 	sw.flush()
 	if sw.err != nil {
 		return frameRef{}
 	}
-	frame, err := encodeRecord(sw.s.opts.Codec, v)
+	frame, err := encodeRecord(v)
 	if err == nil {
 		_, err = sw.w.Write(frame)
 	}
@@ -900,14 +880,6 @@ func (sw *snapWriter) finish() error {
 	return sw.err
 }
 
-// frameCodec reports the codec of the file ref points into.
-func (s *Store) frameCodec(ref frameRef) string {
-	if ref.file == fileSnap {
-		return s.snapCodec
-	}
-	return s.codec
-}
-
 func fileName(file uint8) string {
 	if file == fileSnap {
 		return SnapName
@@ -972,13 +944,10 @@ func (s *Store) Close() error {
 // snapshot, then the log delta): the decoded records for Replayed, and
 // the frame-location index the store keeps.
 type replayState struct {
-	jobs    map[string]*ReplayedJob
-	index   map[string]*indexedJob
-	order   []string // first-seen order
-	states  map[string][]byte
-	records int
-	dropped int
-	file    uint8 // the file being replayed, for the index's frame refs
+	jobs   map[string]*ReplayedJob
+	index  map[string]*indexedJob
+	order  []string // first-seen order
+	states map[string][]byte
 }
 
 func newReplayState() *replayState {
@@ -997,7 +966,7 @@ func (st *replayState) get(id string) (*ReplayedJob, *indexedJob) {
 }
 
 // apply merges one decoded record, whose encoding sits at ref, into the
-// state, enforcing the replay semantics shared by both codecs: results
+// state, enforcing the replay semantics shared by both formats: results
 // and done markers arriving before their job record are buffered under a
 // synthetic job, duplicate and out-of-order result indices are dropped,
 // and the first job record / done marker for an id wins. An error means
@@ -1052,7 +1021,6 @@ func (st *replayState) apply(rec any, ref frameRef) error {
 	default:
 		return fmt.Errorf("unknown record %T", rec)
 	}
-	st.records++
 	return nil
 }
 
@@ -1066,41 +1034,59 @@ func (st *replayState) sorted() []ReplayedJob {
 	return out
 }
 
-// replayStream sniffs the stream's codec and replays it into st,
-// reporting which codec it found ("" for an empty stream).
-func replayStream(st *replayState, r io.Reader) (string, error) {
+// recordScan is one pass over a log or snapshot stream: where its records
+// go, and the counts its crash-tolerance rules need.
+type recordScan struct {
+	file uint8 // the file being read, for the frame refs passed to apply
+	// apply receives every complete record and where its encoding sits. An
+	// error rejects the record as invalid, which counts like corruption.
+	apply   func(rec any, ref frameRef) error
+	records int // records apply accepted
+	dropped int // partial, corrupt or rejected records
+}
+
+// replay sniffs the stream's format and scans it, reporting the format.
+func (sc *recordScan) replay(r io.Reader) (fileFormat, error) {
 	br := bufio.NewReaderSize(r, 64*1024)
-	codec, err := sniffCodec(br)
+	format, err := sniffFormat(br)
 	if err != nil {
-		return "", err
+		return format, err
 	}
-	switch codec {
-	case "":
-		return "", nil
-	case CodecBinary:
-		return codec, replayBinary(st, br)
-	default:
-		return codec, replayJSON(st, br)
+	switch format {
+	case formatBinary:
+		err = sc.replayBinary(br)
+	case formatJSON:
+		err = sc.replayJSON(br)
 	}
+	return format, err
+}
+
+// accept hands one decoded record to apply, counting it if apply takes it.
+func (sc *recordScan) accept(rec any, ref frameRef) error {
+	err := sc.apply(rec, ref)
+	if err == nil {
+		sc.records++
+	}
+	return err
 }
 
 // replayJSON replays a newline-delimited JSON log. Garbage is tolerated
 // only as the final (torn) tail: a complete record following it proves
 // mid-log corruption and fails the replay.
-func replayJSON(st *replayState, r *bufio.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxRecordBytes)
+func (sc *recordScan) replayJSON(r *bufio.Reader) error {
+	lines := bufio.NewScanner(r)
+	lines.Buffer(make([]byte, 64*1024), maxRecordBytes)
 	// Track each line's file offset for the index.
 	var pos, lineStart int64
-	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+	lines.Split(func(data []byte, atEOF bool) (int, []byte, error) {
 		adv, tok, err := bufio.ScanLines(data, atEOF)
 		lineStart = pos
 		pos += int64(adv)
 		return adv, tok, err
 	})
 	var pendingErr error
-	for sc.Scan() {
-		raw := sc.Bytes()
+	for lines.Scan() {
+		raw := lines.Bytes()
 		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
 			continue
@@ -1109,8 +1095,8 @@ func replayJSON(st *replayState, r *bufio.Reader) error {
 		if err := json.Unmarshal(line, &head); err != nil {
 			// Only acceptable as the torn final record of a crash; if more
 			// complete records follow, the log is corrupt mid-stream.
-			st.dropped++
-			pendingErr = fmt.Errorf("store: corrupt record %d: %w", st.records+st.dropped, err)
+			sc.dropped++
+			pendingErr = fmt.Errorf("store: corrupt record %d: %w", sc.records+sc.dropped, err)
 			continue
 		}
 		if pendingErr != nil {
@@ -1118,23 +1104,23 @@ func replayJSON(st *replayState, r *bufio.Reader) error {
 		}
 		rec, err := decodeJSONRecord(head.Type, line)
 		if errors.Is(err, errUnknownRecord) {
-			st.dropped++
+			sc.dropped++
 			pendingErr = fmt.Errorf("store: unknown record type %q", head.Type)
 			continue
 		}
 		lead := len(raw) - len(bytes.TrimLeftFunc(raw, unicode.IsSpace))
-		ref := frameRef{file: st.file, off: lineStart + int64(lead), n: uint32(len(line))}
-		if err != nil || st.apply(rec, ref) != nil {
-			st.dropped++
-			pendingErr = fmt.Errorf("store: bad %s record %d", head.Type, st.records+st.dropped)
+		ref := frameRef{file: sc.file, off: lineStart + int64(lead), n: uint32(len(line))}
+		if err != nil || sc.accept(rec, ref) != nil {
+			sc.dropped++
+			pendingErr = fmt.Errorf("store: bad %s record %d", head.Type, sc.records+sc.dropped)
 			continue
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lines.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
 			// An oversized line can only be a torn or hostile tail record;
 			// everything already decoded stands.
-			st.dropped++
+			sc.dropped++
 		} else {
 			return fmt.Errorf("store: read log: %w", err)
 		}
@@ -1146,7 +1132,7 @@ func replayJSON(st *replayState, r *bufio.Reader) error {
 // already consumed by the sniff). An incomplete final frame is the crash
 // signature and is dropped; a complete-but-corrupt frame is dropped only
 // when nothing follows it — bytes after it prove mid-log corruption.
-func replayBinary(st *replayState, br *bufio.Reader) error {
+func (sc *recordScan) replayBinary(br *bufio.Reader) error {
 	off := int64(len(walMagic))
 	for {
 		size := peekFrameSize(br)
@@ -1156,19 +1142,19 @@ func replayBinary(st *replayState, br *bufio.Reader) error {
 				return nil
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {
-				st.dropped++ // torn tail: the crash signature
+				sc.dropped++ // torn tail: the crash signature
 				return nil
 			}
-			st.dropped++
+			sc.dropped++
 			if _, perr := br.Peek(1); perr == nil {
-				return fmt.Errorf("store: corrupt record %d: %w", st.records+st.dropped, err)
+				return fmt.Errorf("store: corrupt record %d: %w", sc.records+sc.dropped, err)
 			}
 			return nil
 		}
-		if aerr := st.apply(rec, frameRef{file: st.file, off: off, n: uint32(size)}); aerr != nil {
-			st.dropped++
+		if aerr := sc.accept(rec, frameRef{file: sc.file, off: off, n: uint32(size)}); aerr != nil {
+			sc.dropped++
 			if _, perr := br.Peek(1); perr == nil {
-				return fmt.Errorf("store: bad record %d: %w", st.records+st.dropped, aerr)
+				return fmt.Errorf("store: bad record %d: %w", sc.records+sc.dropped, aerr)
 			}
 			return nil
 		}
@@ -1176,7 +1162,7 @@ func replayBinary(st *replayState, br *bufio.Reader) error {
 	}
 }
 
-// Replay reconstructs jobs from a log stream in either codec (sniffed
+// Replay reconstructs jobs from a log stream, binary or JSON-era (sniffed
 // from the leading bytes). It returns the jobs in id order, the number of
 // complete records read, and the number of partial/corrupt records
 // discarded at the tail. Replay is tolerant of the crash signature (a
@@ -1188,10 +1174,42 @@ func replayBinary(st *replayState, br *bufio.Reader) error {
 // remain recoverable.
 func Replay(r io.Reader) ([]ReplayedJob, int, int, error) {
 	st := newReplayState()
-	if _, err := replayStream(st, r); err != nil {
-		return nil, st.records, st.dropped, err
+	sc := recordScan{file: fileLog, apply: st.apply}
+	if _, err := sc.replay(r); err != nil {
+		return nil, sc.records, sc.dropped, err
 	}
-	return st.sorted(), st.records, st.dropped, nil
+	return st.sorted(), sc.records, sc.dropped, nil
+}
+
+// Dump writes every record of a log or snapshot stream, binary or
+// JSON-era, to w as one JSON line, in file order. That is the JSON-era log
+// format, so a dump replays to the same jobs as the stream it came from.
+// Records up to a torn or corrupt tail are written before the tail is
+// reported as an error.
+func Dump(r io.Reader, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	enc.SetEscapeHTML(false) // payloads are embedded verbatim
+	var werr error
+	sc := recordScan{apply: func(rec any, _ frameRef) error {
+		if werr == nil {
+			werr = enc.Encode(rec)
+		}
+		return nil
+	}}
+	_, err := sc.replay(r)
+	if ferr := bw.Flush(); werr == nil {
+		werr = ferr
+	}
+	switch {
+	case err != nil:
+		return err
+	case werr != nil:
+		return fmt.Errorf("store: dump: %w", werr)
+	case sc.dropped > 0:
+		return fmt.Errorf("store: dump: %d torn or corrupt tail records skipped", sc.dropped)
+	}
+	return nil
 }
 
 // JobIDLess orders job ids for replay and listings: ids sharing a prefix

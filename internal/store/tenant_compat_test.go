@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// TestJobRecordTenantRoundTrip: a tagged job record survives both codecs
-// with its tenant intact.
+// TestJobRecordTenantRoundTrip: a tagged job record survives the binary
+// codec, and a JSON-era line, with its tenant intact.
 func TestJobRecordTenantRoundTrip(t *testing.T) {
 	rec := JobRecord{Type: recJob, ID: "job-000001", Kind: "sweep",
 		Created: time.Unix(1700000000, 123).UTC(),
@@ -19,21 +19,17 @@ func TestJobRecordTenantRoundTrip(t *testing.T) {
 		Tenant:  "alice"}
 
 	t.Run("json", func(t *testing.T) {
-		frame, err := encodeRecord(CodecJSON, rec)
+		got, err := decodeJSONLine(refEncode(t, CodecJSON, rec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got JobRecord
-		if err := json.Unmarshal(frame, &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Tenant != "alice" {
-			t.Fatalf("json round-trip tenant = %q, want alice", got.Tenant)
+		if jr, ok := got.(JobRecord); !ok || jr.Tenant != "alice" {
+			t.Fatalf("JSON-era line decodes to %+v, want tenant alice", got)
 		}
 	})
 
 	t.Run("binary", func(t *testing.T) {
-		frame, err := encodeBinaryRecord(rec)
+		frame, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,21 +56,18 @@ func TestUntaggedJobRecordUnchanged(t *testing.T) {
 		Created: time.Unix(1700000000, 0).UTC(),
 		Specs:   json.RawMessage(`[{"benchmark":"qft_n18"}]`)}
 
-	jsonFrame, err := encodeRecord(CodecJSON, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jsonFrame := refEncode(t, CodecJSON, rec)
 	if strings.Contains(string(jsonFrame), "tenant") {
 		t.Fatalf("untagged JSON record leaks a tenant key: %s", jsonFrame)
 	}
 
-	plain, err := encodeBinaryRecord(rec)
+	plain, err := encodeRecord(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tagged := rec
 	tagged.Tenant = "alice"
-	taggedFrame, err := encodeBinaryRecord(tagged)
+	taggedFrame, err := encodeRecord(tagged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +107,7 @@ func TestReplayMixedTenantRecords(t *testing.T) {
 				buf.Write(walMagic[:])
 			}
 			for _, rec := range records {
-				frame, err := encodeRecord(codec, rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf.Write(frame)
+				buf.Write(refEncode(t, codec, rec))
 			}
 			jobs, n, dropped, err := Replay(&buf)
 			if err != nil || dropped != 0 {
