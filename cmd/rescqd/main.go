@@ -79,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		analyticsOn  = fs.Bool("analytics", true, "maintain sweep analytics aggregates and serve GET /v1/analytics/* (false also keeps the WAL free of analytics state records)")
 		analyticsCap = fs.Int("analytics-max-groups", 0, "cardinality cap on analytics aggregate cells, one per distinct sweep-axis tuple (0 = default 8192)")
 
-		queuePolicy   = fs.String("queue-policy", "", "job scheduling policy: wfq (default; weighted fair queueing across tenants) or fifo (global arrival order)")
 		tenantWeights = fs.String("tenant-weights", "", "per-tenant WFQ weights, e.g. \"alice=3,bob=1\" (\"default\" sets the weight for unlisted tenants)")
 		tenantQuota   = fs.String("tenant-quota", "", "per-tenant quotas name=maxQueuedConfigs[:maxInflightJobs], e.g. \"alice=1000:4,bob=200\" (0 = unlimited; \"default\" applies to unlisted tenants)")
 
@@ -114,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		CacheEntries: *cache, DrainTimeoutSec: *drain, Layout: *layout,
 		StoreDir: *storeDir, MaxQueueDepth: *maxDepth,
 		Analytics: analyticsOn, AnalyticsMaxGroups: *analyticsCap,
-		QueuePolicy: *queuePolicy, Tenants: tenants,
+		Tenants: tenants,
 		Cluster: config.Cluster{
 			Mode:                *mode,
 			CoordinatorURL:      *coordURL,
@@ -197,8 +196,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if cfg.Cluster.Clustered() {
 		modeNote = " mode=" + cfg.Cluster.Mode
 	}
-	fmt.Fprintf(stdout, "rescqd: listening on %s (workers=%d queue=%d cache=%d policy=%s%s)\n",
-		ln.Addr(), svc.Workers(), cfg.QueueDepth, cfg.CacheEntries, cfg.QueuePolicy, modeNote)
+	fmt.Fprintf(stdout, "rescqd: listening on %s (workers=%d queue=%d cache=%d%s)\n",
+		ln.Addr(), svc.Workers(), cfg.QueueDepth, cfg.CacheEntries, modeNote)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/lattice"
-	"repro/internal/schedq"
 )
 
 // Daemon configures the rescqd serving daemon (see internal/service). A
@@ -70,10 +69,6 @@ type Daemon struct {
 	// the cap are counted as dropped, not aggregated. 0 means the default
 	// 8192 (analytics.DefaultMaxGroups).
 	AnalyticsMaxGroups int `json:"analytics_max_groups,omitempty"`
-	// QueuePolicy selects the job scheduler (see internal/schedq): "wfq"
-	// (the default — weighted fair queueing across tenants) or "fifo"
-	// (global arrival order, the pre-tenant behavior).
-	QueuePolicy string `json:"queue_policy,omitempty"`
 	// Tenants configures per-tenant weights and quotas for the scheduler.
 	// The zero value is fully permissive (weight 1, no quotas).
 	Tenants Tenants `json:"tenants"`
@@ -95,9 +90,6 @@ func (d Daemon) WithDefaults() Daemon {
 	}
 	if d.MaxQueueDepth == 0 {
 		d.MaxQueueDepth = 4096
-	}
-	if d.QueuePolicy == "" {
-		d.QueuePolicy = schedq.WFQ
 	}
 	d.Cluster = d.Cluster.WithDefaults()
 	d.Tenants = d.Tenants.WithDefaults()
@@ -139,10 +131,6 @@ func (d Daemon) Validate() error {
 	}
 	if d.AnalyticsMaxGroups < 0 {
 		return fmt.Errorf("config: analytics_max_groups must be non-negative")
-	}
-	if !schedq.Known(d.QueuePolicy) {
-		return fmt.Errorf("config: unknown queue_policy %q (registered: %s)",
-			d.QueuePolicy, strings.Join(schedq.Names(), ", "))
 	}
 	if err := d.Tenants.Validate(); err != nil {
 		return err

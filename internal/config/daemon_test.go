@@ -111,6 +111,10 @@ func TestReadDaemon(t *testing.T) {
 	if _, err := ReadDaemon(strings.NewReader(`{"nope":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// WFQ is the only queue policy; the removed knob is an unknown field.
+	if _, err := ReadDaemon(strings.NewReader(`{"queue_policy":"wfq"}`)); err == nil || !strings.Contains(err.Error(), "queue_policy") {
+		t.Fatalf("queue_policy accepted: %v", err)
+	}
 	if _, err := ReadDaemon(strings.NewReader(`{"workers":-2}`)); err == nil {
 		t.Fatal("invalid config accepted")
 	}

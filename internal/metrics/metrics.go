@@ -1,7 +1,11 @@
-// Package metrics provides the small statistics and rendering toolkit used
-// by the experiment harness: integer histograms (Figure 5), geometric
-// means (Figure 10's summary), normalization, and fixed-width ASCII tables
-// and series so every paper table/figure can be printed from a terminal.
+// Package metrics provides the small statistics and rendering toolkit
+// shared by the experiment harness and the rescqd daemon. For the paper's
+// tables and figures: exact integer histograms (Figure 5), geometric means
+// (Figure 10's summary), normalization, and fixed-width ASCII tables and
+// series so every one can be printed from a terminal. For the daemon: its
+// counter set (ServiceStats), lock-free microsecond latency histograms
+// (LatencyHistogram) and the one Prometheus text writer (PromWriter) that
+// every /metrics series goes through.
 package metrics
 
 import (

@@ -1,23 +1,19 @@
-// Package schedq is rescqd's tenant-aware scheduling layer: the pluggable
-// job queue sitting between submission and the worker pool. It replaces
-// the single buffered channel the daemon started with — under which one
-// tenant's multi-thousand-configuration sweep starved every submission
-// behind it — with per-tenant queues drained by a policy.
+// Package schedq is rescqd's tenant-aware scheduling layer: the job queue
+// sitting between submission and the worker pool. It replaces the single
+// buffered channel the daemon started with — under which one tenant's
+// multi-thousand-configuration sweep starved every submission behind it —
+// with per-tenant queues drained by weighted fair queueing (WFQ) over
+// virtual time.
 //
-// Two policies are registered:
-//
-//   - "wfq" (the default): weighted fair queueing over virtual time. Each
-//     tenant accumulates virtual time proportional to the configurations
-//     executed on its behalf divided by its weight; Pop always serves the
-//     backlogged tenant with the least virtual time, and Yield tells a
-//     running job to checkpoint at its next configuration boundary when a
-//     lower-virtual-time tenant is waiting. Idle tenants earn no credit:
-//     on arrival after idleness a tenant's clock is floored to the global
-//     virtual time, so a tenant cannot bank hours of silence and then
-//     monopolize the pool.
-//   - "fifo": strict arrival order across all tenants (the pre-scheduler
-//     behavior). Quota enforcement and per-tenant accounting still apply;
-//     Yield never fires.
+// Each tenant accumulates virtual time proportional to the configurations
+// executed on its behalf divided by its weight; Pop always serves the
+// backlogged tenant with the least virtual time, and Yield tells a running
+// job to checkpoint at its next configuration boundary when a
+// lower-virtual-time tenant is waiting. Idle tenants earn no credit: on
+// arrival after idleness a tenant's clock is floored to the global virtual
+// time, so a tenant cannot bank hours of silence and then monopolize the
+// pool. With a single tenant, Pop serves jobs in arrival order and Yield
+// never fires.
 //
 // The scheduler also owns per-tenant admission quotas: a bound on
 // admitted-but-unfinished configurations (backlog) and on open (queued +
@@ -38,7 +34,6 @@ package schedq
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -102,105 +97,18 @@ type TenantSnapshot struct {
 	VirtualTime float64 `json:"virtual_time"`
 }
 
-// Scheduler is the pluggable queue between submission and the worker
-// pool. Push/Pop carry opaque items (the service's *Job) so the package
-// stays dependency-free. All methods are safe for concurrent use.
-type Scheduler interface {
-	// Push admits one job for tenant, costing `cost` unfinished
-	// configurations against its quota and backlog. Returns ErrClosed
-	// after Close, a *QuotaError over a tenant bound, or ErrFull when the
-	// global capacity is exhausted.
-	Push(tenant string, cost int64, item any) error
-	// PushExempt admits bypassing the tenant quotas (WAL-replayed jobs:
-	// their work was admitted in a previous life) but still counting the
-	// backlog and respecting capacity.
-	PushExempt(tenant string, cost int64, item any) error
-	// Requeue re-enqueues a preempted continuation. Its cost and open-job
-	// slot are already accounted, so neither quotas nor capacity apply;
-	// only ErrClosed is possible.
-	Requeue(tenant string, item any) error
-	// Pop blocks until an item is available, returning ok=false only once
-	// the scheduler is closed AND drained — the channel-range contract the
-	// worker pool was built on.
-	Pop() (item any, ok bool)
-	// Completed reports n configurations of tenant's admitted work
-	// executed: backlog shrinks and the tenant's virtual clock advances.
-	Completed(tenant string, n int64)
-	// Abandon releases n admitted configurations that will never run
-	// (cancelled or failed jobs): backlog shrinks, no virtual-time charge.
-	Abandon(tenant string, n int64)
-	// JobDone reports one of tenant's open jobs reaching a terminal state.
-	JobDone(tenant string)
-	// Yield reports whether work running on tenant's behalf should
-	// checkpoint at its next configuration boundary because a
-	// better-entitled tenant is waiting. Always false under FIFO.
-	Yield(tenant string) bool
-	// Backlog returns tenant's admitted-but-unfinished configurations.
-	Backlog(tenant string) int64
-	// Len returns the queued-job count across all tenants.
-	Len() int
-	// Close stops admission and wakes every Pop; queued items drain first.
-	Close()
-	// Snapshot returns per-tenant live state, sorted by tenant name.
-	Snapshot() []TenantSnapshot
-}
+// WFQ names the scheduling policy, weighted fair queueing; it is the only
+// one.
+const WFQ = "wfq"
 
-// Registered policy names.
-const (
-	WFQ  = "wfq"
-	FIFO = "fifo"
-)
-
-var (
-	regMu     sync.RWMutex
-	factories = map[string]func(Config) Scheduler{}
-)
-
-// Register adds a scheduler factory under name, following the same
-// registry idiom as the engine's scheduler and layout registries, so an
-// alternative policy plugs in without touching the service.
-func Register(name string, f func(Config) Scheduler) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	factories[name] = f
-}
-
-// New builds the named scheduler ("" means the default, WFQ).
-func New(name string, cfg Config) (Scheduler, error) {
-	if name == "" {
-		name = WFQ
+// New builds a scheduler. name must be WFQ or "" (meaning WFQ).
+func New(name string, cfg Config) (*Queue, error) {
+	if name != "" && name != WFQ {
+		return nil, fmt.Errorf("schedq: unknown policy %q (want %q)", name, WFQ)
 	}
-	regMu.RLock()
-	f, ok := factories[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("schedq: unknown policy %q (registered: %v)", name, Names())
-	}
-	return f(cfg), nil
-}
-
-// Known reports whether name resolves to a registered policy ("" counts:
-// it resolves to the default).
-func Known(name string) bool {
-	if name == "" {
-		return true
-	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := factories[name]
-	return ok
-}
-
-// Names returns the registered policy names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	q := &Queue{cfg: cfg, tenants: make(map[string]*tenant)}
+	q.cond = sync.NewCond(&q.mu)
+	return q, nil
 }
 
 // ValidTenant reports whether name is usable as a tenant identity: 1-64
@@ -221,9 +129,4 @@ func ValidTenant(name string) error {
 		}
 	}
 	return nil
-}
-
-func init() {
-	Register(WFQ, func(cfg Config) Scheduler { return newQueue(cfg, false) })
-	Register(FIFO, func(cfg Config) Scheduler { return newQueue(cfg, true) })
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-func mustPush(t *testing.T, q Scheduler, tenant string, cost int64, item any) {
+func mustPush(t *testing.T, q *Queue, tenant string, cost int64, item any) {
 	t.Helper()
 	if err := q.Push(tenant, cost, item); err != nil {
 		t.Fatalf("Push(%s): %v", tenant, err)
@@ -17,7 +17,7 @@ func mustPush(t *testing.T, q Scheduler, tenant string, cost int64, item any) {
 
 // popAll drains n items without blocking semantics mattering (everything
 // is already queued).
-func popAll(t *testing.T, q Scheduler, n int) []any {
+func popAll(t *testing.T, q *Queue, n int) []any {
 	t.Helper()
 	out := make([]any, 0, n)
 	for i := 0; i < n; i++ {
@@ -30,23 +30,33 @@ func popAll(t *testing.T, q Scheduler, n int) []any {
 	return out
 }
 
-func TestFIFOPreservesArrivalOrder(t *testing.T) {
-	q, err := New(FIFO, Config{})
+// TestSingleTenantArrivalOrderNeverYields: with one tenant, WFQ is
+// arrival order — whatever that tenant's clock does — and a running job
+// is never asked to yield to its own tenant's queued work.
+func TestSingleTenantArrivalOrderNeverYields(t *testing.T) {
+	q, err := New(WFQ, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustPush(t, q, "a", 1, "a1")
-	mustPush(t, q, "b", 1, "b1")
-	mustPush(t, q, "a", 1, "a2")
-	got := popAll(t, q, 3)
-	want := []any{"a1", "b1", "a2"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", got, want)
-		}
+	for i := range 5 {
+		mustPush(t, q, "solo", int64(i+1), i)
 	}
-	if q.Yield("a") {
-		t.Fatal("FIFO must never yield")
+	for want := range 5 {
+		if q.Yield("solo") {
+			t.Fatalf("a lone tenant yielded with %d jobs queued", q.Len())
+		}
+		got, ok := q.Pop()
+		if !ok || got != want {
+			t.Fatalf("pop %d = %v (ok=%v), want arrival order", want, got, ok)
+		}
+		mustPush(t, q, "solo", 1, 5+want) // later arrivals queue behind
+		q.Completed("solo", int64(want+1))
+		q.JobDone("solo")
+	}
+	for want := 5; want < 10; want++ {
+		if got, _ := q.Pop(); got != want {
+			t.Fatalf("pop = %v, want %d in arrival order", got, want)
+		}
 	}
 }
 
@@ -232,7 +242,10 @@ func TestPopBlocksUntilPushOrClose(t *testing.T) {
 }
 
 func TestYieldSuppressedByIdleWorker(t *testing.T) {
-	q := newQueue(Config{}, false)
+	q, err := New(WFQ, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := q.Push("whale", 10, "w"); err != nil {
 		t.Fatal(err)
 	}
@@ -329,15 +342,15 @@ func TestBacklogAndSnapshot(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if !Known("") || !Known(WFQ) || !Known(FIFO) || Known("nope") {
-		t.Fatalf("Known: %v %v %v %v", Known(""), Known(WFQ), Known(FIFO), Known("nope"))
+	for _, name := range []string{"", WFQ} {
+		if q, err := New(name, Config{}); err != nil || q == nil {
+			t.Fatalf("New(%q) = %v, %v", name, q, err)
+		}
 	}
-	if _, err := New("nope", Config{}); err == nil {
-		t.Fatal("unknown policy must error")
-	}
-	names := Names()
-	if len(names) < 2 {
-		t.Fatalf("Names() = %v", names)
+	for _, name := range []string{"nope", "fifo"} {
+		if _, err := New(name, Config{}); err == nil {
+			t.Fatalf("New(%q): unknown policy must error", name)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // that pauses cannot shed its debt by going briefly silent.
 const maxIdleTenants = 4096
 
-// entry is one queued job with its admission sequence number (the FIFO
-// key, and the tie-breaker inside a tenant under WFQ).
+// entry is one queued job with its admission sequence number (the
+// tie-breaker between tenants with equal virtual time).
 type entry struct {
 	item any
 	seq  uint64
@@ -39,19 +39,17 @@ func (t *tenant) idle() bool {
 	return len(t.queue) == 0 && t.open == 0 && t.backlog == 0
 }
 
-// queue implements Scheduler for both registered policies: virtual-time
-// WFQ (fifo=false) and global arrival order (fifo=true). The two share
-// the tenant table, quota enforcement and accounting; only Pop's victim
-// selection and Yield differ.
-type queue struct {
+// Queue is the virtual-time WFQ scheduler between submission and the
+// worker pool. Push/Pop carry opaque items (the service's *Job) so the
+// package stays dependency-free. All methods are safe for concurrent use.
+type Queue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	cfg     Config
-	fifo    bool
 	tenants map[string]*tenant
 	queued  int    // items across all tenant queues
 	waiters int    // workers blocked in Pop
-	seq     uint64 // admission sequence, the FIFO/tie-break key
+	seq     uint64 // admission sequence, the tie-break key
 	closed  bool
 	// vtime is the global virtual clock: the virtual time of the last
 	// tenant served. New arrivals floor their clock here, which is what
@@ -59,14 +57,8 @@ type queue struct {
 	vtime float64
 }
 
-func newQueue(cfg Config, fifo bool) *queue {
-	q := &queue{cfg: cfg, fifo: fifo, tenants: make(map[string]*tenant)}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
 // tenantLocked returns (creating if needed) the named tenant's state.
-func (q *queue) tenantLocked(name string) *tenant {
+func (q *Queue) tenantLocked(name string) *tenant {
 	if t, ok := q.tenants[name]; ok {
 		return t
 	}
@@ -93,15 +85,22 @@ func (q *queue) tenantLocked(name string) *tenant {
 	return t
 }
 
-func (q *queue) Push(tn string, cost int64, item any) error {
+// Push admits one job for tenant, costing `cost` unfinished configurations
+// against its quota and backlog. Returns ErrClosed after Close, a
+// *QuotaError over a tenant bound, or ErrFull when the global capacity is
+// exhausted.
+func (q *Queue) Push(tn string, cost int64, item any) error {
 	return q.push(tn, cost, item, false)
 }
 
-func (q *queue) PushExempt(tn string, cost int64, item any) error {
+// PushExempt admits bypassing the tenant quotas (WAL-replayed jobs: their
+// work was admitted in a previous life) but still counting the backlog and
+// respecting capacity.
+func (q *Queue) PushExempt(tn string, cost int64, item any) error {
 	return q.push(tn, cost, item, true)
 }
 
-func (q *queue) push(tn string, cost int64, item any, exempt bool) error {
+func (q *Queue) push(tn string, cost int64, item any, exempt bool) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -128,7 +127,10 @@ func (q *queue) push(tn string, cost int64, item any, exempt bool) error {
 	return nil
 }
 
-func (q *queue) Requeue(tn string, item any) error {
+// Requeue re-enqueues a preempted continuation. Its cost and open-job slot
+// are already accounted, so neither quotas nor capacity apply; only
+// ErrClosed is possible.
+func (q *Queue) Requeue(tn string, item any) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -141,38 +143,33 @@ func (q *queue) Requeue(tn string, item any) error {
 	return nil
 }
 
-func (q *queue) enqueueLocked(t *tenant, item any) {
+func (q *Queue) enqueueLocked(t *tenant, item any) {
 	q.seq++
 	t.queue = append(t.queue, entry{item: item, seq: q.seq})
 	q.queued++
 	q.cond.Signal()
 }
 
-// pickLocked selects the tenant to serve next: under FIFO the one whose
-// head arrived first, under WFQ the one with the least virtual time
-// (arrival order breaking ties, so equal-clock tenants alternate
-// deterministically instead of by map order).
-func (q *queue) pickLocked() *tenant {
+// pickLocked selects the tenant to serve next: the one with the least
+// virtual time (arrival order breaking ties, so equal-clock tenants
+// alternate deterministically instead of by map order).
+func (q *Queue) pickLocked() *tenant {
 	var best *tenant
 	for _, t := range q.tenants {
 		if len(t.queue) == 0 {
 			continue
 		}
-		switch {
-		case best == nil:
-			best = t
-		case q.fifo:
-			if t.queue[0].seq < best.queue[0].seq {
-				best = t
-			}
-		case t.vt < best.vt || (t.vt == best.vt && t.queue[0].seq < best.queue[0].seq):
+		if best == nil || t.vt < best.vt || (t.vt == best.vt && t.queue[0].seq < best.queue[0].seq) {
 			best = t
 		}
 	}
 	return best
 }
 
-func (q *queue) Pop() (any, bool) {
+// Pop blocks until an item is available, returning ok=false only once the
+// scheduler is closed AND drained — the channel-range contract the worker
+// pool was built on.
+func (q *Queue) Pop() (any, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
@@ -194,7 +191,9 @@ func (q *queue) Pop() (any, bool) {
 	}
 }
 
-func (q *queue) Completed(tn string, n int64) {
+// Completed reports n configurations of tenant's admitted work executed:
+// backlog shrinks and the tenant's virtual clock advances.
+func (q *Queue) Completed(tn string, n int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	t, ok := q.tenants[tn]
@@ -208,7 +207,9 @@ func (q *queue) Completed(tn string, n int64) {
 	t.vt += float64(n) / t.weight
 }
 
-func (q *queue) Abandon(tn string, n int64) {
+// Abandon releases n admitted configurations that will never run
+// (cancelled or failed jobs): backlog shrinks, no virtual-time charge.
+func (q *Queue) Abandon(tn string, n int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if t, ok := q.tenants[tn]; ok && n > 0 {
@@ -219,7 +220,8 @@ func (q *queue) Abandon(tn string, n int64) {
 	}
 }
 
-func (q *queue) JobDone(tn string) {
+// JobDone reports one of tenant's open jobs reaching a terminal state.
+func (q *Queue) JobDone(tn string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	t, ok := q.tenants[tn]
@@ -236,12 +238,15 @@ func (q *queue) JobDone(tn string) {
 	}
 }
 
-func (q *queue) Yield(tn string) bool {
+// Yield reports whether work running on tenant's behalf should checkpoint
+// at its next configuration boundary because a better-entitled tenant is
+// waiting.
+func (q *Queue) Yield(tn string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	// An idle worker blocked in Pop will take any queued item directly —
 	// preempting would only churn the running job.
-	if q.fifo || q.closed || q.queued == 0 || q.waiters > 0 {
+	if q.closed || q.queued == 0 || q.waiters > 0 {
 		return false
 	}
 	me, ok := q.tenants[tn]
@@ -256,7 +261,8 @@ func (q *queue) Yield(tn string) bool {
 	return false
 }
 
-func (q *queue) Backlog(tn string) int64 {
+// Backlog returns tenant's admitted-but-unfinished configurations.
+func (q *Queue) Backlog(tn string) int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if t, ok := q.tenants[tn]; ok {
@@ -265,20 +271,23 @@ func (q *queue) Backlog(tn string) int64 {
 	return 0
 }
 
-func (q *queue) Len() int {
+// Len returns the queued-job count across all tenants.
+func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.queued
 }
 
-func (q *queue) Close() {
+// Close stops admission and wakes every Pop; queued items drain first.
+func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
 
-func (q *queue) Snapshot() []TenantSnapshot {
+// Snapshot returns per-tenant live state, sorted by tenant name.
+func (q *Queue) Snapshot() []TenantSnapshot {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := make([]TenantSnapshot, 0, len(q.tenants))

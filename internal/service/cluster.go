@@ -127,7 +127,7 @@ func (s *Server) WorkerDraining() bool { return s.workerDraining.Load() }
 // add workers; ≈ 0 with idle slots means it is safe to drain some.
 func (s *Server) scaleSignal() (backlogMS, slots int64, perSlotMS float64) {
 	_, p50, _ := s.stats.ConfigLatency()
-	backlogMS = s.pending.Load() * int64(max(p50, 1))
+	backlogMS = int64(time.Duration(s.pending.Load()) * max(p50, time.Millisecond) / time.Millisecond)
 	if s.clust != nil && s.clust.registry != nil {
 		n, _ := s.clust.registry.Capacity()
 		slots = int64(n)
@@ -216,7 +216,7 @@ const (
 	minLatencySamples = 16
 	deadlineSlack     = 8                      // deadline = slack × batch × p99
 	hedgeSlack        = 3                      // hedge fires earlier than the deadline
-	minBatchDeadline  = 2 * time.Second        // floor: fast engines make p99 ≈ 0
+	minBatchDeadline  = 2 * time.Second        // floor: fast engines make p99 tiny
 	minHedgeDelay     = 500 * time.Millisecond // floor, for the same reason
 )
 
@@ -228,8 +228,7 @@ func (s *Server) batchDeadline(batchLen int) time.Duration {
 	if n < minLatencySamples {
 		return 0
 	}
-	d := time.Duration(deadlineSlack*batchLen*p99) * time.Millisecond
-	return max(d, minBatchDeadline)
+	return max(time.Duration(deadlineSlack*batchLen)*p99, minBatchDeadline)
 }
 
 // hedgeDelay is how long a batch may run before the coordinator races a
@@ -239,8 +238,7 @@ func (s *Server) hedgeDelay(batchLen int) time.Duration {
 	if n < minLatencySamples {
 		return 0
 	}
-	d := time.Duration(hedgeSlack*batchLen*p99) * time.Millisecond
-	return max(d, minHedgeDelay)
+	return max(time.Duration(hedgeSlack*batchLen)*p99, minHedgeDelay)
 }
 
 // batchSizer picks adaptive batch lengths for the pull loop. Three regimes:
@@ -283,12 +281,9 @@ func (z *batchSizer) steady() int {
 		z.ramp = min(z.ramp*2, z.cap)
 		return b
 	}
-	if p50 <= 0 {
-		// Sub-millisecond configurations: per-batch overhead dominates, so
-		// fill batches to the cap.
-		return z.cap
-	}
-	return int(z.target.Milliseconds() / int64(p50))
+	// A quantile is its bucket's upper edge, so p50 > 0 here; sub-millisecond
+	// configurations size far past the cap, which next clamps.
+	return int(z.target / p50)
 }
 
 // buildExecuteRequest assembles one batch's wire form. A hedge reuses its

@@ -565,12 +565,13 @@ func TestBatchSizerProgression(t *testing.T) {
 		}
 	}
 
-	// Warm histogram at p50 = 20ms: a 100ms target packs 5 per batch.
+	// Warm histogram of 20ms samples: p50 reads 20.48ms, the upper edge of
+	// their bucket, so a 100ms target packs 4 per batch.
 	for i := 0; i < 2*minLatencySamples; i++ {
 		s.stats.ObserveConfigLatency(20 * time.Millisecond)
 	}
-	if got := z.next(1000, 1); got != 5 {
-		t.Fatalf("steady-state size = %d, want 100ms/20ms = 5", got)
+	if got := z.next(1000, 1); got != 4 {
+		t.Fatalf("steady-state size = %d, want 100ms/20.48ms = 4", got)
 	}
 
 	// Tail split: 10 configs over 4 free slots is ceil(10/4) = 3 per batch,
@@ -582,12 +583,12 @@ func TestBatchSizerProgression(t *testing.T) {
 	if got := z.next(1, 8); got != 1 {
 		t.Fatalf("tail-split floor = %d, want 1", got)
 	}
-	if got := z.next(1000, 4); got != 5 {
-		t.Fatalf("deep-backlog size = %d, want steady-state 5", got)
+	if got := z.next(1000, 4); got != 4 {
+		t.Fatalf("deep-backlog size = %d, want steady-state 4", got)
 	}
 
-	// The -batch-size cap always wins: sub-millisecond configurations would
-	// otherwise ask for target/0.
+	// The -batch-size cap always wins: instant configurations read a p50 of
+	// 1µs and would otherwise ask for 100ms/1µs per batch.
 	fast := New(cfg, nil)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -499,9 +499,6 @@ type Capabilities struct {
 	Schedulers  []string              `json:"schedulers"`
 	Layouts     []rescq.LayoutInfo    `json:"layouts"`
 	Experiments []string              `json:"experiments"`
-	// QueuePolicies lists the registered job-queue scheduling policies
-	// (see internal/schedq and the queue_policy config field).
-	QueuePolicies []string `json:"queue_policies"`
 	// DefaultLayout is the daemon's configured default for requests that
 	// do not name a layout ("star" unless overridden).
 	DefaultLayout string `json:"default_layout"`
@@ -520,7 +517,6 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 		Schedulers:    rescq.Schedulers(),
 		Layouts:       rescq.LayoutCatalog(),
 		Experiments:   append([]string(nil), rescq.ExperimentIDs...),
-		QueuePolicies: schedq.Names(),
 		DefaultLayout: def,
 	}
 	if s.an != nil {
@@ -602,7 +598,6 @@ type healthBody struct {
 	Draining       bool                    `json:"draining"`
 	Workers        int                     `json:"workers"`
 	Queued         int                     `json:"queued"`
-	QueuePolicy    string                  `json:"queue_policy"`
 	PendingConfigs int64                   `json:"pending_configs"`
 	MaxQueueDepth  int                     `json:"max_queue_depth,omitempty"`
 	CoalescedTotal int64                   `json:"coalesced_total"`
@@ -627,29 +622,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Draining:       s.Draining(),
 		Workers:        s.workers,
 		Queued:         s.sched.Len(),
-		QueuePolicy:    s.cfg.QueuePolicy,
 		PendingConfigs: s.pending.Load(),
 		MaxQueueDepth:  s.cfg.MaxQueueDepth,
 		CoalescedTotal: s.stats.Coalesced.Load(),
 		ShedTotal:      s.stats.JobsShed.Load(),
 		PreemptedTotal: s.stats.JobsPreempted.Load(),
 	}
-	counters := s.stats.TenantSnapshots()
+	counters := s.stats.Tenants()
 	for _, ts := range s.sched.Snapshot() {
 		if body.Tenants == nil {
 			body.Tenants = make(map[string]tenantHealth)
 		}
-		tc := counters[ts.Tenant]
-		body.Tenants[ts.Tenant] = tenantHealth{
+		th := tenantHealth{
 			Weight:         ts.Weight,
 			QueuedJobs:     ts.QueuedJobs,
 			OpenJobs:       ts.OpenJobs,
 			BacklogConfigs: ts.Backlog,
 			VirtualTime:    ts.VirtualTime,
-			Running:        tc.Running,
-			ShedTotal:      tc.Shed,
-			PreemptedTotal: tc.Preempted,
 		}
+		if tc := counters[ts.Tenant]; tc != nil {
+			th.Running, th.ShedTotal, th.PreemptedTotal = tc.Running.Load(), tc.Shed.Load(), tc.Preempted.Load()
+		}
+		body.Tenants[ts.Tenant] = th
 	}
 	if st, ok := s.StoreStats(); ok {
 		body.Store = &storeHealth{
@@ -703,81 +697,84 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	snap := s.stats.Snapshot()
-	fmt.Fprint(w, snap.RenderProm("rescqd"))
+	var p metrics.PromWriter
+	s.stats.WriteProm(&p)
 	entries, capacity := 0, 0
 	if s.cache != nil {
 		entries, capacity = s.cache.len(), s.cache.capacity()
 	}
-	fmt.Fprintf(w, "# HELP rescqd_cache_entries Result-cache entries resident.\n# TYPE rescqd_cache_entries gauge\nrescqd_cache_entries %d\n", entries)
-	fmt.Fprintf(w, "# HELP rescqd_cache_capacity Result-cache entry budget.\n# TYPE rescqd_cache_capacity gauge\nrescqd_cache_capacity %d\n", capacity)
-	fmt.Fprintf(w, "# HELP rescqd_queue_pending Jobs waiting in the queue.\n# TYPE rescqd_queue_pending gauge\nrescqd_queue_pending %d\n", s.sched.Len())
-	fmt.Fprintf(w, "# HELP rescqd_pending_configs Run configurations admitted but not yet finished (admission-control backlog).\n# TYPE rescqd_pending_configs gauge\nrescqd_pending_configs %d\n", s.pending.Load())
+	p.Gauge("rescqd_cache_entries", "Result-cache entries resident.", int64(entries))
+	p.Gauge("rescqd_cache_capacity", "Result-cache entry budget.", int64(capacity))
+	p.Gauge("rescqd_queue_pending", "Jobs waiting in the queue.", int64(s.sched.Len()))
+	p.Gauge("rescqd_pending_configs", "Run configurations admitted but not yet finished (admission-control backlog).", s.pending.Load())
 	if snaps := s.sched.Snapshot(); len(snaps) > 0 {
-		fmt.Fprint(w, "# HELP rescqd_tenant_queued_jobs Jobs waiting in the scheduler, by tenant.\n# TYPE rescqd_tenant_queued_jobs gauge\n")
+		p.Header("rescqd_tenant_queued_jobs", "gauge", "Jobs waiting in the scheduler, by tenant.")
 		for _, ts := range snaps {
-			fmt.Fprintf(w, "rescqd_tenant_queued_jobs{tenant=%q} %d\n", ts.Tenant, ts.QueuedJobs)
+			p.Int("rescqd_tenant_queued_jobs", int64(ts.QueuedJobs), "tenant", ts.Tenant)
 		}
-		fmt.Fprint(w, "# HELP rescqd_tenant_open_jobs Queued plus running jobs, by tenant.\n# TYPE rescqd_tenant_open_jobs gauge\n")
+		p.Header("rescqd_tenant_open_jobs", "gauge", "Queued plus running jobs, by tenant.")
 		for _, ts := range snaps {
-			fmt.Fprintf(w, "rescqd_tenant_open_jobs{tenant=%q} %d\n", ts.Tenant, ts.OpenJobs)
+			p.Int("rescqd_tenant_open_jobs", int64(ts.OpenJobs), "tenant", ts.Tenant)
 		}
-		fmt.Fprint(w, "# HELP rescqd_tenant_backlog_configs Admitted-but-unfinished configurations, by tenant.\n# TYPE rescqd_tenant_backlog_configs gauge\n")
+		p.Header("rescqd_tenant_backlog_configs", "gauge", "Admitted-but-unfinished configurations, by tenant.")
 		for _, ts := range snaps {
-			fmt.Fprintf(w, "rescqd_tenant_backlog_configs{tenant=%q} %d\n", ts.Tenant, ts.Backlog)
+			p.Int("rescqd_tenant_backlog_configs", ts.Backlog, "tenant", ts.Tenant)
 		}
 	}
 	if st, ok := s.StoreStats(); ok {
-		fmt.Fprintf(w, "# HELP rescqd_store_jobs Jobs in the durable store index.\n# TYPE rescqd_store_jobs gauge\nrescqd_store_jobs %d\n", st.Jobs)
-		fmt.Fprintf(w, "# HELP rescqd_store_records Records in the WAL file.\n# TYPE rescqd_store_records gauge\nrescqd_store_records %d\n", st.Records)
-		fmt.Fprintf(w, "# HELP rescqd_store_bytes WAL file size in bytes.\n# TYPE rescqd_store_bytes gauge\nrescqd_store_bytes %d\n", st.Bytes)
-		fmt.Fprintf(w, "# HELP rescqd_store_compactions_total WAL compactions performed.\n# TYPE rescqd_store_compactions_total counter\nrescqd_store_compactions_total %d\n", st.Compactions)
-		fmt.Fprintf(w, "# HELP rescqd_store_compaction_seconds_total Time spent in WAL compactions, which stall appends while they run.\n# TYPE rescqd_store_compaction_seconds_total counter\nrescqd_store_compaction_seconds_total %g\n", st.CompactionSeconds)
-		fmt.Fprintf(w, "# HELP rescqd_store_appends_total WAL records appended.\n# TYPE rescqd_store_appends_total counter\nrescqd_store_appends_total %d\n", st.AppendsBinary)
-		fmt.Fprintf(w, "# HELP rescqd_store_append_bytes_total WAL bytes appended.\n# TYPE rescqd_store_append_bytes_total counter\nrescqd_store_append_bytes_total %d\n", st.AppendBytesBinary)
-		durable := 1
-		if s.Lossy() {
-			durable = 0
-		}
-		fmt.Fprintf(w, "# HELP rescqd_store_durable Whether the WAL is taking writes (0 while serving in lossy mode).\n# TYPE rescqd_store_durable gauge\nrescqd_store_durable %d\n", durable)
-		fmt.Fprintf(w, "# HELP rescqd_replay_dropped Interrupted jobs left resumable on disk after a failed re-enqueue at startup.\n# TYPE rescqd_replay_dropped gauge\nrescqd_replay_dropped %d\n", s.ReplayInfo().Dropped)
+		p.Gauge("rescqd_store_jobs", "Jobs in the durable store index.", int64(st.Jobs))
+		p.Gauge("rescqd_store_records", "Records in the WAL file.", int64(st.Records))
+		p.Gauge("rescqd_store_bytes", "WAL file size in bytes.", st.Bytes)
+		p.Counter("rescqd_store_compactions_total", "WAL compactions performed.", st.Compactions)
+		p.Header("rescqd_store_compaction_seconds_total", "counter", "Time spent in WAL compactions, which stall appends while they run.")
+		p.Float("rescqd_store_compaction_seconds_total", st.CompactionSeconds)
+		p.Counter("rescqd_store_appends_total", "WAL records appended.", st.AppendsBinary)
+		p.Counter("rescqd_store_append_bytes_total", "WAL bytes appended.", st.AppendBytesBinary)
+		p.Gauge("rescqd_store_durable", "Whether the WAL is taking writes (0 while serving in lossy mode).", boolGauge(!s.Lossy()))
+		p.Gauge("rescqd_replay_dropped", "Interrupted jobs left resumable on disk after a failed re-enqueue at startup.", int64(s.ReplayInfo().Dropped))
 	}
 	if s.an != nil {
 		as := s.an.Stats()
-		metrics.PromLine(w, "gauge", "rescqd_analytics_groups", "Materialized analytics aggregate cells (distinct axis tuples).", int64(as.Groups))
-		metrics.PromLine(w, "gauge", "rescqd_analytics_group_cap", "Configured aggregate-cell cardinality cap.", int64(as.GroupCap))
-		metrics.PromLine(w, "gauge", "rescqd_analytics_benchmarks", "Benchmarks with at least one analytics cell.", int64(as.Benchmarks))
-		metrics.PromLine(w, "counter", "rescqd_analytics_results_ingested_total", "Results folded into analytics aggregates.", as.Ingested)
-		metrics.PromLine(w, "counter", "rescqd_analytics_results_skipped_total", "Results that advanced a watermark with nothing to aggregate (errors, reports).", as.Skipped)
-		metrics.PromLine(w, "counter", "rescqd_analytics_results_deduped_total", "Replayed results rejected by a job watermark.", as.Deduped)
-		metrics.PromLine(w, "counter", "rescqd_analytics_results_dropped_total", "Results beyond the cardinality cap, counted but not aggregated.", as.Dropped)
-		metrics.PromLine(w, "counter", "rescqd_analytics_queries_total", "Analytics queries served.", as.Queries)
-		metrics.PromLine(w, "counter", "rescqd_analytics_snapshots_total", "Analytics snapshots written to the WAL.", as.Snapshots)
-		metrics.PromLine(w, "gauge", "rescqd_analytics_ingest_lag", "Results folded since the last durable analytics snapshot (replay cost of a crash now).", as.IngestLag)
+		p.Gauge("rescqd_analytics_groups", "Materialized analytics aggregate cells (distinct axis tuples).", int64(as.Groups))
+		p.Gauge("rescqd_analytics_group_cap", "Configured aggregate-cell cardinality cap.", int64(as.GroupCap))
+		p.Gauge("rescqd_analytics_benchmarks", "Benchmarks with at least one analytics cell.", int64(as.Benchmarks))
+		p.Counter("rescqd_analytics_results_ingested_total", "Results folded into analytics aggregates.", as.Ingested)
+		p.Counter("rescqd_analytics_results_skipped_total", "Results that advanced a watermark with nothing to aggregate (errors, reports).", as.Skipped)
+		p.Counter("rescqd_analytics_results_deduped_total", "Replayed results rejected by a job watermark.", as.Deduped)
+		p.Counter("rescqd_analytics_results_dropped_total", "Results beyond the cardinality cap, counted but not aggregated.", as.Dropped)
+		p.Counter("rescqd_analytics_queries_total", "Analytics queries served.", as.Queries)
+		p.Counter("rescqd_analytics_snapshots_total", "Analytics snapshots written to the WAL.", as.Snapshots)
+		p.Gauge("rescqd_analytics_ingest_lag", "Results folded since the last durable analytics snapshot (replay cost of a crash now).", as.IngestLag)
 	}
 	if ws, ok := s.ClusterWorkers(); ok {
-		fmt.Fprintf(w, "# HELP rescqd_cluster_workers Live workers registered with the coordinator.\n# TYPE rescqd_cluster_workers gauge\nrescqd_cluster_workers %d\n", len(ws))
-		fmt.Fprint(w, "# HELP rescqd_cluster_worker_inflight Batches in flight per worker.\n# TYPE rescqd_cluster_worker_inflight gauge\n")
+		p.Gauge("rescqd_cluster_workers", "Live workers registered with the coordinator.", int64(len(ws)))
+		p.Header("rescqd_cluster_worker_inflight", "gauge", "Batches in flight per worker.")
 		for _, wi := range ws {
-			fmt.Fprintf(w, "rescqd_cluster_worker_inflight{worker=%q} %d\n", wi.ID, wi.Inflight)
+			p.Int("rescqd_cluster_worker_inflight", int64(wi.Inflight), "worker", wi.ID)
 		}
-		fmt.Fprint(w, "# HELP rescqd_cluster_worker_capacity Batch capacity per worker.\n# TYPE rescqd_cluster_worker_capacity gauge\n")
+		p.Header("rescqd_cluster_worker_capacity", "gauge", "Batch capacity per worker.")
 		for _, wi := range ws {
-			fmt.Fprintf(w, "rescqd_cluster_worker_capacity{worker=%q} %d\n", wi.ID, wi.Capacity)
+			p.Int("rescqd_cluster_worker_capacity", int64(wi.Capacity), "worker", wi.ID)
 		}
 		backlogMS, slots, perSlot := s.scaleSignal()
-		fmt.Fprintf(w, "# HELP rescqd_cluster_backlog_ms Admitted backlog in estimated milliseconds of work (pending configs x p50).\n# TYPE rescqd_cluster_backlog_ms gauge\nrescqd_cluster_backlog_ms %d\n", backlogMS)
-		fmt.Fprintf(w, "# HELP rescqd_cluster_capacity_slots Live non-draining dispatch slots across the cluster.\n# TYPE rescqd_cluster_capacity_slots gauge\nrescqd_cluster_capacity_slots %d\n", slots)
-		fmt.Fprintf(w, "# HELP rescqd_cluster_scale_signal Backlog-ms per live capacity slot; compare against batch_target_ms to scale.\n# TYPE rescqd_cluster_scale_signal gauge\nrescqd_cluster_scale_signal %g\n", perSlot)
+		p.Gauge("rescqd_cluster_backlog_ms", "Admitted backlog in estimated milliseconds of work (pending configs x p50).", backlogMS)
+		p.Gauge("rescqd_cluster_capacity_slots", "Live non-draining dispatch slots across the cluster.", slots)
+		p.Header("rescqd_cluster_scale_signal", "gauge", "Backlog-ms per live capacity slot; compare against batch_target_ms to scale.")
+		p.Float("rescqd_cluster_scale_signal", perSlot)
 	}
 	if s.clust != nil && s.clust.cfg.Mode == config.ModeWorker {
-		draining := 0
-		if s.WorkerDraining() {
-			draining = 1
-		}
-		fmt.Fprintf(w, "# HELP rescqd_worker_draining Whether this worker is retiring (fenced from new batches).\n# TYPE rescqd_worker_draining gauge\nrescqd_worker_draining %d\n", draining)
+		p.Gauge("rescqd_worker_draining", "Whether this worker is retiring (fenced from new batches).", boolGauge(s.WorkerDraining()))
 	}
-	fmt.Fprintf(w, "# HELP rescqd_uptime_seconds Daemon uptime.\n# TYPE rescqd_uptime_seconds gauge\nrescqd_uptime_seconds %.0f\n", time.Since(s.startTime).Seconds())
+	p.Gauge("rescqd_uptime_seconds", "Daemon uptime.", int64(time.Since(s.startTime).Round(time.Second)/time.Second))
+	w.Write(p.Bytes())
+}
+
+// boolGauge renders a flag as a 0/1 gauge value.
+func boolGauge(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // maxRequestBody bounds a submission body. The largest legitimate payloads

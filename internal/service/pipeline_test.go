@@ -244,7 +244,7 @@ func sweepPreempted(t *testing.T, workers int) sweepRecord {
 	}
 	lines := <-out
 	close(blockers)
-	if got := s.Stats().Snapshot().Tenants["whale"].Preempted; got < 1 {
+	if got := s.Stats().Tenant("whale").Preempted.Load(); got < 1 {
 		t.Fatalf("workers=%d: sweep never preempted", workers)
 	}
 	return readBack(t, ts, stop, dir, j.ID, lines)
@@ -399,7 +399,7 @@ func TestCoordinatorCoalescesAcrossJobs(t *testing.T) {
 	var release sync.Once
 	defer release.Do(func() { close(runner.block) })
 	pollUntil(t, "the second job waiting on the first", func() bool {
-		return coord.srv.Stats().Snapshot().Coalesced == 1
+		return coord.srv.Stats().Coalesced.Load() == 1
 	})
 	release.Do(func() { close(runner.block) })
 
@@ -410,7 +410,7 @@ func TestCoordinatorCoalescesAcrossJobs(t *testing.T) {
 	if got := runner.calls.Load(); got != 1 {
 		t.Fatalf("engine ran %d times for two concurrent identical jobs, want 1", got)
 	}
-	if got := coord.srv.Stats().Snapshot().BatchesDispatched; got != 1 {
+	if got := coord.srv.Stats().BatchesDispatched.Load(); got != 1 {
 		t.Fatalf("batches dispatched = %d, want 1 (the duplicate must not reach a worker)", got)
 	}
 	if !bv.Results[0].Cached {

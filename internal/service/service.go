@@ -278,7 +278,7 @@ type Server struct {
 	// sched replaced the original buffered `chan *Job`: submission Pushes
 	// under the tenant's quota, workers Pop whichever tenant the policy
 	// picks, and running jobs poll Yield for preemption (see internal/schedq).
-	sched schedq.Scheduler
+	sched *schedq.Queue
 	store *store.Store  // nil until AttachStore; durability layer
 	clust *clusterState // nil in standalone mode; scale-out layer
 	// an aggregates the persisted result stream for GET /v1/analytics/*
@@ -336,17 +336,11 @@ func New(cfg config.Daemon, runner Runner) *Server {
 		runner = EngineRunner{}
 	}
 	ctx, stop := context.WithCancel(context.Background())
-	sched, err := schedq.New(cfg.QueuePolicy, cfg.Tenants.SchedConfig(cfg.QueueDepth))
-	if err != nil {
-		// Validate gates every config that reaches a running daemon; an
-		// unknown policy here (tests constructing configs by hand) falls
-		// back to the default rather than panicking.
-		sched, _ = schedq.New("", cfg.Tenants.SchedConfig(cfg.QueueDepth))
-	}
+	sched, _ := schedq.New(schedq.WFQ, cfg.Tenants.SchedConfig(cfg.QueueDepth)) // only an unknown name errors
 	s := &Server{
 		cfg:        cfg,
 		runner:     runner,
-		stats:      metrics.NewServiceStats(),
+		stats:      new(metrics.ServiceStats),
 		sched:      sched,
 		poolDone:   make(chan struct{}),
 		probeEvery: 2 * time.Second,
@@ -596,7 +590,7 @@ func (s *Server) submit(j *Job) error {
 // configurations-per-finished-job — otherwise sweep traffic (one job,
 // hundreds of configurations) would overestimate by that factor.
 func (s *Server) retryAfter(pending int64) time.Duration {
-	p50, _ := s.stats.LatencyPercentiles()
+	_, p50, _ := s.stats.JobLatency()
 	workers := s.workers
 	if workers < 1 {
 		workers = 1
@@ -607,8 +601,7 @@ func (s *Server) retryAfter(pending int64) time.Duration {
 	if jobs > 0 && configs > jobs {
 		perJob = configs / jobs
 	}
-	est := time.Duration(pending) * time.Duration(p50) * time.Millisecond /
-		time.Duration(workers) / time.Duration(perJob)
+	est := time.Duration(pending) * p50 / time.Duration(workers) / time.Duration(perJob)
 	if est < time.Second {
 		est = time.Second
 	}

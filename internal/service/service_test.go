@@ -156,12 +156,12 @@ func TestRunCacheHit(t *testing.T) {
 	if got := runner.calls.Load(); got != 1 {
 		t.Fatalf("engine invoked %d times, want 1 (second request must be a cache hit)", got)
 	}
-	snap := s.Stats().Snapshot()
-	if snap.CacheHits != 1 || snap.CacheMisses != 1 || snap.EngineRuns != 1 {
-		t.Fatalf("metrics hits=%d misses=%d engine=%d, want 1/1/1", snap.CacheHits, snap.CacheMisses, snap.EngineRuns)
+	st := s.Stats()
+	if st.CacheHits.Load() != 1 || st.CacheMisses.Load() != 1 || st.EngineRuns.Load() != 1 {
+		t.Fatalf("metrics hits=%d misses=%d engine=%d, want 1/1/1", st.CacheHits.Load(), st.CacheMisses.Load(), st.EngineRuns.Load())
 	}
-	if snap.JobsDone != 2 || snap.JobsQueued != 2 {
-		t.Fatalf("metrics done=%d queued=%d, want 2/2", snap.JobsDone, snap.JobsQueued)
+	if st.JobsDone.Load() != 2 || st.JobsQueued.Load() != 2 {
+		t.Fatalf("metrics done=%d queued=%d, want 2/2", st.JobsDone.Load(), st.JobsQueued.Load())
 	}
 
 	// A semantically identical request written differently (explicit
@@ -455,15 +455,15 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	snap := s.Stats().Snapshot()
-	if snap.JobsDone != 48 { // 8*5 runs + 8 sweeps
-		t.Fatalf("jobs done = %d, want 48", snap.JobsDone)
+	st := s.Stats()
+	if got := st.JobsDone.Load(); got != 48 { // 8*5 runs + 8 sweeps
+		t.Fatalf("jobs done = %d, want 48", got)
 	}
-	if snap.JobsRunning != 0 {
-		t.Fatalf("jobs still running = %d", snap.JobsRunning)
+	if got := st.JobsRunning.Load(); got != 0 {
+		t.Fatalf("jobs still running = %d", got)
 	}
-	if snap.CacheHits+snap.CacheMisses == 0 || snap.EngineRuns != snap.CacheMisses {
-		t.Fatalf("cache counters inconsistent: %+v", snap)
+	if hits, misses, runs := st.CacheHits.Load(), st.CacheMisses.Load(), st.EngineRuns.Load(); hits+misses == 0 || runs != misses {
+		t.Fatalf("cache counters inconsistent: hits %d misses %d engine runs %d", hits, misses, runs)
 	}
 }
 
@@ -511,7 +511,7 @@ func TestDrainOnShutdown(t *testing.T) {
 	if !ok || job.State() != JobDone {
 		t.Fatalf("in-flight job state = %v, want done", job.State())
 	}
-	if snap := s.Stats().Snapshot(); snap.JobsRejected == 0 {
+	if s.Stats().JobsRejected.Load() == 0 {
 		t.Fatal("draining rejection not counted")
 	}
 }
@@ -585,12 +585,12 @@ func TestInflightCoalescing(t *testing.T) {
 	if !bv.Results[0].Cached {
 		t.Fatal("follower result should be served from cache")
 	}
-	snap := s.Stats().Snapshot()
-	if snap.CacheHits != 1 || snap.CacheMisses != 1 || snap.EngineRuns != 1 {
-		t.Fatalf("metrics hits=%d misses=%d engine=%d, want 1/1/1", snap.CacheHits, snap.CacheMisses, snap.EngineRuns)
+	st := s.Stats()
+	if st.CacheHits.Load() != 1 || st.CacheMisses.Load() != 1 || st.EngineRuns.Load() != 1 {
+		t.Fatalf("metrics hits=%d misses=%d engine=%d, want 1/1/1", st.CacheHits.Load(), st.CacheMisses.Load(), st.EngineRuns.Load())
 	}
-	if snap.Coalesced != 1 {
-		t.Fatalf("coalesced = %d, want 1 (the follower waited on the leader)", snap.Coalesced)
+	if got := st.Coalesced.Load(); got != 1 {
+		t.Fatalf("coalesced = %d, want 1 (the follower waited on the leader)", got)
 	}
 }
 
@@ -714,8 +714,8 @@ func TestQueueFullRejects503(t *testing.T) {
 		t.Fatalf("overflow status = %d, want 503", resp.StatusCode)
 	}
 	resp.Body.Close()
-	if snap := s.Stats().Snapshot(); snap.JobsRejected != 1 {
-		t.Fatalf("rejected = %d, want 1", snap.JobsRejected)
+	if got := s.Stats().JobsRejected.Load(); got != 1 {
+		t.Fatalf("rejected = %d, want 1", got)
 	}
 }
 
@@ -869,8 +869,8 @@ func TestEndToEndRealEngine(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("cached summary differs from computed one:\n%s\n%s", a, b)
 	}
-	if snap := s.Stats().Snapshot(); snap.EngineRuns != 1 {
-		t.Fatalf("engine runs = %d, want 1", snap.EngineRuns)
+	if got := s.Stats().EngineRuns.Load(); got != 1 {
+		t.Fatalf("engine runs = %d, want 1", got)
 	}
 }
 
@@ -910,11 +910,6 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	if caps.DefaultLayout != "linear" {
 		t.Errorf("default layout = %q, want the configured linear", caps.DefaultLayout)
 	}
-	for _, want := range []string{"wfq", "fifo"} {
-		if !slices.Contains(caps.QueuePolicies, want) {
-			t.Errorf("queue policies %v missing %q", caps.QueuePolicies, want)
-		}
-	}
 	for _, want := range []string{"/v1/analytics/groupby", "/v1/analytics/pareto", "/v1/analytics/sensitivity"} {
 		if !slices.Contains(caps.Analytics, want) {
 			t.Errorf("analytics endpoints %v missing %q", caps.Analytics, want)
@@ -933,7 +928,7 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	if caps2.Analytics != nil {
 		t.Errorf("disabled daemon still advertises analytics endpoints: %v", caps2.Analytics)
 	}
-	if len(caps2.QueuePolicies) == 0 || len(caps2.Benchmarks) == 0 {
+	if len(caps2.Schedulers) == 0 || len(caps2.Benchmarks) == 0 {
 		t.Error("disabling analytics gutted the rest of the capabilities payload")
 	}
 }

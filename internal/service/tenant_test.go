@@ -112,7 +112,7 @@ func TestFairnessWhaleAndInteractive(t *testing.T) {
 			t.Fatalf("whale already terminal (%s) after interactive run %d: the scheduler let the whale monopolize the worker", v.State, i)
 		}
 	}
-	if got := s.Stats().Snapshot().JobsPreempted; got < 1 {
+	if got := s.Stats().JobsPreempted.Load(); got < 1 {
 		t.Fatalf("jobs preempted = %d, want >= 1 (interactive runs should have preempted the whale)", got)
 	}
 
@@ -144,8 +144,8 @@ func TestFairnessWhaleAndInteractive(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("preempted whale results differ from uncontended run:\n got: %s\nwant: %s", got, want)
 	}
-	if snap := s.Stats().Snapshot(); snap.Tenants["whale"].Preempted < 1 || snap.Tenants["live"].Done != 5 {
-		t.Fatalf("tenant counters = %+v", snap.Tenants)
+	if preempted, done := s.Stats().Tenant("whale").Preempted.Load(), s.Stats().Tenant("live").Done.Load(); preempted < 1 || done != 5 {
+		t.Fatalf("tenant counters: whale preempted %d, live done %d", preempted, done)
 	}
 }
 
@@ -159,8 +159,9 @@ func TestShedRetryAfterPerTenant(t *testing.T) {
 	s, ts := newTestServer(t, config.Daemon{Workers: 1, MaxQueueDepth: 5, CacheEntries: -1}, runner)
 	t.Cleanup(func() { close(runner.block) }) // LIFO: unblock before Shutdown
 
-	// Seed the latency histogram: p50 of 10s per job, one worker, so a
-	// backlog of 5 configurations estimates a 50s drain.
+	// Seed the latency histogram with 10s jobs: p50 reads 10.48576s, the
+	// upper edge of their bucket, and with one worker a backlog of 5
+	// configurations estimates a 52s drain.
 	for i := 0; i < 3; i++ {
 		s.Stats().ObserveLatency(10 * time.Second)
 	}
@@ -181,8 +182,8 @@ func TestShedRetryAfterPerTenant(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("whale resubmit status = %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "50" {
-		t.Fatalf("whale Retry-After = %q, want \"50\" (5 configs x 10s / 1 worker)", got)
+	if got := resp.Header.Get("Retry-After"); got != "52" {
+		t.Fatalf("whale Retry-After = %q, want \"52\" (5 configs x 10.49s / 1 worker)", got)
 	}
 	resp.Body.Close()
 
@@ -197,8 +198,8 @@ func TestShedRetryAfterPerTenant(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if snap := s.Stats().Snapshot(); snap.Tenants["whale"].Shed != 1 || snap.Tenants["quiet"].Shed != 1 {
-		t.Fatalf("per-tenant shed counters = %+v", snap.Tenants)
+	if whale, quiet := s.Stats().Tenant("whale").Shed.Load(), s.Stats().Tenant("quiet").Shed.Load(); whale != 1 || quiet != 1 {
+		t.Fatalf("per-tenant shed counters: whale %d, quiet %d", whale, quiet)
 	}
 }
 
