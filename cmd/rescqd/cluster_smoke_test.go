@@ -38,7 +38,7 @@ func TestClusterQuickstart(t *testing.T) {
 	var coordOut, coordErr, w1Out, w1Err, w2Out, w2Err bytes.Buffer
 	coordURL, coordExit := bootDaemon(t, []string{
 		"-addr", "127.0.0.1:0", "-mode", "coordinator", "-workers", "1",
-		"-heartbeat-interval", "50ms", "-liveness-expiry", "250ms", "-batch-size", "2",
+		"-heartbeat-interval", "50ms", "-liveness-expiry", "250ms",
 	}, &coordOut, &coordErr)
 	_, w1Exit := bootDaemon(t, []string{
 		"-addr", "127.0.0.1:0", "-mode", "worker", "-workers", "1",
@@ -75,7 +75,8 @@ func TestClusterQuickstart(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// A 3-configuration sweep, dispatched in 2 batches across the workers.
+	// A 3-configuration sweep, dispatched in ramp-up batches across the
+	// workers.
 	body := `{"benchmarks":["vqe_n13"],"distances":[3],"runs":1}`
 	resp, err := http.Post(coordURL+"/v1/sweep", "application/json", strings.NewReader(body))
 	if err != nil {

@@ -3,7 +3,10 @@
 // execution, and an optional durable job+result store that lets queued
 // jobs and sweep progress survive restarts. See internal/service for the
 // endpoint and job-lifecycle documentation, internal/store for the WAL
-// format, and README.md in this directory for usage examples.
+// format, and README.md in this directory for usage examples and the
+// full list of flags and config fields. Sweep analytics is always on;
+// fault injection is armed only through RESCQ_FAILPOINTS and
+// RESCQ_FAULT_SEED (see internal/fault).
 //
 // Usage:
 //
@@ -76,9 +79,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		storeDir = fs.String("store-dir", "", "durable job+result store directory (WAL); empty disables persistence")
 		maxDepth = fs.Int("max-queue-depth", 0, "admission-control bound on unfinished run configurations; beyond it submissions get 429 (0 = default 4096, negative disables)")
 
-		analyticsOn  = fs.Bool("analytics", true, "maintain sweep analytics aggregates and serve GET /v1/analytics/* (false also keeps the WAL free of analytics state records)")
-		analyticsCap = fs.Int("analytics-max-groups", 0, "cardinality cap on analytics aggregate cells, one per distinct sweep-axis tuple (0 = default 8192)")
-
 		tenantWeights = fs.String("tenant-weights", "", "per-tenant WFQ weights, e.g. \"alice=3,bob=1\" (\"default\" sets the weight for unlisted tenants)")
 		tenantQuota   = fs.String("tenant-quota", "", "per-tenant quotas name=maxQueuedConfigs[:maxInflightJobs], e.g. \"alice=1000:4,bob=200\" (0 = unlimited; \"default\" applies to unlisted tenants)")
 
@@ -87,8 +87,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		advertise   = fs.String("advertise", "", "base URL the coordinator dials back for this worker; empty derives http://127.0.0.1:<bound port>")
 		heartbeat   = fs.Duration("heartbeat-interval", 0, "worker heartbeat / coordinator sweep cadence (0 = default 2s; cluster modes only)")
 		expiry      = fs.Duration("liveness-expiry", 0, "how long a worker may miss heartbeats before the coordinator expires it (0 = default 3x heartbeat)")
-		batchSize   = fs.Int("batch-size", 0, "hard cap on sweep configurations per dispatch batch (0 = default 8; coordinator only)")
-		batchTarget = fs.Duration("batch-target", 0, "estimated work the adaptive sizer packs per batch (0 = default 500ms; coordinator only)")
+		batchTarget = fs.Duration("batch-target", 0, "estimated work the adaptive sizer packs per batch, at most 8 configurations (0 = default 500ms; coordinator only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,6 +95,17 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "rescqd: unexpected arguments %v\n", fs.Args())
 		return 2
+	}
+	// The config carries whole milliseconds, and 0 selects the default: a
+	// sub-millisecond duration would silently become the default.
+	for _, f := range []struct {
+		name string
+		d    time.Duration
+	}{{"heartbeat-interval", *heartbeat}, {"liveness-expiry", *expiry}, {"batch-target", *batchTarget}} {
+		if f.d != 0 && f.d.Abs() < time.Millisecond {
+			fmt.Fprintf(stderr, "rescqd: -%s %v is under 1ms (0 selects the default)\n", f.name, f.d)
+			return 2
+		}
 	}
 
 	var tenants config.Tenants
@@ -112,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		Addr: *addr, Workers: *workers, QueueDepth: *queue,
 		CacheEntries: *cache, DrainTimeoutSec: *drain, Layout: *layout,
 		StoreDir: *storeDir, MaxQueueDepth: *maxDepth,
-		Analytics: analyticsOn, AnalyticsMaxGroups: *analyticsCap,
 		Tenants: tenants,
 		Cluster: config.Cluster{
 			Mode:                *mode,
@@ -120,7 +129,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 			AdvertiseURL:        *advertise,
 			HeartbeatIntervalMS: int(heartbeat.Milliseconds()),
 			LivenessExpiryMS:    int(expiry.Milliseconds()),
-			BatchSize:           *batchSize,
 			BatchTargetMS:       int(batchTarget.Milliseconds()),
 		},
 	}.WithDefaults()
@@ -137,23 +145,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 1
 	}
 
-	// Fault injection: the environment variable wins over the config file
-	// (chaos harnesses arm whole process trees through the environment);
-	// with neither set every failpoint stays dormant — one atomic load per
-	// site. The banner makes an armed daemon impossible to mistake for a
-	// production one.
-	if spec, err := fault.FromEnv(); err != nil {
+	// Fault injection is armed only through the environment (chaos
+	// harnesses arm whole process trees that way); unset, every failpoint
+	// stays dormant — one atomic load per site. The banner makes an armed
+	// daemon impossible to mistake for a production one.
+	if _, err := fault.FromEnv(); err != nil {
 		fmt.Fprintln(stderr, "rescqd:", err)
 		return 1
-	} else if spec == "" && cfg.Failpoints != "" {
-		seed := cfg.FaultSeed
-		if seed == 0 {
-			seed = 1
-		}
-		if err := fault.Configure(cfg.Failpoints, seed); err != nil {
-			fmt.Fprintln(stderr, "rescqd:", err)
-			return 1
-		}
 	}
 	if spec := fault.Active(); spec != "" {
 		fmt.Fprintf(stdout, "rescqd: FAULT INJECTION ARMED: %s\n", spec)
@@ -219,15 +217,10 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stdout, "rescqd: worker %s heartbeating to %s every %s\n",
 			self, cfg.Cluster.CoordinatorURL, cfg.Cluster.HeartbeatInterval())
 		hb := &cluster.Heartbeater{
-			Client: cluster.NewTunedClient(cluster.ClientOptions{
-				DialTimeout:     cfg.Cluster.DialTimeout(),
-				IdleConnTimeout: cfg.Cluster.IdleConnTimeout(),
-			}),
+			Client:         cluster.NewTunedClient(),
 			CoordinatorURL: cfg.Cluster.CoordinatorURL,
 			Self:           cluster.RegisterRequest{ID: self, URL: self, Capacity: svc.Workers()},
 			Interval:       cfg.Cluster.HeartbeatInterval(),
-			Jitter:         cfg.Cluster.HeartbeatJitter,
-			Retries:        cfg.Cluster.DispatchRetries,
 			OnError:        func(err error) { fmt.Fprintln(stderr, "rescqd: heartbeat:", err) },
 			Draining:       svc.WorkerDraining,
 			OnReleased: func() {

@@ -5,10 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/config"
 )
 
 // TestDaemonServesAndDrains boots the real daemon on an ephemeral port,
@@ -92,7 +96,9 @@ func TestDaemonFlagAndConfigErrors(t *testing.T) {
 		{"worker with bad coordinator url", []string{"-mode", "worker", "-coordinator", "not-a-url"}, 1},
 		{"coordinator flag in standalone", []string{"-coordinator", "http://coord:8321"}, 1},
 		{"advertise flag in standalone", []string{"-advertise", "http://me:9000"}, 1},
-		{"negative batch size", []string{"-mode", "coordinator", "-batch-size", "-2"}, 1},
+		{"removed batch-size flag", []string{"-mode", "coordinator", "-batch-size", "2"}, 2},
+		{"sub-ms heartbeat interval", []string{"-mode", "coordinator", "-heartbeat-interval", "500us"}, 2},
+		{"sub-ms batch target", []string{"-mode", "coordinator", "-batch-target", "500us"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,5 +110,39 @@ func TestDaemonFlagAndConfigErrors(t *testing.T) {
 				t.Error("error path produced no stderr output")
 			}
 		})
+	}
+}
+
+// TestReadmeDocumentsEveryKnob keeps the README's knob list in step with
+// the code: every flag in the usage text and every JSON field of the
+// config file must appear in backticks in README.md.
+func TestReadmeDocumentsEveryKnob(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, usage bytes.Buffer
+	if code := run([]string{"-h"}, &out, &usage, nil); code != 2 {
+		t.Fatalf("-h exited %d, want 2", code)
+	}
+	var knobs []string
+	for _, m := range regexp.MustCompile(`(?m)^\s+(-[a-z][a-z0-9-]*)`).FindAllStringSubmatch(usage.String(), -1) {
+		knobs = append(knobs, m[1])
+	}
+	if len(knobs) == 0 {
+		t.Fatalf("no flags found in usage output:\n%s", usage.String())
+	}
+	for _, v := range []any{config.Daemon{}, config.Cluster{}, config.Tenants{}, config.TenantPolicy{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			if name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ","); name != "" {
+				knobs = append(knobs, name)
+			}
+		}
+	}
+	for _, k := range knobs {
+		if !bytes.Contains(readme, []byte("`"+k+"`")) {
+			t.Errorf("README.md does not document %s", k)
+		}
 	}
 }

@@ -65,27 +65,14 @@ func RetryableDispatch(err error) bool {
 	return true
 }
 
-// ClientOptions tunes the intra-cluster HTTP transport. The zero value
-// takes the production defaults.
-type ClientOptions struct {
-	// DialTimeout bounds connection establishment (default 10s): an
-	// unreachable or blackholed peer fails fast instead of hanging a
-	// dispatcher on connect.
-	DialTimeout time.Duration
-	// IdleConnTimeout is how long pooled connections stay open unused
-	// (default 90s).
-	IdleConnTimeout time.Duration
-}
-
-func (o ClientOptions) withDefaults() ClientOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 10 * time.Second
-	}
-	if o.IdleConnTimeout <= 0 {
-		o.IdleConnTimeout = 90 * time.Second
-	}
-	return o
-}
+// Intra-cluster transport bounds. The dial timeout makes an unreachable
+// or blackholed peer fail fast instead of hanging a dispatcher on
+// connect; the idle timeout is how long pooled connections stay open
+// unused.
+const (
+	dialTimeout     = 10 * time.Second
+	idleConnTimeout = 90 * time.Second
+)
 
 // Client is the coordinator<->worker HTTP client: the coordinator uses
 // Execute to dispatch batches, workers use Register to announce themselves
@@ -95,11 +82,11 @@ type Client struct {
 	hc *http.Client
 }
 
-// NewClient returns a client. A nil http.Client uses the default
-// ClientOptions — see NewTunedClient for the rationale.
+// NewClient returns a client. A nil http.Client uses NewTunedClient's
+// transport.
 func NewClient(hc *http.Client) *Client {
 	if hc == nil {
-		return NewTunedClient(ClientOptions{})
+		return NewTunedClient()
 	}
 	return &Client{hc: hc}
 }
@@ -110,16 +97,15 @@ func NewClient(hc *http.Client) *Client {
 // per-batch deadline and liveness expiry, not a transport-level guess),
 // but a bounded dial so an unreachable peer fails fast instead of hanging
 // a dispatcher on connection establishment.
-func NewTunedClient(opts ClientOptions) *Client {
-	opts = opts.withDefaults()
+func NewTunedClient() *Client {
 	return &Client{hc: &http.Client{
 		Transport: &http.Transport{
 			DialContext: (&net.Dialer{
-				Timeout:   opts.DialTimeout,
+				Timeout:   dialTimeout,
 				KeepAlive: 15 * time.Second,
 			}).DialContext,
 			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     opts.IdleConnTimeout,
+			IdleConnTimeout:     idleConnTimeout,
 		},
 	}}
 }
@@ -263,28 +249,20 @@ func (c *Client) Execute(ctx context.Context, workerURL string, req ExecuteReque
 // Backoff computes capped exponential retry delays with jitter: attempt n
 // sleeps Base<<n, capped at Max, then scaled by a uniform factor in
 // [0.5, 1.5) so a burst of failures (every batch of a dead worker erroring
-// at once) decorrelates instead of retrying in lockstep.
+// at once) decorrelates instead of retrying in lockstep. Both fields
+// must be positive; each caller owns its policy.
 type Backoff struct {
-	Base time.Duration // first-retry delay (default 100ms)
-	Max  time.Duration // cap before jitter (default 5s)
+	Base time.Duration // first-retry delay
+	Max  time.Duration // cap before jitter
 }
 
 // Delay returns the sleep before retry attempt (0-based).
 func (b Backoff) Delay(attempt int) time.Duration {
-	base, max := b.Base, b.Max
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 5 * time.Second
-	}
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
+	d := b.Base
+	for i := 0; i < attempt && d < b.Max; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, b.Max)
 	// math/rand's top-level functions are safe for concurrent use; the
 	// jitter is deliberately unseeded (decorrelation, not reproducibility —
 	// deterministic chaos runs come from fault's seeded triggers).
@@ -304,25 +282,26 @@ func (b Backoff) Sleep(ctx context.Context, attempt int) bool {
 	}
 }
 
+// Heartbeat policy. Each beat is spread by up to heartbeatJitter of the
+// interval in either direction: without it, every worker that registered
+// against the same coordinator boot heartbeats in phase, and a restarted
+// coordinator takes the whole herd's re-register burst in one instant. A
+// failed register POST is retried heartbeatRetries times within its beat.
+const (
+	heartbeatJitter  = 0.2
+	heartbeatRetries = 4
+)
+
 // Heartbeater keeps a worker registered with its coordinator: one Register
 // POST immediately, then one per (jittered) interval until the context
-// ends. Failures are retried Retries times within the beat with backoff,
-// then again at the next beat (the coordinator may simply not be up yet);
-// onError, when non-nil, observes them.
+// ends. Failures are retried heartbeatRetries times within the beat with
+// backoff, then again at the next beat (the coordinator may simply not be
+// up yet); onError, when non-nil, observes them.
 type Heartbeater struct {
 	Client         *Client
 	CoordinatorURL string
 	Self           RegisterRequest
 	Interval       time.Duration
-	// Jitter spreads each beat by up to this fraction of Interval in
-	// either direction (0 disables). Without it, every worker that
-	// registered against the same coordinator boot heartbeats in phase —
-	// and a restarted coordinator takes the whole herd's re-register
-	// burst in one instant.
-	Jitter float64
-	// Retries is the per-beat retry budget for a failed register POST
-	// (0 means one attempt per beat).
-	Retries int
 	// OnError observes failed heartbeats (nil ignores them).
 	OnError func(error)
 	// Draining, when non-nil, is sampled before each beat; true marks the
@@ -334,17 +313,11 @@ type Heartbeater struct {
 	OnReleased func()
 }
 
-// jitterInterval spreads interval by ±jitter (a fraction in [0, 0.5]),
-// drawing from the shared unseeded PRNG: decorrelation across workers is
-// the goal, so sharing a seed would defeat it.
-func jitterInterval(interval time.Duration, jitter float64) time.Duration {
-	if jitter <= 0 || interval <= 0 {
-		return interval
-	}
-	if jitter > 0.5 {
-		jitter = 0.5
-	}
-	span := float64(interval) * jitter
+// jitterInterval spreads interval by ±heartbeatJitter, drawing from the
+// shared unseeded PRNG: decorrelation across workers is the goal, so
+// sharing a seed would defeat it.
+func jitterInterval(interval time.Duration) time.Duration {
+	span := float64(interval) * heartbeatJitter
 	return interval + time.Duration((rand.Float64()*2-1)*span)
 }
 
@@ -361,7 +334,7 @@ func (h *Heartbeater) Run(ctx context.Context) {
 			}
 			return
 		}
-		t := time.NewTimer(jitterInterval(h.Interval, h.Jitter))
+		t := time.NewTimer(jitterInterval(h.Interval))
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -388,7 +361,7 @@ func (h *Heartbeater) beat(ctx context.Context, backoff Backoff) (released bool)
 		if h.OnError != nil {
 			h.OnError(err)
 		}
-		if attempt >= h.Retries {
+		if attempt >= heartbeatRetries {
 			return false // budget spent; the next beat tries again
 		}
 		if !backoff.Sleep(ctx, attempt) {

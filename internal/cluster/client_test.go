@@ -42,7 +42,7 @@ func TestErrorRepliesReuseConnection(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 		fmt.Fprintf(w, "worker exploded: %s", strings.Repeat("boom ", 1024))
 	}))
-	c := NewTunedClient(ClientOptions{})
+	c := NewTunedClient()
 	req := sampleExecuteRequest()
 	for i := 0; i < 5; i++ {
 		_, _, err := c.Execute(context.Background(), srv.URL, req)
@@ -63,7 +63,7 @@ func TestDecodeErrorReuseConnection(t *testing.T) {
 		w.Header().Set("Content-Type", BinaryContentType)
 		fmt.Fprintf(w, `{"results": "not a frame", "padding": %q}`, strings.Repeat("x", 4096))
 	}))
-	c := NewTunedClient(ClientOptions{})
+	c := NewTunedClient()
 	for i := 0; i < 3; i++ {
 		if _, _, err := c.Execute(context.Background(), srv.URL, sampleExecuteRequest()); err == nil {
 			t.Fatal("bad response decoded")
@@ -108,7 +108,7 @@ func echoWorker(t *testing.T, sawEncoding *atomic.Value) http.Handler {
 func TestExecuteWithBinary(t *testing.T) {
 	var saw atomic.Value
 	srv, _ := countingServer(t, echoWorker(t, &saw))
-	c := NewTunedClient(ClientOptions{})
+	c := NewTunedClient()
 	req := bigExecuteRequest(64)
 	resp, traffic, err := c.Execute(context.Background(), srv.URL, req)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestExecuteWithBinaryResultCountMismatch(t *testing.T) {
 		w.Header().Set("Content-Type", BinaryContentType)
 		w.Write(EncodeExecuteResponseBinary(ExecuteResponse{Results: []json.RawMessage{[]byte(`{}`)}}))
 	}))
-	c := NewTunedClient(ClientOptions{})
+	c := NewTunedClient()
 	_, _, err := c.Execute(context.Background(), srv.URL, bigExecuteRequest(4))
 	if err == nil || !strings.Contains(err.Error(), "results for a") {
 		t.Fatalf("err = %v", err)

@@ -27,8 +27,8 @@ type worker struct {
 	// draining fences the worker from new leases while its in-flight
 	// batches finish; the heartbeat that observes inflight==0 removes it.
 	draining bool
-	// Circuit breaker: fails counts consecutive dispatch failures; at the
-	// registry's threshold the breaker opens until openUntil, after which
+	// Circuit breaker: fails counts consecutive dispatch failures; at
+	// breakerFailures the breaker opens until openUntil, after which
 	// the worker is half-open — eligible for exactly one probe batch
 	// (probing true while it is out) whose outcome closes or re-opens it.
 	fails     int
@@ -49,39 +49,24 @@ type Registry struct {
 	cond    *sync.Cond
 	workers map[string]*worker
 	now     nowFunc
-	// Circuit-breaker policy (see SetBreaker).
-	breakerFailures int
-	breakerCooldown time.Duration
 }
 
-// NewRegistry returns an empty registry with the default breaker policy
-// (3 consecutive failures open a breaker for 5s).
+// Circuit-breaker policy: breakerFailures consecutive ReportFailure calls
+// open a worker's breaker for breakerCooldown, after which one half-open
+// probe decides between closing it and re-opening it.
+const (
+	breakerFailures = 3
+	breakerCooldown = 5 * time.Second
+)
+
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	r := &Registry{
-		workers:         make(map[string]*worker),
-		now:             time.Now,
-		breakerFailures: 3,
-		breakerCooldown: 5 * time.Second,
+		workers: make(map[string]*worker),
+		now:     time.Now,
 	}
 	r.cond = sync.NewCond(&r.mu)
 	return r
-}
-
-// SetBreaker tunes the per-worker circuit breaker: failures consecutive
-// ReportFailure calls open a worker's breaker for cooldown, after which one
-// half-open probe decides between closing it and re-opening it. Arguments
-// below the minimums are clamped (failures to 1, cooldown to 0).
-func (r *Registry) SetBreaker(failures int, cooldown time.Duration) {
-	if failures < 1 {
-		failures = 1
-	}
-	if cooldown < 0 {
-		cooldown = 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.breakerFailures = failures
-	r.breakerCooldown = cooldown
 }
 
 // UpsertStatus reports what a registration/heartbeat did to the registry.
@@ -236,16 +221,16 @@ func (l Lease) ReportFailure() (opened bool) {
 	if !ok || cur != l.w {
 		return false
 	}
-	wasOpen := l.w.fails >= l.r.breakerFailures
+	wasOpen := l.w.fails >= breakerFailures
 	l.w.fails++
 	l.w.probing = false
-	if l.w.fails >= l.r.breakerFailures {
-		l.w.openUntil = l.r.now().Add(l.r.breakerCooldown)
+	if l.w.fails >= breakerFailures {
+		l.w.openUntil = l.r.now().Add(breakerCooldown)
 	}
 	// Waiters must re-evaluate: this may have been the last closed worker,
 	// turning their wait into an ErrNoWorkers local fallback.
 	l.r.cond.Broadcast()
-	return !wasOpen && l.w.fails >= l.r.breakerFailures
+	return !wasOpen && l.w.fails >= breakerFailures
 }
 
 // Acquire picks the least-loaded live worker with a free in-flight slot
@@ -303,7 +288,7 @@ func (r *Registry) leaseLocked(exclude string) (Lease, bool) {
 	if w == nil {
 		return Lease{}, false
 	}
-	if w.fails >= r.breakerFailures {
+	if w.fails >= breakerFailures {
 		w.probing = true
 	}
 	w.inflight++
@@ -319,7 +304,7 @@ func (r *Registry) waitWorthwhileLocked() bool {
 		if w.probing {
 			return true
 		}
-		open := w.fails >= r.breakerFailures && now.Before(w.openUntil)
+		open := w.fails >= breakerFailures && now.Before(w.openUntil)
 		if !open && !w.draining && w.inflight >= w.capacity {
 			return true
 		}
@@ -339,7 +324,7 @@ func (r *Registry) pickLocked(exclude string) *worker {
 		if w.id == exclude || w.draining || w.inflight >= w.capacity {
 			continue
 		}
-		if w.fails >= r.breakerFailures && (w.probing || now.Before(w.openUntil)) {
+		if w.fails >= breakerFailures && (w.probing || now.Before(w.openUntil)) {
 			continue
 		}
 		if best == nil || w.fails < best.fails ||
@@ -364,7 +349,7 @@ func (r *Registry) Capacity() (slots, free int) {
 			continue
 		}
 		slots += w.capacity
-		if w.fails >= r.breakerFailures && (w.probing || now.Before(w.openUntil)) {
+		if w.fails >= breakerFailures && (w.probing || now.Before(w.openUntil)) {
 			continue
 		}
 		if f := w.capacity - w.inflight; f > 0 {
@@ -382,7 +367,7 @@ func (r *Registry) Snapshot() []WorkerInfo {
 	out := make([]WorkerInfo, 0, len(r.workers))
 	for _, w := range r.workers {
 		state := "closed"
-		if w.fails >= r.breakerFailures {
+		if w.fails >= breakerFailures {
 			if w.probing || now.Before(w.openUntil) {
 				state = "open"
 			} else {

@@ -218,7 +218,6 @@ func TestStaleLeaseReleaseIgnoresNewIncarnation(t *testing.T) {
 func TestBreakerOpensAndRecovers(t *testing.T) {
 	clock := newFakeClock()
 	r := testRegistry(clock)
-	r.SetBreaker(3, 5*time.Second)
 	r.Upsert(RegisterRequest{ID: "w-a", URL: "http://a", Capacity: 2})
 
 	// Three consecutive failures; only the third reports the transition.
@@ -278,8 +277,13 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 // no broadcast will resolve.
 func TestBreakerOpenUnblocksWaiters(t *testing.T) {
 	r := testRegistry(newFakeClock())
-	r.SetBreaker(1, time.Minute)
 	r.Upsert(RegisterRequest{ID: "w-a", URL: "http://a", Capacity: 1})
+	// breakerFailures-1 failures leave the breaker one short of opening.
+	for i := 0; i < breakerFailures-1; i++ {
+		l := mustAcquire(t, r)
+		l.ReportFailure()
+		l.Release()
+	}
 	l := mustAcquire(t, r)
 
 	done := make(chan error, 1)
@@ -290,7 +294,7 @@ func TestBreakerOpenUnblocksWaiters(t *testing.T) {
 	time.Sleep(10 * time.Millisecond) // let the dispatcher park on the cond var
 
 	if !l.ReportFailure() {
-		t.Fatal("threshold-1 failure did not open the breaker")
+		t.Fatal("threshold failure did not open the breaker")
 	}
 	select {
 	case err := <-done:

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/cluster"
 )
 
 // TestClusterValidate is the table-driven coverage of every cluster
@@ -17,7 +15,6 @@ func TestClusterValidate(t *testing.T) {
 		CoordinatorURL:      "http://coord:8321",
 		HeartbeatIntervalMS: 2000,
 		LivenessExpiryMS:    6000,
-		BatchSize:           8,
 	}
 	cases := []struct {
 		name    string
@@ -29,7 +26,7 @@ func TestClusterValidate(t *testing.T) {
 		{"valid worker", func(c *Cluster) {}, ""},
 		{"valid worker with advertise", func(c *Cluster) { c.AdvertiseURL = "http://me:9000" }, ""},
 		{"valid coordinator", func(c *Cluster) {
-			*c = Cluster{Mode: ModeCoordinator, HeartbeatIntervalMS: 2000, LivenessExpiryMS: 6000, BatchSize: 8}
+			*c = Cluster{Mode: ModeCoordinator, HeartbeatIntervalMS: 2000, LivenessExpiryMS: 6000}
 		}, ""},
 		{"unknown mode", func(c *Cluster) { c.Mode = "leader" }, `unknown mode "leader"`},
 		{"coordinator_url in standalone", func(c *Cluster) {
@@ -40,11 +37,11 @@ func TestClusterValidate(t *testing.T) {
 		}, "mode is standalone"},
 		{"coordinator with upstream", func(c *Cluster) {
 			*c = Cluster{Mode: ModeCoordinator, CoordinatorURL: "http://other:8321",
-				HeartbeatIntervalMS: 2000, LivenessExpiryMS: 6000, BatchSize: 8}
+				HeartbeatIntervalMS: 2000, LivenessExpiryMS: 6000}
 		}, "mode is coordinator"},
 		{"coordinator with advertise", func(c *Cluster) {
 			*c = Cluster{Mode: ModeCoordinator, AdvertiseURL: "http://me:9000",
-				HeartbeatIntervalMS: 2000, LivenessExpiryMS: 6000, BatchSize: 8}
+				HeartbeatIntervalMS: 2000, LivenessExpiryMS: 6000}
 		}, "worker-only"},
 		{"worker without coordinator", func(c *Cluster) { c.CoordinatorURL = "" }, "requires coordinator_url"},
 		{"relative coordinator url", func(c *Cluster) { c.CoordinatorURL = "coord:8321" }, "absolute http(s)"},
@@ -55,26 +52,6 @@ func TestClusterValidate(t *testing.T) {
 		{"zero heartbeat interval", func(c *Cluster) { c.HeartbeatIntervalMS = 0 }, "heartbeat_interval_ms must be positive"},
 		{"negative heartbeat interval", func(c *Cluster) { c.HeartbeatIntervalMS = -5 }, "heartbeat_interval_ms must be positive"},
 		{"expiry not beyond heartbeat", func(c *Cluster) { c.LivenessExpiryMS = 2000 }, "must exceed heartbeat_interval_ms"},
-		{"zero batch size", func(c *Cluster) { c.BatchSize = 0 }, "batch_size must be positive"},
-		{"negative batch size", func(c *Cluster) { c.BatchSize = -1 }, "batch_size must be positive"},
-		{"batch size at the wire limit", func(c *Cluster) { c.BatchSize = cluster.MaxBatchConfigs }, ""},
-		{"batch size beyond the wire limit", func(c *Cluster) { c.BatchSize = cluster.MaxBatchConfigs + 1 }, "exceeds the per-batch limit"},
-		{"resilience knobs set", func(c *Cluster) {
-			c.DialTimeoutMS = 5000
-			c.IdleConnTimeoutMS = 30_000
-			c.RetryBackoffMS = 50
-			c.DispatchRetries = 2
-			c.BreakerFailures = 5
-			c.BreakerCooldownMS = 1000
-			c.HeartbeatJitter = 0.5
-		}, ""},
-		{"negative dial timeout", func(c *Cluster) { c.DialTimeoutMS = -1 }, "dial_timeout_ms must be non-negative"},
-		{"negative idle timeout", func(c *Cluster) { c.IdleConnTimeoutMS = -1 }, "idle_conn_timeout_ms must be non-negative"},
-		{"negative retry backoff", func(c *Cluster) { c.RetryBackoffMS = -1 }, "retry_backoff_ms must be non-negative"},
-		{"negative dispatch retries", func(c *Cluster) { c.DispatchRetries = -1 }, "dispatch_retries must be non-negative"},
-		{"negative breaker failures", func(c *Cluster) { c.BreakerFailures = -1 }, "breaker_failures must be non-negative"},
-		{"negative breaker cooldown", func(c *Cluster) { c.BreakerCooldownMS = -1 }, "breaker_cooldown_ms must be non-negative"},
-		{"jitter beyond half", func(c *Cluster) { c.HeartbeatJitter = 0.6 }, "heartbeat_jitter must be at most 0.5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,28 +78,11 @@ func TestClusterDefaults(t *testing.T) {
 		t.Fatalf("standalone defaults mutated the zero value: %+v", got)
 	}
 	c := Cluster{Mode: ModeCoordinator}.WithDefaults()
-	if c.HeartbeatIntervalMS != 2000 || c.LivenessExpiryMS != 6000 || c.BatchSize != 8 {
+	if c.HeartbeatIntervalMS != 2000 || c.LivenessExpiryMS != 6000 || c.BatchTargetMS != 500 {
 		t.Fatalf("coordinator defaults = %+v", c)
 	}
 	if c.HeartbeatInterval() != 2*time.Second || c.LivenessExpiry() != 6*time.Second {
 		t.Fatalf("duration accessors = %v/%v", c.HeartbeatInterval(), c.LivenessExpiry())
-	}
-	if c.DialTimeout() != 10*time.Second || c.IdleConnTimeout() != 90*time.Second {
-		t.Fatalf("HTTP timeout defaults = %v/%v", c.DialTimeout(), c.IdleConnTimeout())
-	}
-	if c.RetryBackoff() != 100*time.Millisecond || c.DispatchRetries != 4 {
-		t.Fatalf("retry defaults = %v/%d", c.RetryBackoff(), c.DispatchRetries)
-	}
-	if c.BreakerFailures != 3 || c.BreakerCooldown() != 5*time.Second {
-		t.Fatalf("breaker defaults = %d/%v", c.BreakerFailures, c.BreakerCooldown())
-	}
-	if c.HeartbeatJitter != 0.2 {
-		t.Fatalf("heartbeat jitter default = %g, want 0.2", c.HeartbeatJitter)
-	}
-	// Negative jitter is the explicit opt-out: exact cadence.
-	c = Cluster{Mode: ModeCoordinator, HeartbeatJitter: -1}.WithDefaults()
-	if c.HeartbeatJitter != 0 {
-		t.Fatalf("negative jitter should clamp to 0, got %g", c.HeartbeatJitter)
 	}
 	// A custom heartbeat scales the derived expiry default.
 	c = Cluster{Mode: ModeWorker, CoordinatorURL: "http://c", HeartbeatIntervalMS: 500}.WithDefaults()

@@ -8,12 +8,14 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/lattice"
 )
 
 // Daemon configures the rescqd serving daemon (see internal/service). A
 // zero value is usable: every field has a production-sensible default.
+// Sweep analytics is always on, capped at analytics.DefaultMaxGroups
+// cells; fault injection is armed only through the RESCQ_FAILPOINTS /
+// RESCQ_FAULT_SEED environment (see internal/fault).
 type Daemon struct {
 	// Addr is the listen address (default ":8321").
 	Addr string `json:"addr,omitempty"`
@@ -49,26 +51,6 @@ type Daemon struct {
 	// zero value is standalone: single-node, byte-identical to pre-cluster
 	// behavior.
 	Cluster Cluster `json:"cluster"`
-	// Failpoints arms a fault-injection schedule at startup (see
-	// internal/fault for the grammar, e.g. "wal.write=err(disk full)").
-	// Empty — the default — keeps every failpoint dormant; the
-	// RESCQ_FAILPOINTS environment variable overrides this field.
-	Failpoints string `json:"failpoints,omitempty"`
-	// FaultSeed seeds the schedule's probabilistic triggers (default 1), so
-	// a chaos run reproduces exactly from its printed seed.
-	FaultSeed int64 `json:"fault_seed,omitempty"`
-	// Analytics toggles the sweep-analytics aggregate store behind GET
-	// /v1/analytics/* (see internal/analytics): maintained incrementally
-	// from the persisted result stream, snapshotted into the WAL, rebuilt
-	// at boot. Unset/true enables; false disables — which also keeps the
-	// WAL free of analytics state records, the knob to reach for when a
-	// log must stay readable by pre-analytics daemon builds.
-	Analytics *bool `json:"analytics,omitempty"`
-	// AnalyticsMaxGroups caps the number of distinct aggregate cells (one
-	// per complete sweep-axis tuple); results for configurations beyond
-	// the cap are counted as dropped, not aggregated. 0 means the default
-	// 8192 (analytics.DefaultMaxGroups).
-	AnalyticsMaxGroups int `json:"analytics_max_groups,omitempty"`
 	// Tenants configures per-tenant weights and quotas for the scheduler.
 	// The zero value is fully permissive (weight 1, no quotas).
 	Tenants Tenants `json:"tenants"`
@@ -105,10 +87,6 @@ func (d Daemon) DrainTimeout() time.Duration {
 // (CacheEntries < 0).
 func (d Daemon) CacheDisabled() bool { return d.CacheEntries < 0 }
 
-// AnalyticsEnabled reports whether the sweep-analytics store is on
-// (unset means on).
-func (d Daemon) AnalyticsEnabled() bool { return d.Analytics == nil || *d.Analytics }
-
 // Validate reports daemon configuration errors.
 func (d Daemon) Validate() error {
 	if d.Workers < 0 {
@@ -123,14 +101,6 @@ func (d Daemon) Validate() error {
 	if !lattice.Known(d.Layout) {
 		return fmt.Errorf("config: unknown layout %q (registered: %s)",
 			d.Layout, strings.Join(lattice.Layouts(), ", "))
-	}
-	if d.Failpoints != "" {
-		if err := fault.Validate(d.Failpoints); err != nil {
-			return fmt.Errorf("config: failpoints: %w", err)
-		}
-	}
-	if d.AnalyticsMaxGroups < 0 {
-		return fmt.Errorf("config: analytics_max_groups must be non-negative")
 	}
 	if err := d.Tenants.Validate(); err != nil {
 		return err

@@ -1,9 +1,12 @@
 package config
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 func TestDaemonDefaults(t *testing.T) {
@@ -42,25 +45,6 @@ func TestDaemonCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestDaemonAnalytics(t *testing.T) {
-	// Unset means on; an explicit false survives both defaults and a
-	// config-file round trip.
-	if !(Daemon{}).WithDefaults().AnalyticsEnabled() {
-		t.Fatal("analytics should default to enabled")
-	}
-	d, err := ReadDaemon(strings.NewReader(`{"analytics":false,"analytics_max_groups":128}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.AnalyticsEnabled() || d.AnalyticsMaxGroups != 128 {
-		t.Fatalf("analytics config lost in parsing: enabled=%t cap=%d", d.AnalyticsEnabled(), d.AnalyticsMaxGroups)
-	}
-	on := true
-	if !(Daemon{Analytics: &on}).AnalyticsEnabled() {
-		t.Fatal("explicit true should enable analytics")
-	}
-}
-
 func TestDaemonValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -70,7 +54,6 @@ func TestDaemonValidate(t *testing.T) {
 		{"negative workers", Daemon{Workers: -1, QueueDepth: 1}, "workers"},
 		{"zero queue", Daemon{QueueDepth: 0}, "queue_depth"},
 		{"negative drain", Daemon{QueueDepth: 1, DrainTimeoutSec: -1}, "drain_timeout_sec"},
-		{"negative analytics cap", Daemon{QueueDepth: 1, AnalyticsMaxGroups: -1}, "analytics_max_groups"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,15 +91,66 @@ func TestReadDaemon(t *testing.T) {
 	if d.Addr != ":9000" || d.Workers != 4 || d.CacheEntries != 16 || d.QueueDepth != 256 {
 		t.Fatalf("parsed daemon = %+v", d)
 	}
-	if _, err := ReadDaemon(strings.NewReader(`{"nope":1}`)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	// WFQ is the only queue policy; the removed knob is an unknown field.
-	if _, err := ReadDaemon(strings.NewReader(`{"queue_policy":"wfq"}`)); err == nil || !strings.Contains(err.Error(), "queue_policy") {
-		t.Fatalf("queue_policy accepted: %v", err)
-	}
 	if _, err := ReadDaemon(strings.NewReader(`{"workers":-2}`)); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	// The decoder is strict, and knobs that older builds accepted are
+	// unknown fields now: a config still setting one fails loudly rather
+	// than silently running with the fixed behaviour.
+	cases := []struct {
+		field   string
+		cluster bool // nested under "cluster"
+	}{
+		{"nope", false},
+		{"queue_policy", false},
+		{"analytics", false},
+		{"analytics_max_groups", false},
+		{"failpoints", false},
+		{"fault_seed", false},
+		{"batch_size", true},
+		{"dial_timeout_ms", true},
+		{"idle_conn_timeout_ms", true},
+		{"retry_backoff_ms", true},
+		{"dispatch_retries", true},
+		{"breaker_failures", true},
+		{"breaker_cooldown_ms", true},
+		{"heartbeat_jitter", true},
+	}
+	for _, tc := range cases {
+		t.Run("unknown "+tc.field, func(t *testing.T) {
+			doc := fmt.Sprintf(`{%q: 1}`, tc.field)
+			if tc.cluster {
+				doc = fmt.Sprintf(`{"cluster": {"mode": "coordinator", %q: 1}}`, tc.field)
+			}
+			_, err := ReadDaemon(strings.NewReader(doc))
+			if want := fmt.Sprintf("unknown field %q", tc.field); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("ReadDaemon(%s) = %v, want an error containing %s", doc, err, want)
+			}
+		})
+	}
+}
+
+// TestRemovedBatchSize: the batch cap is a constant now, so every
+// cluster.batch_size value is refused, including the ones older builds
+// accepted (up to the per-batch wire limit), not just the ones they refused.
+func TestRemovedBatchSize(t *testing.T) {
+	cases := []struct {
+		name string
+		size int
+	}{
+		{"zero", 0},
+		{"negative", -1},
+		{"at the wire limit", cluster.MaxBatchConfigs},
+		{"beyond the wire limit", cluster.MaxBatchConfigs + 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := fmt.Sprintf(`{"cluster": {"mode": "coordinator", "batch_size": %d}}`, tc.size)
+			_, err := ReadDaemon(strings.NewReader(doc))
+			if err == nil || !strings.Contains(err.Error(), `unknown field "batch_size"`) {
+				t.Fatalf("ReadDaemon(%s) = %v, want an unknown-field error", doc, err)
+			}
+		})
 	}
 }
 

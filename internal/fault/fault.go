@@ -28,8 +28,8 @@
 //	cluster.register=2*delay(10ms)        sleep on the first 2 evaluations
 //
 // Schedules come from the RESCQ_FAILPOINTS environment variable (with
-// RESCQ_FAULT_SEED seeding the probabilistic triggers), from the daemon
-// config, or from Configure in tests. Probabilistic triggers draw from a
+// RESCQ_FAULT_SEED seeding the probabilistic triggers) or from Configure
+// in tests. Probabilistic triggers draw from a
 // per-point PRNG seeded by (seed, point name), so two runs with the same
 // seed and the same evaluation order make identical decisions — the
 // foundation of the repo's chaos suite: randomized fault schedules that a
@@ -184,12 +184,6 @@ func Configure(schedule string, seed int64) error {
 	specMu.Unlock()
 	armed.Store(len(parsed) > 0)
 	return nil
-}
-
-// Validate parses a schedule without arming it, for config validation.
-func Validate(schedule string) error {
-	_, err := parse(schedule, 1)
-	return err
 }
 
 // Disable disarms every failpoint; Check returns to its one-load fast path.

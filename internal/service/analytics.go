@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"net/http"
 	"net/url"
 	"strings"
@@ -61,11 +60,8 @@ func analyticsSample(tenant string, res ConfigResult) *analytics.Sample {
 
 // analyticsFold folds one result into the aggregate store (no flush).
 // Reports whether the result was actually aggregated — false for
-// disabled analytics, watermark rejects, and sample-less results.
+// watermark rejects and sample-less results.
 func (s *Server) analyticsFold(jobID, tenant string, res ConfigResult) bool {
-	if s.an == nil {
-		return false
-	}
 	if tenant == "" {
 		// WAL job records persist the default tenant as "" (byte-compat
 		// with pre-tenancy logs); analytics always uses the real name.
@@ -89,11 +85,11 @@ func (s *Server) analyticsIngest(jobID, tenant string, res ConfigResult) {
 }
 
 // flushAnalytics snapshots the aggregate store into the WAL's analytics
-// state record. No-op when analytics or the store is absent, when
-// nothing was folded since the last snapshot (idle daemons keep their
-// WAL byte-stable), or while serving lossy.
+// state record. No-op when the store is absent, when nothing was folded
+// since the last snapshot (idle daemons keep their WAL byte-stable), or
+// while serving lossy.
 func (s *Server) flushAnalytics() {
-	if s.an == nil || s.store == nil || s.an.SinceSnapshot() == 0 || s.skipPersist() {
+	if s.store == nil || s.an.SinceSnapshot() == 0 || s.skipPersist() {
 		return
 	}
 	// Lock order: analytics.mu (Snapshot) then store.mu (HasJob, per
@@ -108,12 +104,12 @@ func (s *Server) flushAnalytics() {
 // watermark must outlive the job — replay resurfaces its records — and
 // is pruned at snapshot time once compaction evicts the job.
 func (s *Server) analyticsForget(jobID string) {
-	if s.an != nil && s.store == nil {
+	if s.store == nil {
 		s.an.ForgetJob(jobID)
 	}
 }
 
-// Analytics exposes the aggregate store (nil when disabled), for tests.
+// Analytics exposes the aggregate store, for tests.
 func (s *Server) Analytics() *analytics.Store { return s.an }
 
 // analyticsEndpoints lists the mounted analytics routes, for
@@ -125,8 +121,6 @@ func analyticsEndpoints() []string {
 		"/v1/analytics/sensitivity",
 	}
 }
-
-var errAnalyticsDisabled = errors.New("service: analytics disabled (start the daemon without -analytics=false)")
 
 // analyticsFilter turns the request's query parameters into an axis
 // filter, skipping the endpoint's own reserved parameters. Unknown axis
@@ -150,10 +144,6 @@ Params:
 
 // GET /v1/analytics/groupby?by=axis1,axis2&<axis>=<value>...
 func (s *Server) handleAnalyticsGroupBy(w http.ResponseWriter, r *http.Request) {
-	if s.an == nil {
-		writeError(w, http.StatusNotFound, errAnalyticsDisabled)
-		return
-	}
 	q := r.URL.Query()
 	var by []string
 	for _, part := range strings.Split(q.Get("by"), ",") {
@@ -171,10 +161,6 @@ func (s *Server) handleAnalyticsGroupBy(w http.ResponseWriter, r *http.Request) 
 
 // GET /v1/analytics/pareto?benchmark=name&<axis>=<value>...
 func (s *Server) handleAnalyticsPareto(w http.ResponseWriter, r *http.Request) {
-	if s.an == nil {
-		writeError(w, http.StatusNotFound, errAnalyticsDisabled)
-		return
-	}
 	q := r.URL.Query()
 	resp, err := s.an.Pareto(q.Get("benchmark"), analyticsFilter(q, "benchmark"))
 	if err != nil {
@@ -188,10 +174,6 @@ func (s *Server) handleAnalyticsPareto(w http.ResponseWriter, r *http.Request) {
 // The swept axis defaults to the scheduler — the paper's headline
 // comparison (RESCQ against the static baselines).
 func (s *Server) handleAnalyticsSensitivity(w http.ResponseWriter, r *http.Request) {
-	if s.an == nil {
-		writeError(w, http.StatusNotFound, errAnalyticsDisabled)
-		return
-	}
 	q := r.URL.Query()
 	axis := q.Get("axis")
 	if axis == "" {

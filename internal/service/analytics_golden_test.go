@@ -309,9 +309,7 @@ func shutdownServer(t *testing.T, s *Server) {
 }
 
 // TestAnalyticsEndpointErrors pins the handler-level error contract:
-// unknown axes and missing parameters are 400s with a JSON error, and a
-// daemon running with analytics disabled serves 404 on every endpoint
-// (and omits them from /v1/capabilities).
+// unknown axes and missing parameters are 400s with a JSON error.
 func TestAnalyticsEndpointErrors(t *testing.T) {
 	s, _ := newTestServer(t, config.Daemon{Workers: 1}, newGatedRunner())
 	h := s.Handler()
@@ -335,17 +333,4 @@ func TestAnalyticsEndpointErrors(t *testing.T) {
 		}
 	}
 
-	off := false
-	d, _ := newTestServer(t, config.Daemon{Workers: 1, Analytics: &off}, newGatedRunner())
-	if d.Analytics() != nil {
-		t.Fatal("analytics constructed despite analytics=false")
-	}
-	dh := d.Handler()
-	for _, url := range []string{"/v1/analytics/groupby?by=scheduler", "/v1/analytics/pareto?benchmark=gcm_n13", "/v1/analytics/sensitivity?a=rescq&b=greedy"} {
-		rec := httptest.NewRecorder()
-		dh.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-		if rec.Code != 404 {
-			t.Errorf("disabled daemon: GET %s = %d, want 404", url, rec.Code)
-		}
-	}
 }

@@ -63,11 +63,10 @@ func benchCluster(b *testing.B, runner Runner, workers, capacity int) (*Server, 
 			Mode:                config.ModeCoordinator,
 			HeartbeatIntervalMS: 50,
 			LivenessExpiryMS:    60_000, // never expire a worker mid-measurement
-			BatchSize:           8,
 			// A small work target makes the adaptive sizer's behavior visible
 			// at bench latencies (5-40ms per config): the straggler stripe
 			// splits across slots instead of riding one worker as a full
-			// -batch-size batch.
+			// 8-config batch.
 			BatchTargetMS: 25,
 		},
 	}.WithDefaults()

@@ -30,8 +30,8 @@ type clusterState struct {
 	client   *cluster.Client   // coordinator only
 }
 
-// newClusterState builds the mode-appropriate cluster machinery. Resilience
-// knobs left zero (hand-built test configs) take their WithDefaults values.
+// newClusterState builds the mode-appropriate cluster machinery. Timings
+// left zero (hand-built test configs) take their WithDefaults values.
 func newClusterState(cfg config.Cluster) *clusterState {
 	if !cfg.Clustered() {
 		return nil
@@ -40,11 +40,7 @@ func newClusterState(cfg config.Cluster) *clusterState {
 	cs := &clusterState{cfg: cfg}
 	if cfg.Mode == config.ModeCoordinator {
 		cs.registry = cluster.NewRegistry()
-		cs.registry.SetBreaker(cfg.BreakerFailures, cfg.BreakerCooldown())
-		cs.client = cluster.NewTunedClient(cluster.ClientOptions{
-			DialTimeout:     cfg.DialTimeout(),
-			IdleConnTimeout: cfg.IdleConnTimeout(),
-		})
+		cs.client = cluster.NewTunedClient()
 	}
 	return cs
 }
@@ -218,6 +214,10 @@ const (
 	hedgeSlack        = 3                      // hedge fires earlier than the deadline
 	minBatchDeadline  = 2 * time.Second        // floor: fast engines make p99 tiny
 	minHedgeDelay     = 500 * time.Millisecond // floor, for the same reason
+	// maxBatch is the hard cap on configurations per dispatch batch,
+	// whatever the adaptive sizer asks for; it stays far below the
+	// worker's decode limit (cluster.MaxBatchConfigs).
+	maxBatch = 8
 )
 
 // batchDeadline is the per-batch execution bound: a worker that blows it is
@@ -247,17 +247,16 @@ func (s *Server) hedgeDelay(batchLen int) time.Duration {
 // batch target of estimated work (target / p50) per batch; and near the end
 // of a job the tail-split rule spreads the remaining backlog across every
 // free slot instead of letting the last big batch ride one straggler.
-// config.Cluster.BatchSize stays the hard cap throughout. Not safe for
-// concurrent use — only the job's single dispatch loop calls next.
+// maxBatch stays the hard cap throughout. Not safe for concurrent use —
+// only the job's single dispatch loop calls next.
 type batchSizer struct {
 	s      *Server
 	target time.Duration // cfg.BatchTarget()
-	cap    int           // cfg.BatchSize
 	ramp   int           // next cold-histogram batch length
 }
 
 func newBatchSizer(s *Server) *batchSizer {
-	return &batchSizer{s: s, target: s.clust.cfg.BatchTarget(), cap: s.clust.cfg.BatchSize, ramp: 1}
+	return &batchSizer{s: s, target: s.clust.cfg.BatchTarget(), ramp: 1}
 }
 
 // next returns the length of the next batch given the current backlog and
@@ -271,14 +270,14 @@ func (z *batchSizer) next(backlog, freeSlots int) int {
 		// finishing the tail in parallel beats amortizing overhead.
 		n = min(n, (backlog+freeSlots-1)/freeSlots)
 	}
-	return max(1, min(n, z.cap))
+	return max(1, min(n, maxBatch))
 }
 
 func (z *batchSizer) steady() int {
 	n, p50, _ := z.s.stats.ConfigLatency()
 	if n < minLatencySamples {
 		b := z.ramp
-		z.ramp = min(z.ramp*2, z.cap)
+		z.ramp = min(z.ramp*2, maxBatch)
 		return b
 	}
 	// A quantile is its bucket's upper edge, so p50 > 0 here; sub-millisecond
@@ -299,6 +298,13 @@ func buildExecuteRequest(j *Job, bi int, idxs []int) (cluster.ExecuteRequest, er
 	}
 	return req, nil
 }
+
+// Retry policy: up to dispatchRetries re-dispatches per batch, each after
+// a jittered exponential backoff from dispatchBackoff, capped at 20× it.
+const (
+	dispatchRetries = 4
+	dispatchBackoff = 100 * time.Millisecond
+)
 
 // dispatch drives one claimed batch on the worker slot the dispatch loop
 // leased for it: POST it (racing a hedge if it straggles), then fill the
@@ -325,10 +331,10 @@ func (r *jobRun) dispatch(bi int, idxs []int, lease cluster.Lease) {
 		release()
 		r.leaveFlights(idxs)
 	}()
-	backoff := cluster.Backoff{Base: s.clust.cfg.RetryBackoff(), Max: 20 * s.clust.cfg.RetryBackoff()}
+	backoff := cluster.Backoff{Base: dispatchBackoff, Max: 20 * dispatchBackoff}
 	for attempt := 0; ctx.Err() == nil; attempt++ {
 		req, err := buildExecuteRequest(j, bi, idxs)
-		if err != nil || attempt > s.clust.cfg.DispatchRetries {
+		if err != nil || attempt > dispatchRetries {
 			local()
 			return
 		}

@@ -52,7 +52,6 @@ func startCoordinator(t *testing.T, storeDir string) *clusterNode {
 			Mode:                config.ModeCoordinator,
 			HeartbeatIntervalMS: 50,
 			LivenessExpiryMS:    200,
-			BatchSize:           3,
 		},
 	}.WithDefaults()
 	s := New(cfg, nil)
@@ -537,7 +536,7 @@ func get(t *testing.T, url string) *http.Response {
 
 // TestBatchSizerProgression pins the adaptive sizer's three regimes: a
 // doubling ramp-up while the latency histogram is cold, target/p50-sized
-// batches once it is warm (clamped to the BatchSize cap), and the
+// batches once it is warm (clamped to the fixed maxBatch cap), and the
 // tail-split rule spreading a small backlog across every free slot.
 func TestBatchSizerProgression(t *testing.T) {
 	cfg := config.Daemon{
@@ -546,7 +545,6 @@ func TestBatchSizerProgression(t *testing.T) {
 			Mode:                config.ModeCoordinator,
 			HeartbeatIntervalMS: 50,
 			LivenessExpiryMS:    200,
-			BatchSize:           64,
 			BatchTargetMS:       100,
 		},
 	}
@@ -587,8 +585,8 @@ func TestBatchSizerProgression(t *testing.T) {
 		t.Fatalf("deep-backlog size = %d, want steady-state 4", got)
 	}
 
-	// The -batch-size cap always wins: instant configurations read a p50 of
-	// 1µs and would otherwise ask for 100ms/1µs per batch.
+	// The cap always wins: instant configurations read a p50 of 1µs and
+	// would otherwise ask for 100ms/1µs per batch.
 	fast := New(cfg, nil)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -598,8 +596,13 @@ func TestBatchSizerProgression(t *testing.T) {
 	for i := 0; i < 2*minLatencySamples; i++ {
 		fast.stats.ObserveConfigLatency(0)
 	}
-	if got := newBatchSizer(fast).next(1000, 1); got != 64 {
-		t.Fatalf("sub-ms size = %d, want the cap 64", got)
+	if got := newBatchSizer(fast).next(1000, 1); got != 8 {
+		t.Fatalf("sub-ms size = %d, want the cap 8", got)
+	}
+	// Workers reject batches beyond their decode limit as poison, so the
+	// cap must stay within it.
+	if maxBatch > cluster.MaxBatchConfigs {
+		t.Fatalf("batch cap %d exceeds the wire limit %d", maxBatch, cluster.MaxBatchConfigs)
 	}
 }
 

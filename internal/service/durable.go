@@ -65,11 +65,9 @@ func (s *Server) AttachStore(dir string) (ReplayStats, error) {
 	// replay loop below re-fold only the WAL suffix the snapshot has not
 	// seen. A corrupt snapshot is counted and discarded — the full replay
 	// rebuilds the identical state from the records.
-	if s.an != nil {
-		if blob, ok := st.State(analyticsStateName); ok {
-			if err := s.an.Restore(blob); err != nil {
-				s.stats.StoreErrors.Add(1)
-			}
+	if blob, ok := st.State(analyticsStateName); ok {
+		if err := s.an.Restore(blob); err != nil {
+			s.stats.StoreErrors.Add(1)
 		}
 	}
 

@@ -502,9 +502,8 @@ type Capabilities struct {
 	// DefaultLayout is the daemon's configured default for requests that
 	// do not name a layout ("star" unless overridden).
 	DefaultLayout string `json:"default_layout"`
-	// Analytics lists the mounted sweep-analytics endpoints; omitted when
-	// the daemon runs with analytics disabled.
-	Analytics []string `json:"analytics,omitempty"`
+	// Analytics lists the mounted sweep-analytics endpoints.
+	Analytics []string `json:"analytics"`
 }
 
 func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
@@ -518,9 +517,7 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 		Layouts:       rescq.LayoutCatalog(),
 		Experiments:   append([]string(nil), rescq.ExperimentIDs...),
 		DefaultLayout: def,
-	}
-	if s.an != nil {
-		caps.Analytics = analyticsEndpoints()
+		Analytics:     analyticsEndpoints(),
 	}
 	writeJSON(w, http.StatusOK, caps)
 }
@@ -607,9 +604,8 @@ type healthBody struct {
 	Store          *storeHealth            `json:"store,omitempty"`
 	Cluster        *clusterHealth          `json:"cluster,omitempty"`
 	// Analytics is the aggregate store's health (cardinality against its
-	// cap, ingest lag since the last durable snapshot); omitted when
-	// analytics is disabled.
-	Analytics *analytics.Stats `json:"analytics,omitempty"`
+	// cap, ingest lag since the last durable snapshot).
+	Analytics analytics.Stats `json:"analytics"`
 	// Failpoints is the active fault schedule — present only while one is
 	// armed, so a chaos run is always distinguishable from production.
 	Failpoints string `json:"failpoints,omitempty"`
@@ -659,10 +655,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			LossyWrites:       s.stats.LossyWrites.Load(),
 		}
 	}
-	if s.an != nil {
-		as := s.an.Stats()
-		body.Analytics = &as
-	}
+	body.Analytics = s.an.Stats()
 	if spec := fault.Active(); spec != "" {
 		body.Failpoints = spec
 	}
@@ -733,19 +726,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("rescqd_store_durable", "Whether the WAL is taking writes (0 while serving in lossy mode).", boolGauge(!s.Lossy()))
 		p.Gauge("rescqd_replay_dropped", "Interrupted jobs left resumable on disk after a failed re-enqueue at startup.", int64(s.ReplayInfo().Dropped))
 	}
-	if s.an != nil {
-		as := s.an.Stats()
-		p.Gauge("rescqd_analytics_groups", "Materialized analytics aggregate cells (distinct axis tuples).", int64(as.Groups))
-		p.Gauge("rescqd_analytics_group_cap", "Configured aggregate-cell cardinality cap.", int64(as.GroupCap))
-		p.Gauge("rescqd_analytics_benchmarks", "Benchmarks with at least one analytics cell.", int64(as.Benchmarks))
-		p.Counter("rescqd_analytics_results_ingested_total", "Results folded into analytics aggregates.", as.Ingested)
-		p.Counter("rescqd_analytics_results_skipped_total", "Results that advanced a watermark with nothing to aggregate (errors, reports).", as.Skipped)
-		p.Counter("rescqd_analytics_results_deduped_total", "Replayed results rejected by a job watermark.", as.Deduped)
-		p.Counter("rescqd_analytics_results_dropped_total", "Results beyond the cardinality cap, counted but not aggregated.", as.Dropped)
-		p.Counter("rescqd_analytics_queries_total", "Analytics queries served.", as.Queries)
-		p.Counter("rescqd_analytics_snapshots_total", "Analytics snapshots written to the WAL.", as.Snapshots)
-		p.Gauge("rescqd_analytics_ingest_lag", "Results folded since the last durable analytics snapshot (replay cost of a crash now).", as.IngestLag)
-	}
+	as := s.an.Stats()
+	p.Gauge("rescqd_analytics_groups", "Materialized analytics aggregate cells (distinct axis tuples).", int64(as.Groups))
+	p.Gauge("rescqd_analytics_group_cap", "Configured aggregate-cell cardinality cap.", int64(as.GroupCap))
+	p.Gauge("rescqd_analytics_benchmarks", "Benchmarks with at least one analytics cell.", int64(as.Benchmarks))
+	p.Counter("rescqd_analytics_results_ingested_total", "Results folded into analytics aggregates.", as.Ingested)
+	p.Counter("rescqd_analytics_results_skipped_total", "Results that advanced a watermark with nothing to aggregate (errors, reports).", as.Skipped)
+	p.Counter("rescqd_analytics_results_deduped_total", "Replayed results rejected by a job watermark.", as.Deduped)
+	p.Counter("rescqd_analytics_results_dropped_total", "Results beyond the cardinality cap, counted but not aggregated.", as.Dropped)
+	p.Counter("rescqd_analytics_queries_total", "Analytics queries served.", as.Queries)
+	p.Counter("rescqd_analytics_snapshots_total", "Analytics snapshots written to the WAL.", as.Snapshots)
+	p.Gauge("rescqd_analytics_ingest_lag", "Results folded since the last durable analytics snapshot (replay cost of a crash now).", as.IngestLag)
 	if ws, ok := s.ClusterWorkers(); ok {
 		p.Gauge("rescqd_cluster_workers", "Live workers registered with the coordinator.", int64(len(ws)))
 		p.Header("rescqd_cluster_worker_inflight", "gauge", "Batches in flight per worker.")

@@ -281,9 +281,9 @@ type Server struct {
 	sched *schedq.Queue
 	store *store.Store  // nil until AttachStore; durability layer
 	clust *clusterState // nil in standalone mode; scale-out layer
-	// an aggregates the persisted result stream for GET /v1/analytics/*
-	// (nil when disabled); fed at persist time, rebuilt from the WAL at
-	// AttachStore. See analytics.go for the wiring.
+	// an aggregates the persisted result stream for GET /v1/analytics/*;
+	// fed at persist time, rebuilt from the WAL at AttachStore. See
+	// analytics.go for the wiring.
 	an *analytics.Store
 
 	// pending counts run configurations admitted but not yet finished —
@@ -347,6 +347,7 @@ func New(cfg config.Daemon, runner Runner) *Server {
 		baseCtx:    ctx,
 		baseStop:   stop,
 		startTime:  time.Now(),
+		an:         analytics.New(analytics.DefaultMaxGroups),
 		// Accepting from construction, not from Start: AttachStore
 		// re-enqueues interrupted jobs into the scheduler before the
 		// worker pool spins up.
@@ -355,9 +356,6 @@ func New(cfg config.Daemon, runner Runner) *Server {
 	if cfg.CacheEntries > 0 {
 		s.cache = newResultCache(cfg.CacheEntries)
 		s.inflight = make(map[string]chan struct{})
-	}
-	if cfg.AnalyticsEnabled() {
-		s.an = analytics.New(cfg.AnalyticsMaxGroups)
 	}
 	s.clust = newClusterState(cfg.Cluster)
 	s.pool.cond = sync.NewCond(&s.pool.mu)

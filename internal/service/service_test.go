@@ -915,22 +915,6 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 			t.Errorf("analytics endpoints %v missing %q", caps.Analytics, want)
 		}
 	}
-
-	// With analytics disabled, the endpoint list disappears but the rest
-	// of the discovery payload is unchanged.
-	off := false
-	_, ts2 := newTestServer(t, config.Daemon{Analytics: &off}, &countingRunner{})
-	resp2, err := http.Get(ts2.URL + "/v1/capabilities")
-	if err != nil {
-		t.Fatalf("GET capabilities: %v", err)
-	}
-	caps2 := decode[Capabilities](t, resp2)
-	if caps2.Analytics != nil {
-		t.Errorf("disabled daemon still advertises analytics endpoints: %v", caps2.Analytics)
-	}
-	if len(caps2.Schedulers) == 0 || len(caps2.Benchmarks) == 0 {
-		t.Error("disabling analytics gutted the rest of the capabilities payload")
-	}
 }
 
 // TestSweepLayoutAxis sweeps the layout dimension with a fake runner and

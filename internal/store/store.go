@@ -153,8 +153,7 @@ type DoneRecord struct {
 //
 // Note for downgrades: daemons older than this record kind treat unknown
 // record types as corruption, so a log that carries state records does
-// not replay on them. Disabling the writer (-analytics=false) keeps a log
-// free of state records.
+// not replay on them.
 type StateRecord struct {
 	Type    string          `json:"type"` // filled by the store
 	Name    string          `json:"name"`
