@@ -8,8 +8,10 @@
 //	rescq-walcat /var/lib/rescqd/wal.snap /var/lib/rescqd/wal.jsonl
 //	rescq-walcat /var/lib/rescqd/wal.jsonl | jq -c 'select(.type == "done")'
 //
-// The output is itself a valid JSON-era log. A torn or corrupt tail is
-// reported on stderr after the records before it, with exit status 1.
+// The output is itself a valid JSON-era log: typed result payloads print
+// as the JSON the result had before it was encoded. A torn or corrupt
+// tail is reported on stderr after the records before it, with exit
+// status 1.
 package main
 
 import (
@@ -17,6 +19,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/resultcodec"
 	"repro/internal/store"
 )
 
@@ -46,5 +49,5 @@ func dump(path string, w io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	return store.Dump(f, w)
+	return store.Dump(f, w, resultcodec.JSON)
 }

@@ -9,11 +9,14 @@ import (
 	"testing"
 	"time"
 
+	rescq "repro"
+	"repro/internal/resultcodec"
 	"repro/internal/store"
 )
 
 // TestWalcatPrintsSnapshotAndLog: a compacted store's snapshot and log
-// delta print as one JSON record per line, in file order.
+// delta print as one JSON record per line, in file order, with JSON and
+// typed result payloads alike printed as JSON.
 func TestWalcatPrintsSnapshotAndLog(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, store.Options{})
@@ -31,6 +34,16 @@ func TestWalcatPrintsSnapshotAndLog(t *testing.T) {
 		Result: json.RawMessage(`{"total_cycles":42}`)}); err != nil {
 		t.Fatal(err)
 	}
+	// What the daemon writes: a typed payload, printed as its JSON.
+	res := resultcodec.ConfigResult{Index: 1, Benchmark: "gcm_n13", Options: &rescq.Options{Distance: 7},
+		Summary: &rescq.Summary{Benchmark: "gcm_n13", Runs: []rescq.Result{{Seed: 1, TotalCycles: 42}}, MeanCycles: 42.5}}
+	typed, err := resultcodec.Append(nil, &res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendResult(store.ResultRecord{JobID: "job-000001", Index: 1, Key: "k1", Result: typed}); err != nil {
+		t.Fatal(err)
+	}
 
 	var stdout, stderr bytes.Buffer
 	code := run([]string{filepath.Join(dir, store.SnapName), filepath.Join(dir, store.WALName)}, &stdout, &stderr)
@@ -40,6 +53,7 @@ func TestWalcatPrintsSnapshotAndLog(t *testing.T) {
 	}
 	want := `{"type":"job","id":"job-000001","kind":"run","created":"2023-11-14T22:13:20Z","specs":[{"benchmark":"gcm_n13"}]}
 {"type":"result","job":"job-000001","index":0,"key":"k0","result":{"total_cycles":42}}
+{"type":"result","job":"job-000001","index":1,"key":"k1","result":{"index":1,"benchmark":"gcm_n13","options":{"distance":7},"cached":false,"summary":{"benchmark":"gcm_n13","scheduler":"","runs":[{"scheduler":"","benchmark":"","seed":1,"total_cycles":42,"mean_idle_fraction":0,"preps_started":0,"injections_count":0,"edge_rotations":0}],"mean_cycles":42.5,"min_cycles":0,"max_cycles":0,"std_cycles":0,"mean_idle":0}}}
 `
 	if stdout.String() != want {
 		t.Fatalf("output:\n%s\nwant:\n%s", stdout.String(), want)

@@ -33,7 +33,8 @@ type mstPipeline struct {
 	dsu   *graph.DSU
 	order []int32
 
-	chgID []int32 // scratch: edges whose weight changed this snapshot
+	act   []float64 // scratch: each ancilla's activity this snapshot
+	chgID []int32   // scratch: edges whose weight changed this snapshot
 	chgW  []float64
 }
 
@@ -59,6 +60,7 @@ func newMSTPipeline(st *sim.State, cfg Config) *mstPipeline {
 		tau: cfg.TauMST,
 		g:   g,
 		eps: make([]float64, g.NumEdges()),
+		act: make([]float64, g.NumVertices()),
 	}
 	// Deterministic per-edge jitter: without it, the all-zero cold-start
 	// weights make Kruskal produce a degenerate comb-shaped tree whose
@@ -118,11 +120,16 @@ func (m *mstPipeline) tick(st *sim.State) {
 // Tree.UpdateWeight one at a time; a batch above fullRebuildFraction of
 // the graph triggers one full allocation-free recompute instead.
 func (m *mstPipeline) refresh(st *sim.State) {
+	// One Activity call per ancilla, not two per edge: the vertices of the
+	// ancilla graph are the dense ancilla IDs.
+	for v := range m.act {
+		m.act[v] = st.Activity(v)
+	}
 	m.chgID, m.chgW = m.chgID[:0], m.chgW[:0]
 	for e := 0; e < m.g.NumEdges(); e++ {
 		ed := m.g.Edge(e)
-		w := st.Activity(ed.U)
-		if a := st.Activity(ed.V); a > w {
+		w := m.act[ed.U]
+		if a := m.act[ed.V]; a > w {
 			w = a
 		}
 		w += m.eps[e]

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	rescq "repro"
+	"repro/internal/resultcodec"
 	"repro/internal/schedq"
 	"repro/internal/store"
 )
@@ -84,10 +85,12 @@ func (s *Server) AttachStore(dir string) (ReplayStats, error) {
 		// Re-seed the cache from every persisted result, job or orphan.
 		// Each payload is decoded once: the rebuilt job keeps its
 		// decodable contiguous prefix, sharing summaries with the cache.
+		// Payloads are typed, or JSON in logs written before the typed
+		// encoding (and by callers that still append JSON).
 		var prefix []ConfigResult
 		for i, rr := range rj.Results {
 			var res ConfigResult
-			if err := json.Unmarshal(rr.Result, &res); err != nil {
+			if err := resultcodec.Decode(rr.Result, &res); err != nil {
 				continue
 			}
 			if len(prefix) == i {
@@ -208,6 +211,7 @@ func (s *Server) replayJob(rj store.ReplayedJob, specs []runSpec, prefix []Confi
 		Created:   rj.Job.Created,
 		Tenant:    tenant,
 		specs:     specs,
+		total:     len(specs),
 		fromStore: true,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -223,6 +227,9 @@ func (s *Server) replayJob(rj store.ReplayedJob, specs []runSpec, prefix []Confi
 		}
 		close(j.doneCh)
 		cancel() // history never runs; release the baseCtx child now
+		if len(prefix) == len(specs) {
+			j.specs = nil // complete history: nothing can run or resume it
+		}
 	}
 	s.registerJob(j)
 	if rj.Terminal() {
@@ -331,7 +338,7 @@ func (s *Server) persistResult(j *Job, key string, res ConfigResult) {
 	// prefix. stripLatencies copies before trimming, so the in-memory
 	// result handed to the client keeps its arrays.
 	stripLatencies(&res)
-	payload, err := json.Marshal(res)
+	payload, err := resultcodec.Append(nil, &res)
 	if err != nil {
 		s.stats.StoreErrors.Add(1)
 		return

@@ -20,6 +20,7 @@ import (
 
 	rescq "repro"
 	"repro/internal/config"
+	"repro/internal/resultcodec"
 	"repro/internal/store"
 )
 
@@ -232,8 +233,9 @@ const binaryWALHeader = "RQWAL\x00\x01\n"
 // rewriteAsJSONEra rewrites the binary store files in dir as the JSON-era
 // files a daemon from before the binary codec would have written for the
 // same jobs: one JSON line per job, result and done record, through a
-// plain json.Encoder. Auxiliary state records are not carried over; the
-// analytics aggregate is re-folded from the results on replay.
+// plain json.Encoder, with result payloads in their JSON form. Auxiliary
+// state records are not carried over; the analytics aggregate is
+// re-folded from the results on replay.
 func rewriteAsJSONEra(t *testing.T, dir string) {
 	t.Helper()
 	for _, name := range []string{store.SnapName, store.WALName} {
@@ -254,6 +256,9 @@ func rewriteAsJSONEra(t *testing.T, dir string) {
 		for _, j := range jobs {
 			recs := []any{j.Job}
 			for _, r := range j.Results {
+				if r.Result, err = resultcodec.JSON(r.Result); err != nil {
+					t.Fatal(err)
+				}
 				recs = append(recs, r)
 			}
 			if j.Terminal() {

@@ -84,7 +84,7 @@ func (s *Server) jobView(j *Job, includeResults bool) JobView {
 		Tenant:   j.Tenant,
 		State:    state,
 		Created:  j.Created,
-		Progress: JobProgress{Done: len(results), Total: len(j.specs)},
+		Progress: JobProgress{Done: len(results), Total: j.total},
 	}
 	if !started.IsZero() {
 		v.Started = &started
@@ -455,7 +455,7 @@ func (s *Server) handleResumeJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	state, _, _, results, _ := j.snapshot()
-	if err := resumable(state, len(results), len(j.specs)); err != nil {
+	if err := resumable(state, len(results), j.total); err != nil {
 		writeError(w, http.StatusConflict, err)
 		return
 	}

@@ -22,10 +22,11 @@ func liveHeap() uint64 {
 
 // TestRetainedHeapPerCachedResult bounds what a live daemon — WAL and
 // analytics attached — keeps in memory per delivered cached sweep result:
-// the finished job's result slot, its spec and key, and the store index's
-// frame location. The summary and canonical options belong to the cache
-// entry and are shared by every result it serves, so they must not be
-// copied per delivery, and neither must the WAL payload.
+// the finished job's result slot and the store index's frame location.
+// A completed job releases its specs and keys. The summary and canonical
+// options belong to the cache entry and are shared by every result it
+// serves, so they must not be copied per delivery, and neither must the
+// WAL payload.
 func TestRetainedHeapPerCachedResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocations")
@@ -65,8 +66,8 @@ func TestRetainedHeapPerCachedResult(t *testing.T) {
 	results := sweeps * perSweep
 	per := (float64(after) - float64(before)) / float64(results)
 	t.Logf("%d cached results retained %.0f B each", results, per)
-	if per > 600 {
-		t.Fatalf("retained heap per cached sweep result = %.0f B, want <= 600", per)
+	if per > 300 {
+		t.Fatalf("retained heap per cached sweep result = %.0f B, want <= 300", per)
 	}
 	runtime.KeepAlive(s)
 }

@@ -95,6 +95,7 @@ import (
 	"repro/internal/analytics"
 	"repro/internal/config"
 	"repro/internal/metrics"
+	"repro/internal/resultcodec"
 	"repro/internal/schedq"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -154,18 +155,9 @@ type runSpec struct {
 	KeepLatencies bool
 }
 
-// ConfigResult reports one completed run configuration of a job.
-type ConfigResult struct {
-	Index     int            `json:"index"`
-	Benchmark string         `json:"benchmark,omitempty"`
-	Scheduler string         `json:"scheduler,omitempty"`
-	Layout    string         `json:"layout,omitempty"`
-	Options   *rescq.Options `json:"options,omitempty"`
-	Cached    bool           `json:"cached"`
-	Summary   *rescq.Summary `json:"summary,omitempty"`
-	Report    string         `json:"report,omitempty"` // experiment payloads
-	Error     string         `json:"error,omitempty"`
-}
+// ConfigResult reports one completed run configuration of a job. It is
+// defined beside its typed WAL encoding, in internal/resultcodec.
+type ConfigResult = resultcodec.ConfigResult
 
 // Job is one queued/running/finished unit of work.
 type Job struct {
@@ -177,8 +169,15 @@ type Job struct {
 	// after construction.
 	Tenant string
 
+	// specs and keys (the specKey of every spec, set by the first pickup,
+	// then read-only) are released once the job has a result for every
+	// configuration: nothing can run or resume it then, and a finished
+	// sweep kept in the history would otherwise hold ~270 B per
+	// configuration for nothing. total is len(specs), fixed at
+	// construction.
 	specs []runSpec
-	keys  []string // specKey of every spec; set by the first pickup, then read-only
+	keys  []string
+	total int
 
 	// fromStore marks a job reconstructed from the WAL (its job record is
 	// already on disk); resumedFrom names the job this one continues.
@@ -488,6 +487,7 @@ func (s *Server) buildJob(kind, tenant string, specs []runSpec) *Job {
 		Created:   time.Now(),
 		Tenant:    tenant,
 		specs:     specs,
+		total:     len(specs),
 		ctx:       ctx,
 		cancel:    cancel,
 		doneCh:    make(chan struct{}),
@@ -741,6 +741,9 @@ func (s *Server) execute(j *Job) {
 	}
 	j.finished = time.Now()
 	state, err := j.state, j.err
+	if unfinished == 0 {
+		j.specs, j.keys = nil, nil
+	}
 	j.mu.Unlock()
 	s.pending.Add(-int64(unfinished)) // configurations the break left behind
 	s.sched.Abandon(j.Tenant, int64(unfinished))

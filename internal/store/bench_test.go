@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkWALAppendBinary measures the serving-path record append: one
-// result record per iteration into a live store, compaction disabled so
-// the numbers are pure encode+write. bytes/record is the acceptance
-// criterion's metric.
+// result record per iteration, with the typed payload the daemon writes,
+// into a live store, compaction disabled so the numbers are pure
+// encode+write. bytes/record is the acceptance criterion's metric.
 func BenchmarkWALAppendBinary(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{RetainJobs: 1 << 20, CompactEvery: 1 << 30})
 	if err != nil {
@@ -24,7 +24,7 @@ func BenchmarkWALAppendBinary(b *testing.B) {
 	}
 	payloads := make([]json.RawMessage, 16)
 	for i := range payloads {
-		payloads[i] = resultPayload(b, i)
+		payloads[i] = typedResultPayload(b, i)
 	}
 	before := s.Stats()
 	b.ResetTimer()
@@ -41,8 +41,9 @@ func BenchmarkWALAppendBinary(b *testing.B) {
 	}
 }
 
-// benchReplayLog builds a one-job, many-result log in memory, binary or
-// JSON-era, for the replay benchmarks.
+// benchReplayLog builds a one-job, many-result log in memory, for the
+// replay benchmarks: binary with typed result payloads as the daemon
+// writes it, or JSON-era with JSON payloads.
 func benchReplayLog(b *testing.B, codec string, results int) []byte {
 	var buf bytes.Buffer
 	if codec == CodecBinary {
@@ -53,7 +54,11 @@ func benchReplayLog(b *testing.B, codec string, results int) []byte {
 		Specs: mustJSON(b, []map[string]string{{"benchmark": "gcm_n13"}})})
 	payloads := make([]json.RawMessage, 16)
 	for i := range payloads {
-		payloads[i] = resultPayload(b, i)
+		if codec == CodecBinary {
+			payloads[i] = typedResultPayload(b, i)
+		} else {
+			payloads[i] = resultPayload(b, i)
+		}
 	}
 	for i := 0; i < results; i++ {
 		emit(ResultRecord{Type: recResult, JobID: "job-000001", Index: i,

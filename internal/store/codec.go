@@ -41,8 +41,10 @@ const (
 	// maxRecordBytes caps one record's payload, matching the JSON
 	// replayer's maximum line length: anything larger is torn or hostile.
 	maxRecordBytes = 64 * 1024 * 1024
-	// compressMin is the body size at which flate is worth its CPU:
-	// result payloads clear it, done markers and small job records don't.
+	// compressMin is the body size at which flate is worth its CPU: a
+	// sweep's job record (its JSON specs) and the analytics state blob
+	// clear it, done markers and small job records don't. Result records
+	// are never compressed (see encodeRecord).
 	compressMin = 256
 )
 
@@ -82,6 +84,7 @@ func binaryBody(v any) (kind byte, body []byte, err error) {
 		if r.Index < 0 {
 			return 0, nil, fmt.Errorf("store: negative result index %d", r.Index)
 		}
+		body = make([]byte, 0, len(r.JobID)+len(r.Key)+len(r.Result)+4*binary.MaxVarintLen64)
 		body = appendBlob(body, []byte(r.JobID))
 		body = binary.AppendUvarint(body, uint64(r.Index))
 		body = appendBlob(body, []byte(r.Key))
@@ -101,8 +104,9 @@ func binaryBody(v any) (kind byte, body []byte, err error) {
 }
 
 // flateWriters and flateReaders pool the compressor/decompressor state:
-// a flate writer alone is over a megabyte, and the append and replay hot
-// paths run one (de)compression per record.
+// a flate writer alone is over a megabyte. Replay inflates every
+// compressed frame, which includes each result record of a log written
+// before results went uncompressed.
 var (
 	flateWriters sync.Pool
 	flateReaders sync.Pool
@@ -162,23 +166,29 @@ func inflate(body []byte, limit int64) ([]byte, error) {
 // never interleave two. The length prefix is what makes a torn tail
 // detectable by construction; the CRC is what catches bit rot and
 // partially-flushed frames whose length survived.
+//
+// Result records, one per completed configuration and so the bulk of the
+// appends, are written uncompressed: the service's typed result encoding
+// is already compact, and deflating it would cost more CPU than the write
+// itself. Logs written before that hold flate-compressed result frames,
+// which replay inflates and compaction copies as they are.
 func encodeRecord(v any) ([]byte, error) {
 	kind, body, err := binaryBody(v)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode record: %w", err)
 	}
 	flags := byte(0)
-	if len(body) >= compressMin {
+	if kind != binKindResult && len(body) >= compressMin {
 		if c, ok := deflate(body); ok {
 			body, flags = c, flagCompressed
 		}
 	}
-	payload := make([]byte, 0, 2+len(body))
-	payload = append(payload, kind, flags)
-	payload = append(payload, body...)
-	frame := binary.AppendUvarint(make([]byte, 0, len(payload)+16), uint64(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	n := 2 + len(body)
+	frame := binary.AppendUvarint(make([]byte, 0, n+binary.MaxVarintLen64+4), uint64(n))
+	start := len(frame)
+	frame = append(frame, kind, flags)
+	frame = append(frame, body...)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[start:]))
 	return frame, nil
 }
 

@@ -13,28 +13,18 @@ import (
 	"testing"
 	"time"
 
+	rescq "repro"
 	"repro/internal/fault"
+	"repro/internal/resultcodec"
 )
 
-// resultPayload builds a representative persisted result: a ConfigResult
-// summary as the service stores it (latencies stripped), with the heavily
-// repeated JSON key structure real summaries have. run varies the numbers
-// so payloads are distinct but realistically shaped.
-func resultPayload(t testing.TB, run int) json.RawMessage {
-	t.Helper()
-	type runResult struct {
-		Scheduler        string  `json:"scheduler"`
-		Benchmark        string  `json:"benchmark"`
-		Seed             int64   `json:"seed"`
-		TotalCycles      int     `json:"total_cycles"`
-		MeanIdleFraction float64 `json:"mean_idle_fraction"`
-		PrepsStarted     int     `json:"preps_started"`
-		InjectionsCount  int     `json:"injections_count"`
-		EdgeRotations    int     `json:"edge_rotations"`
-	}
-	runs := make([]runResult, 3)
+// resultFixture builds a representative persisted result: a ConfigResult
+// summary as the service stores it (latencies stripped). run varies the
+// numbers so payloads are distinct but realistically shaped.
+func resultFixture(run int) resultcodec.ConfigResult {
+	runs := make([]rescq.Result, 3)
 	for i := range runs {
-		runs[i] = runResult{
+		runs[i] = rescq.Result{
 			Scheduler:        "rescq",
 			Benchmark:        "gcm_n13",
 			Seed:             int64(1000*run + i),
@@ -45,19 +35,36 @@ func resultPayload(t testing.TB, run int) json.RawMessage {
 			EdgeRotations:    87,
 		}
 	}
-	payload := map[string]any{
-		"summary": map[string]any{
-			"benchmark":   "gcm_n13",
-			"scheduler":   "rescq",
-			"runs":        runs,
-			"mean_cycles": 48217.3 + float64(run),
-			"min_cycles":  48211 + run,
-			"max_cycles":  48224 + run,
-			"std_cycles":  5.43,
-			"mean_idle":   0.312,
-		},
+	return resultcodec.ConfigResult{Index: run, Summary: &rescq.Summary{
+		Benchmark:  "gcm_n13",
+		Scheduler:  "rescq",
+		Runs:       runs,
+		MeanCycles: 48217.3 + float64(run),
+		MinCycles:  48211 + run,
+		MaxCycles:  48224 + run,
+		StdCycles:  5.43,
+		MeanIdle:   0.312,
+	}}
+}
+
+// resultPayload is resultFixture(run) as JSON, the payload of logs
+// written before the typed encoding, with the heavily repeated key
+// structure real summaries have.
+func resultPayload(t testing.TB, run int) json.RawMessage {
+	t.Helper()
+	return mustJSON(t, resultFixture(run))
+}
+
+// typedResultPayload is resultFixture(run) in the typed encoding, the
+// payload the daemon writes.
+func typedResultPayload(t testing.TB, run int) []byte {
+	t.Helper()
+	res := resultFixture(run)
+	b, err := resultcodec.Append(nil, &res)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return mustJSON(t, payload)
+	return b
 }
 
 func TestBinaryRecordRoundTrip(t *testing.T) {
@@ -67,9 +74,9 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 			Specs:   json.RawMessage(`[{"benchmark":"gcm_n13"}]`)},
 		JobRecord{Type: recJob, ID: "job-000002"}, // zero time, nil specs
 		ResultRecord{Type: recResult, JobID: "job-000001", Index: 0, Key: "cache-key",
-			Result: resultPayload(t, 0)}, // big enough to take the compressed path
+			Result: resultPayload(t, 0)}, // results are never compressed, however big
 		ResultRecord{Type: recResult, JobID: "job-000001", Index: 1,
-			Result: json.RawMessage(`{}`)}, // small: stored uncompressed
+			Result: json.RawMessage(`{}`)},
 		DoneRecord{Type: recDone, JobID: "job-000001", State: "failed", Error: "boom"},
 		DoneRecord{Type: recDone, JobID: "job-000002", State: "done"},
 	}
@@ -99,9 +106,9 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryBytesPerResultRecord pins the acceptance criterion: the
-// binary codec spends at least 2x fewer bytes per persisted result record
-// than a JSON-era log line, on representative result payloads.
+// TestBinaryBytesPerResultRecord pins the acceptance criterion: a binary
+// result record with the typed payload the daemon writes spends at least
+// 2x fewer bytes than a JSON-era log line of the same result.
 func TestBinaryBytesPerResultRecord(t *testing.T) {
 	const n = 64
 	var jsonBytes, binBytes int
@@ -109,6 +116,7 @@ func TestBinaryBytesPerResultRecord(t *testing.T) {
 		rec := ResultRecord{Type: recResult, JobID: "job-000042", Index: i,
 			Key: fmt.Sprintf("cachekey-%032d", i), Result: resultPayload(t, i)}
 		jf := refEncode(t, CodecJSON, rec)
+		rec.Result = typedResultPayload(t, i)
 		bf, err := encodeRecord(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -120,6 +128,68 @@ func TestBinaryBytesPerResultRecord(t *testing.T) {
 	t.Logf("bytes/record: json=%d binary=%d ratio=%.2fx", jsonBytes/n, binBytes/n, ratio)
 	if ratio < 2 {
 		t.Fatalf("binary codec saves only %.2fx bytes per result record, want >= 2x", ratio)
+	}
+}
+
+// TestFlateResultFramesReplayAndCopyVerbatim: a log whose result frames
+// are flate-compressed JSON, as the store wrote them before results went
+// uncompressed, replays to the same records as the current encoding of
+// them, and compaction copies its frames as they are.
+func TestFlateResultFramesReplayAndCopyVerbatim(t *testing.T) {
+	recs := []any{JobRecord{Type: recJob, ID: "job-000001", Kind: "sweep", Created: time.Unix(1700000000, 0).UTC(),
+		Specs: mustJSON(t, []map[string]string{{"benchmark": "gcm_n13"}})}}
+	for i := 0; i < 3; i++ {
+		recs = append(recs, ResultRecord{Type: recResult, JobID: "job-000001", Index: i,
+			Key: fmt.Sprintf("k%d", i), Result: resultPayload(t, i)})
+	}
+	recs = append(recs, DoneRecord{Type: recDone, JobID: "job-000001", State: "done"})
+	logs := map[string][]byte{}
+	for _, codec := range []string{codecBinaryV1, CodecBinary} {
+		log := append([]byte{}, walMagic[:]...)
+		for _, rec := range recs {
+			log = append(log, refEncode(t, codec, rec)...)
+		}
+		logs[codec] = log
+	}
+	// The fixture really holds compressed result frames, and only they
+	// differ from today's encoding.
+	if bytes.Equal(logs[codecBinaryV1], logs[CodecBinary]) {
+		t.Fatal("the v1 fixture compresses nothing")
+	}
+	var dumps [2]bytes.Buffer
+	for i, codec := range []string{codecBinaryV1, CodecBinary} {
+		if err := Dump(bytes.NewReader(logs[codec]), &dumps[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dumps[0].String() != dumps[1].String() {
+		t.Fatalf("v1 frames replay differently:\n%s\nvs\n%s", dumps[0].String(), dumps[1].String())
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, WALName), logs[codecBinaryV1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := s.Replayed()
+	if len(jobs) != 1 || len(jobs[0].Results) != 3 || !bytes.Equal(jobs[0].Results[2].Result, resultPayload(t, 2)) {
+		t.Fatalf("replayed %+v", jobs)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, SnapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, logs[codecBinaryV1]) {
+		t.Fatal("compaction did not copy the v1 frames verbatim")
 	}
 }
 

@@ -16,18 +16,21 @@ import (
 	"time"
 )
 
-// The two on-disk formats a store reads, as refEncode's codec argument and
-// subtest names. The store writes only the binary one; JSON-era files are
-// seeded through refEncode.
+// The on-disk formats a store reads, as refEncode's codec argument and
+// subtest names. The store writes only the binary one; JSON-era files, and
+// binary files whose result frames are flate-compressed as the store wrote
+// them before results went uncompressed, are seeded through refEncode.
 const (
-	CodecBinary = "binary"
-	CodecJSON   = "json"
+	CodecBinary   = "binary"
+	CodecJSON     = "json"
+	codecBinaryV1 = "binary-v1-flate-results"
 )
 
 // refEncode is this test's own encoder for one record, written from the
 // format description (see encodeRecord) rather than shared with the
 // store: a JSON-era line, or uvarint payload length | kind, flags, body
-// (flate-compressed from 256 bytes when that is smaller) | CRC32-IEEE.
+// (flate-compressed from 256 bytes when that is smaller, except for result
+// records outside codecBinaryV1) | CRC32-IEEE.
 func refEncode(t testing.TB, codec string, v any) []byte {
 	t.Helper()
 	if codec == CodecJSON {
@@ -78,7 +81,7 @@ func refEncode(t testing.TB, codec string, v any) []byte {
 		t.Fatalf("refEncode: %T", v)
 	}
 	flags := byte(0)
-	if len(body) >= 256 {
+	if (kind != 2 || codec == codecBinaryV1) && len(body) >= 256 {
 		var z bytes.Buffer
 		zw, _ := flate.NewWriter(&z, flate.BestSpeed)
 		zw.Write(body)

@@ -34,7 +34,7 @@ func TestDumpReplaysLikeItsSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		var dump bytes.Buffer
-		if err := Dump(bytes.NewReader(raw), &dump); err != nil {
+		if err := Dump(bytes.NewReader(raw), &dump, nil); err != nil {
 			t.Fatalf("dump %s: %v", name, err)
 		}
 		if bytes.HasPrefix(dump.Bytes(), walMagic[:]) || !bytes.HasPrefix(dump.Bytes(), []byte(`{"type":`)) {
@@ -65,7 +65,7 @@ func TestDumpJSONEraAndTornTail(t *testing.T) {
 		log.Write(refEncode(t, CodecJSON, rec))
 	}
 	var dump bytes.Buffer
-	if err := Dump(bytes.NewReader(log.Bytes()), &dump); err != nil {
+	if err := Dump(bytes.NewReader(log.Bytes()), &dump, nil); err != nil {
 		t.Fatal(err)
 	}
 	if dump.String() != log.String() {
@@ -74,7 +74,7 @@ func TestDumpJSONEraAndTornTail(t *testing.T) {
 
 	bin := append(append([]byte{}, walMagic[:]...), refEncode(t, CodecBinary, DoneRecord{Type: recDone, JobID: "j", State: "done"})...)
 	dump.Reset()
-	err := Dump(bytes.NewReader(bin[:len(bin)-2]), &dump)
+	err := Dump(bytes.NewReader(bin[:len(bin)-2]), &dump, nil)
 	if err == nil || !strings.Contains(err.Error(), "1 torn") || dump.Len() != 0 {
 		t.Fatalf("torn dump: err %v, output %q", err, dump.String())
 	}

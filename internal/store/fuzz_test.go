@@ -118,13 +118,15 @@ func FuzzReplay(f *testing.F) {
 func FuzzDecodeRecord(f *testing.F) {
 	job := binFrame(JobRecord{ID: "job-000001", Kind: "sweep", Created: time.Unix(1700000000, 42).UTC(),
 		Specs: json.RawMessage(`[{"benchmark":"gcm_n13"}]`)})
-	// Big enough to take the compressed path.
-	res := binFrame(ResultRecord{JobID: "job-000001", Index: 3, Key: "abc",
+	// Big enough to take the compressed path in a log written before
+	// results went uncompressed.
+	res := refEncode(f, codecBinaryV1, ResultRecord{JobID: "job-000001", Index: 3, Key: "abc",
 		Result: json.RawMessage(`{"summary":{"runs":[` + strings.Repeat(`{"total_cycles":48211},`, 20) + `{}]}}`)})
 	done := binFrame(DoneRecord{JobID: "job-000001", State: "failed", Error: "boom"})
 
 	f.Add(job)
 	f.Add(res)
+	f.Add(binFrame(ResultRecord{JobID: "job-000001", Index: 4, Key: "abc", Result: typedResultPayload(f, 4)}))
 	f.Add(done)
 	f.Add(append(append([]byte{}, job...), done...)) // two frames back to back
 	f.Add(job[:len(job)/2])                          // torn mid-frame

@@ -7,9 +7,16 @@
 //
 // Every file the store writes is binary: an 8-byte magic+version header,
 // then length-prefixed frames — uvarint payload length, the payload (kind
-// byte, flags byte, length-prefixed fields, flate-compressed when it
-// pays), and a CRC32 of the payload. Length+CRC framing makes torn tails
-// and partial appends detectable by construction.
+// byte, flags byte, length-prefixed fields), and a CRC32 of the payload.
+// Length+CRC framing makes torn tails and partial appends detectable by
+// construction. Job and state records are flate-compressed when it pays;
+// result records never are. A result record's payload is what the service
+// hands the store: rescqd writes a typed result (internal/resultcodec, a
+// fixed-field varint encoding led by a tag byte that no JSON document
+// starts with), which is under a quarter the size of its JSON and needs no
+// compression. Logs written before that hold JSON result payloads in
+// flate-compressed frames; replay still inflates them, and compaction
+// copies them as they are.
 //
 // Files written before the binary format existed are headerless
 // newline-delimited JSON records:
@@ -20,8 +27,9 @@
 //
 // Replay sniffs each file's format from its first bytes, so such a
 // JSON-era log or snapshot still reads back, and the first Open migrates
-// it to binary. The store never writes JSON; Dump prints any file as JSON
-// lines for debugging (see cmd/rescq-walcat).
+// it to binary (its result payloads stay JSON). The store never writes
+// JSON; Dump prints any file as JSON lines for debugging, given a function
+// that turns result payloads into JSON (see cmd/rescq-walcat).
 //
 // The store is deliberately ignorant of the payload shapes: specs and
 // results travel as opaque bytes, so the service layer owns the schema
@@ -431,6 +439,10 @@ func (s *Store) Stats() Stats {
 // eventually produces one.
 func (s *Store) AppendJob(r JobRecord) error {
 	r.Type = recJob
+	frame, err := encodeRecord(r)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -439,7 +451,7 @@ func (s *Store) AppendJob(r JobRecord) error {
 	if _, ok := s.jobs[r.ID]; ok {
 		return nil
 	}
-	ref, err := s.writeLocked(r)
+	ref, err := s.writeLocked(frame)
 	if err != nil {
 		return err
 	}
@@ -453,6 +465,10 @@ func (s *Store) AppendJob(r JobRecord) error {
 // (it can only be a replayed configuration re-reported on resume).
 func (s *Store) AppendResult(r ResultRecord) error {
 	r.Type = recResult
+	frame, err := encodeRecord(r)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -462,7 +478,7 @@ func (s *Store) AppendResult(r ResultRecord) error {
 	if !ok || r.Index != len(j.results) {
 		return nil
 	}
-	ref, err := s.writeLocked(r)
+	ref, err := s.writeLocked(frame)
 	if err != nil {
 		return err
 	}
@@ -473,6 +489,10 @@ func (s *Store) AppendResult(r ResultRecord) error {
 // AppendDone logs a job's terminal state.
 func (s *Store) AppendDone(r DoneRecord) error {
 	r.Type = recDone
+	frame, err := encodeRecord(r)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
@@ -482,7 +502,7 @@ func (s *Store) AppendDone(r DoneRecord) error {
 	if !ok || j.state != "" {
 		return nil
 	}
-	if _, err := s.writeLocked(r); err != nil {
+	if _, err := s.writeLocked(frame); err != nil {
 		return err
 	}
 	j.state, j.err = r.State, r.Error
@@ -496,13 +516,16 @@ func (s *Store) PutState(name string, payload []byte) error {
 	if name == "" {
 		return errors.New("store: state name required")
 	}
-	r := StateRecord{Type: recState, Name: name, Payload: json.RawMessage(payload)}
+	frame, err := encodeRecord(StateRecord{Type: recState, Name: name, Payload: json.RawMessage(payload)})
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return errClosed
 	}
-	if _, err := s.writeLocked(r); err != nil {
+	if _, err := s.writeLocked(frame); err != nil {
 		return err
 	}
 	s.states[name] = append([]byte(nil), payload...)
@@ -549,13 +572,10 @@ func (s *Store) rollbackTailLocked() {
 	}
 }
 
-// writeLocked appends one record to the log and reports where its frame
-// landed.
-func (s *Store) writeLocked(v any) (frameRef, error) {
-	frame, err := encodeRecord(v)
-	if err != nil {
-		return frameRef{}, err
-	}
+// writeLocked appends one encoded record frame to the log and reports
+// where it landed. Callers encode before taking the lock, so the lock
+// covers the write and the index update only.
+func (s *Store) writeLocked(frame []byte) (frameRef, error) {
 	if err := fault.Check(FaultWrite); err != nil {
 		// An injected "short" message simulates a write that only
 		// partially completed (ENOSPC mid-record): half the frame lands
@@ -1183,14 +1203,20 @@ func Replay(r io.Reader) ([]ReplayedJob, int, int, error) {
 // Dump writes every record of a log or snapshot stream, binary or
 // JSON-era, to w as one JSON line, in file order. That is the JSON-era log
 // format, so a dump replays to the same jobs as the stream it came from.
-// Records up to a torn or corrupt tail are written before the tail is
-// reported as an error.
-func Dump(r io.Reader, w io.Writer) error {
+// The store does not know the result payloads' encoding: resultJSON turns
+// each result payload into the JSON that line embeds (nil embeds payloads
+// as they are, which then must be JSON). Records up to a torn or corrupt
+// tail are written before the tail is reported as an error.
+func Dump(r io.Reader, w io.Writer, resultJSON func([]byte) ([]byte, error)) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	enc.SetEscapeHTML(false) // payloads are embedded verbatim
 	var werr error
 	sc := recordScan{apply: func(rec any, _ frameRef) error {
+		if rr, ok := rec.(ResultRecord); ok && resultJSON != nil && werr == nil {
+			rr.Result, werr = resultJSON(rr.Result)
+			rec = rr
+		}
 		if werr == nil {
 			werr = enc.Encode(rec)
 		}
