@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		compression = fs.Float64("compression", 0, "grid compression fraction in [0,1]")
 		runs        = fs.Int("runs", 10, "seeded runs")
 		seed        = fs.Int64("seed", 1, "base seed")
-		parallel    = fs.Bool("parallel", false, "run seeds concurrently on a bounded worker pool (same results as serial)")
 		list        = fs.Bool("list", false, "list benchmarks and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -100,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Layout: *layout, LayoutParams: layoutParams,
 		Distance: *distance, PhysError: *physErr, K: *k, TauMST: *tau,
 		Compression: *compression, NumberOfRuns: *runs, Seed: *seed,
-		Parallel: *parallel,
 	}.WithDefaults()
 	if *cfgPath != "" {
 		loaded, err := config.Load(*cfgPath)
@@ -124,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Compression:  cfg.Compression,
 		Runs:         cfg.NumberOfRuns,
 		Seed:         cfg.Seed,
-		Parallel:     cfg.Parallel,
 	}
 
 	var sum rescq.Summary

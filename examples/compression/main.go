@@ -2,7 +2,10 @@
 // 5.3). Near-term devices cannot afford three ancilla tiles per data
 // qubit; this example sweeps grid compression from the full STAR layout
 // down to one ancilla per data qubit and shows that the static baselines
-// crater while RESCQ degrades gracefully.
+// crater while RESCQ degrades gracefully. rescq.Run shares its seeded-run
+// step (and compression seeds) with the experiment drivers, so each point
+// equals the gcm_n13 panel of the full Figure 14 sweep
+// (`rescq-bench -exp fig14`).
 package main
 
 import (

@@ -47,9 +47,6 @@ type Config struct {
 	NumberOfRuns int `json:"number_of_runs,omitempty"`
 	// Seed is the base seed (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Parallel runs the seeded runs concurrently on a bounded worker
-	// pool; results are identical to serial execution (default false).
-	Parallel bool `json:"parallel,omitempty"`
 }
 
 // Load reads and validates a config file.

@@ -41,15 +41,16 @@ func TestReadFull(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	cases := map[string]string{
-		"no target":       `{}`,
-		"both targets":    `{"benchmark":"x","circuit_file":"y"}`,
-		"bad scheduler":   `{"benchmark":"x","scheduler":"magic"}`,
-		"even distance":   `{"benchmark":"x","distance":8}`,
-		"bad error rate":  `{"benchmark":"x","phys_error":0.7}`,
-		"bad compression": `{"benchmark":"x","compression":2}`,
-		"negative runs":   `{"benchmark":"x","number_of_runs":-1}`,
-		"unknown field":   `{"benchmark":"x","wat":1}`,
-		"not json":        `benchmark: x`,
+		"no target":        `{}`,
+		"both targets":     `{"benchmark":"x","circuit_file":"y"}`,
+		"bad scheduler":    `{"benchmark":"x","scheduler":"magic"}`,
+		"even distance":    `{"benchmark":"x","distance":8}`,
+		"bad error rate":   `{"benchmark":"x","phys_error":0.7}`,
+		"bad compression":  `{"benchmark":"x","compression":2}`,
+		"negative runs":    `{"benchmark":"x","number_of_runs":-1}`,
+		"unknown field":    `{"benchmark":"x","wat":1}`,
+		"removed parallel": `{"benchmark":"gcm_n13","parallel":true}`,
+		"not json":         `benchmark: x`,
 	}
 	for name, text := range cases {
 		if _, err := Read(strings.NewReader(text)); err == nil {

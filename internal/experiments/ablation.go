@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/qbench"
 	"repro/internal/sim"
 )
 
@@ -38,37 +37,24 @@ func Ablation(o Options) (AblationResult, error) {
 		header = append(header, v.name)
 	}
 	t := metrics.NewTable(header...)
-	for _, bench := range o.representative() {
-		spec, ok := qbench.ByName(bench)
-		if !ok {
-			return res, fmt.Errorf("experiments: unknown benchmark %q", bench)
+	// Every (bench, variant, seed) run is independent; the batch fans them
+	// out over the shared pool and aggregates per variant in seed order.
+	benches := o.representative()
+	var b batch
+	for _, bench := range benches {
+		for _, v := range ablationVariants {
+			b.add(o, bench, 0, func() (sim.Scheduler, error) { return core.New(v.cfg), nil })
 		}
-		circ := spec.Circuit()
+	}
+	aggs, err := b.run()
+	if err != nil {
+		return res, err
+	}
+	for bi, bench := range benches {
 		res.Cycles[bench] = map[string]float64{}
 		cells := []any{bench}
-		// Every (variant, seed) run is independent; fan them out over the
-		// shared pool and aggregate per variant in seed order.
-		results := make([][]*sim.Result, len(ablationVariants))
-		for vi := range results {
-			results[vi] = make([]*sim.Result, o.Runs)
-		}
-		errs := make([]error, len(ablationVariants)*o.Runs)
-		baseGrid, err := o.buildGrid(circ.NumQubits)
-		if err != nil {
-			return res, err
-		}
-		sim.ParallelFor(len(errs), 0, func(u int) {
-			vi, i := u/o.Runs, u%o.Runs
-			results[vi][i], errs[u] = sim.RunSeeded(baseGrid.Clone(), circ, o.simConfig(),
-				o.BaseSeed+int64(i), core.New(ablationVariants[vi].cfg))
-		})
-		for _, err := range errs {
-			if err != nil {
-				return res, err
-			}
-		}
 		for vi, v := range ablationVariants {
-			agg := sim.AggregateResults(results[vi])
+			agg := aggs[bi*len(ablationVariants)+vi]
 			res.Cycles[bench][v.name] = agg.MeanCycles
 			cells = append(cells, fmt.Sprintf("%.0f", agg.MeanCycles))
 		}

@@ -6,10 +6,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 
-	"repro/internal/circuit"
 	_ "repro/internal/core" // registers the "rescq" scheduler
 	"repro/internal/lattice"
 	"repro/internal/qbench"
@@ -58,14 +57,20 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func (o Options) simConfig() sim.Config {
-	return sim.Config{Distance: o.Distance, PhysError: o.PhysError}
-}
-
-// buildGrid constructs a fresh grid for n qubits under the options' layout
-// via the lattice layout registry.
-func (o Options) buildGrid(n int) (*lattice.Grid, error) {
-	return lattice.Build(o.Layout, n, lattice.Params(o.LayoutParams))
+// seeded prepares one configuration for the shared seeded-run step: the
+// benchmark's memoized DAG and the options' layout, built once and cloned
+// by every seeded run.
+func (o Options) seeded(bench string, compression float64, newSched func() (sim.Scheduler, error)) (*sim.SeededRuns, error) {
+	dag, ok := qbench.DAG(bench)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown benchmark %q", bench)
+	}
+	g, err := lattice.Build(o.Layout, dag.Circuit().NumQubits, lattice.Params(o.LayoutParams))
+	if err != nil {
+		return nil, err
+	}
+	return &sim.SeededRuns{Grid: g, DAG: dag, Config: sim.Config{Distance: o.Distance, PhysError: o.PhysError},
+		Compression: compression, Seed: o.BaseSeed, NewScheduler: newSched}, nil
 }
 
 // benchList returns the benchmarks an experiment sweeps: all of Table 3,
@@ -89,102 +94,64 @@ func (o Options) representative() []string {
 // SchedulerNames lists the evaluated schedulers in the paper's order.
 var SchedulerNames = []string{"greedy", "autobraid", "rescq"}
 
-// makeScheduler builds a fresh scheduler instance through the open
-// scheduler registry. The rescq name accepts a recomputation period via k
-// (<= 0 means the default 25); policies registered by external packages
-// resolve the same way.
-func makeScheduler(name string, k int) (sim.Scheduler, error) {
-	s, err := sched.New(name, sched.Params{K: k})
+// registered returns a constructor for the named scheduler from the open
+// registry. The rescq policy takes its recomputation period from k (<= 0
+// means the default 25).
+func registered(name string, k int) func() (sim.Scheduler, error) {
+	return func() (sim.Scheduler, error) { return sched.New(name, sched.Params{K: k}) }
+}
+
+// batch collects a driver's configurations so the whole sweep shares one
+// bounded worker pool; the first configuration error is kept for run.
+type batch struct {
+	cfgs    []*sim.SeededRuns
+	results [][]*sim.Result // one slot per seeded run
+	err     error
+}
+
+// add appends one configuration with o.Runs seeded runs.
+func (b *batch) add(o Options, bench string, compression float64, newSched func() (sim.Scheduler, error)) {
+	c, err := o.seeded(bench, compression, newSched)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+		if b.err == nil {
+			b.err = err
+		}
+		return
 	}
-	return s, nil
+	b.cfgs = append(b.cfgs, c)
+	b.results = append(b.results, make([]*sim.Result, o.Runs))
 }
 
-// runJob names one simulation configuration inside a batch: a benchmark, a
-// scheduler, RESCQ's k, a compression fraction, and the sweep options whose
-// Runs/BaseSeed/Distance/PhysError apply to it.
-type runJob struct {
-	o           Options
-	bench       string
-	sched       string
-	k           int
-	compression float64
-}
-
-// runJobs executes a whole batch of configurations on one bounded worker
-// pool (sim.ParallelFor), fanning out over every (configuration, seed)
-// pair so sweeps saturate all cores even at one seed per configuration.
-// The returned aggregates are in input order; each seeded run is
-// self-contained (own grid, scheduler, RNG) and aggregation happens in
-// seed order, so results are byte-identical to a serial loop regardless of
-// goroutine completion order.
-func runJobs(jobs []runJob) ([]sim.Aggregate, error) {
-	type unit struct{ job, run int }
+// run fans every (configuration, seed) unit out over sim.ParallelFor, so
+// sweeps saturate all cores even at one seed per configuration, and
+// returns the aggregates in input order. Aggregation is in seed order, so
+// results are byte-identical to a serial loop.
+func (b *batch) run() ([]sim.Aggregate, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
+	type unit struct{ cfg, seed int }
 	var units []unit
-	results := make([][]*sim.Result, len(jobs))
-	circs := make([]*circuit.Circuit, len(jobs))
-	grids := make([]*lattice.Grid, len(jobs))
-	for j := range jobs {
-		jobs[j].o = jobs[j].o.withDefaults()
-		spec, ok := qbench.ByName(jobs[j].bench)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown benchmark %q", jobs[j].bench)
-		}
-		circs[j] = spec.Circuit()
-		// One deterministic layout build per configuration; each seeded
-		// run below mutates its own clone.
-		g, err := jobs[j].o.buildGrid(circs[j].NumQubits)
-		if err != nil {
-			return nil, err
-		}
-		grids[j] = g
-		results[j] = make([]*sim.Result, jobs[j].o.Runs)
-		for i := 0; i < jobs[j].o.Runs; i++ {
-			units = append(units, unit{j, i})
+	for c, slots := range b.results {
+		for i := range slots {
+			units = append(units, unit{c, i})
 		}
 	}
 	errs := make([]error, len(units))
 	sim.ParallelFor(len(units), 0, func(u int) {
-		j, i := units[u].job, units[u].run
-		jb := jobs[j]
-		g := grids[j].Clone()
-		if jb.compression > 0 {
-			// The compression layout is part of the architecture, not the
-			// stochastic run: derive its seed from the benchmark so all
-			// schedulers see the same compressed grid per run index.
-			g.Compress(jb.compression, rand.New(rand.NewSource(int64(len(jb.bench))*1315423911+int64(i))))
-		}
-		s, err := makeScheduler(jb.sched, jb.k)
-		if err != nil {
-			errs[u] = err
-			return
-		}
-		// Sharing circs[j] across goroutines is safe: RunSeeded builds
-		// its own DAG and treats the circuit as read-only.
-		results[j][i], errs[u] = sim.RunSeeded(g, circs[j], jb.o.simConfig(), jb.o.BaseSeed+int64(i), s)
+		c, i := units[u].cfg, units[u].seed
+		b.results[c][i], errs[u] = b.cfgs[c].Run(context.Background(), i)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	aggs := make([]sim.Aggregate, len(jobs))
-	for j := range jobs {
-		aggs[j] = sim.AggregateResults(results[j])
+	aggs := make([]sim.Aggregate, len(b.results))
+	for c, results := range b.results {
+		aggs[c] = sim.AggregateResults(results)
 	}
 	return aggs, nil
-}
-
-// runConfig simulates one benchmark under one scheduler for o.Runs seeds on
-// a fresh grid per run (compression fraction applied when > 0) and pools
-// the results.
-func runConfig(o Options, benchName, schedName string, k int, compression float64) (sim.Aggregate, error) {
-	aggs, err := runJobs([]runJob{{o: o, bench: benchName, sched: schedName, k: k, compression: compression}})
-	if err != nil {
-		return sim.Aggregate{}, err
-	}
-	return aggs[0], nil
 }
 
 // sweep helpers ---------------------------------------------------------
@@ -215,6 +182,3 @@ func (o Options) compressions() []float64 {
 	}
 	return []float64{0, 0.25, 0.5, 0.75, 1.0}
 }
-
-// frame-only guard used by a couple of drivers.
-var _ = circuit.KindRz

@@ -272,14 +272,25 @@ func TestHeatmap(t *testing.T) {
 	}
 }
 
+// TestMakeSchedulerUnknown: a driver configuration naming an unregistered
+// scheduler fails the whole batch instead of yielding an aggregate.
 func TestMakeSchedulerUnknown(t *testing.T) {
-	if _, err := makeScheduler("bogus", 0); err == nil {
+	if _, err := registered("bogus", 0)(); err == nil {
 		t.Error("unknown scheduler should error")
+	}
+	var b batch
+	b.add(quickOpts().withDefaults(), "gcm_n13", 0, registered("bogus", 0))
+	if _, err := b.run(); err == nil {
+		t.Error("batch with an unknown scheduler should error")
 	}
 }
 
+// TestRunConfigUnknownBench: a driver configuration naming an unknown
+// benchmark fails the batch before any run starts.
 func TestRunConfigUnknownBench(t *testing.T) {
-	if _, err := runConfig(quickOpts().withDefaults(), "bogus", "greedy", 0, 0); err == nil {
+	var b batch
+	b.add(quickOpts().withDefaults(), "bogus", 0, registered("greedy", 0))
+	if _, err := b.run(); err == nil {
 		t.Error("unknown benchmark should error")
 	}
 }

@@ -65,13 +65,13 @@ func Figure5(o Options) (Figure5Result, error) {
 	sb.WriteString("Figure 5: per-gate completion latency after scheduling (pooled over benchmarks)\n\n")
 	scheds := []string{"autobraid", "rescq"}
 	benches := o.benchList()
-	var jobs []runJob
+	var b batch
 	for _, schedName := range scheds {
 		for _, bench := range benches {
-			jobs = append(jobs, runJob{o: o, bench: bench, sched: schedName})
+			b.add(o, bench, 0, registered(schedName, 0))
 		}
 	}
-	aggs, err := runJobs(jobs)
+	aggs, err := b.run()
 	if err != nil {
 		return res, err
 	}
@@ -128,16 +128,15 @@ func Figure10(o Options) (Figure10Result, error) {
 	// One flat batch over every benchmark and scheduler configuration so
 	// the whole figure shares the worker pool.
 	stride := 2 + len(ks)
-	var jobs []runJob
+	var b batch
 	for _, bench := range benches {
-		jobs = append(jobs,
-			runJob{o: o, bench: bench, sched: "greedy"},
-			runJob{o: o, bench: bench, sched: "autobraid"})
+		b.add(o, bench, 0, registered("greedy", 0))
+		b.add(o, bench, 0, registered("autobraid", 0))
 		for _, k := range ks {
-			jobs = append(jobs, runJob{o: o, bench: bench, sched: "rescq", k: k})
+			b.add(o, bench, 0, registered("rescq", k))
 		}
 	}
-	aggs, err := runJobs(jobs)
+	aggs, err := b.run()
 	if err != nil {
 		return res, err
 	}
@@ -224,15 +223,15 @@ func sweep(o Options, title, xName string, xs []float64, apply func(Options, int
 	// Flatten the whole bench x scheduler x sweep-value space into one
 	// batch; results come back in input order, so a cursor walks them in
 	// the same nesting below.
-	var jobs []runJob
+	var b batch
 	for _, bench := range benches {
 		for _, schedName := range SchedulerNames {
 			for i := range xs {
-				jobs = append(jobs, runJob{o: apply(o, i), bench: bench, sched: schedName, k: 25})
+				b.add(apply(o, i), bench, 0, registered(schedName, 25))
 			}
 		}
 	}
-	aggs, err := runJobs(jobs)
+	aggs, err := b.run()
 	if err != nil {
 		return res, err
 	}
@@ -299,15 +298,15 @@ func Figure13(o Options) (Figure13Result, error) {
 		labels = append(labels, labelled{fmt.Sprintf("p=%.0e", p), oo})
 	}
 	benches := o.representative()
-	var jobs []runJob
+	var b batch
 	for _, bench := range benches {
 		for _, l := range labels {
 			for _, k := range ks {
-				jobs = append(jobs, runJob{o: l.oo, bench: bench, sched: "rescq", k: k})
+				b.add(l.oo, bench, 0, registered("rescq", k))
 			}
 		}
 	}
-	aggs, err := runJobs(jobs)
+	aggs, err := b.run()
 	if err != nil {
 		return res, err
 	}
@@ -350,15 +349,15 @@ func Figure14(o Options) (Figure14Result, error) {
 	res := Figure14Result{Cycles: map[string]map[string][]float64{}, Compressions: comps}
 	var sb strings.Builder
 	benches := o.representative()
-	var jobs []runJob
+	var b batch
 	for _, bench := range benches {
 		for _, schedName := range SchedulerNames {
 			for _, c := range comps {
-				jobs = append(jobs, runJob{o: o, bench: bench, sched: schedName, k: 25, compression: c})
+				b.add(o, bench, c, registered(schedName, 25))
 			}
 		}
 	}
-	aggs, err := runJobs(jobs)
+	aggs, err := b.run()
 	if err != nil {
 		return res, err
 	}

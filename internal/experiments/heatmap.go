@@ -1,12 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/lattice"
-	"repro/internal/qbench"
-	"repro/internal/sim"
 )
 
 // HeatmapResult renders the grid-activity heatmaps the artifact produces:
@@ -28,31 +27,24 @@ func Heatmap(o Options, benchName string) (HeatmapResult, error) {
 	if benchName == "" {
 		benchName = "gcm_n13"
 	}
-	spec, ok := qbench.ByName(benchName)
-	if !ok {
-		return HeatmapResult{}, fmt.Errorf("experiments: unknown benchmark %q", benchName)
-	}
-	circ := spec.Circuit()
 	res := HeatmapResult{Utilization: map[string][]float64{}}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Grid activity heatmaps — %s (d=%d, p=%.0e, seed %d)\n\n",
 		benchName, o.Distance, o.PhysError, o.BaseSeed)
 	for _, schedName := range SchedulerNames {
-		s, err := makeScheduler(schedName, 25)
+		runs, err := o.seeded(benchName, 0, registered(schedName, 25))
 		if err != nil {
 			return res, err
 		}
-		g, err := o.buildGrid(circ.NumQubits)
-		if err != nil {
-			return res, err
-		}
-		r, err := sim.RunSeeded(g, circ, o.simConfig(), o.BaseSeed, s)
+		r, err := runs.Run(context.Background(), 0)
 		if err != nil {
 			return res, err
 		}
 		res.Utilization[schedName] = r.AncillaUtilization
+		// The run simulated an uncompressed clone, so the prebuilt grid
+		// has the same tiles and ancilla IDs.
 		fmt.Fprintf(&sb, "%s (%d cycles):\n%s\n", schedName, r.TotalCycles,
-			renderHeatmap(g, r.AncillaUtilization))
+			renderHeatmap(runs.Grid, r.AncillaUtilization))
 	}
 	res.Text = sb.String()
 	return res, nil

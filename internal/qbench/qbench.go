@@ -20,6 +20,7 @@ package qbench
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/circuit"
 )
@@ -62,6 +63,25 @@ func ByName(name string) (Spec, bool) {
 	}
 	return Spec{}, false
 }
+
+// DAG returns the named benchmark's dependency DAG, built on first use.
+// Circuit and DAG are deterministic in the name and the engine only reads
+// them, so every simulation in the process shares one copy.
+func DAG(name string) (*circuit.DAG, bool) {
+	dag, ok := dags[name]
+	if !ok {
+		return nil, false
+	}
+	return dag(), true
+}
+
+var dags = func() map[string]func() *circuit.DAG {
+	m := make(map[string]func() *circuit.DAG, len(registry))
+	for _, s := range registry {
+		m[s.Name] = sync.OnceValue(func() *circuit.DAG { return circuit.NewDAG(s.Circuit()) })
+	}
+	return m
+}()
 
 // Representative returns the three benchmarks the paper's sensitivity
 // studies single out (section 5.2): dnn_n16 (highest Rz density), gcm_n13

@@ -68,14 +68,15 @@ type ConfigResult struct {
 // starts with '{'.
 const tag byte = 1
 
-// Flag bits (payload byte 1).
+// Flag bits (payload byte 1). Bit 3 once marked Options.Parallel; results
+// are persisted with canonical options, which never set it, so it is
+// refused like any unknown bit.
 const (
-	flagOptions  = 1 << 0 // Options != nil; its fields follow
-	flagSummary  = 1 << 1 // Summary != nil; its fields follow
-	flagCached   = 1 << 2 // Cached
-	flagParallel = 1 << 3 // Options.Parallel (only with flagOptions)
-	flagNilRuns  = 1 << 4 // Summary.Runs == nil rather than empty (only with flagSummary)
-	flagsKnown   = flagOptions | flagSummary | flagCached | flagParallel | flagNilRuns
+	flagOptions = 1 << 0 // Options != nil; its fields follow
+	flagSummary = 1 << 1 // Summary != nil; its fields follow
+	flagCached  = 1 << 2 // Cached
+	flagNilRuns = 1 << 4 // Summary.Runs == nil rather than empty (only with flagSummary)
+	flagsKnown  = flagOptions | flagSummary | flagCached | flagNilRuns
 )
 
 // Minimum encoded sizes, which bound how many elements a count may claim
@@ -96,9 +97,6 @@ func Append(dst []byte, r *ConfigResult) ([]byte, error) {
 	var flags byte
 	if r.Options != nil {
 		flags |= flagOptions
-		if r.Options.Parallel {
-			flags |= flagParallel
-		}
 	}
 	if r.Summary != nil {
 		flags |= flagSummary
@@ -193,8 +191,7 @@ func decodeTyped(p []byte) (ConfigResult, error) {
 		return ConfigResult{}, errCorrupt
 	}
 	flags := p[1]
-	if flags&flagParallel != 0 && flags&flagOptions == 0 ||
-		flags&flagNilRuns != 0 && flags&flagSummary == 0 {
+	if flags&flagNilRuns != 0 && flags&flagSummary == 0 {
 		return ConfigResult{}, errCorrupt
 	}
 	rd := reader{b: p[2:]}
@@ -204,8 +201,7 @@ func decodeTyped(p []byte) (ConfigResult, error) {
 	res.Scheduler = rd.str()
 	res.Layout = rd.str()
 	if flags&flagOptions != 0 {
-		o := &rescq.Options{Parallel: flags&flagParallel != 0}
-		o.Scheduler = rescq.SchedulerKind(rd.str())
+		o := &rescq.Options{Scheduler: rescq.SchedulerKind(rd.str())}
 		o.Layout = rd.str()
 		o.LayoutParams = rd.params()
 		o.Distance = rd.int()

@@ -17,7 +17,7 @@ func fixtures() []ConfigResult {
 	opts := rescq.Options{Scheduler: "rescq", Distance: 7, PhysError: 1e-4, K: 25, TauMST: 100, Runs: 3, Seed: 1}
 	compact := rescq.Options{Scheduler: "greedy", Layout: "compact",
 		LayoutParams: map[string]string{"seed": "3", "fraction": "0.5", "": "x"},
-		Distance:     11, PhysError: 1e-3, Compression: 0.25, Runs: 1, Seed: -9, Parallel: true}
+		Distance:     11, PhysError: 1e-3, Compression: 0.25, Runs: 1, Seed: -9}
 	sum := &rescq.Summary{Benchmark: "gcm_n13", Scheduler: "rescq", MeanCycles: 48217.333333333336,
 		MinCycles: 48211, MaxCycles: 48224, StdCycles: 5.43, MeanIdle: 0.312}
 	for i := 0; i < 3; i++ {
@@ -140,7 +140,7 @@ func TestDecodeRefusesNonCanonical(t *testing.T) {
 		"tag only":       {tag},
 		"wrong tag":      append([]byte{2}, base[1:]...),
 		"unknown flag":   append([]byte{tag, 0x80}, base[2:]...),
-		"parallel alone": append([]byte{tag, flagParallel}, base[2:]...),
+		"unknown flag 3": append([]byte{tag, 1 << 3}, base[2:]...),
 		"nil runs alone": append([]byte{tag, flagNilRuns}, base[2:]...),
 		"padded varint":  append([]byte{tag, 0, 0x81, 0x00}, base[3:]...),
 		"trailing byte":  append(append([]byte{}, base...), 0),

@@ -481,6 +481,51 @@ func TestWALHistoryAndCacheReseed(t *testing.T) {
 	}
 }
 
+// TestStaleReportNotServed: replay re-seeds the cache from every keyed
+// result, so a report persisted under an older report format must not
+// answer a new request for the same experiment. The store holds a
+// fig14 report under the key daemons wrote before reports were versioned.
+func TestStaleReportNotServed(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, _ := json.Marshal([]runSpec{{Experiment: "fig14", Quick: true}})
+	for _, err := range []error{
+		st.AppendJob(store.JobRecord{ID: "job-000001", Kind: "run", Created: time.Now(), Specs: specs}),
+		st.AppendResult(store.ResultRecord{JobID: "job-000001", Key: "exp:fig14:quick=true",
+			Result: json.RawMessage(`{"index":0,"cached":false,"report":"stale fig14"}`)}),
+		st.AppendDone(store.DoneRecord{JobID: "job-000001", State: "done"}),
+		st.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	runner := &countingRunner{}
+	s := New(config.Daemon{}, runner)
+	rs, err := s.AttachStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Reseeded != 1 {
+		t.Fatalf("replay stats = %+v, want the old report re-seeded", rs)
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		shutdownServer(t, s)
+	})
+	resp := decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", RunRequest{Experiment: "fig14", Quick: true}))
+	if resp.Cached || resp.Report != "report:fig14:quick=true" || runner.calls.Load() != 1 {
+		t.Fatalf("fig14 = cached %v, report %q after %d engine calls; want a fresh report",
+			resp.Cached, resp.Report, runner.calls.Load())
+	}
+}
+
 // TestResumeEndpoint: a cancelled sweep resumes as a fresh job that
 // inherits the completed prefix verbatim and executes only the rest.
 func TestResumeEndpoint(t *testing.T) {

@@ -68,7 +68,7 @@
 // Results are memoized in a sharded LRU keyed by rescq.CacheKey: a hash of
 // the circuit identity (benchmark name, or the full circuit text) and the
 // canonical rescq.Options (rescq.Options.Canonical — defaults applied,
-// execution-only fields such as Parallel stripped). Simulations are fully
+// equivalent spellings merged). Simulations are fully
 // deterministic given that key, so a hit is byte-identical to a re-run and
 // is served without invoking the engine. Identical configurations inside
 // one sweep, across sweeps, and across run/sweep requests all share the
@@ -779,6 +779,13 @@ func (s *Server) shouldPreempt(j *Job) bool {
 	return !s.draining.Load() && s.sched.Yield(j.Tenant)
 }
 
+// reportVersion is part of every experiment report's cache/store key.
+// Bump it whenever a driver's output changes (its numbers or its
+// rendering): WAL replay re-seeds the cache from every keyed result, so a
+// daemon restarted on an older store would otherwise keep serving the old
+// report text. Keys written before the version existed count as 1.
+const reportVersion = 2
+
 // specKey returns the configuration's cache/store identity: the canonical
 // rescq.CacheKey for simulations, an experiment-id key for paper reports.
 // It is the key the result cache, the in-flight coalescing table and the
@@ -786,7 +793,7 @@ func (s *Server) shouldPreempt(j *Job) bool {
 func specKey(spec runSpec) string {
 	switch {
 	case spec.Experiment != "":
-		return fmt.Sprintf("exp:%s:quick=%t", spec.Experiment, spec.Quick)
+		return fmt.Sprintf("exp:v%d:%s:quick=%t", reportVersion, spec.Experiment, spec.Quick)
 	case spec.CircuitText != "":
 		return rescq.CacheKey("text:"+spec.Name+"\x00"+spec.CircuitText, spec.Opts)
 	default:

@@ -88,10 +88,6 @@ func (s *Server) validateRun(req RunRequest) (runSpec, error) {
 		Opts:          req.Options,
 		KeepLatencies: req.IncludeLatencies,
 	}
-	// A configuration's seeds run serially on its engine slot: the slots
-	// already fill the cores, and a nested seed pool would oversubscribe
-	// them behind -workers' back. Results are identical either way.
-	spec.Opts.Parallel = false
 	if spec.Opts.Layout == "" {
 		spec.Opts.Layout = s.cfg.Layout
 	}

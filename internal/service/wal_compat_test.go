@@ -29,7 +29,9 @@ import (
 //
 // All three must print the same JSON lines through rescq-walcat's dump,
 // and a daemon booted on each must replay the same jobs, cache entries
-// and analytics answers (the checked-in goldens).
+// and analytics answers (the checked-in goldens). So must a JSON-era log
+// written while rescq.Options had a "parallel" field, whose job specs and
+// result payloads carry "parallel":true: those decoders are not strict.
 func TestResultPayloadErasReplayAlike(t *testing.T) {
 	recs := fixtureRecords()
 	dirs := map[string]string{
@@ -38,6 +40,11 @@ func TestResultPayloadErasReplayAlike(t *testing.T) {
 		"typed":        typedStoreDir(t, recs),
 	}
 	eras := []string{"json-era", "binary-flate", "typed"}
+	parallelLog := jsonLinesLog(t, withParallelOption(recs))
+	if !bytes.Contains(parallelLog, []byte(`"options":{"parallel":true,`)) {
+		t.Fatal("no result payload carries the parallel option")
+	}
+	dirs["json-era parallel"] = writeStoreDir(t, parallelLog)
 
 	// The dumps match each other and the JSON-era log itself.
 	want := string(jsonLinesLog(t, recs))
@@ -111,7 +118,7 @@ func TestResultPayloadErasReplayAlike(t *testing.T) {
 			t.Fatalf("json-era %s diverged from its golden", q.name)
 		}
 	}
-	for _, era := range eras[1:] {
+	for _, era := range append(eras[1:], "json-era parallel") {
 		got := boot(dirs[era])
 		if got.stats != base.stats {
 			t.Errorf("%s replay stats %+v, json-era %+v", era, got.stats, base.stats)
@@ -129,6 +136,25 @@ func TestResultPayloadErasReplayAlike(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withParallelOption returns recs with "parallel":true added to every job
+// spec's and result payload's options, as logs carried it while
+// rescq.Options had that field.
+func withParallelOption(recs []any) []any {
+	out := make([]any, len(recs))
+	for i, rec := range recs {
+		switch r := rec.(type) {
+		case store.JobRecord:
+			r.Specs = bytes.ReplaceAll(r.Specs, []byte(`"Opts":{`), []byte(`"Opts":{"parallel":true,`))
+			rec = r
+		case store.ResultRecord:
+			r.Result = bytes.ReplaceAll(r.Result, []byte(`"options":{`), []byte(`"options":{"parallel":true,`))
+			rec = r
+		}
+		out[i] = rec
+	}
+	return out
 }
 
 // jsonLinesLog renders records as a JSON-era log.

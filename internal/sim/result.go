@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/circuit"
 	"repro/internal/lattice"
@@ -63,6 +64,44 @@ func RunDAGContext(ctx context.Context, g *lattice.Grid, dag *circuit.DAG, cfg C
 	res.Benchmark = name
 	res.Seed = seed
 	return res, nil
+}
+
+// SeededRuns is one configuration's seeded runs: a prebuilt layout and
+// dependency DAG, the engine config, an optional grid compression and a
+// scheduler constructor. It is the single seeded-run step behind the
+// library (rescq), the rescqd daemon and the experiment drivers, so a
+// configuration reads the same number whichever of them runs it.
+type SeededRuns struct {
+	// Grid is the uncompressed layout; every run mutates its own clone,
+	// so one grid can serve concurrent runs.
+	Grid *lattice.Grid
+	// DAG is only read by the engine and may be shared the same way.
+	DAG    *circuit.DAG
+	Config Config
+	// Compression removes ancillas from each run's clone (0 keeps all).
+	Compression float64
+	// Seed is the base seed: run i simulates with Seed+i.
+	Seed int64
+	// NewScheduler returns a fresh scheduler instance for each run.
+	NewScheduler func() (Scheduler, error)
+}
+
+// Run executes seed index i: clone the grid, compress the clone with the
+// layout seed Seed+i*7919 (compression is part of the architecture, so
+// every scheduler sees the same compressed grid per index), build a fresh
+// scheduler and simulate with seed Seed+i. Runs are self-contained, so
+// callers may fan indices out over ParallelFor and aggregate the results
+// in index order.
+func (r *SeededRuns) Run(ctx context.Context, i int) (*Result, error) {
+	g := r.Grid.Clone()
+	if r.Compression > 0 {
+		g.Compress(r.Compression, rand.New(rand.NewSource(r.Seed+int64(i)*7919)))
+	}
+	s, err := r.NewScheduler()
+	if err != nil {
+		return nil, err
+	}
+	return RunDAGContext(ctx, g, r.DAG, r.Config, r.Seed+int64(i), s)
 }
 
 // Aggregate summarizes multiple seeded runs of one configuration.

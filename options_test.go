@@ -1,10 +1,22 @@
 package rescq
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// jsonEra decodes an options document the way the daemon replays job
+// specs and JSON result payloads: not strictly, so keys Options no longer
+// has, such as the "parallel" of older logs, are dropped.
+func jsonEra(doc string) Options {
+	var o Options
+	if err := json.Unmarshal([]byte(doc), &o); err != nil {
+		panic(err)
+	}
+	return o
+}
 
 func TestOptionsWithDefaults(t *testing.T) {
 	cases := []struct {
@@ -29,8 +41,8 @@ func TestOptionsWithDefaults(t *testing.T) {
 		},
 		{
 			name: "Parallel with Runs=1 stays a serial single run",
-			in:   Options{Parallel: true, Runs: 1},
-			want: Options{Scheduler: RESCQ, Distance: 7, PhysError: 1e-4, Runs: 1, Seed: 1, Parallel: true},
+			in:   jsonEra(`{"parallel":true,"runs":1}`),
+			want: Options{Scheduler: RESCQ, Distance: 7, PhysError: 1e-4, Runs: 1, Seed: 1},
 		},
 		{
 			name: "Compression zero means uncompressed, not defaulted",
@@ -76,8 +88,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"full compression valid", Options{Compression: 1.0}, ""},
 		{"negative runs", Options{Runs: -1}, "runs"},
 		{"runs default from zero is valid", Options{Runs: 0}, ""},
-		{"parallel with one run valid", Options{Parallel: true, Runs: 1}, ""},
-		{"parallel with defaults valid", Options{Parallel: true}, ""},
+		{"parallel with one run valid", jsonEra(`{"parallel":true,"runs":1}`), ""},
+		{"parallel with defaults valid", jsonEra(`{"parallel":true}`), ""},
 		{"negative k", Options{K: -1}, "tau_mst"},
 		{"negative tau", Options{TauMST: -5}, "tau_mst"},
 		{"explicit paper operating point valid", Options{K: 25, TauMST: 100}, ""},
@@ -112,7 +124,7 @@ func TestOptionsCanonical(t *testing.T) {
 		},
 		{
 			name: "parallel is an execution detail, stripped",
-			in:   Options{Parallel: true},
+			in:   jsonEra(`{"parallel":true}`),
 			want: Options{Scheduler: RESCQ, Distance: 7, PhysError: 1e-4, K: 25, TauMST: 100, Runs: 3, Seed: 1},
 		},
 		{
@@ -153,7 +165,7 @@ func TestCacheKey(t *testing.T) {
 	}
 
 	same := []Options{
-		{Runs: 2, Seed: 7, Parallel: true},
+		jsonEra(`{"runs":2,"seed":7,"parallel":true}`),
 		{Scheduler: RESCQ, Distance: 7, PhysError: 1e-4, Runs: 2, Seed: 7},
 		// The paper operating point spelled explicitly: the engine treats
 		// K=0/TauMST=0 as 25/100, so the keys must agree.

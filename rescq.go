@@ -68,12 +68,16 @@
 //     events: only the tiles and qubits whose holder changed in a cycle
 //     are visited, not every ancilla. A test checks that a longer run
 //     allocates no more than a shorter one.
-//   - Options.Parallel runs the Options.Runs seeded simulations on a
-//     bounded worker pool (one worker per CPU). Each run owns its grid,
-//     scheduler and RNG, and results are aggregated in seed order, so a
-//     parallel Summary is byte-identical to a serial one. The experiment
-//     drivers behind Experiment use the same pool to spread their
-//     benchmark x scheduler x parameter sweeps over all cores.
+//   - One seeded-run step (sim.SeededRuns) serves this package, the
+//     rescqd daemon and the experiment drivers: each run clones one
+//     prebuilt layout, compresses the clone with a seed derived from the
+//     run index, and simulates the process-wide memoized benchmark DAG
+//     with a fresh scheduler. A configuration therefore reads the same
+//     number from Run, a daemon sweep and a paper figure. Run executes
+//     its seeds serially (the daemon's slots already fill the cores); the
+//     drivers behind Experiment spread their benchmark x scheduler x
+//     parameter x seed units over a bounded worker pool, aggregating in
+//     seed order.
 //
 // To reproduce the profile that motivated this layout:
 //
@@ -90,9 +94,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -150,10 +152,6 @@ type Options struct {
 	Runs int `json:"runs,omitempty"`
 	// Seed is the base random seed; run i uses Seed+i. Default 1.
 	Seed int64 `json:"seed,omitempty"`
-	// Parallel executes the Runs seeded simulations concurrently on a
-	// bounded worker pool (one worker per CPU). Results are aggregated in
-	// seed order, so the Summary is byte-identical to a serial run.
-	Parallel bool `json:"parallel,omitempty"`
 }
 
 func (o Options) withDefaults() Options {
@@ -176,15 +174,14 @@ func (o Options) withDefaults() Options {
 }
 
 // Canonical returns the options in canonical form: defaults applied and
-// execution-only fields normalized away. Two Options values that produce
+// equivalent spellings merged. Two Options values that produce
 // byte-identical Summaries for the same circuit have equal canonical forms;
-// in particular Parallel is cleared (it changes how the seeded runs are
-// scheduled, never what they compute) and the K/TauMST knobs of the RESCQ
-// scheduler are zeroed for the static baselines, which ignore them. The
-// rescqd daemon keys its result cache on this form via CacheKey.
+// in particular the default layout's explicit and implicit spellings agree,
+// and the K/TauMST knobs of the RESCQ scheduler are zeroed for the static
+// baselines, which ignore them. The rescqd daemon keys its result cache on
+// this form via CacheKey.
 func (o Options) Canonical() Options {
 	o = o.withDefaults()
-	o.Parallel = false
 	// The default layout's explicit and implicit spellings share one
 	// canonical form: the zero value, which keeps every pre-layout cache
 	// key (and golden file) stable. An unset layout WITH params first
@@ -347,23 +344,12 @@ func Run(benchmark string, opts Options) (Summary, error) {
 // cancellation promptly instead of at configuration boundaries). The
 // returned error wraps ctx.Err() when the run was aborted.
 func RunContext(ctx context.Context, benchmark string, opts Options) (Summary, error) {
-	dag, ok := benchDAGs[benchmark]
+	dag, ok := qbench.DAG(benchmark)
 	if !ok {
 		return Summary{}, fmt.Errorf("rescq: unknown benchmark %q (see Benchmarks())", benchmark)
 	}
-	return runDAG(ctx, dag(), opts)
+	return runDAG(ctx, dag, opts)
 }
-
-// benchDAGs memoizes each benchmark's circuit and dependency DAG, built on
-// first use. Both are deterministic in the benchmark name and the engine
-// only reads them, so every configuration in the process shares one copy.
-var benchDAGs = func() map[string]func() *circuit.DAG {
-	m := make(map[string]func() *circuit.DAG)
-	for _, spec := range qbench.All() {
-		m[spec.Name] = sync.OnceValue(func() *circuit.DAG { return circuit.NewDAG(spec.Circuit()) })
-	}
-	return m
-}()
 
 // RunCircuitText simulates a circuit given in the artifact text format:
 // the gate count on the first line, then one "<gate> <qubits> [angle]" per
@@ -383,48 +369,35 @@ func RunCircuitTextContext(ctx context.Context, name, text string, opts Options)
 }
 
 func runDAG(ctx context.Context, dag *circuit.DAG, opts Options) (Summary, error) {
-	c := dag.Circuit()
 	opts = opts.withDefaults()
 	if err := opts.Validate(); err != nil {
 		return Summary{}, err
 	}
-	cfg := sim.Config{Distance: opts.Distance, PhysError: opts.PhysError}
-	sum := Summary{Benchmark: c.Name, Scheduler: string(opts.Scheduler)}
-	// Each seeded run is self-contained (own grid, scheduler, RNG), so the
-	// runs fan out over the bounded pool when Parallel is set; per-index
-	// result slots plus seed-order aggregation keep the Summary
-	// byte-identical to serial execution.
-	results := make([]*sim.Result, opts.Runs)
-	errs := make([]error, opts.Runs)
-	workers := 1
-	if opts.Parallel {
-		workers = 0 // GOMAXPROCS
-	}
 	// The layout build is deterministic in (n, params) and can be
 	// expensive (compact's compression search, custom's spec parse), so
-	// build it once and hand each seeded run its own clone to mutate.
-	baseGrid, err := lattice.Build(opts.Layout, c.NumQubits, lattice.Params(opts.LayoutParams))
+	// build it once; each seeded run mutates its own clone.
+	grid, err := lattice.Build(opts.Layout, dag.Circuit().NumQubits, lattice.Params(opts.LayoutParams))
 	if err != nil {
 		return Summary{}, err
 	}
-	sim.ParallelFor(opts.Runs, workers, func(i int) {
-		g := baseGrid.Clone()
-		if opts.Compression > 0 {
-			g.Compress(opts.Compression, rand.New(rand.NewSource(opts.Seed+int64(i)*7919)))
-		}
-		s, err := newScheduler(opts)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		results[i], errs[i] = sim.RunDAGContext(ctx, g, dag, cfg, opts.Seed+int64(i), s)
-	})
-	for _, err := range errs {
+	runs := sim.SeededRuns{
+		Grid:        grid,
+		DAG:         dag,
+		Config:      sim.Config{Distance: opts.Distance, PhysError: opts.PhysError},
+		Compression: opts.Compression,
+		Seed:        opts.Seed,
+		NewScheduler: func() (sim.Scheduler, error) {
+			return sched.New(string(opts.Scheduler), sched.Params{K: opts.K, TauMST: opts.TauMST})
+		},
+	}
+	sum := Summary{Benchmark: dag.Circuit().Name, Scheduler: string(opts.Scheduler)}
+	results := make([]*sim.Result, opts.Runs)
+	for i := range results {
+		res, err := runs.Run(ctx, i)
 		if err != nil {
 			return Summary{}, err
 		}
-	}
-	for _, res := range results {
+		results[i] = res
 		sum.Runs = append(sum.Runs, Result{
 			Scheduler:        res.Scheduler,
 			Benchmark:        res.Benchmark,
@@ -445,10 +418,6 @@ func runDAG(ctx context.Context, dag *circuit.DAG, opts Options) (Summary, error
 	sum.StdCycles = agg.StdCycles
 	sum.MeanIdle = agg.MeanIdle
 	return sum, nil
-}
-
-func newScheduler(opts Options) (sim.Scheduler, error) {
-	return sched.New(string(opts.Scheduler), sched.Params{K: opts.K, TauMST: opts.TauMST})
 }
 
 // DefaultLayout is the layout used when Options.Layout is unset: the
