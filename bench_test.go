@@ -12,6 +12,7 @@ package rescq
 // `go run ./cmd/rescq-bench -all` prints the full rendered reports.
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -61,7 +62,7 @@ func BenchmarkFigure3FidelityModel(b *testing.B) {
 func BenchmarkFigure5LatencyHistograms(b *testing.B) {
 	var frac2 float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure5(benchOpts())
+		r, err := experiments.Figure5(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func BenchmarkFigure5LatencyHistograms(b *testing.B) {
 func BenchmarkFigure10NormalizedExecution(b *testing.B) {
 	var geomean float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure10(benchOpts())
+		r, err := experiments.Figure10(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func BenchmarkFigure10NormalizedExecution(b *testing.B) {
 // BenchmarkFigure11DistanceSensitivity regenerates the code-distance sweep.
 func BenchmarkFigure11DistanceSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure11(benchOpts()); err != nil {
+		if _, err := experiments.Figure11(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +97,7 @@ func BenchmarkFigure11DistanceSensitivity(b *testing.B) {
 // BenchmarkFigure12ErrorRateSensitivity regenerates the error-rate sweep.
 func BenchmarkFigure12ErrorRateSensitivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure12(benchOpts()); err != nil {
+		if _, err := experiments.Figure12(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +106,7 @@ func BenchmarkFigure12ErrorRateSensitivity(b *testing.B) {
 // BenchmarkFigure13MSTFrequency regenerates RESCQ's k-sensitivity study.
 func BenchmarkFigure13MSTFrequency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure13(benchOpts()); err != nil {
+		if _, err := experiments.Figure13(context.Background(), benchOpts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +117,7 @@ func BenchmarkFigure13MSTFrequency(b *testing.B) {
 func BenchmarkFigure14Compression(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure14(benchOpts())
+		r, err := experiments.Figure14(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func BenchmarkAppendixA2TInjection(b *testing.B) {
 func BenchmarkAblationStudy(b *testing.B) {
 	var overhead float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ablation(benchOpts())
+		r, err := experiments.Ablation(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -51,8 +52,7 @@ func TestClusterQuickstart(t *testing.T) {
 
 	// Wait until both workers are registered.
 	type clusterView struct {
-		LiveWorkers   int   `json:"live_workers"`
-		RemoteConfigs int64 `json:"remote_configs"`
+		LiveWorkers int `json:"live_workers"`
 	}
 	type health struct {
 		Cluster *clusterView `json:"cluster"`
@@ -105,15 +105,14 @@ func TestClusterQuickstart(t *testing.T) {
 	}
 
 	// The work really went over the wire.
-	resp, err = http.Get(coordURL + "/healthz")
+	resp, err = http.Get(coordURL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h health
-	json.NewDecoder(resp.Body).Decode(&h)
+	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if h.Cluster == nil || h.Cluster.RemoteConfigs != 3 {
-		t.Fatalf("remote_configs = %+v, want 3", h.Cluster)
+	if !strings.Contains(string(prom), "\nrescqd_cluster_remote_configs_total 3\n") {
+		t.Fatalf("/metrics does not report rescqd_cluster_remote_configs_total 3:\n%s", prom)
 	}
 
 	// One SIGTERM reaches all three daemons (same process); each drains.

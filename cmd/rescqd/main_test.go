@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -143,6 +144,37 @@ func TestReadmeDocumentsEveryKnob(t *testing.T) {
 	for _, k := range knobs {
 		if !bytes.Contains(readme, []byte("`"+k+"`")) {
 			t.Errorf("README.md does not document %s", k)
+		}
+	}
+}
+
+// TestReadmeDocumentsEveryMetric: every metric family in the /metrics
+// exposition goldens has a row with its type in the README's metrics
+// table, so a new series cannot ship undocumented.
+func TestReadmeDocumentsEveryMetric(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldens, err := filepath.Glob("../../internal/service/testdata/golden/metrics_*.prom")
+	if err != nil || len(goldens) == 0 {
+		t.Fatalf("no exposition goldens found (%v)", err)
+	}
+	seen := map[string]bool{}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) (\S+)$`).FindAllSubmatch(data, -1) {
+			family, kind := string(m[1]), string(m[2])
+			if seen[family] {
+				continue
+			}
+			seen[family] = true
+			if row := "| `" + family + "` | " + kind + " |"; !bytes.Contains(readme, []byte(row)) {
+				t.Errorf("README.md has no metrics-table row %q", row)
+			}
 		}
 	}
 }

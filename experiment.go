@@ -1,6 +1,7 @@
 package rescq
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,6 +21,13 @@ var ExperimentIDs = []string{
 // reduced sweep (small benchmarks, fewer seeds) that finishes in seconds;
 // the full sweeps reproduce the paper's exact configurations.
 func Experiment(id string, quick bool) (string, error) {
+	return ExperimentContext(context.Background(), id, quick)
+}
+
+// ExperimentContext is Experiment with cancellation: once ctx is done, a
+// simulation-backed experiment starts no further seeded run, aborts the
+// runs in flight and returns ctx's error.
+func ExperimentContext(ctx context.Context, id string, quick bool) (string, error) {
 	o := experiments.Options{Quick: quick}
 	switch id {
 	case "table1":
@@ -29,22 +37,22 @@ func Experiment(id string, quick bool) (string, error) {
 	case "fig3":
 		return experiments.Figure3(100).Text, nil
 	case "fig5":
-		r, err := experiments.Figure5(o)
+		r, err := experiments.Figure5(ctx, o)
 		return r.Text, err
 	case "fig10":
-		r, err := experiments.Figure10(o)
+		r, err := experiments.Figure10(ctx, o)
 		return r.Text, err
 	case "fig11":
-		r, err := experiments.Figure11(o)
+		r, err := experiments.Figure11(ctx, o)
 		return r.Text, err
 	case "fig12":
-		r, err := experiments.Figure12(o)
+		r, err := experiments.Figure12(ctx, o)
 		return r.Text, err
 	case "fig13":
-		r, err := experiments.Figure13(o)
+		r, err := experiments.Figure13(ctx, o)
 		return r.Text, err
 	case "fig14":
-		r, err := experiments.Figure14(o)
+		r, err := experiments.Figure14(ctx, o)
 		return r.Text, err
 	case "fig15":
 		return experiments.Figure15(), nil
@@ -55,10 +63,10 @@ func Experiment(id string, quick bool) (string, error) {
 	case "mst-timing":
 		return experiments.MSTTiming().Text, nil
 	case "ablation":
-		r, err := experiments.Ablation(o)
+		r, err := experiments.Ablation(ctx, o)
 		return r.Text, err
 	case "heatmap":
-		r, err := experiments.Heatmap(o, "gcm_n13")
+		r, err := experiments.Heatmap(ctx, o, "gcm_n13")
 		return r.Text, err
 	}
 	return "", fmt.Errorf("rescq: unknown experiment %q (known: %s)", id, strings.Join(knownIDs(), ", "))

@@ -283,18 +283,18 @@ func (s *Store) SinceSnapshot() int64 {
 	return s.sinceSnap
 }
 
-// Stats is the health summary surfaced on /healthz and /metrics.
+// Stats is the health summary exported on /metrics.
 type Stats struct {
-	Groups     int   `json:"groups"`
-	GroupCap   int   `json:"group_cap"`
-	Benchmarks int   `json:"benchmarks"`
-	Ingested   int64 `json:"results_ingested"`
-	Skipped    int64 `json:"results_skipped"`
-	Deduped    int64 `json:"results_deduped"`
-	Dropped    int64 `json:"results_dropped"`
-	Queries    int64 `json:"queries"`
-	Snapshots  int64 `json:"snapshots"`
-	IngestLag  int64 `json:"ingest_lag"`
+	Groups     int
+	GroupCap   int
+	Benchmarks int
+	Ingested   int64
+	Skipped    int64
+	Deduped    int64
+	Dropped    int64
+	Queries    int64
+	Snapshots  int64
+	IngestLag  int64
 }
 
 // Stats returns a point-in-time health summary.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ var ablationVariants = []struct {
 }
 
 // Ablation runs every variant on the representative benchmarks.
-func Ablation(o Options) (AblationResult, error) {
+func Ablation(ctx context.Context, o Options) (AblationResult, error) {
 	o = o.withDefaults()
 	res := AblationResult{Cycles: map[string]map[string]float64{}}
 	header := []string{"Benchmark"}
@@ -46,7 +47,7 @@ func Ablation(o Options) (AblationResult, error) {
 			b.add(o, bench, 0, func() (sim.Scheduler, error) { return core.New(v.cfg), nil })
 		}
 	}
-	aggs, err := b.run()
+	aggs, err := b.run(ctx)
 	if err != nil {
 		return res, err
 	}

@@ -125,8 +125,9 @@ func (b *batch) add(o Options, bench string, compression float64, newSched func(
 // run fans every (configuration, seed) unit out over sim.ParallelFor, so
 // sweeps saturate all cores even at one seed per configuration, and
 // returns the aggregates in input order. Aggregation is in seed order, so
-// results are byte-identical to a serial loop.
-func (b *batch) run() ([]sim.Aggregate, error) {
+// results are byte-identical to a serial loop. Once ctx is done no
+// further unit starts, and run returns ctx's error.
+func (b *batch) run(ctx context.Context) ([]sim.Aggregate, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -139,8 +140,11 @@ func (b *batch) run() ([]sim.Aggregate, error) {
 	}
 	errs := make([]error, len(units))
 	sim.ParallelFor(len(units), 0, func(u int) {
+		if errs[u] = ctx.Err(); errs[u] != nil {
+			return
+		}
 		c, i := units[u].cfg, units[u].seed
-		b.results[c][i], errs[u] = b.cfgs[c].Run(context.Background(), i)
+		b.results[c][i], errs[u] = b.cfgs[c].Run(ctx, i)
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -43,7 +45,7 @@ func TestFigure3(t *testing.T) {
 }
 
 func TestFigure5Shapes(t *testing.T) {
-	r, err := Figure5(quickOpts())
+	r, err := Figure5(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestFigure5Shapes(t *testing.T) {
 }
 
 func TestFigure10QuickWin(t *testing.T) {
-	r, err := Figure10(quickOpts())
+	r, err := Figure10(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestFigure10QuickWin(t *testing.T) {
 }
 
 func TestFigure11DistanceTrend(t *testing.T) {
-	r, err := Figure11(quickOpts())
+	r, err := Figure11(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestFigure11DistanceTrend(t *testing.T) {
 }
 
 func TestFigure12ErrorRateInsensitive(t *testing.T) {
-	r, err := Figure12(quickOpts())
+	r, err := Figure12(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +131,7 @@ func TestFigure12ErrorRateInsensitive(t *testing.T) {
 }
 
 func TestFigure13KInsensitive(t *testing.T) {
-	r, err := Figure13(quickOpts())
+	r, err := Figure13(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +158,7 @@ func TestFigure13KInsensitive(t *testing.T) {
 }
 
 func TestFigure14CompressionTrend(t *testing.T) {
-	r, err := Figure14(quickOpts())
+	r, err := Figure14(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestMSTTiming(t *testing.T) {
 }
 
 func TestHeatmap(t *testing.T) {
-	r, err := Heatmap(quickOpts(), "vqe_n13")
+	r, err := Heatmap(context.Background(), quickOpts(), "vqe_n13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestHeatmap(t *testing.T) {
 	if !strings.Contains(r.Text, "rescq") || !strings.Contains(r.Text, "D") {
 		t.Error("heatmap render incomplete")
 	}
-	if _, err := Heatmap(quickOpts(), "bogus"); err == nil {
+	if _, err := Heatmap(context.Background(), quickOpts(), "bogus"); err == nil {
 		t.Error("unknown benchmark should error")
 	}
 }
@@ -280,7 +282,7 @@ func TestMakeSchedulerUnknown(t *testing.T) {
 	}
 	var b batch
 	b.add(quickOpts().withDefaults(), "gcm_n13", 0, registered("bogus", 0))
-	if _, err := b.run(); err == nil {
+	if _, err := b.run(context.Background()); err == nil {
 		t.Error("batch with an unknown scheduler should error")
 	}
 }
@@ -290,7 +292,20 @@ func TestMakeSchedulerUnknown(t *testing.T) {
 func TestRunConfigUnknownBench(t *testing.T) {
 	var b batch
 	b.add(quickOpts().withDefaults(), "bogus", 0, registered("greedy", 0))
-	if _, err := b.run(); err == nil {
+	if _, err := b.run(context.Background()); err == nil {
 		t.Error("unknown benchmark should error")
+	}
+}
+
+// TestDriversHonourContext: a cancelled context stops the simulation-backed
+// drivers with its error instead of letting the sweep run to the end.
+func TestDriversHonourContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Figure10(ctx, quickOpts()); !errors.Is(err, context.Canceled) {
+		t.Errorf("Figure10 on a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if _, err := Heatmap(ctx, quickOpts(), "gcm_n13"); !errors.Is(err, context.Canceled) {
+		t.Errorf("Heatmap on a cancelled context: err = %v, want context.Canceled", err)
 	}
 }

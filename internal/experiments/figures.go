@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -55,7 +56,7 @@ type Figure5Result struct {
 }
 
 // Figure5 regenerates the latency histograms.
-func Figure5(o Options) (Figure5Result, error) {
+func Figure5(ctx context.Context, o Options) (Figure5Result, error) {
 	o = o.withDefaults()
 	res := Figure5Result{
 		CNOT: map[string]*metrics.Histogram{},
@@ -71,7 +72,7 @@ func Figure5(o Options) (Figure5Result, error) {
 			b.add(o, bench, 0, registered(schedName, 0))
 		}
 	}
-	aggs, err := b.run()
+	aggs, err := b.run(ctx)
 	if err != nil {
 		return res, err
 	}
@@ -115,7 +116,7 @@ type Figure10Result struct {
 // Figure10 regenerates the headline comparison at the given operating
 // point (defaults d=7, p=1e-4), evaluating RESCQ at k in {25,50,100,200}
 // and reporting the best as RESCQ*.
-func Figure10(o Options) (Figure10Result, error) {
+func Figure10(ctx context.Context, o Options) (Figure10Result, error) {
 	o = o.withDefaults()
 	var res Figure10Result
 	t := metrics.NewTable("Benchmark", "greedy", "autobraid", "RESCQ*", "k*", "norm(greedy)", "norm(autobraid)", "norm(RESCQ*)")
@@ -136,7 +137,7 @@ func Figure10(o Options) (Figure10Result, error) {
 			b.add(o, bench, 0, registered("rescq", k))
 		}
 	}
-	aggs, err := b.run()
+	aggs, err := b.run(ctx)
 	if err != nil {
 		return res, err
 	}
@@ -187,24 +188,24 @@ type SweepResult struct {
 
 // Figure11 regenerates the code-distance sensitivity study (k=25 for
 // RESCQ, per the paper's "RESCQ25").
-func Figure11(o Options) (SweepResult, error) {
+func Figure11(ctx context.Context, o Options) (SweepResult, error) {
 	o = o.withDefaults()
 	ds := o.distances()
 	xs := make([]float64, len(ds))
 	for i, d := range ds {
 		xs[i] = float64(d)
 	}
-	return sweep(o, "Figure 11: sensitivity to code distance", "d", xs, func(base Options, i int) Options {
+	return sweep(ctx, o, "Figure 11: sensitivity to code distance", "d", xs, func(base Options, i int) Options {
 		base.Distance = ds[i]
 		return base
 	})
 }
 
 // Figure12 regenerates the physical-error-rate sensitivity study.
-func Figure12(o Options) (SweepResult, error) {
+func Figure12(ctx context.Context, o Options) (SweepResult, error) {
 	o = o.withDefaults()
 	ps := o.errorRates()
-	return sweep(o, "Figure 12: sensitivity to physical error rate", "p", ps, func(base Options, i int) Options {
+	return sweep(ctx, o, "Figure 12: sensitivity to physical error rate", "p", ps, func(base Options, i int) Options {
 		base.PhysError = ps[i]
 		return base
 	})
@@ -212,7 +213,7 @@ func Figure12(o Options) (SweepResult, error) {
 
 // sweep runs every scheduler on the representative benchmarks across a
 // parameter sweep.
-func sweep(o Options, title, xName string, xs []float64, apply func(Options, int) Options) (SweepResult, error) {
+func sweep(ctx context.Context, o Options, title, xName string, xs []float64, apply func(Options, int) Options) (SweepResult, error) {
 	res := SweepResult{
 		Cycles: map[string]map[string][]float64{},
 		Idle:   map[string]map[string][]float64{},
@@ -231,7 +232,7 @@ func sweep(o Options, title, xName string, xs []float64, apply func(Options, int
 			}
 		}
 	}
-	aggs, err := b.run()
+	aggs, err := b.run(ctx)
 	if err != nil {
 		return res, err
 	}
@@ -271,7 +272,7 @@ type Figure13Result struct {
 }
 
 // Figure13 regenerates the k-sensitivity study (RESCQ only).
-func Figure13(o Options) (Figure13Result, error) {
+func Figure13(ctx context.Context, o Options) (Figure13Result, error) {
 	o = o.withDefaults()
 	res := Figure13Result{Cycles: map[string]map[string]map[int]float64{}}
 	var sb strings.Builder
@@ -306,7 +307,7 @@ func Figure13(o Options) (Figure13Result, error) {
 			}
 		}
 	}
-	aggs, err := b.run()
+	aggs, err := b.run(ctx)
 	if err != nil {
 		return res, err
 	}
@@ -343,7 +344,7 @@ type Figure14Result struct {
 }
 
 // Figure14 regenerates the ancilla-availability (grid compression) study.
-func Figure14(o Options) (Figure14Result, error) {
+func Figure14(ctx context.Context, o Options) (Figure14Result, error) {
 	o = o.withDefaults()
 	comps := o.compressions()
 	res := Figure14Result{Cycles: map[string]map[string][]float64{}, Compressions: comps}
@@ -357,7 +358,7 @@ func Figure14(o Options) (Figure14Result, error) {
 			}
 		}
 	}
-	aggs, err := b.run()
+	aggs, err := b.run(ctx)
 	if err != nil {
 		return res, err
 	}

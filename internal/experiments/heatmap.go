@@ -22,7 +22,7 @@ const heatmapGlyphs = " .:-=+*#%@"
 // Heatmap simulates one benchmark under each scheduler and renders the
 // resulting ancilla utilization as an ASCII heatmap ('D' marks data
 // qubits; glyphs darken with busy fraction).
-func Heatmap(o Options, benchName string) (HeatmapResult, error) {
+func Heatmap(ctx context.Context, o Options, benchName string) (HeatmapResult, error) {
 	o = o.withDefaults()
 	if benchName == "" {
 		benchName = "gcm_n13"
@@ -36,7 +36,7 @@ func Heatmap(o Options, benchName string) (HeatmapResult, error) {
 		if err != nil {
 			return res, err
 		}
-		r, err := runs.Run(context.Background(), 0)
+		r, err := runs.Run(ctx, 0)
 		if err != nil {
 			return res, err
 		}

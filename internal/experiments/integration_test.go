@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -114,7 +115,7 @@ func TestSchedulersAgreeOnDeterministicCircuits(t *testing.T) {
 // variant (each mechanism should help or at least not hurt on the
 // representative set).
 func TestAblationShowsEachMechanismMatters(t *testing.T) {
-	r, err := Ablation(quickOpts())
+	r, err := Ablation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

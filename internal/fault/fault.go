@@ -229,8 +229,8 @@ func Active() string {
 	return spec
 }
 
-// Stats returns every armed point's evaluation/firing counts, for /healthz
-// and test assertions.
+// Stats returns every armed point's evaluation/firing counts, for test
+// assertions.
 func Stats() map[string]PointStats {
 	out := make(map[string]PointStats)
 	mu.Lock()

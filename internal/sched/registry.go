@@ -28,8 +28,6 @@ type Params struct {
 	// TauMST is the modeled MST computation latency in cycles (0 means
 	// the policy default).
 	TauMST int
-	// Extra carries free-form knobs for externally registered policies.
-	Extra map[string]string
 }
 
 // Constructor builds a fresh scheduler instance from params. Instances

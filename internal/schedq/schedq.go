@@ -86,15 +86,15 @@ type Config struct {
 	Tenants map[string]Policy
 }
 
-// TenantSnapshot is one tenant's live scheduling state, for /healthz and
-// the per-tenant Prometheus gauges.
+// TenantSnapshot is one tenant's live scheduling state, for the
+// per-tenant Prometheus gauges.
 type TenantSnapshot struct {
-	Tenant      string  `json:"tenant"`
-	Weight      int     `json:"weight"`
-	QueuedJobs  int     `json:"queued_jobs"`
-	OpenJobs    int     `json:"open_jobs"`
-	Backlog     int64   `json:"backlog_configs"`
-	VirtualTime float64 `json:"virtual_time"`
+	Tenant      string
+	Weight      int
+	QueuedJobs  int
+	OpenJobs    int
+	Backlog     int64
+	VirtualTime float64
 }
 
 // WFQ names the scheduling policy, weighted fair queueing; it is the only

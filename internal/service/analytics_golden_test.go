@@ -16,7 +16,7 @@ import (
 	"repro/internal/store"
 )
 
-var update = flag.Bool("update", false, "rewrite the analytics WAL fixture, the query goldens and the /metrics exposition goldens under testdata/")
+var update = flag.Bool("update", false, "rewrite the analytics WAL fixture, the query goldens and the /metrics and /healthz goldens under testdata/")
 
 // The golden-query harness: a checked-in multi-axis WAL (testdata/
 // analytics_wal.jsonl) is replayed into a fresh daemon, the analytics

@@ -3,12 +3,10 @@ package service
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -176,23 +174,18 @@ func TestWALDiskFullDegradesToLossy(t *testing.T) {
 	}
 
 	health := decode[healthBody](t, get(t, ts.URL+"/healthz"))
-	if health.Store == nil || health.Store.Durable {
-		t.Fatalf("healthz store = %+v, want durable=false", health.Store)
-	}
-	if health.Store.LossyWrites == 0 {
-		t.Fatal("healthz shows no lossy writes while serving non-durably")
+	if health.Durable == nil || *health.Durable {
+		t.Fatalf("healthz durable = %v, want false", health.Durable)
 	}
 	if n := s.Stats().DurabilityLost.Load(); n != 1 {
 		t.Fatalf("durability lost %d times, want 1", n)
 	}
-	metricsResp := get(t, ts.URL+"/metrics")
-	prom, err := io.ReadAll(metricsResp.Body)
-	metricsResp.Body.Close()
-	if err != nil {
-		t.Fatalf("read /metrics: %v", err)
+	prom := scrapeMetrics(t, ts.URL)
+	if v, ok := sampleValue(prom, "rescqd_store_durable"); !ok || v != 0 {
+		t.Fatalf("rescqd_store_durable = %v (present %v), want 0 in lossy mode", v, ok)
 	}
-	if !strings.Contains(string(prom), "rescqd_store_durable 0") {
-		t.Fatal("/metrics does not report rescqd_store_durable 0 in lossy mode")
+	if v, _ := sampleValue(prom, "rescqd_lossy_writes_total"); v == 0 {
+		t.Fatal("/metrics shows no lossy writes while serving non-durably")
 	}
 
 	st, _ := s.StoreStats()
@@ -204,7 +197,7 @@ func TestWALDiskFullDegradesToLossy(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		health = decode[healthBody](t, get(t, ts.URL+"/healthz"))
-		if health.Store != nil && health.Store.Durable {
+		if health.Durable != nil && *health.Durable {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/fault"
+	"repro/internal/resultcodec"
 )
 
 // This file wires the horizontal scale-out layer (internal/cluster) into
@@ -186,7 +187,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		}
 		res := s.runOne(r.Context(), spec)
 		res.Index = req.Configs[i].Index
-		data, err := json.Marshal(res)
+		data, err := resultcodec.Append(nil, &res)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("service: encode result %d: %w", i, err))
 			return
@@ -354,7 +355,7 @@ func (r *jobRun) dispatch(bi int, idxs []int, lease cluster.Lease) {
 		}
 		held = false // raceBatch releases every lease it launches
 		start := time.Now()
-		resp, winner, err := s.raceBatch(ctx, lease, req)
+		results, err := s.raceBatch(ctx, lease, req)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -372,35 +373,15 @@ func (r *jobRun) dispatch(bi int, idxs []int, lease cluster.Lease) {
 		// Feed the deadline/hedge estimator: a batch round-trip amortized
 		// over its configurations approximates per-config latency.
 		perConfig := time.Since(start) / time.Duration(len(idxs))
-		for range idxs {
+		for k, idx := range idxs {
 			s.stats.ObserveConfigLatency(perConfig)
-		}
-		delivered := 0
-		for k, raw := range resp.Results {
-			idx := idxs[k]
-			var res ConfigResult
-			if err := json.Unmarshal(raw, &res); err != nil {
-				// Garbage results count against the breaker like a failed
-				// dispatch; the worker stays registered for liveness expiry
-				// or recovery to decide its fate.
-				if winner.ReportFailure() {
-					s.stats.BreakerOpens.Add(1)
-				}
-				s.stats.BatchesRedispatched.Add(1)
-				break
-			}
-			s.cacheFill(j.keys[idx], j.specs[idx].KeepLatencies, res)
+			s.cacheFill(j.keys[idx], j.specs[idx].KeepLatencies, results[k])
 			s.leaveFlight(j.keys[idx])
 			s.stats.RemoteConfigs.Add(1)
-			r.deliver(idx, res)
-			delivered++
+			r.deliver(idx, results[k])
 		}
-		// A partial decode re-dispatches only the undelivered tail: the
-		// sequencer has already released the decoded prefix, and re-sending
-		// a released index would append its result a second time.
-		if idxs = idxs[delivered:]; len(idxs) == 0 {
-			return
-		}
+		idxs = nil
+		return
 	}
 }
 
@@ -409,9 +390,7 @@ func (r *jobRun) dispatch(bi int, idxs []int, lease cluster.Lease) {
 // successful response wins; the loser's call is cancelled (and not blamed
 // on its worker). A batch deadline, when enough latency samples exist,
 // bounds the whole race — a worker that blows it is charged a failure.
-// The winning lease is returned (already released) so the caller can charge
-// it for undecodable payloads; it is meaningful only when err is nil.
-func (s *Server) raceBatch(ctx context.Context, primary cluster.Lease, req cluster.ExecuteRequest) (cluster.ExecuteResponse, cluster.Lease, error) {
+func (s *Server) raceBatch(ctx context.Context, primary cluster.Lease, req cluster.ExecuteRequest) ([]ConfigResult, error) {
 	var callCtx context.Context
 	var cancel context.CancelFunc
 	if d := s.batchDeadline(len(req.Configs)); d > 0 {
@@ -422,15 +401,14 @@ func (s *Server) raceBatch(ctx context.Context, primary cluster.Lease, req clust
 	defer cancel()
 
 	type outcome struct {
-		lease cluster.Lease
-		resp  cluster.ExecuteResponse
-		err   error
+		results []ConfigResult
+		err     error
 	}
-	results := make(chan outcome, 2) // buffered: the losing attempt must not leak its goroutine
+	outcomes := make(chan outcome, 2) // buffered: the losing attempt must not leak its goroutine
 	var won atomic.Bool
 	launch := func(l cluster.Lease) {
 		go func() {
-			resp, err := s.executeOnWorker(callCtx, l, req)
+			results, err := s.executeOnWorker(callCtx, l, req)
 			switch {
 			case err == nil:
 				l.ReportSuccess()
@@ -442,7 +420,7 @@ func (s *Server) raceBatch(ctx context.Context, primary cluster.Lease, req clust
 				}
 			}
 			l.Release()
-			results <- outcome{lease: l, resp: resp, err: err}
+			outcomes <- outcome{results, err}
 		}()
 	}
 	launch(primary)
@@ -469,11 +447,11 @@ func (s *Server) raceBatch(ctx context.Context, primary cluster.Lease, req clust
 				inflight++
 				launch(l)
 			}
-		case o := <-results:
+		case o := <-outcomes:
 			inflight--
 			if o.err == nil {
 				won.Store(true)
-				return o.resp, o.lease, nil
+				return o.results, nil
 			}
 			// A terminal (4xx) verdict outranks retryable errors: it tells
 			// the caller re-dispatch is pointless.
@@ -482,14 +460,16 @@ func (s *Server) raceBatch(ctx context.Context, primary cluster.Lease, req clust
 			}
 		}
 	}
-	return cluster.ExecuteResponse{}, cluster.Lease{}, firstErr
+	return nil, firstErr
 }
 
-// executeOnWorker POSTs one batch to the lease's worker,
-// aborting the call the moment the worker is removed from the registry
-// (liveness expiry fires while the socket is still nominally open) so the
-// batch can be re-dispatched without waiting on a dead peer.
-func (s *Server) executeOnWorker(ctx context.Context, lease cluster.Lease, req cluster.ExecuteRequest) (cluster.ExecuteResponse, error) {
+// executeOnWorker POSTs one batch to the lease's worker and decodes one
+// result per configuration, aborting the call the moment the worker is
+// removed from the registry (liveness expiry fires while the socket is
+// still nominally open) so the batch can be re-dispatched without waiting
+// on a dead peer. A response that does not decode is a retryable failure,
+// charged to the worker's breaker like a transport error.
+func (s *Server) executeOnWorker(ctx context.Context, lease cluster.Lease, req cluster.ExecuteRequest) ([]ConfigResult, error) {
 	callCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	done := make(chan struct{})
@@ -508,5 +488,17 @@ func (s *Server) executeOnWorker(ctx context.Context, lease cluster.Lease, req c
 		s.stats.WireBinaryBytesOut.Add(traffic.BytesOut)
 		s.stats.WireBinaryBytesIn.Add(traffic.BytesIn)
 	}
-	return resp, err
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Results) != len(req.Configs) {
+		return nil, fmt.Errorf("service: worker %s returned %d results for %d configurations", lease.ID, len(resp.Results), len(req.Configs))
+	}
+	results := make([]ConfigResult, len(resp.Results))
+	for k, raw := range resp.Results {
+		if err := resultcodec.Decode(raw, &results[k]); err != nil {
+			return nil, fmt.Errorf("service: worker %s result %d: %w", lease.ID, k, err)
+		}
+	}
+	return results, nil
 }

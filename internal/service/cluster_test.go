@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	rescq "repro"
 	"repro/internal/cluster"
 	"repro/internal/config"
+	"repro/internal/resultcodec"
 	"repro/internal/store"
 )
 
@@ -350,8 +352,11 @@ func TestClusterWorkerExpiry(t *testing.T) {
 	if health.Cluster == nil || health.Cluster.Mode != config.ModeCoordinator {
 		t.Fatalf("healthz cluster section = %+v", health.Cluster)
 	}
-	if health.Cluster.WorkerExpiries == 0 || health.Cluster.LiveWorkers != 0 {
-		t.Fatalf("healthz cluster counters = %+v", health.Cluster)
+	if health.Cluster.LiveWorkers != 0 {
+		t.Fatalf("healthz live_workers = %d, want 0", health.Cluster.LiveWorkers)
+	}
+	if v, _ := sampleValue(scrapeMetrics(t, coord.ts.URL), "rescqd_cluster_worker_expiries_total"); v == 0 {
+		t.Fatal("rescqd_cluster_worker_expiries_total = 0 after a worker was expired")
 	}
 }
 
@@ -401,7 +406,7 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 	}
 	for i, raw := range out.Results {
 		var res ConfigResult
-		if err := json.Unmarshal(raw, &res); err != nil {
+		if err := resultcodec.Decode(raw, &res); err != nil {
 			t.Fatalf("result %d: %v", i, err)
 		}
 		if res.Index != i+5 || res.Summary == nil || res.Benchmark != specs[i].Benchmark {
@@ -445,6 +450,92 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Fatalf("standalone execute endpoint: %d, want 404", r.StatusCode)
+	}
+}
+
+// TestWorkerResultsTypedOnTheWire: a worker encodes each result with the
+// WAL's typed codec, and the payload decodes to exactly the result the same
+// configuration gives when run locally.
+func TestWorkerResultsTypedOnTheWire(t *testing.T) {
+	cfg := config.Daemon{
+		Workers:      1,
+		CacheEntries: -1, // the local run below must compute again
+		Cluster:      config.Cluster{Mode: config.ModeWorker, CoordinatorURL: "http://unused:1"},
+	}.WithDefaults()
+	s, ts := newTestServer(t, cfg, EngineRunner{})
+	spec := runSpec{Benchmark: "gcm_n13", Opts: rescq.Options{Runs: 1}}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postBatch(t, ts.URL, cluster.ExecuteRequest{JobID: "job-000001",
+		Configs: []cluster.ExecuteConfig{{Index: 3, Spec: data}}})
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute: %d, %v", resp.StatusCode, err)
+	}
+	out, err := cluster.DecodeExecuteResponseBinary(raw)
+	if err != nil || len(out.Results) != 1 {
+		t.Fatalf("execute response: %d results, %v", len(out.Results), err)
+	}
+	payload := out.Results[0]
+	if len(payload) == 0 || payload[0] != 0x01 {
+		t.Fatalf("result payload starts %q, want the typed tag 0x01", payload[:min(len(payload), 8)])
+	}
+	var remote ConfigResult
+	if err := resultcodec.Decode(payload, &remote); err != nil {
+		t.Fatal(err)
+	}
+	local := s.runOne(context.Background(), spec)
+	local.Index = 3
+	got, _ := json.Marshal(remote)
+	want, _ := json.Marshal(local)
+	if remote.Summary == nil || !bytes.Equal(got, want) {
+		t.Fatalf("worker result differs from a local run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestUndecodableResultChargesBreaker: a worker whose result payloads do not
+// decode is charged like a failed dispatch, so its breaker opens and the
+// coordinator finishes the job on its local pool.
+func TestUndecodableResultChargesBreaker(t *testing.T) {
+	var calls atomic.Int64
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		req, err := cluster.DecodeExecuteRequestAuto(r.Body, r.Header.Get("Content-Type"), r.Header.Get("Content-Encoding"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var resp cluster.ExecuteResponse
+		for range req.Configs {
+			resp.Results = append(resp.Results, []byte{0x01, 0xff}) // typed tag, unknown flags
+		}
+		w.Header().Set("Content-Type", cluster.BinaryContentType)
+		w.Write(cluster.EncodeExecuteResponseBinary(resp))
+	}))
+	t.Cleanup(bad.Close)
+	cfg := config.Daemon{
+		Workers: 1,
+		Cluster: config.Cluster{Mode: config.ModeCoordinator, LivenessExpiryMS: 60_000},
+	}.WithDefaults()
+	_, ts := newTestServer(t, cfg, &countingRunner{})
+	resp := postJSON(t, ts.URL+cluster.RegisterPath, cluster.RegisterRequest{ID: "w-bad", URL: bad.URL, Capacity: 1})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %s", resp.Status)
+	}
+	view := decode[JobView](t, postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Benchmarks: []string{"gcm_n13"}, Runs: 1}))
+	if view.State != JobDone || len(view.Results) == 0 || view.Results[0].Summary == nil {
+		t.Fatalf("sweep over an undecodable worker = %+v", view)
+	}
+	prom := scrapeMetrics(t, ts.URL)
+	if v, _ := sampleValue(prom, "rescqd_cluster_breaker_opens_total"); v < 1 || calls.Load() < 3 {
+		t.Fatalf("breaker opens = %v after %d undecodable batches, want >= 1 after >= 3", v, calls.Load())
+	}
+	if v, _ := sampleValue(prom, "rescqd_cluster_remote_configs_total"); v != 0 {
+		t.Fatalf("rescqd_cluster_remote_configs_total = %v, want 0: nothing decoded", v)
 	}
 }
 

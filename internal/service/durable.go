@@ -143,7 +143,7 @@ func (s *Server) AttachStore(dir string) (ReplayStats, error) {
 func (s *Server) Lossy() bool { return s.lossy.Load() }
 
 // ReplayInfo returns what AttachStore recovered (zero value before/without
-// a store), for /healthz and the replay_dropped gauge.
+// a store), for the replay_dropped gauge.
 func (s *Server) ReplayInfo() ReplayStats { return s.replay }
 
 // persistFailed routes every WAL append failure into lossy mode: the

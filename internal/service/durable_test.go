@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -470,14 +469,13 @@ func TestWALHistoryAndCacheReseed(t *testing.T) {
 		t.Fatalf("recomputed summary lost its latencies: %+v", third.Summary.Runs)
 	}
 
-	// /healthz reports the durability section.
-	resp, err = http.Get(tsB.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics reports the WAL's size and what replay recovered.
+	prom := scrapeMetrics(t, tsB.URL)
+	if v, ok := sampleValue(prom, "rescqd_store_records"); !ok || v == 0 {
+		t.Fatalf("rescqd_store_records = %v (present %v), want > 0", v, ok)
 	}
-	health := decode[healthBody](t, resp)
-	if health.Store == nil || health.Store.Records == 0 || health.Store.ReplayedJobs != 1 {
-		t.Fatalf("healthz store section = %+v", health.Store)
+	if v, _ := sampleValue(prom, "rescqd_replayed_jobs_total"); v != 1 {
+		t.Fatalf("rescqd_replayed_jobs_total = %v, want 1", v)
 	}
 }
 
@@ -651,23 +649,14 @@ func TestAdmissionControl429(t *testing.T) {
 	}
 	ok.Body.Close()
 
-	// Shed visibility: /metrics counter and /healthz gauges.
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdata, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mdata), "rescqd_jobs_shed_total 1") {
-		t.Errorf("/metrics missing shed counter:\n%s", mdata)
-	}
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	health := decode[healthBody](t, hresp)
-	if health.ShedTotal != 1 || health.MaxQueueDepth != 2 || health.PendingConfigs != 2 {
-		t.Fatalf("healthz admission gauges = %+v", health)
+	// Shed visibility: the /metrics counter beside the admission gauges.
+	prom := scrapeMetrics(t, ts.URL)
+	for series, want := range map[string]float64{
+		"rescqd_jobs_shed_total": 1, "rescqd_queue_capacity": 2, "rescqd_pending_configs": 2,
+	} {
+		if v, ok := sampleValue(prom, series); !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", series, v, ok, want)
+		}
 	}
 
 	// Draining the backlog restores admission.
@@ -852,37 +841,19 @@ func TestStreamingDisconnectFreesGoroutines(t *testing.T) {
 }
 
 // TestCompactionTimeObservable: the time compactions took is on /metrics
-// beside the compaction count, and in the /healthz store section, so a
-// latency spike can be attributed to compaction from the daemon alone.
+// beside the compaction count, so a latency spike can be attributed to
+// compaction from the daemon alone.
 func TestCompactionTimeObservable(t *testing.T) {
 	s, ts, _ := durableServer(t, config.Daemon{Workers: 1}, &countingRunner{}, t.TempDir())
 	decode[RunResponse](t, postJSON(t, ts.URL+"/v1/run", RunRequest{Benchmark: "gcm_n13", Options: rescq.Options{Runs: 1}}))
 	if err := s.store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	prom := scrapeMetrics(t, ts.URL)
+	if secs, ok := sampleValue(prom, "rescqd_store_compaction_seconds_total"); !ok || secs <= 0 {
+		t.Fatalf("rescqd_store_compaction_seconds_total = %v (present %v) after a compaction", secs, ok)
 	}
-	prom, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var secs float64
-	for _, line := range strings.Split(string(prom), "\n") {
-		if v, ok := strings.CutPrefix(line, "rescqd_store_compaction_seconds_total "); ok {
-			if secs, err = strconv.ParseFloat(v, 64); err != nil {
-				t.Fatalf("bad sample %q: %v", line, err)
-			}
-		}
-	}
-	if secs <= 0 {
-		t.Fatalf("rescqd_store_compaction_seconds_total = %v after a compaction", secs)
-	}
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	health := decode[healthBody](t, resp)
-	if health.Store == nil || health.Store.Compactions < 1 || health.Store.CompactionSeconds <= 0 {
-		t.Fatalf("healthz store section = %+v", health.Store)
+	if n, _ := sampleValue(prom, "rescqd_store_compactions_total"); n < 1 {
+		t.Fatalf("rescqd_store_compactions_total = %v after a compaction", n)
 	}
 }

@@ -1,10 +1,13 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	rescq "repro"
 	"repro/internal/analytics"
 	"repro/internal/config"
 	"repro/internal/experiments"
@@ -20,11 +23,11 @@ import (
 // with the daemon's slots, so under -race this also checks that sharing.
 func TestDaemonSweepsMatchFigureDrivers(t *testing.T) {
 	o := experiments.Options{Quick: true} // what rescq.Experiment runs
-	fig10, err := experiments.Figure10(o)
+	fig10, err := experiments.Figure10(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig14, err := experiments.Figure14(o)
+	fig14, err := experiments.Figure14(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,5 +104,37 @@ func TestDaemonSweepsMatchFigureDrivers(t *testing.T) {
 		} else if g.MeanCycles != mean {
 			t.Errorf("%s: daemon reads %v cycles, driver %v", key, g.MeanCycles, mean)
 		}
+	}
+}
+
+// TestExperimentJobCancellation: DELETE on a full-size Figure 10 job (3.6s
+// of simulation on a 2-vCPU host) reaches the drivers' seeded runs, so the
+// job is cancelled within tens of milliseconds, even under -race, and frees
+// its only engine slot for the next run.
+func TestExperimentJobCancellation(t *testing.T) {
+	_, ts := newTestServer(t, config.Daemon{Workers: 1}, EngineRunner{})
+	job := decode[JobView](t, postJSON(t, ts.URL+"/v1/run", RunRequest{Experiment: "fig10", Async: true}))
+	pollUntil(t, "the fig10 job running", func() bool { return getJob(t, ts.URL, job.ID).State == JobRunning })
+	time.Sleep(100 * time.Millisecond) // let the drivers get into their runs
+	start := time.Now()
+	httpDelete(t, ts.URL+"/v1/jobs/"+job.ID)
+	pollUntil(t, "the fig10 job to end", func() bool {
+		switch getJob(t, ts.URL, job.ID).State {
+		case JobQueued, JobRunning:
+			return false
+		}
+		return true
+	})
+	if v := getJob(t, ts.URL, job.ID); v.State != JobCancelled {
+		t.Fatalf("fig10 job state = %s (%s), want cancelled", v.State, v.Error)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("fig10 job took %v to cancel, want under 1s", d)
+	}
+	next := decode[JobView](t, postJSON(t, ts.URL+"/v1/run", RunRequest{
+		Benchmark: "gcm_n13", Options: rescq.Options{Runs: 1}, Async: true,
+	}))
+	if v := waitForJob(t, ts.URL, next.ID); v.State != JobDone {
+		t.Fatalf("run after the cancel: state = %s (%s), want done", v.State, v.Error)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	rescq "repro"
-	"repro/internal/analytics"
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/fault"
@@ -522,161 +521,52 @@ func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, caps)
 }
 
-// storeHealth is the /healthz durability section (present only when a
-// store is attached): the WAL's size and the replay/coalesce/shed counters
-// in JSON form, mirroring their Prometheus twins on /metrics.
-type storeHealth struct {
-	Jobs        int   `json:"jobs"`
-	Records     int   `json:"records"`
-	Bytes       int64 `json:"bytes"`
-	Compactions int64 `json:"compactions"`
-	// CompactionSeconds is the time compactions took since startup; they
-	// run inline under the WAL lock, so appends stall for this long.
-	CompactionSeconds float64 `json:"compaction_seconds"`
-	ReplayedJobs      int64   `json:"replayed_jobs"`
-	ReplayedResults   int64   `json:"replayed_results"`
-	// Durable is false while the daemon serves in lossy mode (a WAL write
-	// failed; the probe has not yet re-attached the disk) — never omitted,
-	// because false is exactly the value a monitor alerts on.
-	Durable bool `json:"durable"`
-	// ReplayDropped counts interrupted jobs left resumable on disk because
-	// re-enqueueing them overflowed the queue at startup.
-	ReplayDropped int   `json:"replay_dropped"`
-	LossyWrites   int64 `json:"lossy_writes,omitempty"`
+// healthBody is the /healthz readiness verdict: whether this daemon takes
+// work, whether its WAL takes writes, whether faults are armed, and the
+// cluster membership a coordinator dispatches over. Counters and sizes are
+// rendered on /metrics only; each verdict here reads the same accessor as
+// its /metrics twin and is present exactly when that twin is.
+type healthBody struct {
+	Status   string `json:"status"`
+	Draining bool   `json:"draining"`
+	// Durable (present only when a store is attached) is false while the
+	// daemon serves in lossy mode: a WAL write failed and the probe has not
+	// yet re-attached the disk. It mirrors rescqd_store_durable.
+	Durable *bool `json:"durable,omitempty"`
+	// Failpoints is the active fault schedule — present only while one is
+	// armed, so a chaos run is always distinguishable from production.
+	Failpoints string         `json:"failpoints,omitempty"`
+	Cluster    *clusterHealth `json:"cluster,omitempty"`
 }
 
 // clusterHealth is the /healthz scale-out section (present only in
-// coordinator or worker mode): the mode, the live worker membership with
-// per-worker load, and the dispatch counters in JSON form, mirroring
-// their Prometheus twins on /metrics.
+// coordinator or worker mode).
 type clusterHealth struct {
 	Mode string `json:"mode"`
 	// LiveWorkers is never omitted: zero is exactly the value a monitor
-	// alerts on (a coordinator whose workers all died).
-	LiveWorkers         int                  `json:"live_workers"`
-	Workers             []cluster.WorkerInfo `json:"workers,omitempty"`
-	BatchesDispatched   int64                `json:"batches_dispatched"`
-	BatchesRedispatched int64                `json:"batches_redispatched"`
-	BatchesHedged       int64                `json:"batches_hedged"`
-	DispatchRetries     int64                `json:"dispatch_retries"`
-	BreakerOpens        int64                `json:"breaker_opens"`
-	RemoteConfigs       int64                `json:"remote_configs"`
-	Heartbeats          int64                `json:"heartbeats"`
-	WorkerExpiries      int64                `json:"worker_expiries"`
-	WorkersDrained      int64                `json:"workers_drained"`
-	// Scale signal (coordinator only): the admitted backlog in estimated
-	// milliseconds of work, the live non-draining capacity slots it spreads
-	// over, and the per-slot quotient — the number an autoscaler compares
-	// against batch_target_ms. Never omitted: zero is the "scale down"
-	// reading.
-	BacklogMS     int64   `json:"backlog_ms"`
-	CapacitySlots int64   `json:"capacity_slots"`
-	ScaleSignal   float64 `json:"scale_signal_ms_per_slot"`
-	// WorkerDraining (worker mode only) reports the retirement latch.
-	WorkerDraining bool `json:"worker_draining,omitempty"`
-}
-
-// tenantHealth is one tenant's /healthz row: live scheduler state joined
-// with the tenant's lifecycle counters.
-type tenantHealth struct {
-	Weight         int     `json:"weight"`
-	QueuedJobs     int     `json:"queued_jobs"`
-	OpenJobs       int     `json:"open_jobs"`
-	BacklogConfigs int64   `json:"backlog_configs"`
-	VirtualTime    float64 `json:"virtual_time"`
-	Running        int64   `json:"running"`
-	ShedTotal      int64   `json:"shed_total"`
-	PreemptedTotal int64   `json:"preempted_total"`
-}
-
-type healthBody struct {
-	Status         string                  `json:"status"`
-	UptimeSec      float64                 `json:"uptime_sec"`
-	Draining       bool                    `json:"draining"`
-	Workers        int                     `json:"workers"`
-	Queued         int                     `json:"queued"`
-	PendingConfigs int64                   `json:"pending_configs"`
-	MaxQueueDepth  int                     `json:"max_queue_depth,omitempty"`
-	CoalescedTotal int64                   `json:"coalesced_total"`
-	ShedTotal      int64                   `json:"shed_total"`
-	PreemptedTotal int64                   `json:"preempted_total"`
-	Tenants        map[string]tenantHealth `json:"tenants,omitempty"`
-	Store          *storeHealth            `json:"store,omitempty"`
-	Cluster        *clusterHealth          `json:"cluster,omitempty"`
-	// Analytics is the aggregate store's health (cardinality against its
-	// cap, ingest lag since the last durable snapshot).
-	Analytics analytics.Stats `json:"analytics"`
-	// Failpoints is the active fault schedule — present only while one is
-	// armed, so a chaos run is always distinguishable from production.
-	Failpoints string `json:"failpoints,omitempty"`
+	// alerts on (a coordinator whose workers all died). It mirrors
+	// rescqd_cluster_workers.
+	LiveWorkers int                  `json:"live_workers"`
+	Workers     []cluster.WorkerInfo `json:"workers,omitempty"`
+	// WorkerDraining (worker mode only) reports the retirement latch; it
+	// mirrors rescqd_worker_draining.
+	WorkerDraining *bool `json:"worker_draining,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := healthBody{
-		Status:         "ok",
-		UptimeSec:      time.Since(s.startTime).Seconds(),
-		Draining:       s.Draining(),
-		Workers:        s.workers,
-		Queued:         s.sched.Len(),
-		PendingConfigs: s.pending.Load(),
-		MaxQueueDepth:  s.cfg.MaxQueueDepth,
-		CoalescedTotal: s.stats.Coalesced.Load(),
-		ShedTotal:      s.stats.JobsShed.Load(),
-		PreemptedTotal: s.stats.JobsPreempted.Load(),
-	}
-	counters := s.stats.Tenants()
-	for _, ts := range s.sched.Snapshot() {
-		if body.Tenants == nil {
-			body.Tenants = make(map[string]tenantHealth)
-		}
-		th := tenantHealth{
-			Weight:         ts.Weight,
-			QueuedJobs:     ts.QueuedJobs,
-			OpenJobs:       ts.OpenJobs,
-			BacklogConfigs: ts.Backlog,
-			VirtualTime:    ts.VirtualTime,
-		}
-		if tc := counters[ts.Tenant]; tc != nil {
-			th.Running, th.ShedTotal, th.PreemptedTotal = tc.Running.Load(), tc.Shed.Load(), tc.Preempted.Load()
-		}
-		body.Tenants[ts.Tenant] = th
-	}
-	if st, ok := s.StoreStats(); ok {
-		body.Store = &storeHealth{
-			Jobs:              st.Jobs,
-			Records:           st.Records,
-			Bytes:             st.Bytes,
-			Compactions:       st.Compactions,
-			CompactionSeconds: st.CompactionSeconds,
-			ReplayedJobs:      s.stats.ReplayedJobs.Load(),
-			ReplayedResults:   s.stats.ReplayedResults.Load(),
-			Durable:           !s.Lossy(),
-			ReplayDropped:     s.ReplayInfo().Dropped,
-			LossyWrites:       s.stats.LossyWrites.Load(),
-		}
-	}
-	body.Analytics = s.an.Stats()
-	if spec := fault.Active(); spec != "" {
-		body.Failpoints = spec
+	body := healthBody{Status: "ok", Draining: s.Draining(), Failpoints: fault.Active()}
+	if _, ok := s.StoreStats(); ok {
+		durable := !s.Lossy()
+		body.Durable = &durable
 	}
 	if s.clust != nil {
-		ch := &clusterHealth{
-			Mode:                s.clust.cfg.Mode,
-			BatchesDispatched:   s.stats.BatchesDispatched.Load(),
-			BatchesRedispatched: s.stats.BatchesRedispatched.Load(),
-			BatchesHedged:       s.stats.BatchesHedged.Load(),
-			DispatchRetries:     s.stats.DispatchRetries.Load(),
-			BreakerOpens:        s.stats.BreakerOpens.Load(),
-			RemoteConfigs:       s.stats.RemoteConfigs.Load(),
-			Heartbeats:          s.stats.HeartbeatsReceived.Load(),
-			WorkerExpiries:      s.stats.WorkerExpiries.Load(),
-			WorkersDrained:      s.stats.WorkersDrained.Load(),
-			WorkerDraining:      s.WorkerDraining(),
-		}
+		ch := &clusterHealth{Mode: s.clust.cfg.Mode}
 		if ws, ok := s.ClusterWorkers(); ok {
-			ch.Workers = ws
-			ch.LiveWorkers = len(ws)
-			ch.BacklogMS, ch.CapacitySlots, ch.ScaleSignal = s.scaleSignal()
+			ch.Workers, ch.LiveWorkers = ws, len(ws)
+		}
+		if ch.Mode == config.ModeWorker {
+			draining := s.WorkerDraining()
+			ch.WorkerDraining = &draining
 		}
 		body.Cluster = ch
 	}
@@ -699,6 +589,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("rescqd_cache_entries", "Result-cache entries resident.", int64(entries))
 	p.Gauge("rescqd_cache_capacity", "Result-cache entry budget.", int64(capacity))
 	p.Gauge("rescqd_queue_pending", "Jobs waiting in the queue.", int64(s.sched.Len()))
+	p.Gauge("rescqd_queue_capacity", "Admission bound on pending configurations (0: unbounded).", max(int64(s.cfg.MaxQueueDepth), 0))
+	p.Gauge("rescqd_engine_slots", "Engine slots executing configurations.", int64(s.workers))
 	p.Gauge("rescqd_pending_configs", "Run configurations admitted but not yet finished (admission-control backlog).", s.pending.Load())
 	if snaps := s.sched.Snapshot(); len(snaps) > 0 {
 		p.Header("rescqd_tenant_queued_jobs", "gauge", "Jobs waiting in the scheduler, by tenant.")
@@ -712,6 +604,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Header("rescqd_tenant_backlog_configs", "gauge", "Admitted-but-unfinished configurations, by tenant.")
 		for _, ts := range snaps {
 			p.Int("rescqd_tenant_backlog_configs", ts.Backlog, "tenant", ts.Tenant)
+		}
+		p.Header("rescqd_tenant_weight", "gauge", "WFQ weight, by tenant.")
+		for _, ts := range snaps {
+			p.Int("rescqd_tenant_weight", int64(ts.Weight), "tenant", ts.Tenant)
+		}
+		p.Header("rescqd_tenant_virtual_time", "gauge", "WFQ virtual clock (configurations / weight), by tenant.")
+		for _, ts := range snaps {
+			p.Float("rescqd_tenant_virtual_time", ts.VirtualTime, "tenant", ts.Tenant)
 		}
 	}
 	if st, ok := s.StoreStats(); ok {

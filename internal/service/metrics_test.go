@@ -2,12 +2,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -311,4 +313,139 @@ func TestMetricsCountersReconcile(t *testing.T) {
 			t.Errorf("tenant %s: running = %d at quiescence", tenant, r)
 		}
 	}
+}
+
+// The /healthz golden: the readiness bodies of a standalone daemon with a
+// store, a coordinator with one registered worker, and a worker are pinned
+// key for key. Only the workers' last-seen ages are masked. Regenerate
+// with `go test ./internal/service -run TestHealthzGolden -update`.
+
+// healthzKeys is every key a /healthz body may carry, per object: the
+// readiness verdict and nothing else. Counters and sizes live on /metrics.
+var healthzKeys = map[string]map[string]bool{
+	"":        {"status": true, "draining": true, "durable": true, "failpoints": true, "cluster": true},
+	"cluster": {"mode": true, "live_workers": true, "workers": true, "worker_draining": true},
+}
+
+// workerAge matches a worker's last-seen age, the one clock-dependent
+// value in a /healthz body.
+var workerAge = regexp.MustCompile(`"last_seen_age_sec":[^,}]+`)
+
+func checkHealthzGolden(t *testing.T, name, baseURL string) {
+	t.Helper()
+	resp := get(t, baseURL+"/healthz")
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("/healthz body %q: %v", raw, err)
+	}
+	cl, _ := body["cluster"].(map[string]any)
+	for obj, m := range map[string]map[string]any{"": body, "cluster": cl} {
+		for k := range m {
+			if !healthzKeys[obj][k] {
+				t.Errorf("/healthz %s carries %q, which is not a readiness verdict", obj, k)
+			}
+		}
+	}
+	got := workerAge.ReplaceAll(raw, []byte(`"last_seen_age_sec":X`))
+	path := filepath.Join("testdata", "golden", "healthz_"+name+".json")
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("/healthz differs from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// checkHealthzAgreesWithMetrics: every verdict /healthz keeps reads the
+// same value as its /metrics twin, and is present exactly when the twin is.
+func checkHealthzAgreesWithMetrics(t *testing.T, baseURL string) {
+	t.Helper()
+	h := decode[healthBody](t, get(t, baseURL+"/healthz"))
+	prom := scrapeMetrics(t, baseURL)
+	flag := func(b *bool) (float64, bool) {
+		if b == nil {
+			return 0, false
+		}
+		return float64(boolGauge(*b)), true
+	}
+	type twin struct {
+		field, series string
+		v             float64
+		ok            bool
+	}
+	durable, durableOK := flag(h.Durable)
+	twins := []twin{{"durable", "rescqd_store_durable", durable, durableOK}}
+	if c := h.Cluster; c != nil {
+		draining, drainingOK := flag(c.WorkerDraining)
+		twins = append(twins,
+			twin{"cluster.live_workers", "rescqd_cluster_workers", float64(c.LiveWorkers), c.Mode == config.ModeCoordinator},
+			twin{"cluster.worker_draining", "rescqd_worker_draining", draining, drainingOK})
+	}
+	for _, tw := range twins {
+		if v, ok := sampleValue(prom, tw.series); v != tw.v || ok != tw.ok {
+			t.Errorf("/healthz %s = %v (present: %v) but /metrics %s = %v (present: %v)", tw.field, tw.v, tw.ok, tw.series, v, ok)
+		}
+	}
+}
+
+func TestHealthzGolden(t *testing.T) {
+	t.Run("standalone", func(t *testing.T) {
+		s := New(config.Daemon{Workers: 1}.WithDefaults(), &countingRunner{})
+		s.probeEvery = time.Hour // the lossy flag below must stay raised
+		attachDir(t, s, t.TempDir())
+		s.Start()
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		postJSON(t, ts.URL+"/v1/run", RunRequest{Benchmark: "gcm_n13"}).Body.Close()
+		checkHealthzGolden(t, "standalone", ts.URL)
+		checkHealthzAgreesWithMetrics(t, ts.URL)
+		s.persistFailed()
+		checkHealthzAgreesWithMetrics(t, ts.URL)
+
+		shutdownServer(t, s)
+		resp := get(t, ts.URL+"/healthz")
+		if h := decode[healthBody](t, resp); resp.StatusCode != http.StatusServiceUnavailable || h.Status != "draining" || !h.Draining {
+			t.Fatalf("draining /healthz = %d %+v, want 503 draining", resp.StatusCode, h)
+		}
+	})
+
+	t.Run("coordinator", func(t *testing.T) {
+		cfg := config.Daemon{
+			Workers: 1,
+			Cluster: config.Cluster{Mode: config.ModeCoordinator, LivenessExpiryMS: 60_000},
+		}.WithDefaults()
+		_, ts := newTestServer(t, cfg, nil)
+		resp := postJSON(t, ts.URL+cluster.RegisterPath,
+			cluster.RegisterRequest{ID: "w1", URL: "http://127.0.0.1:1", Capacity: 2})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("register: %s", resp.Status)
+		}
+		checkHealthzGolden(t, "coordinator", ts.URL)
+		checkHealthzAgreesWithMetrics(t, ts.URL)
+	})
+
+	t.Run("worker", func(t *testing.T) {
+		cfg := config.Daemon{
+			Workers: 1,
+			Cluster: config.Cluster{Mode: config.ModeWorker, CoordinatorURL: "http://127.0.0.1:1"},
+		}.WithDefaults()
+		_, ts := newTestServer(t, cfg, &countingRunner{})
+		checkHealthzGolden(t, "worker", ts.URL)
+		checkHealthzAgreesWithMetrics(t, ts.URL)
+		postJSON(t, ts.URL+cluster.DrainPath, struct{}{}).Body.Close()
+		checkHealthzAgreesWithMetrics(t, ts.URL)
+	})
 }

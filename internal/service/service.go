@@ -21,7 +21,7 @@
 //	GET  /v1/benchmarks  the Table 3 benchmark suite
 //	GET  /v1/capabilities every valid sweep-axis value: benchmarks plus the
 //	                     live scheduler and layout registries
-//	GET  /healthz        liveness (503 while draining)
+//	GET  /healthz        readiness verdict (503 while draining)
 //	GET  /metrics        Prometheus text metrics
 //
 // # Job lifecycle
@@ -125,9 +125,7 @@ func (EngineRunner) RunCircuitText(ctx context.Context, name, text string, opts 
 }
 
 func (EngineRunner) Experiment(ctx context.Context, id string, quick bool) (string, error) {
-	// The experiment drivers are batch paper regeneration and do not
-	// thread a context; cancellation takes effect at the job boundary.
-	return rescq.Experiment(id, quick)
+	return rescq.ExperimentContext(ctx, id, quick)
 }
 
 // JobState is a job's lifecycle phase.
@@ -313,7 +311,7 @@ type Server struct {
 	// disk heals — the daemon keeps serving instead of failing submissions.
 	lossy      atomic.Bool
 	probeEvery time.Duration
-	replay     ReplayStats // what AttachStore recovered, for /healthz
+	replay     ReplayStats // what AttachStore recovered, for /metrics
 
 	mu        sync.Mutex
 	accepting bool
