@@ -26,7 +26,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/lattice"
@@ -98,16 +97,28 @@ func (a *Axes) value(axis string) (string, bool) {
 	return "", false
 }
 
-// key is the cell identity: every axis value joined with an unlikely
+// appendKey appends the cell identity to b: every axis value, in
+// axisNames order and spelled as value spells it, joined with an unlikely
 // separator. Axis values are canonical strings, so equal tuples always
 // produce equal keys.
-func (a *Axes) key() string {
-	vals := make([]string, len(axisNames))
-	for i, name := range axisNames {
-		vals[i], _ = a.value(name)
-	}
-	return strings.Join(vals, "\x1f")
+func (a *Axes) appendKey(b []byte) []byte {
+	const sep = '\x1f'
+	b = append(b, a.Tenant...)
+	b = append(append(b, sep), a.Benchmark...)
+	b = append(append(b, sep), a.Scheduler...)
+	b = append(append(b, sep), a.Layout...)
+	b = append(append(b, sep), a.LayoutParams...)
+	b = strconv.AppendInt(append(b, sep), int64(a.Distance), 10)
+	b = strconv.AppendFloat(append(b, sep), a.PhysError, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, sep), int64(a.K), 10)
+	b = strconv.AppendInt(append(b, sep), int64(a.TauMST), 10)
+	b = strconv.AppendFloat(append(b, sep), a.Compression, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, sep), int64(a.Runs), 10)
+	return strconv.AppendInt(append(b, sep), a.Seed, 10)
 }
+
+// key is appendKey as a string.
+func (a *Axes) key() string { return string(a.appendKey(nil)) }
 
 // Sample is the analytics-relevant content of one persisted result: the
 // configuration's axis tuple, its raw layout parameters (for the lattice
@@ -168,6 +179,7 @@ type Store struct {
 	maxGroups int
 	cells     map[string]*cell
 	byBench   map[string]*benchSlice
+	keyBuf    []byte // Ingest's cell-key scratch
 
 	// counted is the per-job replay watermark: the next result index the
 	// store will accept for each job. It makes every ingest call site
@@ -228,13 +240,16 @@ func (s *Store) Ingest(jobID string, index int, sm *Sample) bool {
 
 	a := sm.Axes
 	a.LayoutParams = sm.Params.Canonical()
-	k := a.key()
-	c, ok := s.cells[k]
+	// A fold into an existing cell allocates no key: the map lookup by
+	// string(bytes) does not copy.
+	s.keyBuf = a.appendKey(s.keyBuf[:0])
+	c, ok := s.cells[string(s.keyBuf)]
 	if !ok {
 		if len(s.cells) >= s.maxGroups {
 			s.dropped++
 			return false
 		}
+		k := string(s.keyBuf)
 		c = &cell{axes: a, key: k, minCyc: math.MaxInt64, area: areaFor(a, sm.Params)}
 		s.cells[k] = c
 		bs := s.slice(a.Benchmark)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -480,5 +481,62 @@ func TestSnapshotDeterministic(t *testing.T) {
 	var decoded map[string]any
 	if err := json.Unmarshal(a, &decoded); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
+	}
+}
+
+// TestCellKeyMatchesReference pins the cell key to its first form, every
+// axis value joined with strings.Join: snapshots and query results sort
+// cells by it, and the goldens fix that order.
+func TestCellKeyMatchesReference(t *testing.T) {
+	reference := func(a *Axes) string {
+		vals := make([]string, len(axisNames))
+		for i, name := range axisNames {
+			vals[i], _ = a.value(name)
+		}
+		return strings.Join(vals, "\x1f")
+	}
+	floats := []float64{0, math.Copysign(0, -1), 1e-4, 5e-4, 1e-3, 0.25, 0.5, 1, 1.0 / 3, 1e-300, 5e-324, 1e21, math.Inf(1), math.NaN()}
+	ints := []int{0, -1, 3, 25, math.MaxInt32, math.MinInt64}
+	axes := []Axes{
+		{},
+		{Tenant: "default", Benchmark: "gcm_n13", Scheduler: "rescq", Layout: "star", Distance: 7, PhysError: 1e-4, K: 25, TauMST: 100, Runs: 3, Seed: 1},
+		{Tenant: "t\x1fx", Benchmark: "ünï", Scheduler: "greedy", Layout: "compact", LayoutParams: `"fraction"="0.5"`, Seed: math.MaxInt64},
+	}
+	for _, f := range floats {
+		axes = append(axes, Axes{Benchmark: "qft_n18", PhysError: f, Compression: f})
+	}
+	for _, v := range ints {
+		axes = append(axes, Axes{Distance: v, K: v, TauMST: v, Runs: v, Seed: int64(v)})
+	}
+	s := New(0)
+	for i := range axes {
+		a := &axes[i]
+		want := reference(a)
+		if got := a.key(); got != want {
+			t.Errorf("key(%+v) = %q, want %q", *a, got, want)
+		}
+		// Ingest keys its cells the same way (it spells LayoutParams from
+		// the sample's Params, which this sample leaves empty).
+		b := *a
+		b.LayoutParams = ""
+		s.Ingest(fmt.Sprintf("job-%d", i), 0, &Sample{Axes: b, Cycles: []int{10}})
+		if _, ok := s.cells[reference(&b)]; !ok {
+			t.Errorf("Ingest(%+v) did not file its cell under the reference key", *a)
+		}
+	}
+}
+
+// TestIngestIntoExistingCellAllocatesNothing: a repeat fold looks its cell
+// up without building a key string.
+func TestIngestIntoExistingCellAllocatesNothing(t *testing.T) {
+	s := New(0)
+	sm := mkSample("default", "gcm_n13", "rescq", "star", 7, 0.5, 1, 1000, 1100)
+	i := 0
+	s.Ingest("job", i, sm)
+	if allocs := testing.AllocsPerRun(100, func() {
+		i++
+		s.Ingest("job", i, sm)
+	}); allocs != 0 {
+		t.Fatalf("a fold into an existing cell allocated %.1f times", allocs)
 	}
 }

@@ -375,8 +375,8 @@ func (r *jobRun) dispatch(bi int, idxs []int, lease cluster.Lease) {
 		perConfig := time.Since(start) / time.Duration(len(idxs))
 		for k, idx := range idxs {
 			s.stats.ObserveConfigLatency(perConfig)
-			s.cacheFill(j.keys[idx], j.specs[idx].KeepLatencies, results[k])
-			s.leaveFlight(j.keys[idx])
+			s.cacheFill(j.specs[idx].key, j.specs[idx].KeepLatencies, results[k])
+			s.leaveFlight(j.specs[idx].key)
 			s.stats.RemoteConfigs.Add(1)
 			r.deliver(idx, results[k])
 		}

@@ -233,7 +233,7 @@ func (s *Server) replayJob(rj store.ReplayedJob, specs []runSpec, prefix []Confi
 	}
 	s.registerJob(j)
 	if rj.Terminal() {
-		s.retireJob(j.ID) // history counts against the retention bound
+		s.retireJob(j) // history counts against the retention bound
 	}
 	return j
 }

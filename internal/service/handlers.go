@@ -320,13 +320,10 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, j *Job) {
 		if err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			return err // client went away mid-write
-		}
-		flusher.Flush()
-		return nil
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+		return err // non-nil: the client went away mid-write
 	}
-	s.streamEvents(r, j,
+	s.streamEvents(r, j, flusher,
 		func(res ConfigResult) error { return emit("config", res) },
 		func() { emit("done", s.jobView(j, false)) })
 }
@@ -346,28 +343,21 @@ func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, j *Job) {
 	flusher.Flush() // headers reach the client before the first configuration lands
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	s.streamEvents(r, j,
-		func(res ConfigResult) error {
-			if err := enc.Encode(res); err != nil {
-				return err // client went away mid-write
-			}
-			flusher.Flush()
-			return nil
-		},
-		func() {
-			if enc.Encode(s.jobView(j, false)) == nil {
-				flusher.Flush()
-			}
-		})
+	s.streamEvents(r, j, flusher,
+		func(res ConfigResult) error { return enc.Encode(res) }, // non-nil: the client went away mid-write
+		func() { enc.Encode(s.jobView(j, false)) })
 }
 
 // streamEvents drives a streaming response: per-configuration callbacks in
 // index order, read straight from the job's results as they are
-// delivered, then the terminal callback. A client disconnect — whether
-// surfaced by the request context or by a failed write — cancels the job
-// and ends the stream, so neither this goroutine nor the job keeps burning
-// engine time for a reader that is gone.
-func (s *Server) streamEvents(r *http.Request, j *Job, onConfig func(ConfigResult) error, onDone func()) {
+// delivered, then the terminal callback. Each wake-up writes every result
+// delivered since the last one and then flushes once, so a stream that has
+// caught up sends at once and a burst of cached results costs one flush.
+// A client disconnect — whether surfaced by the request context or by a
+// failed write — cancels the job and ends the stream, so neither this
+// goroutine nor the job keeps burning engine time for a reader that is
+// gone.
+func (s *Server) streamEvents(r *http.Request, j *Job, flusher http.Flusher, onConfig func(ConfigResult) error, onDone func()) {
 	sent := 0
 	for {
 		finished := false
@@ -398,7 +388,11 @@ func (s *Server) streamEvents(r *http.Request, j *Job, onConfig func(ConfigResul
 		sent += len(fresh)
 		if finished {
 			onDone()
+			flusher.Flush()
 			return
+		}
+		if len(fresh) > 0 {
+			flusher.Flush()
 		}
 	}
 }

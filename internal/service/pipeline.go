@@ -39,16 +39,15 @@ type jobRun struct {
 // whether the job was cancelled, and whether the scheduler preempted it at
 // a configuration boundary (the caller requeues it).
 func (s *Server) runJob(j *Job, startIdx int) (cancelled, preempted bool) {
-	if j.keys == nil {
-		j.keys = make([]string, len(j.specs))
-		for i, spec := range j.specs {
-			j.keys[i] = specKey(spec)
+	for i := range j.specs {
+		if j.specs[i].key == "" { // decoded from a job record
+			j.specs[i].key = specKey(j.specs[i])
 		}
 	}
 	r := &jobRun{s: s, j: j, next: startIdx, ready: make(map[int]ConfigResult)}
 	// Prepass: stream cache hits in index order and queue the misses.
 	for i := startIdx; i < len(j.specs); i++ {
-		if v, ok := s.cache.lookup(j.keys[i], j.specs[i]); ok {
+		if v, ok := s.cache.lookup(j.specs[i].key, j.specs[i]); ok {
 			s.stats.CacheHits.Add(1)
 			r.deliver(i, cachedResult(j.specs[i], v))
 		} else {
@@ -146,7 +145,7 @@ func (s *Server) acquireRemote(ctx context.Context) (cluster.Lease, bool, error)
 func (r *jobRun) claim(idxs []int) []int {
 	lead := idxs[:0]
 	for _, i := range idxs {
-		v, wait, hit := r.s.claim(r.j.keys[i], r.j.specs[i])
+		v, wait, hit := r.s.claim(r.j.specs[i].key, r.j.specs[i])
 		switch {
 		case hit:
 			r.s.stats.CacheHits.Add(1)
@@ -182,8 +181,8 @@ func (r *jobRun) nextLead() (int, bool) {
 // runLocal computes one claimed configuration in process and delivers it;
 // a result aborted by the job's cancellation is discarded.
 func (r *jobRun) runLocal(i int) {
-	res := r.s.compute(r.j.ctx, r.j.keys[i], r.j.specs[i])
-	r.s.leaveFlight(r.j.keys[i])
+	res := r.s.compute(r.j.ctx, r.j.specs[i].key, r.j.specs[i])
+	r.s.leaveFlight(r.j.specs[i].key)
 	if res.Error == "" || r.j.ctx.Err() == nil {
 		r.deliver(i, res)
 	}
@@ -205,7 +204,7 @@ func (r *jobRun) runOnPool(idxs []int) {
 // leaveFlights lands claimed configurations' flights undelivered.
 func (r *jobRun) leaveFlights(idxs []int) {
 	for _, i := range idxs {
-		r.s.leaveFlight(r.j.keys[i])
+		r.s.leaveFlight(r.j.specs[i].key)
 	}
 }
 
@@ -262,8 +261,9 @@ func (r *jobRun) keep() bool {
 	return p.busy <= r.s.workers && r.s.sched.Len() == 0
 }
 
-// deliver releases results in index order to the job, the WAL and the
-// job's stream, so all three are byte-identical however many slots ran.
+// deliver releases results in index order to the WAL, then to the job and
+// its stream, so all three are byte-identical however many slots ran and a
+// streamed result is always on disk already.
 func (r *jobRun) deliver(idx int, res ConfigResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -278,10 +278,10 @@ func (r *jobRun) deliver(idx int, res ConfigResult) {
 	r.ready[idx] = res
 	for out, ok := r.ready[r.next]; ok; out, ok = r.ready[r.next] {
 		delete(r.ready, r.next)
+		r.s.persistResult(r.j, r.j.specs[r.next].key, out)
 		r.j.mu.Lock()
 		r.j.results = append(r.j.results, out)
 		r.j.mu.Unlock()
-		r.s.persistResult(r.j, r.j.keys[r.next], out)
 		select {
 		case r.j.delivered <- struct{}{}:
 		default: // a wake-up is already pending

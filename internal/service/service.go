@@ -151,6 +151,11 @@ type runSpec struct {
 	// KeepLatencies retains the per-gate latency arrays in the stored
 	// result (tens of thousands of ints per run; stripped otherwise).
 	KeepLatencies bool
+	// key is the spec's specKey, computed once: by expandSweep's dedupe or
+	// validateRun at submission, or by the first pickup for specs decoded
+	// from a WAL job record. Unexported, so neither job records nor the
+	// dispatch wire carry it.
+	key string
 }
 
 // ConfigResult reports one completed run configuration of a job. It is
@@ -167,14 +172,13 @@ type Job struct {
 	// after construction.
 	Tenant string
 
-	// specs and keys (the specKey of every spec, set by the first pickup,
-	// then read-only) are released once the job has a result for every
+	// specs (each carrying its key once the first pickup has run, then
+	// read-only) are released once the job has a result for every
 	// configuration: nothing can run or resume it then, and a finished
 	// sweep kept in the history would otherwise hold ~270 B per
 	// configuration for nothing. total is len(specs), fixed at
 	// construction.
 	specs []runSpec
-	keys  []string
 	total int
 
 	// fromStore marks a job reconstructed from the WAL (its job record is
@@ -253,11 +257,22 @@ func (e *OverloadError) Error() string {
 
 const jobShards = 8
 
-// maxFinishedJobs bounds how many terminal jobs the registry retains for
-// GET /v1/jobs inspection; beyond it the oldest-finished are evicted so a
-// long-running daemon's memory stays flat. Queued/running jobs are never
-// evicted.
-const maxFinishedJobs = 1024
+// maxFinishedJobs and maxFinishedResults bound the terminal jobs the
+// registry retains for GET /v1/jobs inspection: beyond either, the
+// oldest-finished are evicted (the newest is always kept), so a
+// long-running daemon's memory stays flat however large its sweeps. A
+// retained result costs about 150 B, so the result bound is about 20 MB.
+// Queued/running jobs are never evicted.
+const (
+	maxFinishedJobs    = 1024
+	maxFinishedResults = 1 << 17
+)
+
+// finishedJob is one entry of the retention-bounded history.
+type finishedJob struct {
+	id      string
+	results int
+}
 
 type jobShard struct {
 	mu   sync.Mutex
@@ -297,8 +312,9 @@ type Server struct {
 
 	shards [jobShards]jobShard
 
-	finMu       sync.Mutex
-	finishedIDs []string // terminal jobs in finish order, oldest first
+	finMu           sync.Mutex
+	finished        []finishedJob // terminal jobs in finish order, oldest first
+	finishedResults int           // the results they hold
 
 	flightMu sync.Mutex
 	inflight map[string]chan struct{} // cache keys being computed right now
@@ -634,25 +650,30 @@ func (s *Server) closeJob(j *Job) {
 	// Release the context child registered on baseCtx; without this every
 	// terminal job would stay in baseCtx's children set forever.
 	j.cancel()
-	s.retireJob(j.ID)
+	s.retireJob(j)
 }
 
 // retireJob records a terminal job and evicts the oldest finished jobs
-// beyond the retention bound. Waiters holding the *Job keep it alive
+// beyond the retention bounds. Waiters holding the *Job keep it alive
 // regardless; eviction only drops the registry's reference.
-func (s *Server) retireJob(id string) {
+func (s *Server) retireJob(j *Job) {
+	j.mu.Lock()
+	n := len(j.results)
+	j.mu.Unlock()
 	s.finMu.Lock()
-	s.finishedIDs = append(s.finishedIDs, id)
-	var evict []string
-	if n := len(s.finishedIDs) - maxFinishedJobs; n > 0 {
-		evict = append([]string(nil), s.finishedIDs[:n]...)
-		s.finishedIDs = append([]string(nil), s.finishedIDs[n:]...)
+	s.finished = append(s.finished, finishedJob{j.ID, n})
+	s.finishedResults += n
+	var evict []finishedJob
+	for len(s.finished) > 1 && (len(s.finished) > maxFinishedJobs || s.finishedResults > maxFinishedResults) {
+		evict = append(evict, s.finished[0])
+		s.finishedResults -= s.finished[0].results
+		s.finished = s.finished[1:] // the spent front goes when append next reallocates
 	}
 	s.finMu.Unlock()
 	for _, old := range evict {
-		sh := s.shard(old)
+		sh := s.shard(old.id)
 		sh.mu.Lock()
-		delete(sh.jobs, old)
+		delete(sh.jobs, old.id)
 		sh.mu.Unlock()
 	}
 }
@@ -740,7 +761,7 @@ func (s *Server) execute(j *Job) {
 	j.finished = time.Now()
 	state, err := j.state, j.err
 	if unfinished == 0 {
-		j.specs, j.keys = nil, nil
+		j.specs = nil
 	}
 	j.mu.Unlock()
 	s.pending.Add(-int64(unfinished)) // configurations the break left behind

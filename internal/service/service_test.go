@@ -587,6 +587,38 @@ func TestFinishedJobEviction(t *testing.T) {
 	if first.State() != JobDone {
 		t.Fatal("eviction must not disturb holders of the *Job itself")
 	}
+
+	// The history is bounded by retained results too: large sweeps evict
+	// older history long before the job bound, and the newest job stays
+	// even when it alone exceeds the result bound.
+	s = New(config.Daemon{}, &countingRunner{})
+	retire := func(results int) *Job {
+		j := s.newJob("sweep", "", []runSpec{{Benchmark: "gcm_n13"}})
+		j.results = make([]ConfigResult, results)
+		s.retireJob(j)
+		return j
+	}
+	held := func(jobs ...*Job) {
+		t.Helper()
+		if n := len(s.Jobs()); n != len(jobs) {
+			t.Fatalf("registry holds %d jobs, want %d", n, len(jobs))
+		}
+		for _, j := range jobs {
+			if _, ok := s.Job(j.ID); !ok {
+				t.Fatalf("%s was evicted", j.ID)
+			}
+		}
+	}
+	half := maxFinishedResults / 2
+	a := retire(half)
+	b := retire(half)
+	held(a, b) // exactly at the bound
+	c := retire(1)
+	held(b, c)
+	huge := retire(maxFinishedResults + 1)
+	held(huge)
+	d := retire(1)
+	held(d)
 }
 
 // TestSubmitShutdownRace hammers the submit path while Shutdown closes the

@@ -116,6 +116,7 @@ func (s *Server) validateRun(req RunRequest) (runSpec, error) {
 			return runSpec{}, err
 		}
 	}
+	spec.key = specKey(spec)
 	return spec, nil
 }
 
@@ -189,8 +190,9 @@ func (s *Server) expandSweep(req SweepRequest) ([]runSpec, error) {
 										bench, sched, layout, d, p, k, comp, err)
 								}
 								spec := runSpec{Benchmark: bench, Opts: opts}
-								if key := specKey(spec); !seen[key] {
-									seen[key] = true
+								spec.key = specKey(spec)
+								if !seen[spec.key] {
+									seen[spec.key] = true
 									specs = append(specs, spec)
 								}
 							}

@@ -103,32 +103,32 @@ func binaryBody(v any) (kind byte, body []byte, err error) {
 	return 0, nil, fmt.Errorf("store: unencodable record %T", v)
 }
 
-// flateWriters and flateReaders pool the compressor/decompressor state:
-// a flate writer alone is over a megabyte. Replay inflates every
-// compressed frame, which includes each result record of a log written
-// before results went uncompressed.
+// One flate writer, over a megabyte of state, serves every deflate under
+// flateMu: only job records and state snapshots are compressed, so calls
+// are rare, and a sync.Pool would lose the writer at every GC cycle and
+// make nearly every call build a new one. flateReaders pools the
+// decompressors: replay inflates every compressed frame, which includes
+// each result record of a log written before results went uncompressed.
 var (
-	flateWriters sync.Pool
+	flateMu      sync.Mutex
+	flateWriter  *flate.Writer
 	flateReaders sync.Pool
 )
 
 // deflate compresses body, reporting false when compression does not pay.
 func deflate(body []byte) ([]byte, bool) {
 	var buf bytes.Buffer
-	zw, _ := flateWriters.Get().(*flate.Writer)
-	if zw == nil {
-		var err error
-		if zw, err = flate.NewWriter(&buf, flate.BestSpeed); err != nil {
-			return nil, false
-		}
+	flateMu.Lock()
+	defer flateMu.Unlock()
+	if flateWriter == nil {
+		flateWriter, _ = flate.NewWriter(&buf, flate.BestSpeed) // errs only on a bad level
 	} else {
-		zw.Reset(&buf)
+		flateWriter.Reset(&buf)
 	}
-	defer flateWriters.Put(zw)
-	if _, err := zw.Write(body); err != nil {
+	if _, err := flateWriter.Write(body); err != nil {
 		return nil, false
 	}
-	if err := zw.Close(); err != nil {
+	if err := flateWriter.Close(); err != nil {
 		return nil, false
 	}
 	if buf.Len() >= len(body) {

@@ -3,12 +3,14 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -442,5 +444,44 @@ func TestBinaryMidLogCorruption(t *testing.T) {
 	}
 	if records != 1 || dropped != 1 || len(jobs) != 1 {
 		t.Fatalf("corrupt tail: records=%d dropped=%d jobs=%d, want 1/1/1", records, dropped, len(jobs))
+	}
+}
+
+// allocatedBy returns the heap bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDeflateKeepsItsWriterAcrossGC: the compressor survives a GC cycle,
+// so compressing a sweep's job record does not build a new megabyte-sized
+// flate writer each time.
+func TestDeflateKeepsItsWriterAcrossGC(t *testing.T) {
+	specs := make([]map[string]any, 384)
+	for i := range specs {
+		specs[i] = map[string]any{
+			"Benchmark": []string{"vqe_n13", "qft_n18", "gcm_n13"}[i%3],
+			"Opts":      map[string]any{"distance": 5 + 2*(i%4), "phys_error": 1e-4 * float64(1+i%4), "runs": 1, "seed": 42},
+		}
+	}
+	body, err := json.Marshal(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := deflate(body); !ok {
+		t.Fatal("a 384-spec job body should compress")
+	}
+	// Two cycles: the first only moves a sync.Pool's items to its victim
+	// cache, the second drops them.
+	runtime.GC()
+	runtime.GC()
+	second := allocatedBy(func() { deflate(body) })
+	fresh := allocatedBy(func() { flate.NewWriter(io.Discard, flate.BestSpeed) })
+	t.Logf("deflate after GC allocated %d B; a fresh flate writer %d B", second, fresh)
+	if second >= fresh/10 {
+		t.Fatalf("deflate after GC allocated %d B, want < %d (a tenth of a fresh writer)", second, fresh/10)
 	}
 }

@@ -94,6 +94,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/circuit"
@@ -225,17 +226,42 @@ func (o Options) Canonical() Options {
 // Summaries, which is what makes memoizing simulation results sound.
 func CacheKey(circuit string, o Options) string {
 	c := o.Canonical()
-	h := sha256.New()
-	fmt.Fprintf(h, "%d:%s\x00sched=%s d=%d p=%.17g k=%d tau=%d comp=%.17g runs=%d seed=%d",
-		len(circuit), circuit, c.Scheduler, c.Distance, c.PhysError, c.K, c.TauMST,
-		c.Compression, c.Runs, c.Seed)
+	// The hash input is the bytes of
+	//   "%d:%s\x00sched=%s d=%d p=%.17g k=%d tau=%d comp=%.17g runs=%d seed=%d"
+	// built without fmt: AppendFloat(…, 'g', 17, 64) spells %.17g.
+	var buf [192]byte
+	b := strconv.AppendInt(buf[:0], int64(len(circuit)), 10)
+	b = append(b, ':')
+	b = append(b, circuit...)
+	b = append(b, "\x00sched="...)
+	b = append(b, c.Scheduler...)
+	b = append(b, " d="...)
+	b = strconv.AppendInt(b, int64(c.Distance), 10)
+	b = append(b, " p="...)
+	b = strconv.AppendFloat(b, c.PhysError, 'g', 17, 64)
+	b = append(b, " k="...)
+	b = strconv.AppendInt(b, int64(c.K), 10)
+	b = append(b, " tau="...)
+	b = strconv.AppendInt(b, int64(c.TauMST), 10)
+	b = append(b, " comp="...)
+	b = strconv.AppendFloat(b, c.Compression, 'g', 17, 64)
+	b = append(b, " runs="...)
+	b = strconv.AppendInt(b, int64(c.Runs), 10)
+	b = append(b, " seed="...)
+	b = strconv.AppendInt(b, c.Seed, 10)
 	// The layout component is appended only for non-default layouts, so
 	// every key minted before layouts existed (canonical layout == "")
 	// remains byte-identical.
 	if c.Layout != "" {
-		fmt.Fprintf(h, "\x00layout=%s params=%s", c.Layout, lattice.Params(c.LayoutParams).Canonical())
+		b = append(b, "\x00layout="...)
+		b = append(b, c.Layout...)
+		b = append(b, " params="...)
+		b = append(b, lattice.Params(c.LayoutParams).Canonical()...)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // Validate reports whether the options are usable.
