@@ -11,8 +11,8 @@
 //	rescq-sim -bench gcm_n13 -layout linear
 //	rescq-sim -bench gcm_n13 -layout compact -layout-params fraction=0.5,seed=3
 //
-// Schedulers and layouts resolve through the open registries (see -list
-// for the registered names). Layout params that do not fit the flat
+// -list prints the scheduler and layout names next to the benchmarks.
+// Layout params that do not fit the flat
 // key=value flag syntax — notably the "custom" layout's JSON spec — go in
 // the JSON config file's "layout_params" object instead.
 package main
@@ -57,8 +57,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfgPath     = fs.String("config", "", "JSON config file (overrides the other flags)")
 		bench       = fs.String("bench", "", "Table 3 benchmark name (see -list)")
 		circuitFile = fs.String("circuit", "", "circuit file in the artifact text format")
-		scheduler   = fs.String("scheduler", "rescq", "scheduler registry name (see -list)")
-		layout      = fs.String("layout", "", "lattice layout registry name (default star; see -list)")
+		scheduler   = fs.String("scheduler", "rescq", "scheduler name (see -list)")
+		layout      = fs.String("layout", "", "lattice layout name (default star; see -list)")
 		layoutPs    = fs.String("layout-params", "", "layout params as comma-separated key=value pairs (e.g. fraction=0.5,seed=3)")
 		distance    = fs.Int("d", 7, "surface code distance")
 		physErr     = fs.Float64("p", 1e-4, "physical qubit error rate")
@@ -111,18 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	opts := rescq.Options{
-		Scheduler:    rescq.SchedulerKind(cfg.Scheduler),
-		Layout:       cfg.Layout,
-		LayoutParams: cfg.LayoutParams,
-		Distance:     cfg.Distance,
-		PhysError:    cfg.PhysError,
-		K:            cfg.K,
-		TauMST:       cfg.TauMST,
-		Compression:  cfg.Compression,
-		Runs:         cfg.NumberOfRuns,
-		Seed:         cfg.Seed,
-	}
+	opts := cfg.Options()
 
 	var sum rescq.Summary
 	switch {

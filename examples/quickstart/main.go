@@ -60,7 +60,7 @@ cx 2 3
 	//    "star" is the paper's grid (and the default), "linear" stretches
 	//    the qubits along one row, "compact" strips the STAR grid down to
 	//    about one ancilla per data qubit. See rescq.LayoutCatalog() for
-	//    descriptions and params; lattice.Register adds new tilings.
+	//    every layout with its description and params.
 	fmt.Printf("\n%s under rescq on each built-in layout:\n", bench)
 	for _, layout := range []string{"star", "linear", "compact"} {
 		sum, err := rescq.Run(bench, rescq.Options{Layout: layout})

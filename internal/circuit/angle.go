@@ -48,9 +48,6 @@ func NewAngle(num, den int64) Angle {
 	return Angle{Num: num, Den: den}
 }
 
-// PiOver returns the angle pi/k, e.g. PiOver(4) is the T-gate angle.
-func PiOver(k int64) Angle { return NewAngle(1, k) }
-
 // Radians reports the angle in radians.
 func (a Angle) Radians() float64 {
 	return math.Pi * float64(a.Num) / float64(a.Den)

@@ -80,9 +80,6 @@ func (c *Circuit) Tdg(q int) { c.append(KindTdg, q, 0, Zero) }
 // S appends an S gate (canonicalized to Rz(pi/2)).
 func (c *Circuit) S(q int) { c.append(KindS, q, 0, Zero) }
 
-// Sdg appends an inverse S gate (canonicalized to Rz(-pi/2)).
-func (c *Circuit) Sdg(q int) { c.append(KindSdg, q, 0, Zero) }
-
 // Stats summarizes a circuit the way the paper's Table 3 does.
 type Stats struct {
 	NumQubits int

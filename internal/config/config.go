@@ -12,9 +12,7 @@ import (
 	"os"
 	"strings"
 
-	_ "repro/internal/core" // registers the "rescq" scheduler
-	"repro/internal/lattice"
-	"repro/internal/sched"
+	rescq "repro"
 )
 
 // Config is one simulation configuration.
@@ -24,10 +22,11 @@ type Config struct {
 	Benchmark string `json:"benchmark,omitempty"`
 	// CircuitFile points at a circuit in the artifact text format.
 	CircuitFile string `json:"circuit_file,omitempty"`
-	// Scheduler names a registered scheduler: "greedy", "autobraid" or
-	// "rescq" (default), plus anything added via sched.Register.
+	// Scheduler names the scheduler: "greedy", "autobraid" or "rescq"
+	// (default).
 	Scheduler string `json:"scheduler,omitempty"`
-	// Layout names a registered lattice layout (default "star").
+	// Layout names the lattice layout: "star" (default), "linear",
+	// "compact" or "custom".
 	Layout string `json:"layout,omitempty"`
 	// LayoutParams passes layout-specific knobs (e.g. the "compact"
 	// layout's "fraction", or the "custom" layout's JSON "spec").
@@ -97,7 +96,24 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Validate reports configuration errors.
+// Options returns the simulation options the config describes.
+func (c Config) Options() rescq.Options {
+	return rescq.Options{
+		Scheduler:    rescq.SchedulerKind(c.Scheduler),
+		Layout:       c.Layout,
+		LayoutParams: c.LayoutParams,
+		Distance:     c.Distance,
+		PhysError:    c.PhysError,
+		K:            c.K,
+		TauMST:       c.TauMST,
+		Compression:  c.Compression,
+		Runs:         c.NumberOfRuns,
+		Seed:         c.Seed,
+	}
+}
+
+// Validate reports configuration errors: the circuit source here, every
+// simulation option through rescq.Options.Validate.
 func (c Config) Validate() error {
 	if c.Benchmark == "" && c.CircuitFile == "" {
 		return fmt.Errorf("config: need benchmark or circuit_file")
@@ -105,31 +121,9 @@ func (c Config) Validate() error {
 	if c.Benchmark != "" && c.CircuitFile != "" {
 		return fmt.Errorf("config: benchmark and circuit_file are mutually exclusive")
 	}
-	if !sched.Known(c.Scheduler) {
-		return fmt.Errorf("config: unknown scheduler %q (registered: %s)",
-			c.Scheduler, strings.Join(sched.Names(), ", "))
-	}
-	if !lattice.Known(c.Layout) {
-		return fmt.Errorf("config: unknown layout %q (registered: %s)",
-			c.Layout, strings.Join(lattice.Layouts(), ", "))
-	}
-	if err := lattice.ValidateParams(c.Layout, lattice.Params(c.LayoutParams)); err != nil {
-		return fmt.Errorf("config: %w", err)
-	}
-	if c.Distance < 3 || c.Distance%2 == 0 {
-		return fmt.Errorf("config: distance %d must be odd and >= 3", c.Distance)
-	}
-	if c.PhysError <= 0 || c.PhysError >= 0.5 {
-		return fmt.Errorf("config: phys_error %v out of range", c.PhysError)
-	}
-	if c.Compression < 0 || c.Compression > 1 {
-		return fmt.Errorf("config: compression %v out of [0,1]", c.Compression)
-	}
-	if c.NumberOfRuns < 1 {
-		return fmt.Errorf("config: number_of_runs must be positive")
-	}
-	if c.K < 0 || c.TauMST < 0 {
-		return fmt.Errorf("config: k and tau_mst must be non-negative")
+	if err := c.Options().Validate(); err != nil {
+		// Swap the package prefix, so the message reads "config: ..." once.
+		return fmt.Errorf("config: %s", strings.TrimPrefix(err.Error(), "rescq: "))
 	}
 	return nil
 }

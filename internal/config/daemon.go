@@ -32,8 +32,8 @@ type Daemon struct {
 	// many seconds to finish before the daemon exits anyway (default 30).
 	DrainTimeoutSec int `json:"drain_timeout_sec,omitempty"`
 	// Layout is the default lattice layout for requests that do not name
-	// one ("" means the engine default, "star"). Must be a registered
-	// layout name; see GET /v1/capabilities for the live list.
+	// one ("" means the engine default, "star"). Must be a layout name;
+	// see GET /v1/capabilities for the list.
 	Layout string `json:"layout,omitempty"`
 	// StoreDir enables the durability layer: the directory holding the
 	// append-only job + result WAL (see internal/store). Jobs and

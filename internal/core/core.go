@@ -23,18 +23,8 @@ package core
 import (
 	"repro/internal/circuit"
 	"repro/internal/lattice"
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
-
-// init publishes RESCQ in the open scheduler registry next to the static
-// baselines, so every scheduler-selection surface (rescq.Options, the
-// experiment drivers, the sweep daemon, the CLIs) resolves it by name.
-func init() {
-	sched.Register("rescq", func(p sched.Params) (sim.Scheduler, error) {
-		return New(Config{K: p.K, TauMST: p.TauMST}), nil
-	})
-}
 
 // Config tunes RESCQ's classical-control model.
 type Config struct {

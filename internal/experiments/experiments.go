@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	_ "repro/internal/core" // registers the "rescq" scheduler
 	"repro/internal/lattice"
 	"repro/internal/qbench"
 	"repro/internal/sched"
@@ -25,17 +24,9 @@ type Options struct {
 	PhysError float64
 	// Runs is the number of seeds per configuration (default 3).
 	Runs int
-	// BaseSeed offsets the seed sequence (default 1).
-	BaseSeed int64
 	// Quick restricts sweeps to the small benchmarks and one seed so the
 	// whole harness finishes in seconds; used by tests.
 	Quick bool
-	// Layout names the lattice layout to run on ("" means the default
-	// "star", the paper's substrate); LayoutParams passes its knobs. Both
-	// resolve through the lattice layout registry, which makes every
-	// experiment driver topology-parametric.
-	Layout       string
-	LayoutParams map[string]string
 }
 
 func (o Options) withDefaults() Options {
@@ -48,29 +39,30 @@ func (o Options) withDefaults() Options {
 	if o.Runs == 0 {
 		o.Runs = 3
 	}
-	if o.BaseSeed == 0 {
-		o.BaseSeed = 1
-	}
 	if o.Quick && o.Runs > 2 {
 		o.Runs = 2
 	}
 	return o
 }
 
+// baseSeed is the first seed of every configuration: run i uses
+// baseSeed+i, as rescq.Options' default seed does.
+const baseSeed = 1
+
 // seeded prepares one configuration for the shared seeded-run step: the
-// benchmark's memoized DAG and the options' layout, built once and cloned
-// by every seeded run.
+// benchmark's memoized DAG and the paper's STAR layout, built once and
+// cloned by every seeded run.
 func (o Options) seeded(bench string, compression float64, newSched func() (sim.Scheduler, error)) (*sim.SeededRuns, error) {
 	dag, ok := qbench.DAG(bench)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown benchmark %q", bench)
 	}
-	g, err := lattice.Build(o.Layout, dag.Circuit().NumQubits, lattice.Params(o.LayoutParams))
+	g, err := lattice.Build(lattice.DefaultLayout, dag.Circuit().NumQubits, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &sim.SeededRuns{Grid: g, DAG: dag, Config: sim.Config{Distance: o.Distance, PhysError: o.PhysError},
-		Compression: compression, Seed: o.BaseSeed, NewScheduler: newSched}, nil
+		Compression: compression, Seed: baseSeed, NewScheduler: newSched}, nil
 }
 
 // benchList returns the benchmarks an experiment sweeps: all of Table 3,
@@ -94,8 +86,8 @@ func (o Options) representative() []string {
 // SchedulerNames lists the evaluated schedulers in the paper's order.
 var SchedulerNames = []string{"greedy", "autobraid", "rescq"}
 
-// registered returns a constructor for the named scheduler from the open
-// registry. The rescq policy takes its recomputation period from k (<= 0
+// registered returns a constructor for the named scheduler through
+// sched.New. The rescq policy takes its recomputation period from k (<= 0
 // means the default 25).
 func registered(name string, k int) func() (sim.Scheduler, error) {
 	return func() (sim.Scheduler, error) { return sched.New(name, sched.Params{K: k}) }

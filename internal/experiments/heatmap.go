@@ -30,7 +30,7 @@ func Heatmap(ctx context.Context, o Options, benchName string) (HeatmapResult, e
 	res := HeatmapResult{Utilization: map[string][]float64{}}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Grid activity heatmaps — %s (d=%d, p=%.0e, seed %d)\n\n",
-		benchName, o.Distance, o.PhysError, o.BaseSeed)
+		benchName, o.Distance, o.PhysError, baseSeed)
 	for _, schedName := range SchedulerNames {
 		runs, err := o.seeded(benchName, 0, registered(schedName, 25))
 		if err != nil {

@@ -74,9 +74,6 @@ func (g *Graph) Other(id, v int) int {
 	return e.U
 }
 
-// IncidentEdges returns the IDs of edges incident to v (shared slice).
-func (g *Graph) IncidentEdges(v int) []int32 { return g.adj[v] }
-
 // Connected reports whether the whole vertex set forms one connected
 // component (isolated vertices therefore make a non-empty graph
 // disconnected).

@@ -252,11 +252,6 @@ func (g *Grid) ToggleOrientation(q int) {
 	g.orient[i] = g.orient[i].Toggled()
 }
 
-// SetOrientation forces the orientation of qubit q (used by tests).
-func (g *Grid) SetOrientation(q int, o Orientation) {
-	g.orient[g.idx(g.dataTile[q])] = o
-}
-
 // ZEdgeDirs returns the two directions in which qubit q currently exposes
 // its Z edges.
 func (g *Grid) ZEdgeDirs(q int) [2]Dir {

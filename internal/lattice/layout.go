@@ -1,28 +1,27 @@
 package lattice
 
-// layout.go is the open layout registry: named grid builders the rest of
-// the system (rescq.Options, the sweep daemon, the CLIs) selects by name,
-// so new tilings plug in without touching any call site. Built-ins:
+// layout.go is the layout catalog: the named grid builders the rest of the
+// system (rescq.Options, the sweep daemon, the CLIs) selects by name. The
+// set is closed, so it is one compile-time table, sorted by name:
 //
-//   - "star":    the paper's STAR grid (the default; byte-identical to
-//                NewSTARGrid)
-//   - "linear":  a single block row (NewLinearGrid)
 //   - "compact": the STAR grid with a deterministic fraction of its
 //                ancillas removed, generalizing the ad-hoc Grid.Compress
 //                path into a first-class reduced-ancilla tiling
 //   - "custom":  an arbitrary tiling described by a JSON spec
+//   - "linear":  a single block row (NewLinearGrid)
+//   - "star":    the paper's STAR grid (the default; byte-identical to
+//                NewSTARGrid)
 //
-// External packages add layouts with Register; Build resolves a name (""
-// means the default "star") into a fresh Grid.
+// Build resolves a name ("" means the default "star") into a fresh Grid.
 
 import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Params carries layout-specific knobs as string key/values. The string
@@ -100,15 +99,9 @@ func (p Params) checkKeys(allowed ...string) error {
 	return nil
 }
 
-// Builder constructs a fresh grid for n data qubits under the given
-// layout params. Builders must be deterministic: the same (n, params) must
-// always produce an identical grid, because simulation results are cached
-// on (circuit, options-including-layout) alone.
-type Builder func(n int, p Params) (*Grid, error)
-
-// Layout describes one registered layout.
+// Layout describes one layout of the catalog.
 type Layout struct {
-	// Name is the registry key ("star", "linear", ...).
+	// Name is the catalog key ("star", "linear", ...).
 	Name string `json:"name"`
 	// Description is a one-line human-readable summary (shown by the
 	// daemon's capabilities endpoint and the CLIs).
@@ -116,10 +109,14 @@ type Layout struct {
 	// Params documents the accepted layout params ("key: meaning").
 	Params map[string]string `json:"params,omitempty"`
 
-	build Builder
+	// build constructs a fresh grid for n data qubits under the given
+	// params. It must be deterministic: the same (n, params) must always
+	// produce an identical grid, because simulation results are cached on
+	// (circuit, options-including-layout) alone.
+	build func(n int, p Params) (*Grid, error)
 	// checkParams validates params without building (used by
 	// ValidateParams so request validation can reject bad knobs before a
-	// job is queued). nil means permissive: errors surface at build time.
+	// job is queued).
 	checkParams func(p Params) error
 }
 
@@ -127,112 +124,63 @@ type Layout struct {
 // grid.
 const DefaultLayout = "star"
 
-var (
-	layoutMu sync.RWMutex
-	layouts  = map[string]Layout{}
-)
-
-// Register adds a layout builder under the given name. It panics on an
-// empty name, a nil builder, or a duplicate registration — all programmer
-// errors at package-init time.
-func Register(name string, b Builder) {
-	RegisterLayout(Layout{Name: name, build: b})
+// lookup resolves a layout name ("" means DefaultLayout). Unknown names
+// fail with an error enumerating the catalog.
+func lookup(name string) (Layout, error) {
+	if name == "" {
+		name = DefaultLayout
+	}
+	for _, l := range catalog {
+		if l.Name == name {
+			return l, nil
+		}
+	}
+	return Layout{}, fmt.Errorf("lattice: unknown layout %q (registered: %s)",
+		name, strings.Join(Layouts(), ", "))
 }
 
-// RegisterLayout is Register with a full descriptor (description and
-// param documentation included).
-func RegisterLayout(l Layout) {
-	if l.Name == "" {
-		panic("lattice: Register with empty layout name")
-	}
-	if l.build == nil {
-		panic(fmt.Sprintf("lattice: Register(%q) with nil builder", l.Name))
-	}
-	layoutMu.Lock()
-	defer layoutMu.Unlock()
-	if _, dup := layouts[l.Name]; dup {
-		panic(fmt.Sprintf("lattice: layout %q registered twice", l.Name))
-	}
-	layouts[l.Name] = l
-}
-
-// Known reports whether name is a registered layout ("" counts: it is the
+// Known reports whether name is a known layout ("" counts: it is the
 // default).
 func Known(name string) bool {
-	if name == "" {
-		return true
-	}
-	layoutMu.RLock()
-	defer layoutMu.RUnlock()
-	_, ok := layouts[name]
-	return ok
+	_, err := lookup(name)
+	return err == nil
 }
 
-// Layouts returns the registered layout names, sorted.
+// Layouts returns the layout names, sorted.
 func Layouts() []string {
-	layoutMu.RLock()
-	defer layoutMu.RUnlock()
-	names := make([]string, 0, len(layouts))
-	for name := range layouts {
-		names = append(names, name)
+	names := make([]string, len(catalog))
+	for i, l := range catalog {
+		names[i] = l.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Describe returns the full descriptors of every registered layout, sorted
-// by name.
-func Describe() []Layout {
-	layoutMu.RLock()
-	defer layoutMu.RUnlock()
-	out := make([]Layout, 0, len(layouts))
-	for _, l := range layouts {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Describe returns the full descriptors of every layout, sorted by name.
+func Describe() []Layout { return slices.Clone(catalog) }
 
 // ValidateParams checks the params against the named layout ("" means
 // DefaultLayout) without building a grid, so request validation can reject
 // a typoed or malformed knob up front instead of failing the queued job.
-// Layouts registered without a param checker accept anything here; their
-// builders still reject bad params at build time. Properties a checker
-// cannot see without the qubit count (e.g. the custom layout's data-tile
-// count) also remain build-time errors.
+// Properties a checker cannot see without the qubit count (e.g. the custom
+// layout's data-tile count) remain build-time errors.
 func ValidateParams(name string, p Params) error {
-	if name == "" {
-		name = DefaultLayout
-	}
-	layoutMu.RLock()
-	l, ok := layouts[name]
-	layoutMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("lattice: unknown layout %q (registered: %s)",
-			name, strings.Join(Layouts(), ", "))
-	}
-	if l.checkParams == nil {
-		return nil
+	l, err := lookup(name)
+	if err != nil {
+		return err
 	}
 	if err := l.checkParams(p); err != nil {
-		return fmt.Errorf("lattice: layout %q: %w", name, err)
+		return fmt.Errorf("lattice: layout %q: %w", l.Name, err)
 	}
 	return nil
 }
 
 // Build constructs a fresh grid for n data qubits under the named layout
 // ("" means DefaultLayout). Unknown names fail with an error enumerating
-// the registered layouts.
+// the catalog.
 func Build(name string, n int, p Params) (*Grid, error) {
-	if name == "" {
-		name = DefaultLayout
-	}
-	layoutMu.RLock()
-	l, ok := layouts[name]
-	layoutMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("lattice: unknown layout %q (registered: %s)",
-			name, strings.Join(Layouts(), ", "))
+	l, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	g, err := l.build(n, p)
 	if err != nil {
@@ -240,7 +188,7 @@ func Build(name string, n int, p Params) (*Grid, error) {
 		// (NewGridFromTiles, CheckInvariants) return errors already
 		// carrying the package prefix; strip it so the wrapped message
 		// reads "lattice: layout X: ..." exactly once.
-		return nil, fmt.Errorf("lattice: layout %q: %s", name,
+		return nil, fmt.Errorf("lattice: layout %q: %s", l.Name,
 			strings.TrimPrefix(err.Error(), "lattice: "))
 	}
 	return g, nil
@@ -314,36 +262,23 @@ func customParams(p Params) (customSpec, error) {
 	return spec, nil
 }
 
-func init() {
-	RegisterLayout(Layout{
-		Name:        "star",
-		Description: "STAR grid of Akahoshi et al.: one data qubit per 2x2 block on a near-square block grid, full ancilla corridors (the paper's substrate, and the default)",
-		checkParams: func(p Params) error { return p.checkKeys() },
-		build: func(n int, p Params) (*Grid, error) {
-			if err := p.checkKeys(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("need at least one qubit (got %d)", n)
-			}
-			return NewSTARGrid(n), nil
-		},
-	})
-	RegisterLayout(Layout{
-		Name:        "linear",
-		Description: "single block row: a 3x(2n+1) strip whose routing distance grows linearly with qubit separation (adversarial topology for congestion studies)",
-		checkParams: func(p Params) error { return p.checkKeys() },
-		build: func(n int, p Params) (*Grid, error) {
-			if err := p.checkKeys(); err != nil {
-				return nil, err
-			}
-			if n < 1 {
-				return nil, fmt.Errorf("need at least one qubit (got %d)", n)
-			}
-			return NewLinearGrid(n), nil
-		},
-	})
-	RegisterLayout(Layout{
+// paramless adapts a grid constructor that takes no params into a build
+// function.
+func paramless(newGrid func(n int) *Grid) func(n int, p Params) (*Grid, error) {
+	return func(n int, p Params) (*Grid, error) {
+		if err := p.checkKeys(); err != nil {
+			return nil, err
+		}
+		if n < 1 {
+			return nil, fmt.Errorf("need at least one qubit (got %d)", n)
+		}
+		return newGrid(n), nil
+	}
+}
+
+// catalog is every layout, sorted by name.
+var catalog = []Layout{
+	{
 		Name:        "compact",
 		Description: "STAR grid with a deterministic fraction of its ancillas removed (paper section 5.3 grid compression as a first-class tiling)",
 		Params: map[string]string{
@@ -366,8 +301,8 @@ func init() {
 			g.Compress(fraction, rand.New(rand.NewSource(seed)))
 			return g, nil
 		},
-	})
-	RegisterLayout(Layout{
+	},
+	{
 		Name:        "custom",
 		Description: "arbitrary tiling from a JSON spec: {\"tiles\": [\"row\", ...]} with 'D' data, '.' ancilla, ' ' hole tiles",
 		Params: map[string]string{
@@ -388,5 +323,17 @@ func init() {
 			}
 			return g, nil
 		},
-	})
+	},
+	{
+		Name:        "linear",
+		Description: "single block row: a 3x(2n+1) strip whose routing distance grows linearly with qubit separation (adversarial topology for congestion studies)",
+		checkParams: func(p Params) error { return p.checkKeys() },
+		build:       paramless(NewLinearGrid),
+	},
+	{
+		Name:        "star",
+		Description: "STAR grid of Akahoshi et al.: one data qubit per 2x2 block on a near-square block grid, full ancilla corridors (the paper's substrate, and the default)",
+		checkParams: func(p Params) error { return p.checkKeys() },
+		build:       paramless(NewSTARGrid),
+	},
 }

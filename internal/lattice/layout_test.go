@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -152,7 +153,7 @@ func checkLayoutInvariants(t *testing.T, name string, n int, g *Grid) {
 	}
 }
 
-// TestLayoutRegistry covers the registry plumbing itself.
+// TestLayoutRegistry covers the catalog lookups themselves.
 func TestLayoutRegistry(t *testing.T) {
 	for _, want := range []string{"star", "linear", "compact", "custom"} {
 		if !Known(want) {
@@ -176,10 +177,10 @@ func TestLayoutRegistry(t *testing.T) {
 		}
 	}
 
-	// Registration guards are programmer errors: they panic.
-	mustPanic(t, "empty name", func() { Register("", func(int, Params) (*Grid, error) { return nil, nil }) })
-	mustPanic(t, "nil builder", func() { Register("nil-builder", nil) })
-	mustPanic(t, "duplicate", func() { Register("star", func(int, Params) (*Grid, error) { return nil, nil }) })
+	// Layouts and Describe promise name order; the catalog is written in it.
+	if names := Layouts(); !slices.IsSorted(names) {
+		t.Errorf("Layouts() = %v, want sorted", names)
+	}
 }
 
 // TestLayoutParamErrors asserts builders are strict about their params, so
@@ -237,16 +238,6 @@ func TestCompactDeterministic(t *testing.T) {
 	if a.NumAncilla() >= MustBuild("star", 16, nil).NumAncilla() {
 		t.Fatal("compact layout removed no ancillas")
 	}
-}
-
-func mustPanic(t *testing.T, what string, f func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", what)
-		}
-	}()
-	f()
 }
 
 // TestCloneIndependence asserts a cloned grid shares no mutable state with

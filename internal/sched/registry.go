@@ -1,26 +1,23 @@
 package sched
 
-// registry.go is the open scheduler registry: named constructors the rest
-// of the system (rescq.Options, the experiment drivers, the sweep daemon)
-// resolves by name, so new policies plug in without touching any call
-// site. This package registers the two static baselines ("greedy",
-// "autobraid"); internal/core registers the paper's realtime scheduler
-// ("rescq") from its own init, keeping the dependency arrow pointing from
-// policy packages into this registry and never back.
+// registry.go is the scheduler catalog: the names the rest of the system
+// (rescq.Options, the experiment drivers, the sweep daemon) resolves, and
+// the one constructor switch behind them. The set is closed — the paper
+// evaluates exactly these three policies — so it is a compile-time table,
+// and every binary that can name a scheduler can also build it.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
 // Params carries the structured knobs a scheduler constructor may consume.
-// Constructors ignore the fields they have no use for (the static
-// baselines take none), which is what lets one sweep grid drive
-// heterogeneous policies.
+// Only "rescq" reads them; the static baselines take none, which is what
+// lets one sweep grid drive heterogeneous policies.
 type Params struct {
 	// K is the MST recomputation period in cycles for RESCQ-style
 	// realtime schedulers (<= 0 means the policy default).
@@ -30,67 +27,27 @@ type Params struct {
 	TauMST int
 }
 
-// Constructor builds a fresh scheduler instance from params. Instances
-// carry per-run state, so every seeded run constructs its own.
-type Constructor func(p Params) (sim.Scheduler, error)
+// names lists the schedulers New builds, sorted.
+var names = []string{"autobraid", "greedy", "rescq"}
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Constructor{}
-)
+// Known reports whether name is a known scheduler.
+func Known(name string) bool { return slices.Contains(names, name) }
 
-// Register adds a scheduler constructor under the given name. It panics on
-// an empty name, a nil constructor, or a duplicate registration — all
-// programmer errors at package-init time.
-func Register(name string, c Constructor) {
-	if name == "" {
-		panic("sched: Register with empty scheduler name")
-	}
-	if c == nil {
-		panic(fmt.Sprintf("sched: Register(%q) with nil constructor", name))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("sched: scheduler %q registered twice", name))
-	}
-	registry[name] = c
-}
+// Names returns the scheduler names, sorted.
+func Names() []string { return slices.Clone(names) }
 
-// Known reports whether name is a registered scheduler.
-func Known(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
-
-// Names returns the registered scheduler names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// New constructs a fresh instance of the named scheduler. Unknown names
-// fail with an error enumerating the registered schedulers.
+// New constructs a fresh instance of the named scheduler. Instances carry
+// per-run state, so every seeded run constructs its own. Unknown names
+// fail with an error enumerating the known schedulers.
 func New(name string, p Params) (sim.Scheduler, error) {
-	regMu.RLock()
-	c, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown scheduler %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
+	switch name {
+	case "autobraid":
+		return NewAutoBraid(), nil
+	case "greedy":
+		return NewGreedy(), nil
+	case "rescq":
+		return core.New(core.Config{K: p.K, TauMST: p.TauMST}), nil
 	}
-	return c(p)
-}
-
-func init() {
-	Register("greedy", func(Params) (sim.Scheduler, error) { return NewGreedy(), nil })
-	Register("autobraid", func(Params) (sim.Scheduler, error) { return NewAutoBraid(), nil })
+	return nil, fmt.Errorf("sched: unknown scheduler %q (registered: %s)",
+		name, strings.Join(names, ", "))
 }

@@ -7,6 +7,8 @@
 // including all its non-deterministic RUS retries. Both use the naive Rz
 // protocol: exactly one ancilla is reserved for preparing |m_theta>, with
 // no parallel preparation and no eager preparation of the correction state.
+// New builds any of the paper's three schedulers by name, RESCQ included
+// (from internal/core).
 package sched
 
 import (

@@ -392,14 +392,6 @@ func (s *Server) StoreStats() (store.Stats, bool) {
 	return s.store.Stats(), true
 }
 
-// SyncStore forces an fsync checkpoint of the WAL (no-op without a store).
-func (s *Server) SyncStore() error {
-	if s.store == nil {
-		return nil
-	}
-	return s.store.Sync()
-}
-
 // resumable decides whether POST /v1/jobs/{id}/resume applies: the job
 // must be terminal and must have unfinished configurations. A failed job
 // whose configurations all ran is not resumable either — the engine is

@@ -483,10 +483,9 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 }
 
 // Capabilities is the GET /v1/capabilities payload: every valid value of
-// every sweepable axis, read live from the benchmark suite and the
-// scheduler/layout registries, so sweep clients can discover the space
-// instead of guessing (and get new axes the moment a policy or tiling
-// registers itself).
+// every sweepable axis, read from the benchmark suite and the scheduler
+// and layout catalogs, so sweep clients can discover the space instead of
+// guessing.
 type Capabilities struct {
 	Benchmarks  []rescq.BenchmarkInfo `json:"benchmarks"`
 	Schedulers  []string              `json:"schedulers"`

@@ -20,7 +20,7 @@
 //	                     its first unfinished configuration
 //	GET  /v1/benchmarks  the Table 3 benchmark suite
 //	GET  /v1/capabilities every valid sweep-axis value: benchmarks plus the
-//	                     live scheduler and layout registries
+//	                     scheduler and layout catalogs
 //	GET  /healthz        readiness verdict (503 while draining)
 //	GET  /metrics        Prometheus text metrics
 //

@@ -21,7 +21,7 @@ type SweepRequest struct {
 	// layout name to that layout's params, e.g.
 	// {"compact": {"fraction": "0.5"}}, so a mixed-layout sweep can
 	// parameterize only the layouts that take knobs. See GET
-	// /v1/capabilities for the registered names and their params.
+	// /v1/capabilities for the names and their params.
 	Layouts      []string                     `json:"layouts,omitempty"`
 	LayoutParams map[string]map[string]string `json:"layout_params,omitempty"`
 	Distances    []int                        `json:"distances,omitempty"`

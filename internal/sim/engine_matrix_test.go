@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	_ "repro/internal/core" // registers the "rescq" scheduler
 	"repro/internal/lattice"
 	"repro/internal/qbench"
 	"repro/internal/sched"

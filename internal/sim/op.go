@@ -68,7 +68,7 @@ const (
 // engine (finishes, or is consumed, discarded or cancelled), so a
 // completion callback may read it. From the next cycle on the same *Op may
 // describe a different operation. Schedulers must not retain an *Op across
-// cycles; they look live ops up through State.TileOp and State.QubitOp.
+// cycles; they look live ops up through State.TileOp.
 type Op struct {
 	ID   int
 	Kind OpKind
@@ -99,9 +99,6 @@ type Op struct {
 	qubitsBuf [2]int
 	tilesBuf  [4]lattice.Coord
 }
-
-// StartCycle returns the first cycle in which the op was active.
-func (o *Op) StartCycle() int { return o.start }
 
 // Prepared reports whether a prep op has finished and holds a usable
 // |m_theta> state awaiting injection or discard.

@@ -221,12 +221,6 @@ func (st *State) PrepExpectedCycles() float64 { return st.prepExpected }
 // Status returns the lifecycle status of DAG node n.
 func (st *State) Status(n int) GateStatus { return st.status[n] }
 
-// ReadyAt returns the cycle at which node n became ready (0 for roots).
-func (st *State) ReadyAt(n int) int { return st.readyAt[n] }
-
-// NumDone returns the count of completed gates.
-func (st *State) NumDone() int { return st.numDone }
-
 // AllDone reports whether every scheduled gate has completed.
 func (st *State) AllDone() bool { return st.numDone == st.dag.Len() }
 
@@ -246,9 +240,6 @@ func (st *State) TileOp(c lattice.Coord) *Op {
 
 // QubitFree reports whether data qubit q is not reserved by any op.
 func (st *State) QubitFree(q int) bool { return st.qubitOp[q] == nil }
-
-// QubitOp returns the op reserving data qubit q, or nil.
-func (st *State) QubitOp(q int) *Op { return st.qubitOp[q] }
 
 // Activity returns the fraction of the last c cycles during which ancilla
 // ancID was reserved (paper section 4.2). It sums the ancilla's busy runs

@@ -157,6 +157,37 @@ func TestOptionsCanonical(t *testing.T) {
 	}
 }
 
+// TestCanonicalZeroedKnobsAreUnread backs Canonical's zeroing of K and
+// TauMST for every scheduler but RESCQ: if one of them read the knobs, two
+// runs that share a cache key would differ. RESCQ's own runs must differ,
+// or the comparison could not tell.
+func TestCanonicalZeroedKnobsAreUnread(t *testing.T) {
+	knobs := Options{K: 50, TauMST: 200, Runs: 2}
+	for _, name := range Schedulers() {
+		t.Run(name, func(t *testing.T) {
+			plain := Options{Scheduler: SchedulerKind(name), Runs: knobs.Runs}
+			tuned := knobs
+			tuned.Scheduler = plain.Scheduler
+			a, err := Run("gcm_n13", plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run("gcm_n13", tuned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := reflect.DeepEqual(a, b)
+			switch {
+			case name == string(RESCQ) && same:
+				t.Errorf("rescq summary ignores K/TauMST (mean cycles %v both)", a.MeanCycles)
+			case name != string(RESCQ) && !same:
+				t.Errorf("K/TauMST change the %s summary (mean cycles %v vs %v), yet Canonical zeroes them",
+					name, a.MeanCycles, b.MeanCycles)
+			}
+		})
+	}
+}
+
 func TestCacheKey(t *testing.T) {
 	base := Options{Runs: 2, Seed: 7}
 	key := CacheKey("bench:gcm_n13", base)

@@ -1,21 +1,15 @@
 package rescq_test
 
-// registry_test.go proves the two extension axes from the outside: a
-// scheduler and a layout registered by a foreign package (this test) are
-// fully runnable through rescq.Run without any change to the rescq
-// package, and the default star path keeps its exact pre-registry cache
+// registry_test.go checks the layout axis from the outside: every built-in
+// layout is runnable through rescq.Run, bad layout names and params fail
+// validation, and the default star path keeps its exact pre-layout cache
 // identity.
 
 import (
-	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	rescq "repro"
-	"repro/internal/lattice"
-	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // pinnedDefaultKey is CacheKey("bench:gcm_n13", Options{}) as computed
@@ -79,55 +73,6 @@ func TestValidateRejectsBadLayoutParams(t *testing.T) {
 	ok := rescq.Options{Layout: "custom", LayoutParams: map[string]string{"spec": `{"tiles":["...",".D.","..."]}`}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid custom spec rejected: %v", err)
-	}
-}
-
-// renamedScheduler wraps an existing policy under a new registry name, the
-// smallest possible externally defined scheduler.
-type renamedScheduler struct {
-	sim.Scheduler
-	name string
-}
-
-func (r renamedScheduler) Name() string { return r.name }
-
-// registerTestExtensions runs once per process: Register panics on
-// duplicates, so repeated test executions (go test -count=2) must not
-// re-register.
-var registerTestExtensions = sync.OnceFunc(func() {
-	sched.Register("test-ext-sched", func(p sched.Params) (sim.Scheduler, error) {
-		return renamedScheduler{Scheduler: sched.NewGreedy(), name: "test-ext-sched"}, nil
-	})
-	lattice.Register("test-ext-layout", func(n int, p lattice.Params) (*lattice.Grid, error) {
-		// A denser-than-star tiling: one full ancilla row per qubit row.
-		return lattice.NewLinearGrid(n), nil
-	})
-})
-
-func TestCustomSchedulerAndLayoutViaRegistries(t *testing.T) {
-	registerTestExtensions()
-
-	if !slices.Contains(rescq.Schedulers(), "test-ext-sched") {
-		t.Fatal("registered scheduler not visible through rescq.Schedulers()")
-	}
-	if !slices.Contains(rescq.Layouts(), "test-ext-layout") {
-		t.Fatal("registered layout not visible through rescq.Layouts()")
-	}
-
-	sum, err := rescq.Run("vqe_n13", rescq.Options{
-		Scheduler: "test-ext-sched",
-		Layout:    "test-ext-layout",
-		Distance:  5,
-		Runs:      1,
-	})
-	if err != nil {
-		t.Fatalf("Run with registered scheduler+layout: %v", err)
-	}
-	if sum.Scheduler != "test-ext-sched" {
-		t.Errorf("summary scheduler = %q, want test-ext-sched", sum.Scheduler)
-	}
-	if sum.MeanCycles <= 0 {
-		t.Errorf("mean cycles = %v, want > 0", sum.MeanCycles)
 	}
 }
 

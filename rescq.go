@@ -14,35 +14,30 @@
 // circuit in the artifact's text format instead of a named benchmark, and
 // Experiment regenerates a specific paper table or figure as text.
 //
-// # Layouts and the scheduler registry
+// # Layouts and schedulers
 //
-// Both evaluation axes are open registries rather than closed enums, so
-// topology- and policy-sensitivity studies plug in new design points
-// without touching this package:
+// Both evaluation axes are closed catalogs, named by string so requests,
+// cache keys and sweep grids can carry them:
 //
-//   - Lattice layouts (internal/lattice): Options.Layout names a
-//     registered layout, Options.LayoutParams passes its knobs. Built-ins
-//     are "star" (the paper's STAR grid and the default — a layout-unset
-//     run is byte-identical to the pre-registry code), "linear" (a single
-//     block row, the adversarial routing topology), "compact" (the STAR
-//     grid with a deterministic fraction of ancillas removed, i.e. paper
-//     section 5.3 grid compression as a first-class tiling) and "custom"
-//     (an arbitrary tiling from a JSON spec, see the lattice package).
-//     New tilings register via lattice.Register(name, builder) and are
-//     immediately valid Options.Layout values; Layouts and LayoutCatalog
-//     enumerate them.
-//   - Schedulers (internal/sched): Options.Scheduler names a registered
-//     policy. The paper's three are built in ("greedy", "autobraid" from
-//     the sched package itself, "rescq" registered by internal/core); new
-//     policies register via sched.Register(name, constructor) taking
-//     structured sched.Params and are immediately runnable through Run.
+//   - Lattice layouts (internal/lattice): Options.Layout names a layout,
+//     Options.LayoutParams passes its knobs. The layouts are "star" (the
+//     paper's STAR grid and the default — a layout-unset run is
+//     byte-identical to the code before layouts existed), "linear" (a
+//     single block row, the adversarial routing topology), "compact" (the
+//     STAR grid with a deterministic fraction of ancillas removed, i.e.
+//     paper section 5.3 grid compression as a first-class tiling) and
+//     "custom" (an arbitrary tiling from a JSON spec, see the lattice
+//     package). Layouts and LayoutCatalog enumerate them.
+//   - Schedulers (internal/sched): Options.Scheduler names one of the
+//     paper's three policies, "greedy" and "autobraid" (the static
+//     baselines of the sched package) and "rescq" (internal/core).
 //     Schedulers enumerates them.
 //
 // The chosen layout and its params are part of a result's identity:
 // Options.Canonical folds them into CacheKey (with the default star
 // layout canonicalized to the empty value, so every pre-layout cache key
 // is preserved), and the rescqd daemon sweeps layouts as a first-class
-// grid axis and reports all registered values at GET /v1/capabilities.
+// grid axis and reports every value at GET /v1/capabilities.
 //
 // # Performance
 //
@@ -105,10 +100,8 @@ import (
 	"repro/internal/sim"
 )
 
-// SchedulerKind selects the scheduling policy. The value is a name in the
-// open scheduler registry (internal/sched): the three paper schedulers are
-// built in, and new policies become valid values the moment they call
-// sched.Register — no change to this package required.
+// SchedulerKind selects the scheduling policy by name: one of the three
+// constants below, the paper's evaluated schedulers (see Schedulers).
 type SchedulerKind string
 
 // The three evaluated schedulers.
@@ -126,11 +119,11 @@ const (
 // Options configures a simulation. The JSON field names are the wire
 // format of the rescqd daemon's job requests (see internal/service).
 type Options struct {
-	// Scheduler picks the policy by registry name; default RESCQ. See
-	// Schedulers() for the registered names.
+	// Scheduler picks the policy by name; default RESCQ. See
+	// Schedulers() for the names.
 	Scheduler SchedulerKind `json:"scheduler,omitempty"`
-	// Layout picks the lattice layout by registry name; default "star",
-	// the paper's STAR grid. See Layouts() for the registered names.
+	// Layout picks the lattice layout by name; default "star", the
+	// paper's STAR grid. See Layouts() for the names.
 	Layout string `json:"layout,omitempty"`
 	// LayoutParams passes layout-specific knobs to the builder (e.g. the
 	// "compact" layout's "fraction", or the "custom" layout's JSON
@@ -450,17 +443,15 @@ func runDAG(ctx context.Context, dag *circuit.DAG, opts Options) (Summary, error
 // paper's STAR grid.
 const DefaultLayout = lattice.DefaultLayout
 
-// Schedulers lists the registered scheduler names, sorted. The paper's
-// three ("greedy", "autobraid", "rescq") are always present; policies
-// added via sched.Register appear automatically.
+// Schedulers lists the scheduler names, sorted: the paper's three,
+// "autobraid", "greedy" and "rescq".
 func Schedulers() []string { return sched.Names() }
 
-// Layouts lists the registered lattice layout names, sorted. The built-ins
-// are "star" (the default), "linear", "compact" and "custom"; layouts
-// added via lattice.Register appear automatically.
+// Layouts lists the lattice layout names, sorted: "compact", "custom",
+// "linear" and "star" (the default).
 func Layouts() []string { return lattice.Layouts() }
 
-// LayoutInfo describes one registered layout for discovery surfaces (the
+// LayoutInfo describes one layout for discovery surfaces (the
 // daemon's capabilities endpoint, the CLIs).
 type LayoutInfo struct {
 	Name        string            `json:"name"`
@@ -468,7 +459,7 @@ type LayoutInfo struct {
 	Params      map[string]string `json:"params,omitempty"`
 }
 
-// LayoutCatalog returns the registered layouts with their descriptions and
+// LayoutCatalog returns the layouts with their descriptions and
 // documented params, sorted by name.
 func LayoutCatalog() []LayoutInfo {
 	descs := lattice.Describe()
