@@ -26,6 +26,7 @@ import (
 
 	rescq "repro"
 	"repro/internal/config"
+	"repro/internal/core"
 )
 
 // parseLayoutParams turns a "k=v,k=v" flag value into a params map.
@@ -53,6 +54,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rescq-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := core.DefaultConfig()
 	var (
 		cfgPath     = fs.String("config", "", "JSON config file (overrides the other flags)")
 		bench       = fs.String("bench", "", "Table 3 benchmark name (see -list)")
@@ -62,8 +64,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		layoutPs    = fs.String("layout-params", "", "layout params as comma-separated key=value pairs (e.g. fraction=0.5,seed=3)")
 		distance    = fs.Int("d", 7, "surface code distance")
 		physErr     = fs.Float64("p", 1e-4, "physical qubit error rate")
-		k           = fs.Int("k", 25, "RESCQ MST recomputation period (cycles)")
-		tau         = fs.Int("tau", 100, "RESCQ MST computation latency (cycles)")
+		k           = fs.Int("k", def.K, "RESCQ MST recomputation period (cycles)")
+		tau         = fs.Int("tau", def.TauMST, "RESCQ MST computation latency (cycles)")
 		compression = fs.Float64("compression", 0, "grid compression fraction in [0,1]")
 		runs        = fs.Int("runs", 10, "seeded runs")
 		seed        = fs.Int64("seed", 1, "base seed")

@@ -61,7 +61,7 @@ func ExperimentContext(ctx context.Context, id string, quick bool) (string, erro
 	case "appendixA2":
 		return experiments.AppendixA2().Text, nil
 	case "mst-timing":
-		return experiments.MSTTiming().Text, nil
+		return experiments.MSTTiming(o).Text, nil
 	case "ablation":
 		r, err := experiments.Ablation(ctx, o)
 		return r.Text, err

@@ -65,8 +65,15 @@ func (a Angle) IsClifford() bool {
 }
 
 // Double returns the corrective angle 2*theta required after a failed
-// |m_theta> injection (paper section 3.2).
-func (a Angle) Double() Angle { return NewAngle(2*a.Num, a.Den) }
+// |m_theta> injection (paper section 3.2). It equals NewAngle(2*Num, Den)
+// without the gcd loop: a canonical angle has gcd(Num, Den) = 1, so
+// gcd(2*Num, Den) is 2 for even Den and 1 for odd Den.
+func (a Angle) Double() Angle {
+	if a.Den%2 == 0 {
+		return Angle{Num: a.Num % a.Den, Den: a.Den / 2}
+	}
+	return Angle{Num: 2 * a.Num % (2 * a.Den), Den: a.Den}
+}
 
 // DoublingsToClifford returns the number of angle doublings needed before
 // the rotation becomes Clifford, and ok=false if the chain never terminates

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	rescq "repro"
+	"repro/internal/core"
 )
 
 // Config is one simulation configuration.
@@ -35,9 +36,9 @@ type Config struct {
 	Distance int `json:"distance,omitempty"`
 	// PhysError is the physical error rate (default 1e-4).
 	PhysError float64 `json:"phys_error,omitempty"`
-	// K is RESCQ's MST recomputation period (default 25).
+	// K is RESCQ's MST recomputation period (default core.DefaultConfig's).
 	K int `json:"k,omitempty"`
-	// TauMST is RESCQ's MST latency in cycles (default 100).
+	// TauMST is RESCQ's MST latency in cycles (default core.DefaultConfig's).
 	TauMST int `json:"tau_mst,omitempty"`
 	// Compression in [0,1] (default 0).
 	Compression float64 `json:"compression,omitempty"`
@@ -81,11 +82,12 @@ func (c Config) WithDefaults() Config {
 	if c.PhysError == 0 {
 		c.PhysError = 1e-4
 	}
+	def := core.DefaultConfig()
 	if c.K == 0 {
-		c.K = 25
+		c.K = def.K
 	}
 	if c.TauMST == 0 {
-		c.TauMST = 100
+		c.TauMST = def.TauMST
 	}
 	if c.NumberOfRuns == 0 {
 		c.NumberOfRuns = 10

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestReadMinimal(t *testing.T) {
@@ -15,6 +17,15 @@ func TestReadMinimal(t *testing.T) {
 	if c.Scheduler != "rescq" || c.Distance != 7 || c.PhysError != 1e-4 ||
 		c.K != 25 || c.TauMST != 100 || c.NumberOfRuns != 10 || c.Seed != 1 {
 		t.Errorf("defaults not applied: %+v", c)
+	}
+}
+
+// TestEngineDefaultsFromCore: a config that leaves K and TauMST unset
+// simulates the engine's own operating point, core.DefaultConfig.
+func TestEngineDefaultsFromCore(t *testing.T) {
+	c := Config{}.WithDefaults()
+	if def := core.DefaultConfig(); c.K != def.K || c.TauMST != def.TauMST {
+		t.Errorf("config defaults K=%d TauMST=%d, core.DefaultConfig K=%d TauMST=%d", c.K, c.TauMST, def.K, def.TauMST)
 	}
 }
 

@@ -54,14 +54,16 @@ func (s *Scheduler) driveCNOT(st *sim.State, gs *gateState) {
 	}
 }
 
-// tileReady reports whether tile c is free and the gate owns the head of
-// its queue.
+// tileReady reports whether tile c is a free ancilla and the gate owns the
+// head of its queue.
 func (s *Scheduler) tileReady(st *sim.State, c lattice.Coord, node int) bool {
-	if !st.TileFree(c) {
+	g := st.Grid()
+	i, ok := g.Index(c)
+	if !ok {
 		return false
 	}
-	id := st.Grid().AncillaID(c)
-	return id >= 0 && s.queues.head(id) == node
+	id := g.AncillaIDAt(i)
+	return id >= 0 && !st.Reserved()[i] && s.queues.head(id) == node
 }
 
 // driveRz runs the parallel-preparation protocol: start (or retarget)

@@ -234,12 +234,23 @@ func TestMSTTiming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
-	r := MSTTiming()
-	if r.Kruskal100 <= 0 || r.Kruskal1000 <= 0 {
-		t.Error("timings should be positive")
+	r := MSTTiming(Options{})
+	if r.Kruskal100 <= 0 || r.Kruskal1000 <= 0 || r.Update100x200 <= 0 || r.Upd1000x200 <= 0 {
+		t.Errorf("full mode: every timing should be positive: %+v", r)
 	}
-	if !strings.Contains(r.Text, "100x100") {
-		t.Error("timing text incomplete")
+	if !strings.Contains(r.Text, "\n100x100 ") || !strings.Contains(r.Text, "\n1000x1000 ") {
+		t.Errorf("full mode: timing text incomplete:\n%s", r.Text)
+	}
+
+	q := MSTTiming(Options{Quick: true})
+	if q.Kruskal100 <= 0 || q.Update100x200 <= 0 {
+		t.Errorf("quick mode: 100x100 timings should be positive: %+v", q)
+	}
+	if q.Kruskal1000 != 0 || q.Upd1000x200 != 0 {
+		t.Errorf("quick mode timed the 1000x1000 grid: %+v", q)
+	}
+	if !strings.Contains(q.Text, "\n100x100 ") || strings.Contains(q.Text, "\n1000x1000 ") {
+		t.Errorf("quick mode: want only the 100x100 row:\n%s", q.Text)
 	}
 }
 

@@ -187,14 +187,21 @@ func (g *Grid) Rows() int { return g.rows }
 // NumTiles returns the total tile count (rows * cols).
 func (g *Grid) NumTiles() int { return g.rows * g.cols }
 
-// TileIndex returns the dense row-major index of c, for flat per-tile
-// arrays maintained by the simulator. The coordinate must be in bounds.
-func (g *Grid) TileIndex(c Coord) int {
-	if !g.InBounds(c) {
-		panic(fmt.Sprintf("lattice: tile %v out of bounds", c))
+// Index returns the dense row-major index of c, for flat per-tile arrays
+// maintained by the simulator, and whether c is in bounds at all. Hot
+// paths derive a tile's index once and read KindAt and AncillaIDAt by it.
+func (g *Grid) Index(c Coord) (int, bool) {
+	if uint(c.Row) >= uint(g.rows) || uint(c.Col) >= uint(g.cols) {
+		return 0, false
 	}
-	return g.idx(c)
+	return c.Row*g.cols + c.Col, true
 }
+
+// KindAt returns the kind of the tile at dense index i.
+func (g *Grid) KindAt(i int) TileKind { return g.kind[i] }
+
+// AncillaIDAt returns the dense ancilla ID of the tile at index i, or -1.
+func (g *Grid) AncillaIDAt(i int) int { return g.ancID[i] }
 
 // Cols returns the tile column count.
 func (g *Grid) Cols() int { return g.cols }

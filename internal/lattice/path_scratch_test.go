@@ -85,9 +85,23 @@ func testGrids(t *testing.T, rng *rand.Rand) map[string]*Grid {
 	return out
 }
 
+// reservedFrom returns the reservation flags marking the tiles of set, by
+// Index, the way sim.State.Reserved marks busy tiles.
+func reservedFrom(g *Grid, set map[Coord]bool) []bool {
+	reserved := make([]bool, g.NumTiles())
+	for c := range set {
+		if i, ok := g.Index(c); ok {
+			reserved[i] = true
+		}
+	}
+	return reserved
+}
+
 // randomQuery draws endpoint sets (ancillas, plus the odd non-ancilla or
-// out-of-bounds tile the search must skip) and a blocked set.
-func randomQuery(g *Grid, rng *rand.Rand) (src, dst []Coord, blocked func(Coord) bool) {
+// out-of-bounds tile the search must skip) and a blocked set, as a
+// predicate for the reference search and as the reservation flags of the
+// same tiles for the router (both nil: nothing blocked).
+func randomQuery(g *Grid, rng *rand.Rand) (src, dst []Coord, blocked func(Coord) bool, reserved []bool) {
 	pick := func() Coord {
 		switch rng.Intn(10) {
 		case 0:
@@ -107,17 +121,17 @@ func randomQuery(g *Grid, rng *rand.Rand) (src, dst []Coord, blocked func(Coord)
 		set[g.AncillaTile(rng.Intn(g.NumAncilla()))] = true
 	}
 	if rng.Intn(4) == 0 {
-		return src, dst, nil
+		return src, dst, nil, nil
 	}
-	return src, dst, func(c Coord) bool { return set[c] }
+	return src, dst, func(c Coord) bool { return set[c] }, reservedFrom(g, set)
 }
 
 func TestShortestAncillaPathMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for name, g := range testGrids(t, rng) {
 		for q := 0; q < 300; q++ {
-			src, dst, blocked := randomQuery(g, rng)
-			got := g.ShortestAncillaPathInto(src, dst, blocked, nil)
+			src, dst, blocked, reserved := randomQuery(g, rng)
+			got := g.ShortestAncillaPathInto(src, dst, reserved, nil)
 			want := referenceShortestPath(g, src, dst, blocked)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s query %d (src %v dst %v): path %v, reference %v", name, q, src, dst, got, want)
@@ -139,8 +153,8 @@ func TestShortestAncillaPathClonesDoNotShareScratch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for q := 0; q < 200; q++ {
-				src, dst, blocked := randomQuery(g, rng)
-				if got, want := g.ShortestAncillaPathInto(src, dst, blocked, nil), referenceShortestPath(g, src, dst, blocked); !slices.Equal(got, want) {
+				src, dst, blocked, reserved := randomQuery(g, rng)
+				if got, want := g.ShortestAncillaPathInto(src, dst, reserved, nil), referenceShortestPath(g, src, dst, blocked); !slices.Equal(got, want) {
 					t.Errorf("clone %d query %d: path %v, reference %v", w, q, got, want)
 					return
 				}

@@ -7,16 +7,16 @@ package lattice
 import "slices"
 
 // ShortestAncillaPathInto runs a breadth-first search over ancilla tiles
-// from any tile in src to any tile in dst, skipping tiles for which blocked
-// returns true (busy ancillas). Both src and dst members must be ancilla
-// tiles; blocked is not consulted for them if they coincide. It appends
-// the tile sequence, including the chosen endpoints, to buf and returns
-// the extended slice, or returns nil if no path exists.
+// from any tile in src to any tile in dst, skipping busy ancillas: the
+// tiles whose entry in reserved, indexed by Index, is true (a nil reserved
+// marks none). Endpoints that are not live, unreserved ancillas are
+// ignored. It appends the tile sequence, including the chosen endpoints,
+// to buf and returns the extended slice, or returns nil if no path exists.
 //
 // The search reuses scratch owned by the grid, so with a buf of enough
 // capacity it allocates nothing; concurrent calls on one Grid are not safe
 // (each seeded run owns its grid, and Clone never shares the scratch).
-func (g *Grid) ShortestAncillaPathInto(src, dst []Coord, blocked func(Coord) bool, buf []Coord) []Coord {
+func (g *Grid) ShortestAncillaPathInto(src, dst []Coord, reserved []bool, buf []Coord) []Coord {
 	if len(src) == 0 || len(dst) == 0 {
 		return nil
 	}
@@ -24,8 +24,8 @@ func (g *Grid) ShortestAncillaPathInto(src, dst []Coord, blocked func(Coord) boo
 	ep := sc.epoch
 	anyDst := false
 	for _, c := range dst {
-		if g.Kind(c) == TileAncilla && (blocked == nil || !blocked(c)) {
-			sc.dst[g.idx(c)] = ep
+		if i, ok := g.open(c, reserved); ok {
+			sc.dst[i] = ep
 			anyDst = true
 		}
 	}
@@ -35,11 +35,8 @@ func (g *Grid) ShortestAncillaPathInto(src, dst []Coord, blocked func(Coord) boo
 	queue := sc.queue[:0]
 	defer func() { sc.queue = queue }()
 	for _, c := range src {
-		if g.Kind(c) != TileAncilla || (blocked != nil && blocked(c)) {
-			continue
-		}
-		i := g.idx(c)
-		if sc.seen[i] == ep {
+		i, ok := g.open(c, reserved)
+		if !ok || sc.seen[i] == ep {
 			continue
 		}
 		sc.seen[i] = ep
@@ -53,12 +50,8 @@ func (g *Grid) ShortestAncillaPathInto(src, dst []Coord, blocked func(Coord) boo
 		i := queue[head]
 		c := Coord{int(i) / g.cols, int(i) % g.cols}
 		for d := North; d <= West; d++ {
-			n := c.Step(d)
-			if g.Kind(n) != TileAncilla {
-				continue
-			}
-			ni := g.idx(n)
-			if sc.seen[ni] == ep || (blocked != nil && blocked(n)) {
+			ni, ok := g.open(c.Step(d), reserved)
+			if !ok || sc.seen[ni] == ep {
 				continue
 			}
 			sc.seen[ni] = ep
@@ -70,6 +63,16 @@ func (g *Grid) ShortestAncillaPathInto(src, dst []Coord, blocked func(Coord) boo
 		}
 	}
 	return nil
+}
+
+// open returns the index of tile c if c is a live ancilla that reserved
+// does not mark (a nil reserved marks none).
+func (g *Grid) open(c Coord, reserved []bool) (int, bool) {
+	i, ok := g.Index(c)
+	if !ok || g.kind[i] != TileAncilla || (reserved != nil && reserved[i]) {
+		return 0, false
+	}
+	return i, true
 }
 
 // tracePath walks prev back from tile index end to its source, appending
@@ -112,24 +115,25 @@ func (g *Grid) bfsScratch() *pathScratch {
 
 // BraidPathInto builds an AutoBraid-style two-segment path between
 // ancilla tiles a and b: it walks along a's row to b's column, then along
-// b's column (an "L" route). Every tile on the route must be a live,
-// unblocked ancilla; otherwise it tries the transposed "L" (column first),
+// b's column (an "L" route). Every tile on the route must be a live
+// ancilla that reserved (indexed by Index; nil marks none) does not mark; otherwise it tries the transposed "L" (column first),
 // and returns nil if neither works. This mimics the row/column braid
 // corridors of Hua et al. without global search. The path is appended to
 // buf and the extended slice returned, so per-cycle route retries reuse
 // one buffer; on nil, buf's contents past len(buf) are unspecified.
-func (g *Grid) BraidPathInto(a, b Coord, blocked func(Coord) bool, buf []Coord) []Coord {
-	if p := g.straightL(a, b, true, blocked, buf); p != nil {
+func (g *Grid) BraidPathInto(a, b Coord, reserved []bool, buf []Coord) []Coord {
+	if p := g.straightL(a, b, true, reserved, buf); p != nil {
 		return p
 	}
-	return g.straightL(a, b, false, blocked, buf)
+	return g.straightL(a, b, false, reserved, buf)
 }
 
 // straightL walks row-first (or column-first) from a to b, appending the
 // route to path.
-func (g *Grid) straightL(a, b Coord, rowFirst bool, blocked func(Coord) bool, path []Coord) []Coord {
+func (g *Grid) straightL(a, b Coord, rowFirst bool, reserved []bool, path []Coord) []Coord {
 	ok := func(c Coord) bool {
-		return g.Kind(c) == TileAncilla && (blocked == nil || !blocked(c))
+		_, ok := g.open(c, reserved)
+		return ok
 	}
 	step := func(from, to int) int {
 		if to > from {

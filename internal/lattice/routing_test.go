@@ -30,13 +30,13 @@ func TestShortestAncillaPathStraightLine(t *testing.T) {
 
 func TestShortestAncillaPathAvoidsBlocked(t *testing.T) {
 	g := NewSTARGrid(4)
-	blocked := func(c Coord) bool { return c == Coord{0, 2} }
-	p := g.ShortestAncillaPathInto([]Coord{{0, 0}}, []Coord{{0, 4}}, blocked, nil)
+	blocked := Coord{0, 2}
+	p := g.ShortestAncillaPathInto([]Coord{{0, 0}}, []Coord{{0, 4}}, reservedFrom(g, map[Coord]bool{blocked: true}), nil)
 	if p == nil {
 		t.Fatal("detour should exist")
 	}
 	for _, c := range p {
-		if blocked(c) {
+		if c == blocked {
 			t.Fatalf("path %v passes through blocked tile", p)
 		}
 	}
@@ -50,8 +50,13 @@ func TestShortestAncillaPathAvoidsBlocked(t *testing.T) {
 
 func TestShortestAncillaPathNoRoute(t *testing.T) {
 	g := NewSTARGrid(4)
-	blockAll := func(c Coord) bool { return c.Row != 0 }
-	p := g.ShortestAncillaPathInto([]Coord{{0, 0}}, []Coord{{4, 4}}, blockAll, nil)
+	blockAll := map[Coord]bool{} // every tile off row 0
+	for r := 1; r < g.Rows(); r++ {
+		for c := 0; c < g.Cols(); c++ {
+			blockAll[Coord{r, c}] = true
+		}
+	}
+	p := g.ShortestAncillaPathInto([]Coord{{0, 0}}, []Coord{{4, 4}}, reservedFrom(g, blockAll), nil)
 	if p != nil {
 		t.Errorf("expected nil path, got %v", p)
 	}
@@ -118,15 +123,15 @@ func TestShortestPathProperty(t *testing.T) {
 		for i := 0; i < g.NumAncilla()/10; i++ {
 			blockedSet[g.AncillaTile(rng.Intn(g.NumAncilla()))] = true
 		}
-		blocked := func(c Coord) bool { return blockedSet[c] }
+		reserved := reservedFrom(g, blockedSet)
 		for k := 0; k < 8; k++ {
 			a := g.AncillaTile(rng.Intn(g.NumAncilla()))
 			b := g.AncillaTile(rng.Intn(g.NumAncilla()))
 			if blockedSet[a] || blockedSet[b] {
 				continue
 			}
-			bfs := g.ShortestAncillaPathInto([]Coord{a}, []Coord{b}, blocked, nil)
-			braid := g.BraidPathInto(a, b, blocked, nil)
+			bfs := g.ShortestAncillaPathInto([]Coord{a}, []Coord{b}, reserved, nil)
+			braid := g.BraidPathInto(a, b, reserved, nil)
 			if bfs == nil {
 				if braid != nil {
 					return false // BFS is complete; braid cannot beat it
@@ -179,5 +184,34 @@ func TestPathIntoVariantsAppendWithoutAllocating(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("buffer variants allocate %v times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkShortestAncillaPath times one BFS between two qubits' ancilla
+// neighbours on the 160-qubit STAR grid (qft_n160's) with a quarter of
+// the ancillas reserved, the shape of a greedy CNOT routing query under
+// load. Informational: it runs in the benchmark smoke, not the gate.
+func BenchmarkShortestAncillaPath(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := NewSTARGrid(160)
+	busy := map[Coord]bool{}
+	for len(busy) < g.NumAncilla()/4 {
+		busy[g.AncillaTile(rng.Intn(g.NumAncilla()))] = true
+	}
+	reserved := reservedFrom(g, busy)
+	type query struct{ src, dst []Coord }
+	queries := make([]query, 64)
+	for i := range queries {
+		a, c := rng.Intn(g.NumQubits()), rng.Intn(g.NumQubits())
+		queries[i] = query{g.AncillaNeighbors(g.DataTile(a), nil), g.AncillaNeighbors(g.DataTile(c), nil)}
+	}
+	buf := make([]Coord, 0, g.NumTiles())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		if p := g.ShortestAncillaPathInto(q.src, q.dst, reserved, buf[:0]); p != nil {
+			buf = p // a nil result (no route) must not drop the buffer
+		}
 	}
 }

@@ -41,7 +41,7 @@ func (d *cnotDriver) tick(st *sim.State, sc *scratch) {
 		}
 		sc.nbrs = g.AncillaNeighbors(g.DataTile(d.control), sc.nbrs[:0])
 		sc.dsts = g.AncillaNeighbors(g.DataTile(d.target), sc.dsts[:0])
-		p := d.find(g, sc.nbrs, sc.dsts, sc.blocked, d.path[:0])
+		p := d.find(g, sc.nbrs, sc.dsts, st.Reserved(), d.path[:0])
 		if p == nil {
 			return // congested; retry next cycle
 		}

@@ -23,16 +23,17 @@ import (
 // PathFinder selects a routing path for a CNOT: it appends to buf a
 // contiguous sequence of free ancilla tiles starting at one of srcs and
 // ending at one of dsts and returns the extended slice, or returns nil if
-// none is currently available.
-type PathFinder func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool, buf []lattice.Coord) []lattice.Coord
+// none is currently available. reserved marks the busy tiles by tile
+// index (sim.State.Reserved).
+type PathFinder func(g *lattice.Grid, srcs, dsts []lattice.Coord, reserved []bool, buf []lattice.Coord) []lattice.Coord
 
 // NewGreedy returns the greedy shortest-path baseline: BFS over free
 // ancilla tiles from the control's Z edge to the target's X edge.
 func NewGreedy() sim.Scheduler {
 	return &layered{
 		name: "greedy",
-		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool, buf []lattice.Coord) []lattice.Coord {
-			return g.ShortestAncillaPathInto(srcs, dsts, blocked, buf)
+		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, reserved []bool, buf []lattice.Coord) []lattice.Coord {
+			return g.ShortestAncillaPathInto(srcs, dsts, reserved, buf)
 		},
 	}
 }
@@ -46,17 +47,17 @@ func NewAutoBraid() sim.Scheduler {
 	var cand []lattice.Coord // per-run scratch for the braid being tried
 	return &layered{
 		name: "autobraid",
-		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, blocked func(lattice.Coord) bool, buf []lattice.Coord) []lattice.Coord {
+		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, reserved []bool, buf []lattice.Coord) []lattice.Coord {
 			n, best := len(buf), -1 // best: length of the shortest braid so far
 			for _, s := range srcs {
-				if blocked(s) || g.Kind(s) != lattice.TileAncilla {
+				if !open(g, s, reserved) {
 					continue
 				}
 				for _, d := range dsts {
-					if blocked(d) || g.Kind(d) != lattice.TileAncilla {
+					if !open(g, d, reserved) {
 						continue
 					}
-					p := g.BraidPathInto(s, d, blocked, cand[:0])
+					p := g.BraidPathInto(s, d, reserved, cand[:0])
 					if p == nil {
 						continue
 					}
@@ -69,9 +70,15 @@ func NewAutoBraid() sim.Scheduler {
 			if best >= 0 {
 				return buf
 			}
-			return g.ShortestAncillaPathInto(srcs, dsts, blocked, buf)
+			return g.ShortestAncillaPathInto(srcs, dsts, reserved, buf)
 		},
 	}
+}
+
+// open reports whether c is a live ancilla that reserved does not mark.
+func open(g *lattice.Grid, c lattice.Coord, reserved []bool) bool {
+	i, ok := g.Index(c)
+	return ok && g.KindAt(i) == lattice.TileAncilla && !reserved[i]
 }
 
 // layered is the shared static-scheduler machinery.
@@ -96,8 +103,6 @@ type layered struct {
 // scratch is per-run storage shared by all drivers. Drivers run one at a
 // time and none keeps a scratch slice across calls.
 type scratch struct {
-	blocked func(lattice.Coord) bool // "tile is reserved", built once in Init
-
 	nbrs, zEdge, xEdge []lattice.Coord
 	dsts               []lattice.Coord
 	cands              []prepCandidate
@@ -150,7 +155,6 @@ func (l *layered) Init(st *sim.State) error {
 	l.hs = make([]hDriver, widest[2])
 	l.layer = -1
 	l.drivers = make([]driver, dag.Len())
-	l.sc.blocked = func(c lattice.Coord) bool { return !st.TileFree(c) }
 	return nil
 }
 

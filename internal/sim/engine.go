@@ -187,8 +187,8 @@ func (e *Engine) finish(op *Op) {
 		}
 	}
 	for _, t := range op.Tiles {
-		if st.tileOp[st.grid.TileIndex(t)] == op {
-			st.setTileOp(t, nil)
+		if i, _ := st.grid.Index(t); st.tileOp[i] == op {
+			st.setTileOp(i, nil)
 		}
 	}
 	if op.Kind == OpEdgeRotation {

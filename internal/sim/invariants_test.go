@@ -27,6 +27,8 @@ func NewChecker() *Checker {
 // scheduler's OnCycle, before it starts anything, or after Run):
 //   - no tile or qubit is held by two ops, and every holder lists what it
 //     holds;
+//   - the reservation flags the routers read equal TileOp(c) != nil on
+//     every tile;
 //   - no retired or free op is still referenced from tileOp, qubitOp or
 //     active, and no op sits on those lists twice;
 //   - every live op works for a ready gate and started no earlier than
@@ -88,6 +90,15 @@ func (c *Checker) Check(st *State) error {
 		}
 		c.live[op] = true
 	}
+	for r := 0; r < st.grid.Rows(); r++ {
+		for col := 0; col < st.grid.Cols(); col++ {
+			tile := lattice.At(r, col)
+			i, _ := st.grid.Index(tile)
+			if held := st.TileOp(tile) != nil; st.Reserved()[i] != held {
+				return fmt.Errorf("tile %v reserved flag %v, but held: %v", tile, st.Reserved()[i], held)
+			}
+		}
+	}
 	for q, op := range st.qubitOp {
 		if op == nil {
 			continue
@@ -102,8 +113,8 @@ func (c *Checker) Check(st *State) error {
 	for op := range c.live {
 		liveCount[op.Kind]++
 		for _, t := range op.Tiles {
-			if holder := st.tileOp[st.grid.TileIndex(t)]; holder != op {
-				return fmt.Errorf("%v lists tile %v, held by %v", op, t, holder)
+			if i, ok := st.grid.Index(t); !ok || st.tileOp[i] != op {
+				return fmt.Errorf("%v lists tile %v, held by %v", op, t, st.TileOp(t))
 			}
 		}
 		for _, q := range op.Qubits {

@@ -72,9 +72,12 @@ type State struct {
 
 	// Occupancy: tileOp[tileIndex] and qubitOp[q] hold the reserving op,
 	// or nil. Every write goes through setTileOp / setQubitOp, which mark
-	// the ancilla or qubit dirty for the next accounting pass.
-	tileOp  []*Op
-	qubitOp []*Op
+	// the ancilla or qubit dirty for the next accounting pass. reserved
+	// mirrors tileOp[i] != nil for the routers; setTileOp is its only
+	// writer.
+	tileOp   []*Op
+	reserved []bool
+	qubitOp  []*Op
 
 	nextOp int
 	// active is the advancing subset of ops (prepared preps are parked),
@@ -152,6 +155,7 @@ func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State 
 		prepSuccess:  params.PrepSuccessPerCycle(),
 		prepExpected: params.ExpectedPrepCycles(),
 		tileOp:       make([]*Op, g.NumTiles()),
+		reserved:     make([]bool, g.NumTiles()),
 		qubitOp:      make([]*Op, g.NumQubits()),
 		active:       make([]*Op, 0, 64),
 		status:       make([]GateStatus, dag.Len()),
@@ -192,7 +196,8 @@ func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State 
 	// ancillas with unusually many runs per window ever grow their own.
 	arena := make([]busyRun, runsPerAncilla*g.NumAncilla())
 	for a := range st.ancTileIdx {
-		st.ancTileIdx[a] = int32(g.TileIndex(g.AncillaTile(a)))
+		i, _ := g.Index(g.AncillaTile(a))
+		st.ancTileIdx[a] = int32(i)
 		st.runs[a] = arena[a*runsPerAncilla : a*runsPerAncilla : (a+1)*runsPerAncilla]
 	}
 	return st
@@ -227,16 +232,22 @@ func (st *State) AllDone() bool { return st.numDone == st.dag.Len() }
 // TileFree reports whether the tile at c is a live ancilla not reserved by
 // any op.
 func (st *State) TileFree(c lattice.Coord) bool {
-	return st.grid.Kind(c) == lattice.TileAncilla && st.tileOp[st.grid.TileIndex(c)] == nil
+	i, ok := st.grid.Index(c)
+	return ok && st.grid.KindAt(i) == lattice.TileAncilla && st.tileOp[i] == nil
 }
 
 // TileOp returns the op reserving ancilla tile c, or nil.
 func (st *State) TileOp(c lattice.Coord) *Op {
-	if !st.grid.InBounds(c) {
-		return nil
+	if i, ok := st.grid.Index(c); ok {
+		return st.tileOp[i]
 	}
-	return st.tileOp[st.grid.TileIndex(c)]
+	return nil
 }
+
+// Reserved returns the tile reservation flags, indexed by Grid.Index:
+// entry i is true while an op holds tile i. The routers read it in place
+// of per-tile queries; it is the engine's, so callers must not modify it.
+func (st *State) Reserved() []bool { return st.reserved }
 
 // QubitFree reports whether data qubit q is not reserved by any op.
 func (st *State) QubitFree(q int) bool { return st.qubitOp[q] == nil }
@@ -299,11 +310,12 @@ func (st *State) recycle() {
 	st.retired = st.retired[:0]
 }
 
-// setTileOp changes the holder of ancilla tile c and marks the ancilla for
-// the next activity accounting pass.
-func (st *State) setTileOp(c lattice.Coord, op *Op) {
-	st.tileOp[st.grid.TileIndex(c)] = op
-	if a := st.grid.AncillaID(c); !st.ancDirty[a] {
+// setTileOp changes the holder of the ancilla tile at index i and marks
+// the ancilla for the next activity accounting pass.
+func (st *State) setTileOp(i int, op *Op) {
+	st.tileOp[i] = op
+	st.reserved[i] = op != nil
+	if a := st.grid.AncillaIDAt(i); !st.ancDirty[a] {
 		st.ancDirty[a] = true
 		st.dirtyAnc = append(st.dirtyAnc, int32(a))
 	}
@@ -324,7 +336,8 @@ func (st *State) markQubit(q int) {
 }
 
 func (st *State) reserveTile(op *Op, c lattice.Coord) {
-	st.setTileOp(c, op)
+	i, _ := st.grid.Index(c) // callers checked TileFree(c)
+	st.setTileOp(i, op)
 	op.Tiles = append(op.Tiles, c)
 }
 
@@ -471,7 +484,8 @@ func (st *State) StartInjection(n, q int, prepTile lattice.Coord, kind rus.Injec
 	prepOp.consumed = true
 	prepOp.done = true
 	st.retire(prepOp)
-	st.setTileOp(prepTile, nil)
+	i, _ := st.grid.Index(prepTile)
+	st.setTileOp(i, nil)
 
 	op := st.newOp(OpInjection, n, spec.Cycles)
 	op.Angle = angle
@@ -493,7 +507,8 @@ func (st *State) DiscardPrepared(tile lattice.Coord) error {
 	}
 	op.done = true
 	st.retire(op) // parked, so already out of active
-	st.setTileOp(tile, nil)
+	i, _ := st.grid.Index(tile)
+	st.setTileOp(i, nil)
 	return nil
 }
 
@@ -506,7 +521,8 @@ func (st *State) CancelPrep(tile lattice.Coord) error {
 		return fmt.Errorf("sim: no cancellable preparation at %v", tile)
 	}
 	op.done = true // retired once advance compacts it out of active
-	st.setTileOp(tile, nil)
+	i, _ := st.grid.Index(tile)
+	st.setTileOp(i, nil)
 	return nil
 }
 

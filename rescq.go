@@ -134,9 +134,11 @@ type Options struct {
 	Distance int `json:"distance,omitempty"`
 	// PhysError is the physical qubit error rate p; default 1e-4.
 	PhysError float64 `json:"phys_error,omitempty"`
-	// K is RESCQ's MST recomputation period in cycles; default 25.
+	// K is RESCQ's MST recomputation period in cycles; 0 selects the
+	// engine's operating point, core.DefaultConfig().K.
 	K int `json:"k,omitempty"`
-	// TauMST is RESCQ's modeled MST computation latency; default 100.
+	// TauMST is RESCQ's modeled MST computation latency in cycles; 0
+	// selects core.DefaultConfig().TauMST.
 	TauMST int `json:"tau_mst,omitempty"`
 	// Compression removes ancillas down to the STAR compressed blocks:
 	// 0 keeps all three ancillas per data qubit, 1 compresses every
