@@ -212,25 +212,20 @@ func (g *Grid) NumQubits() int { return len(g.dataTile) }
 // NumAncilla returns the live ancilla tile count.
 func (g *Grid) NumAncilla() int { return len(g.ancTile) }
 
-// InBounds reports whether c is a valid tile coordinate.
-func (g *Grid) InBounds(c Coord) bool {
-	return c.Row >= 0 && c.Row < g.rows && c.Col >= 0 && c.Col < g.cols
-}
-
 // Kind returns the tile kind at c (TileHole outside the grid).
 func (g *Grid) Kind(c Coord) TileKind {
-	if !g.InBounds(c) {
-		return TileHole
+	if i, ok := g.Index(c); ok {
+		return g.kind[i]
 	}
-	return g.kind[g.idx(c)]
+	return TileHole
 }
 
 // QubitAt returns the qubit ID at tile c, or -1.
 func (g *Grid) QubitAt(c Coord) int {
-	if !g.InBounds(c) {
-		return -1
+	if i, ok := g.Index(c); ok {
+		return g.qubitAt[i]
 	}
-	return g.qubitAt[g.idx(c)]
+	return -1
 }
 
 // DataTile returns the tile hosting qubit q.
@@ -238,10 +233,10 @@ func (g *Grid) DataTile(q int) Coord { return g.dataTile[q] }
 
 // AncillaID returns the dense ancilla ID of tile c, or -1.
 func (g *Grid) AncillaID(c Coord) int {
-	if !g.InBounds(c) {
-		return -1
+	if i, ok := g.Index(c); ok {
+		return g.ancID[i]
 	}
-	return g.ancID[g.idx(c)]
+	return -1
 }
 
 // AncillaTile returns the coordinate of ancilla id.

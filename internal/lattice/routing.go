@@ -116,11 +116,12 @@ func (g *Grid) bfsScratch() *pathScratch {
 // BraidPathInto builds an AutoBraid-style two-segment path between
 // ancilla tiles a and b: it walks along a's row to b's column, then along
 // b's column (an "L" route). Every tile on the route must be a live
-// ancilla that reserved (indexed by Index; nil marks none) does not mark; otherwise it tries the transposed "L" (column first),
-// and returns nil if neither works. This mimics the row/column braid
-// corridors of Hua et al. without global search. The path is appended to
-// buf and the extended slice returned, so per-cycle route retries reuse
-// one buffer; on nil, buf's contents past len(buf) are unspecified.
+// ancilla that reserved (indexed by Index; nil marks none) does not mark;
+// otherwise it tries the transposed "L" (column first), and returns nil if
+// neither works. This mimics the row/column braid corridors of Hua et al.
+// without global search. The path is appended to buf and the extended
+// slice returned, so per-cycle route retries reuse one buffer; on nil,
+// buf's contents past len(buf) are unspecified.
 func (g *Grid) BraidPathInto(a, b Coord, reserved []bool, buf []Coord) []Coord {
 	if p := g.straightL(a, b, true, reserved, buf); p != nil {
 		return p
