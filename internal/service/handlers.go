@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strconv"
 	"time"
@@ -650,6 +651,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("rescqd_worker_draining", "Whether this worker is retiring (fenced from new batches).", boolGauge(s.WorkerDraining()))
 	}
 	p.Gauge("rescqd_uptime_seconds", "Daemon uptime.", int64(time.Since(s.startTime).Round(time.Second)/time.Second))
+	gc := [...]rtmetrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/heap/goal:bytes"}}
+	rtmetrics.Read(gc[:])
+	if gc[0].Value.Kind() == rtmetrics.KindFloat64 && gc[1].Value.Kind() == rtmetrics.KindUint64 {
+		p.Header("rescqd_go_gc_cpu_seconds_total", "counter", "Estimated CPU time the Go runtime spent on garbage collection.")
+		p.Float("rescqd_go_gc_cpu_seconds_total", gc[0].Value.Float64())
+		p.Gauge("rescqd_go_gc_heap_goal_bytes", "Heap size at which the Go runtime starts its next garbage collection.", int64(gc[1].Value.Uint64()))
+	}
 	w.Write(p.Bytes())
 }
 

@@ -35,6 +35,8 @@ var maskedSeries = map[string]bool{
 	"rescqd_config_latency_ms":              true,
 	"rescqd_store_bytes":                    true,
 	"rescqd_store_append_bytes_total":       true,
+	"rescqd_go_gc_cpu_seconds_total":        true,
+	"rescqd_go_gc_heap_goal_bytes":          true,
 }
 
 // maskExposition replaces the value of every masked sample with "X".
