@@ -21,6 +21,7 @@
 package analytics
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -194,6 +195,7 @@ type Store struct {
 	queries   int64
 	snapshots int64
 	sinceSnap int64 // results folded since the last durable snapshot
+	snapLen   int   // the last snapshot's size, to presize the next one
 }
 
 // New returns an empty store capped at maxGroups distinct aggregate cells
@@ -394,15 +396,55 @@ func (s *Store) Snapshot(keep func(jobID string) bool) []byte {
 			snap.Counted[job] = next
 		}
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		// Everything in the snapshot is plain integers and strings; a
-		// marshal failure is a programming error, not a runtime one.
-		panic(fmt.Sprintf("analytics: snapshot marshal: %v", err))
-	}
+	data := snap.encode(s.snapLen)
+	s.snapLen = len(data)
 	s.snapshots++
 	s.sinceSnap = 0
 	return data
+}
+
+// snapshotChunk is how many cells encode marshals at a time.
+const snapshotChunk = 256
+
+// encode returns json.Marshal(snap), byte for byte, into a buffer of
+// capacity sizeHint (the last snapshot's size). It marshals the cells
+// snapshotChunk at a time: json.Marshal of the whole snapshot would leave
+// a snapshot-sized buffer (megabytes at the group cap) in encoding/json's
+// pool, live until two garbage collections pass; a chunk's is about
+// 64 KB.
+func (snap *snapshot) encode(sizeHint int) []byte {
+	var part bytes.Buffer
+	enc := json.NewEncoder(&part)
+	// appendJSON appends v's encoding less the trim bytes at each end.
+	appendJSON := func(b []byte, v any, trim int) []byte {
+		part.Reset()
+		if err := enc.Encode(v); err != nil {
+			// Everything in the snapshot is plain integers and strings; a
+			// marshal failure is a programming error, not a runtime one.
+			panic(fmt.Sprintf("analytics: snapshot marshal: %v", err))
+		}
+		out := bytes.TrimSuffix(part.Bytes(), []byte{'\n'})
+		return append(b, out[trim:len(out)-trim]...)
+	}
+	b := make([]byte, 0, sizeHint)
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, int64(snap.Version), 10)
+	b = append(b, `,"cells":[`...)
+	for i := 0; i < len(snap.Cells); i += snapshotChunk {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSON(b, snap.Cells[i:min(i+snapshotChunk, len(snap.Cells))], 1) // drop the chunk's [ ]
+	}
+	b = append(b, ']')
+	if len(snap.Counted) > 0 {
+		b = append(b, `,"counted":`...)
+		b = appendJSON(b, snap.Counted, 0)
+	}
+	b = strconv.AppendInt(append(b, `,"ingested":`...), snap.Ingested, 10)
+	b = strconv.AppendInt(append(b, `,"skipped":`...), snap.Skipped, 10)
+	b = strconv.AppendInt(append(b, `,"dropped":`...), snap.Dropped, 10)
+	return append(b, '}')
 }
 
 // Restore replaces the store's state with a previously serialized

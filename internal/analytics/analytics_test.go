@@ -540,3 +540,40 @@ func TestIngestIntoExistingCellAllocatesNothing(t *testing.T) {
 		t.Fatalf("a fold into an existing cell allocated %.1f times", allocs)
 	}
 }
+
+// TestSnapshotEncodeMatchesMarshal pins the chunked snapshot encoder to
+// json.Marshal of the whole snapshot, byte for byte: with no cells, with
+// cells whose strings need escaping, with and without watermarks, and
+// with exactly one chunk and with a partial last chunk.
+func TestSnapshotEncodeMatchesMarshal(t *testing.T) {
+	cell := cellSnap{
+		Axes: Axes{Tenant: "a<b>&\"c\"", Benchmark: "gcm_n13", Scheduler: "rescq", Layout: "compact",
+			LayoutParams: `{"fraction":"0.5"}`, Distance: 7, PhysError: 1e-4, K: 25, TauMST: 100,
+			Compression: 0.25, Runs: 3, Seed: 1 << 40},
+		Results: 2, RunCount: 6, Cycles: 1234, MinCycles: 200, MaxCycles: 210, AreaTiles: 81, AreaPhys: 8100,
+	}
+	other := cell
+	other.Tenant, other.PhysError, other.Compression = "", 2.5e-7, 1
+	many := make([]cellSnap, 2*snapshotChunk+1) // three chunks, the last of one cell
+	for i := range many {
+		many[i] = cell
+		many[i].Seed = int64(i)
+	}
+	for _, snap := range []snapshot{
+		{Version: 1, Cells: []cellSnap{}},
+		{Version: 1, Cells: []cellSnap{cell}, Ingested: 9, Skipped: 1, Dropped: 2},
+		{Version: 1, Cells: []cellSnap{cell, other}, Counted: map[string]int{"job-b": 3, "job-a": 1, "<x>": 7}, Ingested: 1 << 50},
+		{Version: 1, Cells: many[:snapshotChunk], Counted: map[string]int{"j": 1}},
+		{Version: 1, Cells: many},
+	} {
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, hint := range []int{0, len(want)} {
+			if got := snap.encode(hint); !bytes.Equal(got, want) {
+				t.Errorf("encode(%d):\n got %s\nwant %s", hint, got, want)
+			}
+		}
+	}
+}
