@@ -21,7 +21,10 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/circuit"
+	"repro/internal/freelist"
 	"repro/internal/lattice"
 	"repro/internal/sim"
 )
@@ -71,17 +74,27 @@ func (c Config) withDefaults() Config {
 // DefaultConfig returns the paper's operating point: K=25, TauMST=100.
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
-// New returns a RESCQ scheduler instance.
+// released keeps released schedulers, whose Init reuses the storage of
+// the run they last scheduled.
+var released = freelist.New(func() *Scheduler { return new(Scheduler) })
+
+// New returns a RESCQ scheduler instance, reused from an earlier run when
+// one has been released (see Release).
 func New(cfg Config) sim.Scheduler {
-	return &Scheduler{cfg: cfg.withDefaults()}
+	s := released.Get()
+	s.cfg = cfg.withDefaults()
+	s.pooled = true
+	return s
 }
 
-// Scheduler is the RESCQ realtime scheduler. It implements sim.Scheduler.
+// Scheduler is the RESCQ realtime scheduler. It implements sim.Scheduler
+// and sim.Releaser.
 type Scheduler struct {
-	cfg Config
+	cfg    Config
+	pooled bool // handed out by New and not yet released
 
-	queues *queueSet
-	mst    *mstPipeline
+	queues queueSet
+	mst    mstPipeline
 
 	gates   []*gateState // node -> live gate state, nil once completed
 	spare   []*gateState // completed gate states, reused by plan
@@ -106,16 +119,36 @@ type Scheduler struct {
 // Name implements sim.Scheduler.
 func (s *Scheduler) Name() string { return "rescq" }
 
-// Init implements sim.Scheduler.
+// Release implements sim.Releaser: it returns s to the free list New
+// draws from. Releasing twice is harmless; using s after Release is not.
+func (s *Scheduler) Release() {
+	if s.pooled {
+		s.pooled = false
+		released.Put(s)
+	}
+}
+
+// Init implements sim.Scheduler. It resets every piece of per-run state,
+// keeping the capacity an earlier run gave it.
 func (s *Scheduler) Init(st *sim.State) error {
 	dag := st.DAG()
-	s.queues = newQueueSet(st.Grid().NumAncilla())
-	s.mst = newMSTPipeline(st, s.cfg)
-	s.gates = make([]*gateState, dag.Len())
-	s.staged = make([]bool, dag.Len())
-	s.efVal = make([]float64, st.Grid().NumAncilla())
-	s.efMark = make([]int32, st.Grid().NumAncilla())
+	na := st.Grid().NumAncilla()
+	s.queues.reset(na)
+	s.mst.reset(st, s.cfg)
+	for _, gs := range s.gates {
+		if gs != nil { // live when an earlier run was cut short
+			s.spare = append(s.spare, gs)
+		}
+	}
+	s.gates = slices.Grow(s.gates[:0], dag.Len())[:dag.Len()]
+	s.staged = slices.Grow(s.staged[:0], dag.Len())[:dag.Len()]
+	s.efVal = slices.Grow(s.efVal[:0], na)[:na] // read only where efMark says
+	s.efMark = slices.Grow(s.efMark[:0], na)[:na]
+	clear(s.gates)
+	clear(s.staged)
+	clear(s.efMark)
 	s.efEpoch = 0
+	s.live, s.pending = s.live[:0], s.pending[:0]
 	for n := 0; n < dag.Len(); n++ {
 		if st.Status(n) == sim.GateReady {
 			s.staged[n] = true

@@ -136,7 +136,8 @@ func TestDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestQueueSet(t *testing.T) {
-	qs := newQueueSet(3)
+	var qs queueSet
+	qs.reset(3)
 	qs.enqueue(0, 10)
 	qs.enqueue(0, 11)
 	qs.enqueue(1, 11)

@@ -10,20 +10,51 @@ import (
 	"repro/internal/sim"
 )
 
+// stallDumper runs a RESCQ instance without handing it back to the pool
+// (it hides Release), so the test still owns it after the run, and prints
+// the stall diagnosis from inside cycle dumpAt: the engine's state goes
+// back to its pool when Run returns.
+type stallDumper struct {
+	sim.Scheduler
+	s      *Scheduler
+	last   int // the last cycle run
+	dumpAt int // the cycle to diagnose (the last one of a stalled run), 0 for none
+}
+
+func (d *stallDumper) OnCycle(st *sim.State) {
+	d.Scheduler.OnCycle(st)
+	d.last = st.Cycle()
+	if d.last == d.dumpAt {
+		dumpStall(st, d.s)
+	}
+}
+
 func TestDebugQAOAFSwap(t *testing.T) {
 	spec, _ := qbench.ByName("qaoafswap_n15")
 	c := spec.Circuit()
-	g := lattice.NewSTARGrid(c.NumQubits)
 	dag := circuit.NewDAG(c)
 	scfg := sim.Config{Distance: 7, PhysError: 1e-4, StallLimit: 2000}
-	s := New(DefaultConfig()).(*Scheduler)
-	eng := sim.NewEngine(g, dag, scfg, 0, s)
-	_, err := eng.Run()
+	run := func(dumpAt int) (*stallDumper, error) {
+		s := New(DefaultConfig()).(*Scheduler)
+		d := &stallDumper{Scheduler: s, s: s, dumpAt: dumpAt}
+		_, err := sim.NewEngine(lattice.NewSTARGrid(c.NumQubits), dag, scfg, 0, d).Run()
+		return d, err
+	}
+	d, err := run(0)
 	if err == nil {
 		t.Skip("no stall")
 	}
-	st := eng.State()
 	fmt.Println("ERR:", err)
+	// The run is deterministic, so a second one reaches the same last
+	// cycle in the same state, and a stalled cycle changes nothing after
+	// the scheduler's OnCycle.
+	run(d.last)
+}
+
+// dumpStall prints the first few unfinished gates of s and the tiles and
+// qubits they wait on.
+func dumpStall(st *sim.State, s *Scheduler) {
+	dag := st.DAG()
 	count := 0
 	for _, n := range s.live {
 		gs := s.gates[n]

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -18,7 +20,8 @@ import (
 // publication, falling back to one allocation-free full KruskalInto
 // recompute when a snapshot changes a large fraction of the edges.
 // Published trees that rotate out of use are recycled through a free list,
-// so steady-state ticking allocates nothing.
+// so steady-state ticking allocates nothing, and a scheduler reused for
+// another run (see New) recycles its last run's graph and trees too.
 type mstPipeline struct {
 	k, tau int
 	g      *graph.Graph
@@ -53,15 +56,23 @@ const epsScale = 0.004
 // the correctness fallback for pathological batches).
 const fullRebuildFraction = 0.25
 
-func newMSTPipeline(st *sim.State, cfg Config) *mstPipeline {
-	g := st.Grid().AncillaGraph(cfg.ActivityFloor)
-	m := &mstPipeline{
-		k:   cfg.K,
-		tau: cfg.TauMST,
-		g:   g,
-		eps: make([]float64, g.NumEdges()),
-		act: make([]float64, g.NumVertices()),
+// reset starts the pipeline over for a new run on st's grid. It reuses
+// the storage of the previous run: the graph, the DSU and edge order, and
+// every tree, which all join the free list as clone targets.
+func (m *mstPipeline) reset(st *sim.State, cfg Config) {
+	m.k, m.tau = cfg.K, cfg.TauMST
+	m.g = st.Grid().AncillaGraphInto(m.g, cfg.ActivityFloor)
+	g := m.g
+	if m.cur != nil {
+		m.free = append(m.free, m.cur)
 	}
+	for i, j := range m.jobs {
+		m.free = append(m.free, j.tree)
+		m.jobs[i] = mstJob{}
+	}
+	m.jobs = m.jobs[:0]
+	m.eps = slices.Grow(m.eps[:0], g.NumEdges())[:g.NumEdges()]
+	m.act = slices.Grow(m.act[:0], g.NumVertices())[:g.NumVertices()]
 	// Deterministic per-edge jitter: without it, the all-zero cold-start
 	// weights make Kruskal produce a degenerate comb-shaped tree whose
 	// paths between nearby tiles detour across the whole fabric. The
@@ -72,11 +83,26 @@ func newMSTPipeline(st *sim.State, cfg Config) *mstPipeline {
 	}
 	// The initial tree is computed at compile time (all activities zero)
 	// and available from cycle one.
-	m.dsu = graph.NewDSU(g.NumVertices())
-	m.order = make([]int32, g.NumEdges())
-	m.work = graph.KruskalInto(g, nil, m.dsu, m.order)
-	m.cur = m.work.CloneInto(nil)
-	return m
+	if m.dsu == nil {
+		m.dsu = new(graph.DSU)
+	}
+	if cap(m.order) < g.NumEdges() {
+		m.order = make([]int32, g.NumEdges())
+	}
+	m.work = graph.KruskalInto(g, m.work, m.dsu, m.order)
+	m.cur = m.work.CloneInto(m.popFree())
+}
+
+// popFree takes a retired tree off the free list, or returns nil.
+func (m *mstPipeline) popFree() *graph.Tree {
+	n := len(m.free)
+	if n == 0 {
+		return nil
+	}
+	t := m.free[n-1]
+	m.free[n-1] = nil
+	m.free = m.free[:n-1]
+	return t
 }
 
 // splitmixUnit hashes x into [0, 1) with the splitmix64 finalizer.
@@ -101,15 +127,9 @@ func (m *mstPipeline) tick(st *sim.State) {
 	}
 	if (st.Cycle()-1)%m.k == 0 {
 		m.refresh(st)
-		var dst *graph.Tree
-		if n := len(m.free); n > 0 {
-			dst = m.free[n-1]
-			m.free[n-1] = nil
-			m.free = m.free[:n-1]
-		}
 		m.jobs = append(m.jobs, mstJob{
 			publishAt: st.Cycle() + m.tau,
-			tree:      m.work.CloneInto(dst),
+			tree:      m.work.CloneInto(m.popFree()),
 		})
 	}
 }

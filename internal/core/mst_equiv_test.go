@@ -24,8 +24,8 @@ type mstAuditor struct {
 
 func (a *mstAuditor) OnCycle(st *sim.State) {
 	a.Scheduler.OnCycle(st)
-	m := a.Scheduler.mst
-	if m == nil || st.Cycle()%13 != 0 {
+	m := &a.Scheduler.mst
+	if st.Cycle()%13 != 0 {
 		return
 	}
 	full := graph.Kruskal(m.g)

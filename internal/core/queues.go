@@ -1,24 +1,29 @@
 package core
 
+import "slices"
+
 // queueSet maintains one FIFO gate queue per ancilla tile (the "Q" in
 // RESCQ). Gates are appended when they become ready — seniority order — and
 // a gate may act on an ancilla only while at the head of its queue, which
 // serializes contention without races (paper section 4.1).
 type queueSet struct {
-	q [][]int
+	q     [][]int
+	arena []int // the queues' shared initial backing
 }
 
 // queueCap is each queue's initial capacity, carved from one shared
 // backing array so that only unusually deep queues grow their own.
 const queueCap = 4
 
-func newQueueSet(numAncilla int) *queueSet {
-	qs := &queueSet{q: make([][]int, numAncilla)}
-	arena := make([]int, queueCap*numAncilla)
-	for a := range qs.q {
-		qs.q[a] = arena[a*queueCap : a*queueCap : (a+1)*queueCap]
+// reset empties the set to numAncilla queues, reusing its storage.
+func (qs *queueSet) reset(numAncilla int) {
+	qs.q = slices.Grow(qs.q[:0], numAncilla)[:numAncilla]
+	if cap(qs.arena) < queueCap*numAncilla {
+		qs.arena = make([]int, queueCap*numAncilla)
 	}
-	return qs
+	for a := range qs.q {
+		qs.q[a] = qs.arena[a*queueCap : a*queueCap : (a+1)*queueCap]
+	}
 }
 
 // enqueue appends node to ancilla anc's queue.

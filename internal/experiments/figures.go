@@ -72,16 +72,16 @@ func Figure5(ctx context.Context, o Options) (Figure5Result, error) {
 			b.add(o, bench, 0, registered(schedName, 0))
 		}
 	}
-	aggs, err := b.run(ctx)
-	if err != nil {
+	if _, err := b.run(ctx); err != nil {
 		return res, err
 	}
 	for si, schedName := range scheds {
 		hc, hr := metrics.NewHistogram(), metrics.NewHistogram()
 		for bi := range benches {
-			agg := aggs[si*len(benches)+bi]
-			hc.AddAll(agg.CNOTLatencies)
-			hr.AddAll(agg.RzLatencies)
+			for _, r := range b.results[si*len(benches)+bi] {
+				hc.AddAll(r.CNOTLatencies)
+				hr.AddAll(r.RzLatencies)
+			}
 		}
 		res.CNOT[schedName] = hc
 		res.Rz[schedName] = hr

@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Edge is an undirected weighted edge between vertices U and V.
@@ -32,6 +33,20 @@ func NewGraph(n int) *Graph {
 		panic("graph: negative vertex count")
 	}
 	return &Graph{n: n, adj: make([][]int32, n)}
+}
+
+// Reset empties g to n isolated vertices, keeping the storage of its edge
+// and adjacency lists for the edges added next.
+func (g *Graph) Reset(n int) {
+	if n < 0 {
+		panic("graph: negative vertex count")
+	}
+	g.n = n
+	g.edges = g.edges[:0]
+	g.adj = slices.Grow(g.adj[:0], n)[:n]
+	for v := range g.adj {
+		g.adj[v] = g.adj[v][:0]
+	}
 }
 
 // NumVertices returns the vertex count.

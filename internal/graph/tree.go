@@ -1,5 +1,7 @@
 package graph
 
+import "math"
+
 // Tree is a spanning forest of a Graph, maintained as a minimum spanning
 // forest under single-edge weight updates (paper section 5.4.1's two cases).
 // It supports path queries between vertices in the same component; by the
@@ -18,6 +20,8 @@ type Tree struct {
 	markB      []int32 // side B stamp (smallerSide)
 	parentEdge []int32
 	stack      []int
+	sideA      []int // smallerSide's BFS queues
+	sideB      []int
 
 	// Reusable scratch for KruskalInto/CloneInto: the adjacency lists above
 	// are sub-slices of the flat CSR-style adjBuf, and the remaining
@@ -166,12 +170,21 @@ func (t *Tree) CloneInto(dst *Tree) *Tree {
 }
 
 // scratch lazily sizes the reusable buffers and advances the epoch.
+// Stale stamps are below the new epoch, so a tree reused for another
+// graph only grows the buffers; a pooled tree can live long enough for the
+// epoch to wrap, and only then are the stamps cleared.
 func (t *Tree) scratch() {
-	if len(t.mark) != t.g.n {
-		t.mark = make([]int32, t.g.n)
-		t.markA = make([]int32, t.g.n)
-		t.markB = make([]int32, t.g.n)
-		t.parentEdge = make([]int32, t.g.n)
+	if n := t.g.n; len(t.mark) < n {
+		t.mark = make([]int32, n)
+		t.markA = make([]int32, n)
+		t.markB = make([]int32, n)
+		t.parentEdge = make([]int32, n)
+	}
+	if t.epoch == math.MaxInt32 {
+		clear(t.mark)
+		clear(t.markA)
+		clear(t.markB)
+		t.epoch = 0
 	}
 	t.epoch++
 }
@@ -468,8 +481,9 @@ func (t *Tree) smallerSide(u, v int) ([]int32, int32, []int) {
 		q     []int // BFS queue; q[:heads] already expanded
 		heads int
 	}
-	a := &walker{seen: t.markA, q: []int{u}}
-	b := &walker{seen: t.markB, q: []int{v}}
+	a := &walker{seen: t.markA, q: append(t.sideA[:0], u)}
+	b := &walker{seen: t.markB, q: append(t.sideB[:0], v)}
+	defer func() { t.sideA, t.sideB = a.q, b.q }()
 	a.seen[u] = t.epoch
 	b.seen[v] = t.epoch
 	step := func(w *walker) bool { // returns false when exhausted

@@ -11,6 +11,7 @@ package lattice
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -100,8 +101,6 @@ type Grid struct {
 	ancTile []Coord // ancilla ID -> tile coordinate
 
 	blockRows, blockCols int
-
-	bfs *pathScratch // ShortestAncillaPathInto's scratch; never shared by clones
 }
 
 // NewSTARGrid builds the uncompressed STAR grid for n program qubits. The
@@ -166,7 +165,13 @@ func (g *Grid) idx(c Coord) int { return c.Row*g.cols + c.Col }
 // reindexAncillas rebuilds the dense ancilla ID space after layout changes.
 func (g *Grid) reindexAncillas() {
 	g.ancID = make([]int, g.rows*g.cols)
-	g.ancTile = g.ancTile[:0]
+	n := 0
+	for _, k := range g.kind {
+		if k == TileAncilla {
+			n++
+		}
+	}
+	g.ancTile = slices.Grow(g.ancTile[:0], n)
 	for i := range g.ancID {
 		g.ancID[i] = -1
 	}
@@ -323,11 +328,16 @@ func (g *Grid) DiagonalAncillas(q int, buf []Coord) []Coord {
 	return buf
 }
 
-// AncillaGraph builds the undirected graph over ancilla IDs with one edge
-// per pair of 4-adjacent ancilla tiles, all weights initialized to w0. The
-// returned edge IDs are stable and can be looked up via AncillaGraphEdge.
-func (g *Grid) AncillaGraph(w0 float64) *graph.Graph {
-	gr := graph.NewGraph(len(g.ancTile))
+// AncillaGraphInto builds the undirected graph over ancilla IDs with one
+// edge per pair of 4-adjacent ancilla tiles, all weights initialized to
+// w0, into gr (reusing its storage) or, when gr is nil, into a new graph,
+// and returns it. Edge IDs follow ancilla IDs, south edge before east.
+func (g *Grid) AncillaGraphInto(gr *graph.Graph, w0 float64) *graph.Graph {
+	if gr == nil {
+		gr = graph.NewGraph(len(g.ancTile))
+	} else {
+		gr.Reset(len(g.ancTile))
+	}
 	for id, c := range g.ancTile {
 		// Add each edge once: only toward south and east.
 		for _, d := range [2]Dir{South, East} {
@@ -383,6 +393,9 @@ func (g *Grid) Compress(fraction float64, rng *rand.Rand) int {
 	if fraction > 1 {
 		fraction = 1
 	}
+	// The tiling may be shared with clones (see Clone): compress a copy.
+	g.kind = slices.Clone(g.kind)
+	g.ancTile = slices.Clone(g.ancTile)
 	n := len(g.dataTile)
 	a0 := len(g.ancTile)
 	target := a0 - int(fraction*float64(a0-n)+0.5)
@@ -487,20 +500,18 @@ func NewGridFromTiles(tiles []string) (*Grid, error) {
 	return g, nil
 }
 
-// Clone returns an independent deep copy of the grid. Layout builders are
+// Clone returns an independent copy of the grid. Layout builders are
 // deterministic but can be expensive (compact re-runs the whole
 // compression search, custom re-parses its spec), so callers build a
 // configuration's grid once and clone it per seeded run — the clone then
 // takes the run's private mutations (compression, orientation toggles).
+//
+// Only the orientations are copied. The tiling (kinds, qubit and ancilla
+// indexes) is shared, because no grid ever writes it in place once built:
+// Compress gives the grid it compresses a fresh tiling first.
 func (g *Grid) Clone() *Grid {
 	ng := *g
-	ng.kind = append([]TileKind(nil), g.kind...)
-	ng.qubitAt = append([]int(nil), g.qubitAt...)
-	ng.orient = append([]Orientation(nil), g.orient...)
-	ng.dataTile = append([]Coord(nil), g.dataTile...)
-	ng.ancID = append([]int(nil), g.ancID...)
-	ng.ancTile = append([]Coord(nil), g.ancTile...)
-	ng.bfs = nil
+	ng.orient = slices.Clone(g.orient)
 	return &ng
 }
 

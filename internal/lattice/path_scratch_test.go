@@ -168,9 +168,10 @@ func TestShortestAncillaPathEpochWrap(t *testing.T) {
 	g := NewSTARGrid(9)
 	src, dst := []Coord{{0, 0}}, []Coord{{6, 6}}
 	want := referenceShortestPath(g, src, dst, nil)
-	g.ShortestAncillaPathInto(src, dst, nil, nil)
-	g.bfs.epoch = ^uint32(0) // the next search wraps the stamp counter
-	if got := g.ShortestAncillaPathInto(src, dst, nil, nil); !slices.Equal(got, want) {
+	sc := new(pathScratch)
+	g.shortestPath(sc, src, dst, nil, nil)
+	sc.epoch = ^uint32(0) // the next search wraps the stamp counter
+	if got := g.shortestPath(sc, src, dst, nil, nil); !slices.Equal(got, want) {
 		t.Fatalf("after wrap: path %v, want %v", got, want)
 	}
 }

@@ -4,7 +4,11 @@ package lattice
 // shortest path used by the greedy baseline and the row/column "braid"
 // paths used by the AutoBraid-style baseline.
 
-import "slices"
+import (
+	"slices"
+
+	"repro/internal/freelist"
+)
 
 // ShortestAncillaPathInto runs a breadth-first search over ancilla tiles
 // from any tile in src to any tile in dst, skipping busy ancillas: the
@@ -13,14 +17,21 @@ import "slices"
 // ignored. It appends the tile sequence, including the chosen endpoints,
 // to buf and returns the extended slice, or returns nil if no path exists.
 //
-// The search reuses scratch owned by the grid, so with a buf of enough
-// capacity it allocates nothing; concurrent calls on one Grid are not safe
-// (each seeded run owns its grid, and Clone never shares the scratch).
+// The search borrows its scratch from a free list for the call,
+// so with a buf of enough capacity it allocates nothing once warm, and
+// concurrent calls are safe on distinct grids and on one grid alike.
 func (g *Grid) ShortestAncillaPathInto(src, dst []Coord, reserved []bool, buf []Coord) []Coord {
 	if len(src) == 0 || len(dst) == 0 {
 		return nil
 	}
-	sc := g.bfsScratch()
+	sc := bfsScratch.Get()
+	defer bfsScratch.Put(sc)
+	return g.shortestPath(sc, src, dst, reserved, buf)
+}
+
+// shortestPath is ShortestAncillaPathInto's search on the scratch sc.
+func (g *Grid) shortestPath(sc *pathScratch, src, dst []Coord, reserved []bool, buf []Coord) []Coord {
+	sc.begin(g.rows * g.cols)
 	ep := sc.epoch
 	anyDst := false
 	for _, c := range dst {
@@ -97,20 +108,23 @@ type pathScratch struct {
 	queue []int32
 }
 
-// bfsScratch returns the grid's search scratch, advanced to a fresh epoch.
-func (g *Grid) bfsScratch() *pathScratch {
-	n := g.rows * g.cols
-	if g.bfs == nil {
-		g.bfs = &pathScratch{seen: make([]uint32, n), dst: make([]uint32, n), prev: make([]int32, n)}
+// bfsScratch holds search scratch between ShortestAncillaPathInto calls,
+// for every grid: a seeded run's grid clone lives for one run, but the
+// scratch outlives it, sized for the largest grid it has searched.
+var bfsScratch = freelist.New(func() *pathScratch { return new(pathScratch) })
+
+// begin sizes sc for a grid of n tiles and advances it to a fresh epoch.
+func (sc *pathScratch) begin(n int) {
+	if len(sc.seen) < n {
+		// Fresh zero stamps never equal a live epoch, which is at least 1.
+		sc.seen, sc.dst, sc.prev = make([]uint32, n), make([]uint32, n), make([]int32, n)
 	}
-	sc := g.bfs
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale stamps could alias the new epoch
 		clear(sc.seen)
 		clear(sc.dst)
 		sc.epoch = 1
 	}
-	return sc
 }
 
 // BraidPathInto builds an AutoBraid-style two-segment path between
@@ -171,8 +185,7 @@ func (g *Grid) straightL(a, b Coord, rowFirst bool, reserved []bool, path []Coor
 }
 
 // PathContiguous reports whether path is a sequence of 4-adjacent live
-// ancilla tiles (used to validate scheduler output in tests and as a
-// defensive check in the engine).
+// ancilla tiles (used to validate router output in tests).
 func (g *Grid) PathContiguous(path []Coord) bool {
 	for i, c := range path {
 		if g.Kind(c) != TileAncilla {

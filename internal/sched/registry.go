@@ -36,9 +36,11 @@ func Known(name string) bool { return slices.Contains(names, name) }
 // Names returns the scheduler names, sorted.
 func Names() []string { return slices.Clone(names) }
 
-// New constructs a fresh instance of the named scheduler. Instances carry
-// per-run state, so every seeded run constructs its own. Unknown names
-// fail with an error enumerating the known schedulers.
+// New returns an instance of the named scheduler for one run. Instances
+// carry per-run state, so every seeded run takes its own; they are pooled,
+// so New hands out one that an engine released at the end of an earlier
+// run (see sim.Releaser) when there is one, and its Init resets it.
+// Unknown names fail with an error enumerating the known schedulers.
 func New(name string, p Params) (sim.Scheduler, error) {
 	switch name {
 	case "autobraid":

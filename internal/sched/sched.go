@@ -16,6 +16,7 @@ import (
 	"slices"
 
 	"repro/internal/circuit"
+	"repro/internal/freelist"
 	"repro/internal/lattice"
 	"repro/internal/sim"
 )
@@ -27,9 +28,34 @@ import (
 // index (sim.State.Reserved).
 type PathFinder func(g *lattice.Grid, srcs, dsts []lattice.Coord, reserved []bool, buf []lattice.Coord) []lattice.Coord
 
+// The baselines' free lists keep released instances, whose Init reuses
+// the storage of the run they last scheduled. Each list holds one policy,
+// so a pooled instance keeps its name and router for life.
+var (
+	greedyFree    = freelist.New(newGreedy)
+	autoBraidFree = freelist.New(newAutoBraid)
+)
+
 // NewGreedy returns the greedy shortest-path baseline: BFS over free
 // ancilla tiles from the control's Z edge to the target's X edge.
-func NewGreedy() sim.Scheduler {
+func NewGreedy() sim.Scheduler { return take(greedyFree) }
+
+// NewAutoBraid returns the AutoBraid-style baseline: row/column braid
+// ("L"-shaped) corridors between endpoint ancillas, trying every
+// (source, destination) endpoint combination and keeping the shortest
+// braid. When no braid corridor is open it falls back to BFS so the
+// schedule can always make progress.
+func NewAutoBraid() sim.Scheduler { return take(autoBraidFree) }
+
+// take hands out an instance of free's policy, reused when one has been
+// released.
+func take(free *freelist.List[layered]) *layered {
+	l := free.Get()
+	l.free = free
+	return l
+}
+
+func newGreedy() *layered {
 	return &layered{
 		name: "greedy",
 		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, reserved []bool, buf []lattice.Coord) []lattice.Coord {
@@ -38,13 +64,8 @@ func NewGreedy() sim.Scheduler {
 	}
 }
 
-// NewAutoBraid returns the AutoBraid-style baseline: row/column braid
-// ("L"-shaped) corridors between endpoint ancillas, trying every
-// (source, destination) endpoint combination and keeping the shortest
-// braid. When no braid corridor is open it falls back to BFS so the
-// schedule can always make progress.
-func NewAutoBraid() sim.Scheduler {
-	var cand []lattice.Coord // per-run scratch for the braid being tried
+func newAutoBraid() *layered {
+	var cand []lattice.Coord // per-instance scratch for the braid being tried
 	return &layered{
 		name: "autobraid",
 		path: func(g *lattice.Grid, srcs, dsts []lattice.Coord, reserved []bool, buf []lattice.Coord) []lattice.Coord {
@@ -81,14 +102,19 @@ func open(g *lattice.Grid, c lattice.Coord, reserved []bool) bool {
 	return ok && g.KindAt(i) == lattice.TileAncilla && !reserved[i]
 }
 
-// layered is the shared static-scheduler machinery.
+// layered is the shared static-scheduler machinery. It implements
+// sim.Scheduler and sim.Releaser.
 type layered struct {
 	name string
 	path PathFinder
+	free *freelist.List[layered] // the list to release to; nil once released
 
 	layer   int      // current executing layer
 	left    int      // unfinished gates in the current layer
 	byLayer [][]int  // layer -> node IDs, sorted by descending height
+	flat    []int    // byLayer's backing array
+	start   []int    // byLayer's bucket starts in flat (Init's counting sort)
+	running []int    // the current layer's unfinished nodes, in byLayer order
 	drivers []driver // node -> its gate's state machine while it executes, else nil
 
 	// Driver pools, sized in Init to the widest layer of each gate kind
@@ -116,20 +142,33 @@ type driver interface {
 
 func (l *layered) Name() string { return l.name }
 
+// Release implements sim.Releaser: it returns l to the free list it came
+// from. Releasing twice is harmless; using l after Release is not.
+func (l *layered) Release() {
+	if f := l.free; f != nil {
+		l.free = nil
+		f.Put(l)
+	}
+}
+
+// Init resets every piece of per-run state, keeping the capacity an
+// earlier run gave it.
 func (l *layered) Init(st *sim.State) error {
 	dag := st.DAG()
 	// Bucket the nodes by layer in one flat array (a counting sort).
-	start := make([]int, dag.NumLayers()+1)
+	l.start = slices.Grow(l.start[:0], dag.NumLayers()+1)[:dag.NumLayers()+1]
+	start := l.start
+	clear(start)
 	for n := 0; n < dag.Len(); n++ {
 		start[dag.Layer(n)+1]++
 	}
 	for i := 1; i < len(start); i++ {
 		start[i] += start[i-1]
 	}
-	flat := make([]int, dag.Len())
-	l.byLayer = make([][]int, dag.NumLayers())
+	l.flat = slices.Grow(l.flat[:0], dag.Len())[:dag.Len()]
+	l.byLayer = slices.Grow(l.byLayer[:0], dag.NumLayers())[:dag.NumLayers()]
 	for i := range l.byLayer {
-		l.byLayer[i] = flat[start[i]:start[i]:start[i+1]]
+		l.byLayer[i] = l.flat[start[i]:start[i]:start[i+1]]
 	}
 	for n := 0; n < dag.Len(); n++ {
 		l.byLayer[dag.Layer(n)] = append(l.byLayer[dag.Layer(n)], n)
@@ -150,14 +189,21 @@ func (l *layered) Init(st *sim.State) error {
 			widest[i] = max(widest[i], count[i])
 		}
 	}
-	l.cnots = make([]cnotDriver, widest[0])
-	l.rzs = make([]rzDriver, widest[1])
-	l.hs = make([]hDriver, widest[2])
-	l.layer = -1
-	l.drivers = make([]driver, dag.Len())
+	// newDriver overwrites a pooled driver whole, so the pools need no
+	// clearing, and the CNOT drivers keep their path buffers.
+	l.cnots = slices.Grow(l.cnots[:0], widest[0])[:widest[0]]
+	l.rzs = slices.Grow(l.rzs[:0], widest[1])[:widest[1]]
+	l.hs = slices.Grow(l.hs[:0], widest[2])[:widest[2]]
+	l.layer, l.left = -1, 0
+	l.running = l.running[:0]
+	l.drivers = slices.Grow(l.drivers[:0], dag.Len())[:dag.Len()]
+	clear(l.drivers)
 	return nil
 }
 
+// OnCycle starts the next layer once the current one is finished, and
+// ticks the current layer's unfinished gates in byLayer order, dropping
+// the ones that finished since the last cycle from the running list.
 func (l *layered) OnCycle(st *sim.State) {
 	if l.left == 0 {
 		l.layer++
@@ -166,19 +212,21 @@ func (l *layered) OnCycle(st *sim.State) {
 		}
 		nodes := l.byLayer[l.layer]
 		l.left = len(nodes)
+		l.running = append(l.running[:0], nodes...)
 		var used [3]int
 		for _, n := range nodes {
 			l.drivers[n] = l.newDriver(st, n, &used)
 		}
 	}
-	if l.layer >= len(l.byLayer) {
-		return
-	}
-	for _, n := range l.byLayer[l.layer] {
+	w := 0
+	for _, n := range l.running {
 		if d := l.drivers[n]; d != nil {
+			l.running[w] = n
+			w++
 			d.tick(st, &l.sc)
 		}
 	}
+	l.running = l.running[:w]
 }
 
 func (l *layered) OnOpDone(st *sim.State, op *sim.Op, success bool) {

@@ -28,13 +28,18 @@ type Scheduler interface {
 	OnOpDone(st *State, op *Op, success bool)
 }
 
+// Releaser is implemented by schedulers whose instances are pooled, as
+// sched.New hands them out: the engine calls Release once, when its run
+// ends, whatever the outcome, and the instance must not be used after
+// that. The static baselines and RESCQ both implement it.
+type Releaser interface {
+	Release()
+}
+
 // Engine couples a State with a Scheduler and runs to completion.
 type Engine struct {
 	st    *State
 	sched Scheduler
-
-	// completions is the reused per-cycle callback buffer of advance.
-	completions []completion
 }
 
 type completion struct {
@@ -42,17 +47,22 @@ type completion struct {
 	success bool
 }
 
-// NewEngine builds an engine over a fresh simulation state.
+// NewEngine builds an engine over a fresh simulation state. The state's
+// storage comes from a pool and goes back to it when the run ends, so
+// engines that run one after another reuse each other's buffers.
 func NewEngine(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64, sched Scheduler) *Engine {
 	return &Engine{st: newState(g, dag, cfg, seed), sched: sched}
 }
 
-// State exposes the engine's state (mainly for tests).
+// State exposes the engine's state to code that drives it by hand (mainly
+// tests). It is valid until Run returns; after that it is nil.
 func (e *Engine) State() *State { return e.st }
 
 // Run executes the simulation until every gate completes and returns the
 // collected statistics. It fails on scheduler deadlock (no progress for
-// cfg.StallLimit cycles) or when cfg.MaxCycles is exceeded.
+// cfg.StallLimit cycles) or when cfg.MaxCycles is exceeded. An engine runs
+// once: Run returns the state's storage to the pool, and releases the
+// scheduler if it is a Releaser.
 func (e *Engine) Run() (*Result, error) {
 	return e.RunContext(context.Background())
 }
@@ -69,6 +79,7 @@ const cancelCheckMask = 255
 // instead of running it to completion.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	st := e.st
+	defer e.release()
 	if err := e.sched.Init(st); err != nil {
 		return nil, fmt.Errorf("sim: scheduler init: %w", err)
 	}
@@ -108,6 +119,16 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	return e.collect(), nil
 }
 
+// release hands the state's storage back to the pool and the scheduler
+// back to its owner. collect has copied out everything the Result holds.
+func (e *Engine) release() {
+	e.st.release()
+	e.st = nil
+	if r, ok := e.sched.(Releaser); ok {
+		r.Release()
+	}
+}
+
 // advance progresses all active ops by one cycle and fires completion
 // callbacks. It reports whether any op advanced. Iteration order is
 // deterministic without sorting: st.active is kept in creation (= ID)
@@ -121,7 +142,7 @@ func (e *Engine) advance() bool {
 	}
 	prev := st.active
 	live := st.active[:0]
-	completions := e.completions[:0]
+	completions := st.completions[:0]
 	progressed := false
 	for _, op := range prev {
 		if op.done && !op.prepared {
@@ -172,7 +193,7 @@ func (e *Engine) advance() bool {
 	for i := range completions {
 		completions[i] = completion{} // drop op references for the GC
 	}
-	e.completions = completions[:0]
+	st.completions = completions[:0]
 	return progressed
 }
 
@@ -251,18 +272,31 @@ func (st *State) closeRun(a int, end int32) {
 	st.runs[a] = rs
 }
 
-// collect builds the Result after completion.
+// collect builds the Result after completion. The Result shares no
+// storage with the State, which goes back to the pool after the run: its
+// per-gate latencies and its per-ancilla and per-qubit fractions are each
+// copied into one fresh array, sized from the DAG's gate counts and the
+// grid.
 func (e *Engine) collect() *Result {
 	st := e.st
+	na, nq := st.grid.NumAncilla(), st.grid.NumQubits()
+	fracs := make([]float64, na+nq)
 	r := &Result{
 		Scheduler:          e.sched.Name(),
 		TotalCycles:        st.cycle,
-		AncillaUtilization: make([]float64, st.grid.NumAncilla()),
+		AncillaUtilization: fracs[:na:na],
 		PrepsStarted:       st.started[OpPrep],
 		InjectionsStarted:  st.started[OpInjection],
 		InjectionFailures:  st.injectionFailures,
 		EdgeRotations:      st.started[OpEdgeRotation],
-		IdlePerQubit:       make([]float64, st.grid.NumQubits()),
+		IdlePerQubit:       fracs[na:],
+	}
+	lats := make([]int, 0, st.numCNOT+st.numRz) // a gate kind the DAG lacks keeps nil
+	if st.numCNOT > 0 {
+		r.CNOTLatencies = lats[:0:st.numCNOT]
+	}
+	if st.numRz > 0 {
+		r.RzLatencies = lats[st.numCNOT:st.numCNOT]
 	}
 	for n := 0; n < st.dag.Len(); n++ {
 		lat := st.doneAt[n] - st.readyAt[n] + 1

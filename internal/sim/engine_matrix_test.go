@@ -16,11 +16,28 @@ import (
 
 // checkedScheduler wraps a scheduler and runs the engine invariant
 // checker at the start of every cycle, i.e. on the state the previous
-// cycle left behind.
+// cycle left behind. The state after the last cycle goes back to the
+// engine's pool when Run returns, so the final checks run inside the last
+// cycle instead: on every completion callback once all gates are done,
+// keeping the verdict of the last one, which sees the state Run ends in.
 type checkedScheduler struct {
 	sim.Scheduler
-	c   *sim.Checker
-	err error
+	c     *sim.Checker
+	err   error
+	final error // the final checks' verdict
+	ended bool  // the final checks ran
+}
+
+func (s *checkedScheduler) OnOpDone(st *sim.State, op *sim.Op, success bool) {
+	s.Scheduler.OnOpDone(st, op, success)
+	if st.AllDone() {
+		s.ended = true
+		if s.final = s.c.Check(st); s.final != nil {
+			s.final = fmt.Errorf("after the last cycle: %w", s.final)
+		} else {
+			s.final = sim.CheckGateOrder(st)
+		}
+	}
 }
 
 func (s *checkedScheduler) OnCycle(st *sim.State) {
@@ -78,11 +95,11 @@ func TestEngineInvariantsAcrossMatrix(t *testing.T) {
 					if s.err != nil {
 						t.Fatal(s.err)
 					}
-					if err := s.c.Check(e.State()); err != nil {
-						t.Fatalf("after the last cycle: %v", err)
+					if !s.ended {
+						t.Fatal("the run ended without a completion callback")
 					}
-					if err := sim.CheckGateOrder(e.State()); err != nil {
-						t.Fatal(err)
+					if s.final != nil {
+						t.Fatal(s.final)
 					}
 				})
 			}

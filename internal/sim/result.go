@@ -82,16 +82,17 @@ type SeededRuns struct {
 	Compression float64
 	// Seed is the base seed: run i simulates with Seed+i.
 	Seed int64
-	// NewScheduler returns a fresh scheduler instance for each run.
+	// NewScheduler returns a scheduler instance for each run, one that no
+	// other run is using (sched.New reuses released ones).
 	NewScheduler func() (Scheduler, error)
 }
 
 // Run executes seed index i: clone the grid, compress the clone with the
 // layout seed Seed+i*7919 (compression is part of the architecture, so
-// every scheduler sees the same compressed grid per index), build a fresh
-// scheduler and simulate with seed Seed+i. Runs are self-contained, so
-// callers may fan indices out over ParallelFor and aggregate the results
-// in index order.
+// every scheduler sees the same compressed grid per index), take a
+// scheduler from NewScheduler and simulate with seed Seed+i. Runs are
+// self-contained, so callers may fan indices out over ParallelFor and
+// aggregate the results in index order.
 func (r *SeededRuns) Run(ctx context.Context, i int) (*Result, error) {
 	g := r.Grid.Clone()
 	if r.Compression > 0 {
@@ -116,13 +117,11 @@ type Aggregate struct {
 	StdCycles  float64
 
 	MeanIdle float64
-
-	// Pooled per-gate latencies across runs (Figure 5 inputs).
-	CNOTLatencies []int
-	RzLatencies   []int
 }
 
-// Aggregate pools per-run results. It panics on an empty slice.
+// AggregateResults computes the scalar statistics of per-run results; a
+// caller that wants the per-gate latencies pooled (Figure 5) reads them
+// from the results. It panics on an empty slice.
 func AggregateResults(results []*Result) Aggregate {
 	if len(results) == 0 {
 		panic("sim: aggregating zero results")
@@ -145,8 +144,6 @@ func AggregateResults(results []*Result) Aggregate {
 		if r.TotalCycles > a.MaxCycles {
 			a.MaxCycles = r.TotalCycles
 		}
-		a.CNOTLatencies = append(a.CNOTLatencies, r.CNOTLatencies...)
-		a.RzLatencies = append(a.RzLatencies, r.RzLatencies...)
 	}
 	n := float64(len(results))
 	a.MeanCycles = sum / n

@@ -476,9 +476,6 @@ func TestAggregateResults(t *testing.T) {
 	if math.Abs(a.MeanIdle-0.3) > 1e-12 {
 		t.Errorf("MeanIdle = %v, want 0.3", a.MeanIdle)
 	}
-	if len(a.CNOTLatencies) != 2 {
-		t.Errorf("pooled latencies = %v", a.CNOTLatencies)
-	}
 	if math.Abs(a.StdCycles-5) > 1e-9 {
 		t.Errorf("StdCycles = %v, want 5", a.StdCycles)
 	}

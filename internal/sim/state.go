@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/circuit"
+	"repro/internal/freelist"
 	"repro/internal/lattice"
 	"repro/internal/rus"
 )
@@ -93,6 +94,12 @@ type State struct {
 	// completion callbacks can still read them (see Op).
 	retired []*Op
 	free    []*Op
+	ops     []*Op // every op this storage has made, for the next reset
+
+	// completions is the engine's reused per-cycle callback buffer, and
+	// pathIdx StartCNOT's tile indices of the path being validated.
+	completions []completion
+	pathIdx     []int
 
 	// Gate bookkeeping.
 	status     []GateStatus
@@ -101,6 +108,8 @@ type State struct {
 	doneAt     []int
 	numDone    int
 	readyCount int
+	numCNOT    int // CNOT and Rz gates in the DAG, to presize the Result
+	numRz      int
 
 	// Per-cycle outputs collected by the engine.
 	startedThisCycle int
@@ -116,6 +125,7 @@ type State struct {
 	actCycle   int // last accounted cycle
 	runStart   []int32
 	runs       [][]busyRun
+	runArena   []busyRun // runs' shared initial backing
 	actTotal   []int
 	ancDirty   []bool
 	dirtyAnc   []int32
@@ -143,39 +153,75 @@ type busyRun struct{ start, end int32 }
 // runsPerAncilla is the initial run capacity of each ancilla.
 const runsPerAncilla = 16
 
+// states keeps run storage between configurations: a State comes out of
+// it in newState and goes back when its engine's run ends, so after
+// warm-up a run reuses every buffer of an earlier one.
+var states = freelist.New(func() *State { return new(State) })
+
 // newState wires a State for the engine; schedulers receive it via Init.
 func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State {
+	st := states.Get()
+	st.reset(g, dag, cfg, seed)
+	return st
+}
+
+// release returns st's storage to states. The caller must hold no
+// reference to st or to anything it owns.
+func (st *State) release() {
+	st.grid, st.dag = nil, nil // do not pin the caller's grid and DAG
+	states.Put(st)
+}
+
+// reset makes st the initial state of a run of dag on g, keeping the
+// capacity of every buffer (and every op) of the run it held before. The
+// seeded source is reseeded in place, which yields the same stream as a
+// fresh rand.New(rand.NewSource(seed)).
+func (st *State) reset(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) {
 	cfg = cfg.withDefaults()
 	params := cfg.RUSParams()
-	st := &State{
+	rng := st.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(seed))
+	} else {
+		rng.Seed(seed)
+	}
+	nt, nq, na, nn := g.NumTiles(), g.NumQubits(), g.NumAncilla(), dag.Len()
+	*st = State{
 		cfg:          cfg,
 		grid:         g,
 		dag:          dag,
-		rng:          rand.New(rand.NewSource(seed)),
+		rng:          rng,
 		prepSuccess:  params.PrepSuccessPerCycle(),
 		prepExpected: params.ExpectedPrepCycles(),
-		tileOp:       make([]*Op, g.NumTiles()),
-		reserved:     make([]bool, g.NumTiles()),
-		qubitOp:      make([]*Op, g.NumQubits()),
-		active:       make([]*Op, 0, 64),
-		status:       make([]GateStatus, dag.Len()),
-		predLeft:     make([]int, dag.Len()),
-		readyAt:      make([]int, dag.Len()),
-		doneAt:       make([]int, dag.Len()),
+		tileOp:       zeroed(st.tileOp, nt),
+		reserved:     zeroed(st.reserved, nt),
+		qubitOp:      zeroed(st.qubitOp, nq),
+		active:       st.active[:0],
+		retired:      st.retired[:0],
+		free:         append(st.free[:0], st.ops...),
+		ops:          st.ops,
+		completions:  st.completions[:0],
+		pathIdx:      st.pathIdx[:0],
+		status:       zeroed(st.status, nn),
+		predLeft:     zeroed(st.predLeft, nn),
+		readyAt:      zeroed(st.readyAt, nn),
+		doneAt:       zeroed(st.doneAt, nn),
 		actWindow:    cfg.ActivityWindow,
-		runStart:     make([]int32, g.NumAncilla()),
-		runs:         make([][]busyRun, g.NumAncilla()),
-		actTotal:     make([]int, g.NumAncilla()),
-		ancDirty:     make([]bool, g.NumAncilla()),
-		ancTileIdx:   make([]int32, g.NumAncilla()),
-		idleCycles:   make([]int, g.NumQubits()),
-		idleSince:    make([]int, g.NumQubits()),
-		qubitDirty:   make([]bool, g.NumQubits()),
-		dirtyQubit:   make([]int32, 0, g.NumQubits()),
-		lastGateAt:   make([]int, g.NumQubits()),
-		gatesLeft:    make([]int, g.NumQubits()),
+		runStart:     zeroed(st.runStart, na),
+		runs:         resized(st.runs, na),
+		runArena:     resized(st.runArena, runsPerAncilla*na),
+		actTotal:     zeroed(st.actTotal, na),
+		ancDirty:     zeroed(st.ancDirty, na),
+		dirtyAnc:     st.dirtyAnc[:0],
+		ancTileIdx:   zeroed(st.ancTileIdx, na),
+		idleCycles:   zeroed(st.idleCycles, nq),
+		idleSince:    zeroed(st.idleSince, nq),
+		qubitDirty:   zeroed(st.qubitDirty, nq),
+		dirtyQubit:   st.dirtyQubit[:0],
+		lastGateAt:   zeroed(st.lastGateAt, nq),
+		gatesLeft:    zeroed(st.gatesLeft, nq),
 	}
-	for i := 0; i < dag.Len(); i++ {
+	for i := 0; i < nn; i++ {
 		st.predLeft[i] = dag.InDegree(i)
 		if st.predLeft[i] == 0 {
 			st.status[i] = GateReady
@@ -184,6 +230,12 @@ func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State 
 		}
 		st.doneAt[i] = -1
 		g := dag.Gate(i)
+		switch g.Kind {
+		case circuit.KindCNOT:
+			st.numCNOT++
+		case circuit.KindRz:
+			st.numRz++
+		}
 		for j := 0; j < g.Kind.NumQubits(); j++ {
 			st.gatesLeft[g.Qubits[j]]++
 		}
@@ -193,14 +245,36 @@ func newState(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64) *State 
 		st.markQubit(q) // every qubit's idle state is evaluated in cycle 1
 	}
 	// Every ancilla's runs start in one shared backing array, so only
-	// ancillas with unusually many runs per window ever grow their own.
-	arena := make([]busyRun, runsPerAncilla*g.NumAncilla())
+	// ancillas with unusually many runs per window ever grow their own;
+	// an array grown in an earlier run is kept for the same ancilla ID.
 	for a := range st.ancTileIdx {
 		i, _ := g.Index(g.AncillaTile(a))
 		st.ancTileIdx[a] = int32(i)
-		st.runs[a] = arena[a*runsPerAncilla : a*runsPerAncilla : (a+1)*runsPerAncilla]
+		if rs := st.runs[a]; cap(rs) > runsPerAncilla {
+			st.runs[a] = rs[:0]
+		} else {
+			st.runs[a] = st.runArena[a*runsPerAncilla : a*runsPerAncilla : (a+1)*runsPerAncilla]
+		}
 	}
-	return st
+}
+
+// resized returns s resized to n elements, reusing its capacity without
+// clearing it.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed returns s resized to n zero elements, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Cycle returns the current simulation cycle (first cycle is 1).
@@ -286,6 +360,7 @@ func (st *State) newOp(kind OpKind, node int, dur int) *Op {
 		op = new(Op)
 		op.Qubits = op.qubitsBuf[:0]
 		op.Tiles = op.tilesBuf[:0]
+		st.ops = append(st.ops, op)
 	}
 	st.nextOp++
 	op.ID, op.Kind, op.Node, op.start, op.remaining = st.nextOp, kind, node, st.cycle, dur
@@ -361,13 +436,25 @@ func (st *State) StartCNOT(n, control, target int, path []lattice.Coord) (*Op, e
 	if !st.QubitFree(control) || !st.QubitFree(target) {
 		return nil, fmt.Errorf("sim: CNOT qubits %d,%d not free", control, target)
 	}
-	if !st.grid.PathContiguous(path) {
-		return nil, fmt.Errorf("sim: CNOT path %v not contiguous ancillas", path)
-	}
-	for _, c := range path {
-		if !st.TileFree(c) {
-			return nil, fmt.Errorf("sim: CNOT path tile %v busy", c)
+	// One pass derives every tile's index and checks that the path is
+	// contiguous live ancillas; a busy tile is reported only if the whole
+	// path is contiguous, as a contiguity check ahead of a busy check would.
+	busy := -1
+	idx := st.pathIdx[:0]
+	for k, c := range path {
+		i, ok := st.grid.Index(c)
+		if !ok || st.grid.KindAt(i) != lattice.TileAncilla || (k > 0 && !tilesAdjacent(path[k-1], c)) {
+			st.pathIdx = idx
+			return nil, fmt.Errorf("sim: CNOT path %v not contiguous ancillas", path)
 		}
+		if busy < 0 && st.tileOp[i] != nil {
+			busy = k
+		}
+		idx = append(idx, i)
+	}
+	st.pathIdx = idx
+	if busy >= 0 {
+		return nil, fmt.Errorf("sim: CNOT path tile %v busy", path[busy])
 	}
 	if !st.adjacentAcross(control, path[0], st.grid.ZEdgeDirs(control)) {
 		return nil, fmt.Errorf("sim: path head %v not on Z edge of control %d", path[0], control)
@@ -378,9 +465,10 @@ func (st *State) StartCNOT(n, control, target int, path []lattice.Coord) (*Op, e
 	op := st.newOp(OpCNOT, n, CNOTCycles)
 	st.reserveQubit(op, control)
 	st.reserveQubit(op, target)
-	for _, c := range path {
-		st.reserveTile(op, c)
+	for _, i := range idx {
+		st.setTileOp(i, op)
 	}
+	op.Tiles = append(op.Tiles, path...)
 	return op, nil
 }
 

@@ -63,16 +63,30 @@
 //     events: only the tiles and qubits whose holder changed in a cycle
 //     are visited, not every ancilla. A test checks that a longer run
 //     allocates no more than a shorter one.
+//   - Configurations reuse each other's storage, so after warm-up a
+//     configuration allocates little more than its Result (a fixed count,
+//     which a test bounds). sim.NewEngine takes its State from a pool and
+//     resets it in place (per-gate, per-tile, per-ancilla and per-qubit
+//     buffers, recycled ops, the reseeded RNG), and the run returns it
+//     once collect has copied the Result out. sched.New hands out pooled
+//     scheduler instances whose Init is a full reset that keeps their
+//     capacity (RESCQ's gate table, queues and MST graph, trees and DSU;
+//     the baselines' layer buckets and driver pools), and the engine
+//     releases each one when its run ends. A grid clone copies only the
+//     orientations and shares the immutable tiling with its layout, and
+//     the BFS router borrows its scratch from a pool. The daemon's GC
+//     therefore runs about a tenth as often; rescqd exports the runtime's
+//     GC CPU and heap goal on /metrics.
 //   - One seeded-run step (sim.SeededRuns) serves this package, the
 //     rescqd daemon and the experiment drivers: each run clones one
 //     prebuilt layout, compresses the clone with a seed derived from the
 //     run index, and simulates the process-wide memoized benchmark DAG
-//     with a fresh scheduler. A configuration therefore reads the same
-//     number from Run, a daemon sweep and a paper figure. Run executes
-//     its seeds serially (the daemon's slots already fill the cores); the
-//     drivers behind Experiment spread their benchmark x scheduler x
-//     parameter x seed units over a bounded worker pool, aggregating in
-//     seed order.
+//     with a scheduler from sched.New. A configuration therefore reads
+//     the same number from Run, a daemon sweep and a paper figure. Run
+//     executes its seeds serially (the daemon's slots already fill the
+//     cores); the drivers behind Experiment spread their benchmark x
+//     scheduler x parameter x seed units over a bounded worker pool,
+//     aggregating in seed order.
 //
 // To reproduce the profile that motivated this layout:
 //
