@@ -65,18 +65,18 @@
 //     allocates no more than a shorter one.
 //   - Configurations reuse each other's storage, so after warm-up a
 //     configuration allocates little more than its Result (a fixed count,
-//     which a test bounds). sim.NewEngine takes its State from a pool and
-//     resets it in place (per-gate, per-tile, per-ancilla and per-qubit
-//     buffers, recycled ops, the reseeded RNG), and the run returns it
-//     once collect has copied the Result out. sched.New hands out pooled
-//     scheduler instances whose Init is a full reset that keeps their
-//     capacity (RESCQ's gate table, queues and MST graph, trees and DSU;
-//     the baselines' layer buckets and driver pools), and the engine
-//     releases each one when its run ends. A grid clone copies only the
-//     orientations and shares the immutable tiling with its layout, and
-//     the BFS router borrows its scratch from a pool. The daemon's GC
-//     therefore runs about a tenth as often; rescqd exports the runtime's
-//     GC CPU and heap goal on /metrics.
+//     which a test bounds). sim.NewEngine takes its State from a free
+//     list and resets it in place (per-gate, per-tile, per-ancilla and
+//     per-qubit buffers, recycled ops, the reseeded RNG), and the run
+//     returns it once collect has copied the Result out. sched.New hands
+//     out released scheduler instances whose Init is a full reset that
+//     keeps their capacity (RESCQ's gate table, queues and MST graph,
+//     trees and DSU; the baselines' layer buckets and driver pools), and
+//     the engine releases each one when its run ends. A grid clone
+//     copies only the orientations and shares the immutable tiling with
+//     its layout, and the BFS router borrows its scratch per call. The
+//     daemon's GC therefore runs about a tenth as often; rescqd exports
+//     the runtime's GC CPU and heap goal on /metrics.
 //   - One seeded-run step (sim.SeededRuns) serves this package, the
 //     rescqd daemon and the experiment drivers: each run clones one
 //     prebuilt layout, compresses the clone with a seed derived from the
