@@ -26,7 +26,7 @@ func benchBatch(b *testing.B, configs int) (ExecuteRequest, ExecuteResponse) {
 // BenchmarkWireBatchRoundTripBinary measures one batch dispatch's
 // serialization work both ways: encode request, decode request (worker),
 // encode response, decode response (coordinator). bytes/batch is the wire
-// cost before compression.
+// cost.
 func BenchmarkWireBatchRoundTripBinary(b *testing.B) {
 	req, resp := benchBatch(b, 64)
 	b.ReportMetric(float64(len(EncodeExecuteRequestBinary(req))+len(EncodeExecuteResponseBinary(resp))), "bytes/batch")

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -106,6 +105,9 @@ func NewTunedClient() *Client {
 			}).DialContext,
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     idleConnTimeout,
+			// Frames travel uncompressed; without this the transport
+			// would advertise gzip on every request on its own.
+			DisableCompression: true,
 		},
 	}}
 }
@@ -172,25 +174,23 @@ func (c *Client) Drain(ctx context.Context, workerURL string) (DrainResponse, er
 	return resp, err
 }
 
-// WireTraffic reports what one dispatch actually put on the wire: the
-// body bytes in each direction as transmitted (after compression), so the
-// coordinator's wire metrics measure the network, not the pre-encoding
-// payload. Zero BytesOut means nothing was sent.
+// WireTraffic reports what one dispatch put on the wire: the body bytes
+// in each direction, as framed. Zero BytesOut means nothing was sent.
 type WireTraffic struct {
 	BytesOut int64
 	BytesIn  int64
 }
 
 // Execute dispatches one batch to a worker and returns its results. The
-// request is framed with EncodeExecuteRequestBinary and gzipped when that
-// pays, and gzip is advertised for the binary response. Any transport
-// error (a SIGKILLed worker resets the connection) or non-200 status marks
-// the batch undelivered; the caller re-dispatches it.
+// request is framed with EncodeExecuteRequestBinary and the response
+// decoded with DecodeExecuteResponseBinary; neither is compressed. Any
+// transport error (a SIGKILLed worker resets the connection) or non-200
+// status marks the batch undelivered; the caller re-dispatches it.
 func (c *Client) Execute(ctx context.Context, workerURL string, req ExecuteRequest) (ExecuteResponse, WireTraffic, error) {
 	if err := fault.Check(FaultDispatch); err != nil {
 		return ExecuteResponse{}, WireTraffic{}, err
 	}
-	body, gzipped := MaybeGzip(EncodeExecuteRequestBinary(req))
+	body := EncodeExecuteRequestBinary(req)
 	traffic := WireTraffic{BytesOut: int64(len(body))}
 	url := joinURL(workerURL, ExecutePath)
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
@@ -198,13 +198,6 @@ func (c *Client) Execute(ctx context.Context, workerURL string, req ExecuteReque
 		return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %w", err)
 	}
 	httpReq.Header.Set("Content-Type", BinaryContentType)
-	if gzipped {
-		httpReq.Header.Set("Content-Encoding", "gzip")
-	}
-	// Setting Accept-Encoding explicitly disables the transport's
-	// transparent decompression, so the raw (compressed) response length
-	// is observable for BytesIn and we gunzip ourselves below.
-	httpReq.Header.Set("Accept-Encoding", "gzip")
 	httpResp, err := c.hc.Do(httpReq)
 	if err != nil {
 		return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %s: %w", url, err)
@@ -225,16 +218,6 @@ func (c *Client) Execute(ctx context.Context, workerURL string, req ExecuteReque
 		return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %s: read response: %w", url, err)
 	}
 	traffic.BytesIn = int64(len(raw))
-	if strings.EqualFold(strings.TrimSpace(httpResp.Header.Get("Content-Encoding")), "gzip") {
-		zr, err := gzip.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %s: gzip response: %w", url, err)
-		}
-		if raw, err = io.ReadAll(zr); err != nil {
-			return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %s: gzip response: %w", url, err)
-		}
-		zr.Close()
-	}
 	resp, err := DecodeExecuteResponseBinary(raw)
 	if err != nil {
 		return ExecuteResponse{}, traffic, fmt.Errorf("cluster: %s: decode response: %w", url, err)

@@ -75,9 +75,8 @@ func TestDecodeErrorReuseConnection(t *testing.T) {
 }
 
 // echoWorker is a handler that decodes an execute request as a worker
-// does and answers one result per config (gzipped when the client
-// advertised it and the body is big enough), recording the request's
-// Content-Encoding.
+// does and answers one plain result frame, one result per config,
+// recording the request's Content-Encoding and Accept-Encoding headers.
 func echoWorker(t *testing.T, sawEncoding *atomic.Value) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req, err := DecodeExecuteRequestAuto(r.Body, r.Header.Get("Content-Type"), r.Header.Get("Content-Encoding"))
@@ -85,26 +84,19 @@ func echoWorker(t *testing.T, sawEncoding *atomic.Value) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		sawEncoding.Store(r.Header.Get("Content-Encoding"))
+		sawEncoding.Store(r.Header.Get("Content-Encoding") + r.Header.Get("Accept-Encoding"))
 		resp := ExecuteResponse{Results: make([]json.RawMessage, len(req.Configs))}
 		for i, c := range req.Configs {
 			resp.Results[i] = mustMarshal(t, map[string]any{"index": c.Index, "spec_bytes": len(c.Spec)})
 		}
-		body := EncodeExecuteResponseBinary(resp)
-		if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-			if gz, ok := MaybeGzip(body); ok {
-				body = gz
-				w.Header().Set("Content-Encoding", "gzip")
-			}
-		}
 		w.Header().Set("Content-Type", BinaryContentType)
-		w.Write(body)
+		w.Write(EncodeExecuteResponseBinary(resp))
 	})
 }
 
-// TestExecuteWithBinary: a full binary dispatch round trip over real HTTP,
-// including request gzip (the batch is padded past wireCompressMin) and a
-// gzipped binary response, with the traffic counters seeing wire bytes.
+// TestExecuteWithBinary: a full binary dispatch round trip over real HTTP.
+// Neither frame is compressed, however large, and the traffic counters
+// see exactly the frames' bytes.
 func TestExecuteWithBinary(t *testing.T) {
 	var saw atomic.Value
 	srv, _ := countingServer(t, echoWorker(t, &saw))
@@ -114,18 +106,17 @@ func TestExecuteWithBinary(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if saw.Load() != "gzip" {
-		t.Fatalf("worker saw content encoding %v, want gzip", saw.Load())
+	if saw.Load() != "" {
+		t.Fatalf("worker saw encoding headers %q, want none", saw.Load())
 	}
 	if len(resp.Results) != len(req.Configs) {
 		t.Fatalf("got %d results", len(resp.Results))
 	}
-	if traffic.BytesOut == 0 || traffic.BytesIn == 0 {
-		t.Fatalf("traffic = %+v", traffic)
+	if plain := int64(len(EncodeExecuteRequestBinary(req))); traffic.BytesOut != plain {
+		t.Fatalf("BytesOut = %d, want the plain frame's %d", traffic.BytesOut, plain)
 	}
-	// The request body repeats the same spec 64 times: gzip must have paid.
-	if plain := int64(len(EncodeExecuteRequestBinary(req))); traffic.BytesOut >= plain {
-		t.Fatalf("request not compressed: %d wire bytes vs %d plain", traffic.BytesOut, plain)
+	if plain := int64(len(EncodeExecuteResponseBinary(resp))); traffic.BytesIn != plain {
+		t.Fatalf("BytesIn = %d, want the plain frame's %d", traffic.BytesIn, plain)
 	}
 }
 

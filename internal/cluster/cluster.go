@@ -28,10 +28,10 @@
 // # Wire format
 //
 // The register and drain control calls are JSON. Batches travel in one
-// format only: binary frames (see EncodeExecuteRequestBinary), gzipped
-// when that pays, in both directions. There is no codec negotiation, so a
+// format only: plain binary frames (see EncodeExecuteRequestBinary), in
+// both directions, never compressed. There is no codec negotiation, so a
 // coordinator and its workers must run the same build; a worker answers
-// any other Content-Type with 415.
+// any other Content-Type, or any Content-Encoding but identity, with 415.
 //
 // The package is deliberately ignorant of the service layer's spec and
 // result schemas: specs and results travel as json.RawMessage, so

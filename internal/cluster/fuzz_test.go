@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
@@ -36,10 +37,11 @@ func checkAccepted(t *testing.T, req ExecuteRequest) {
 }
 
 // FuzzDecodeExecuteRequest hammers the worker-side trust boundary as the
-// execute handler drives it: a body under the binary Content-Type, gzip
-// unwrapped when the Content-Encoding says so. It must never panic, never
-// accept a request that violates its own invariants, and accepted
-// requests must re-encode and re-decode to the same batch.
+// execute handler drives it: a body under the binary Content-Type, with
+// or without a gzip Content-Encoding. It must never panic, must reject
+// every gzip-encoded body as an unsupported media type without decoding
+// it, must never accept a request that violates its own invariants, and
+// accepted requests must re-encode and re-decode to the same batch.
 func FuzzDecodeExecuteRequest(f *testing.F) {
 	valid := EncodeExecuteRequestBinary(sampleExecuteRequest())
 	var gz bytes.Buffer
@@ -60,6 +62,9 @@ func FuzzDecodeExecuteRequest(f *testing.F) {
 			encoding = "gzip"
 		}
 		req, err := DecodeExecuteRequestAuto(bytes.NewReader(data), BinaryContentType, encoding)
+		if gzipped && !errors.Is(err, ErrUnsupportedMediaType) {
+			t.Fatalf("gzip-encoded body not rejected as unsupported: req %+v, err %v", req, err)
+		}
 		if err != nil {
 			return
 		}

@@ -33,14 +33,9 @@ const (
 	wireKindResponse = 2
 )
 
-const (
-	// wireCompressMin is the body size at which gzip is worth its CPU on
-	// the wire; batch requests and result batches clear it easily.
-	wireCompressMin = 1024
-	// errorBodyDrain bounds how much of an error reply is read to keep
-	// the pooled connection reusable; past it, closing is cheaper.
-	errorBodyDrain = 256 << 10
-)
+// errorBodyDrain bounds how much of an error reply is read to keep the
+// pooled connection reusable; past it, closing is cheaper.
+const errorBodyDrain = 256 << 10
 
 var errBadFrame = errors.New("cluster: bad binary frame")
 
@@ -198,33 +193,24 @@ func DecodeExecuteResponseBinary(frame []byte) (ExecuteResponse, error) {
 }
 
 // DecodeExecuteRequestAuto decodes a worker-side execute request as the
-// coordinator sends it: a binary frame, gzipped when that paid. The
-// Content-Type must be BinaryContentType and the Content-Encoding gzip or
-// none; anything else is ErrUnsupportedMediaType. The decompressed stream
-// still flows through the strictly capped binary decoder.
+// coordinator sends it: a plain binary frame. The Content-Type must be
+// BinaryContentType and the Content-Encoding identity or none; anything
+// else, gzip included, is ErrUnsupportedMediaType.
 func DecodeExecuteRequestAuto(body io.Reader, contentType, contentEncoding string) (ExecuteRequest, error) {
 	if ct, _, _ := strings.Cut(contentType, ";"); strings.TrimSpace(ct) != BinaryContentType {
 		return ExecuteRequest{}, fmt.Errorf("%w: content type %q", ErrUnsupportedMediaType, contentType)
 	}
-	switch strings.ToLower(strings.TrimSpace(contentEncoding)) {
-	case "", "identity":
-	case "gzip":
-		zr, err := gzip.NewReader(body)
-		if err != nil {
-			return ExecuteRequest{}, fmt.Errorf("cluster: bad execute request: gzip: %w", err)
-		}
-		defer zr.Close()
-		body = zr
-	default:
+	if ce := strings.ToLower(strings.TrimSpace(contentEncoding)); ce != "" && ce != "identity" {
 		return ExecuteRequest{}, fmt.Errorf("%w: content encoding %q", ErrUnsupportedMediaType, contentEncoding)
 	}
 	return DecodeExecuteRequestBinary(body)
 }
 
-// MaybeGzip compresses a wire body when it is big enough to matter and
-// compression actually pays, reporting whether it did.
+// MaybeGzip compresses a body of at least 1 KiB when compression pays,
+// reporting whether it did. The execute wire does not use it; it stays
+// for the benchmark's replay, which still gzips its wire round trip.
 func MaybeGzip(body []byte) ([]byte, bool) {
-	if len(body) < wireCompressMin {
+	if len(body) < 1024 {
 		return body, false
 	}
 	var buf bytes.Buffer

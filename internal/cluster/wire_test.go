@@ -10,7 +10,7 @@ import (
 )
 
 // decodeAsWorker decodes a request body the way a worker's execute
-// handler receives it from the coordinator: binary, gzip unwrapped.
+// handler receives it from the coordinator: a plain binary frame.
 func decodeAsWorker(body []byte, contentEncoding string) (ExecuteRequest, error) {
 	return DecodeExecuteRequestAuto(bytes.NewReader(body), BinaryContentType, contentEncoding)
 }
@@ -70,16 +70,12 @@ func TestDecodeExecuteRequestRejects(t *testing.T) {
 	}
 }
 
-// TestExecuteRequestRoundTrip: a request encoded and compressed as the
-// coordinator sends it decodes back to itself, so the coordinator's
-// encoder and the worker's strict decoder agree.
+// TestExecuteRequestRoundTrip: a request encoded as the coordinator sends
+// it decodes back to itself, so the coordinator's encoder and the
+// worker's strict decoder agree.
 func TestExecuteRequestRoundTrip(t *testing.T) {
 	in := bigExecuteRequest(32)
-	body, gzipped := MaybeGzip(EncodeExecuteRequestBinary(in))
-	if !gzipped {
-		t.Fatal("a 32-config batch did not compress")
-	}
-	out, err := decodeAsWorker(body, "gzip")
+	out, err := decodeAsWorker(EncodeExecuteRequestBinary(in), "")
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -187,9 +183,9 @@ func TestBinaryExecuteRequestRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeExecuteRequestAuto: the worker-side decoder unwraps
-// Content-Encoding and accepts only binary frames; a JSON body, however
-// encoded, is an unsupported media type.
+// TestDecodeExecuteRequestAuto: the worker-side decoder accepts only plain
+// binary frames; a JSON body, or any Content-Encoding but identity (gzip
+// included), is an unsupported media type.
 func TestDecodeExecuteRequestAuto(t *testing.T) {
 	in := sampleExecuteRequest()
 	jsonBody, err := json.Marshal(in)
@@ -207,7 +203,7 @@ func TestDecodeExecuteRequestAuto(t *testing.T) {
 		{"json default ct", "", "", jsonBody, true},
 		{"binary", BinaryContentType, "", binBody, false},
 		{"binary with charset", BinaryContentType + "; charset=utf-8", "", binBody, false},
-		{"binary gzip", BinaryContentType, "gzip", gzBody, false},
+		{"binary gzip", BinaryContentType, "gzip", gzBody, true},
 		{"json gzip", "application/json", "gzip", gzipBytes(t, jsonBody), true},
 	}
 	for _, tc := range cases {
@@ -227,13 +223,13 @@ func TestDecodeExecuteRequestAuto(t *testing.T) {
 			}
 		})
 	}
-	for _, ce := range []string{"br", "deflate"} {
+	for _, ce := range []string{"br", "deflate", "gzip"} {
 		if _, err := DecodeExecuteRequestAuto(bytes.NewReader(binBody), BinaryContentType, ce); !errors.Is(err, ErrUnsupportedMediaType) {
 			t.Fatalf("content encoding %q: err = %v, want ErrUnsupportedMediaType", ce, err)
 		}
 	}
-	if _, err := DecodeExecuteRequestAuto(bytes.NewReader(binBody), BinaryContentType, "gzip"); err == nil {
-		t.Fatal("non-gzip body with gzip encoding accepted")
+	if _, err := DecodeExecuteRequestAuto(bytes.NewReader(binBody), BinaryContentType, "identity"); err != nil {
+		t.Fatalf("identity encoding: %v", err)
 	}
 }
 

@@ -37,9 +37,6 @@ type Config struct {
 	// TauMST is the modeled MST computation latency in cycles: a tree
 	// snapshotted at cycle t becomes usable at t+TauMST (paper: ~100).
 	TauMST int
-	// ActivityFloor is added to every edge weight so that zero-activity
-	// regions still break ties deterministically. Default 0.
-	ActivityFloor float64
 
 	// The remaining fields are ablation switches used by the ablation
 	// study (they each disable one of RESCQ's mechanisms).
@@ -87,8 +84,7 @@ func New(cfg Config) sim.Scheduler {
 	return s
 }
 
-// Scheduler is the RESCQ realtime scheduler. It implements sim.Scheduler
-// and sim.Releaser.
+// Scheduler is the RESCQ realtime scheduler. It implements sim.Scheduler.
 type Scheduler struct {
 	cfg    Config
 	pooled bool // handed out by New and not yet released
@@ -119,7 +115,7 @@ type Scheduler struct {
 // Name implements sim.Scheduler.
 func (s *Scheduler) Name() string { return "rescq" }
 
-// Release implements sim.Releaser: it returns s to the free list New
+// Release implements sim.Scheduler: it returns s to the free list New
 // draws from. Releasing twice is harmless; using s after Release is not.
 func (s *Scheduler) Release() {
 	if s.pooled {

@@ -11,15 +11,17 @@ import (
 )
 
 // stallDumper runs a RESCQ instance without handing it back to the pool
-// (it hides Release), so the test still owns it after the run, and prints
-// the stall diagnosis from inside cycle dumpAt: the engine's state goes
-// back to its pool when Run returns.
+// (its own no-op Release hides the embedded one), so the test still owns
+// it after the run, and prints the stall diagnosis from inside cycle
+// dumpAt: the engine's state goes back to its pool when Run returns.
 type stallDumper struct {
 	sim.Scheduler
 	s      *Scheduler
 	last   int // the last cycle run
 	dumpAt int // the cycle to diagnose (the last one of a stalled run), 0 for none
 }
+
+func (d *stallDumper) Release() {}
 
 func (d *stallDumper) OnCycle(st *sim.State) {
 	d.Scheduler.OnCycle(st)

@@ -61,7 +61,7 @@ const fullRebuildFraction = 0.25
 // every tree, which all join the free list as clone targets.
 func (m *mstPipeline) reset(st *sim.State, cfg Config) {
 	m.k, m.tau = cfg.K, cfg.TauMST
-	m.g = st.Grid().AncillaGraphInto(m.g, cfg.ActivityFloor)
+	m.g = st.Grid().AncillaGraphInto(m.g)
 	g := m.g
 	if m.cur != nil {
 		m.free = append(m.free, m.cur)

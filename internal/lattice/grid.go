@@ -162,7 +162,8 @@ func newBlockGrid(n, bc int) *Grid {
 
 func (g *Grid) idx(c Coord) int { return c.Row*g.cols + c.Col }
 
-// reindexAncillas rebuilds the dense ancilla ID space after layout changes.
+// reindexAncillas rebuilds the dense ancilla ID space after layout
+// changes, into fresh slices: the old ones may be shared with clones.
 func (g *Grid) reindexAncillas() {
 	g.ancID = make([]int, g.rows*g.cols)
 	n := 0
@@ -171,7 +172,7 @@ func (g *Grid) reindexAncillas() {
 			n++
 		}
 	}
-	g.ancTile = slices.Grow(g.ancTile[:0], n)
+	g.ancTile = make([]Coord, 0, n)
 	for i := range g.ancID {
 		g.ancID[i] = -1
 	}
@@ -329,10 +330,10 @@ func (g *Grid) DiagonalAncillas(q int, buf []Coord) []Coord {
 }
 
 // AncillaGraphInto builds the undirected graph over ancilla IDs with one
-// edge per pair of 4-adjacent ancilla tiles, all weights initialized to
-// w0, into gr (reusing its storage) or, when gr is nil, into a new graph,
-// and returns it. Edge IDs follow ancilla IDs, south edge before east.
-func (g *Grid) AncillaGraphInto(gr *graph.Graph, w0 float64) *graph.Graph {
+// edge per pair of 4-adjacent ancilla tiles, all weights 0, into gr
+// (reusing its storage) or, when gr is nil, into a new graph, and returns
+// it. Edge IDs follow ancilla IDs, south edge before east.
+func (g *Grid) AncillaGraphInto(gr *graph.Graph) *graph.Graph {
 	if gr == nil {
 		gr = graph.NewGraph(len(g.ancTile))
 	} else {
@@ -343,7 +344,7 @@ func (g *Grid) AncillaGraphInto(gr *graph.Graph, w0 float64) *graph.Graph {
 		for _, d := range [2]Dir{South, East} {
 			n := c.Step(d)
 			if nid := g.AncillaID(n); nid >= 0 {
-				gr.AddEdge(id, nid, w0)
+				gr.AddEdge(id, nid, 0)
 			}
 		}
 	}
@@ -356,23 +357,31 @@ func (g *Grid) AncillaConnected() bool {
 	if len(g.ancTile) == 0 {
 		return false
 	}
-	seen := make([]bool, len(g.ancTile))
-	stack := []int{0}
-	seen[0] = true
+	n, _ := g.reachableAncillas(g.ancTile[0], make([]bool, len(g.kind)), nil)
+	return n == len(g.ancTile)
+}
+
+// reachableAncillas counts the ancilla tiles 4-connected to start, itself
+// an ancilla, reading only the tile kinds. seen (one flag per tile) and
+// stack are scratch reused across calls; the grown stack is returned for
+// the next one.
+func (g *Grid) reachableAncillas(start Coord, seen []bool, stack []Coord) (int, []Coord) {
+	clear(seen)
+	seen[g.idx(start)] = true
+	stack = append(stack[:0], start)
 	count := 1
 	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := g.ancTile[id]
 		for d := North; d <= West; d++ {
-			if nid := g.AncillaID(c.Step(d)); nid >= 0 && !seen[nid] {
-				seen[nid] = true
+			if n := c.Step(d); g.Kind(n) == TileAncilla && !seen[g.idx(n)] {
+				seen[g.idx(n)] = true
 				count++
-				stack = append(stack, nid)
+				stack = append(stack, n)
 			}
 		}
 	}
-	return count == len(g.ancTile)
+	return count, stack
 }
 
 // Compress removes ancilla tiles to model the paper's section 5.3 grid
@@ -385,7 +394,8 @@ func (g *Grid) AncillaConnected() bool {
 // Because a connected network touching every data qubit needs corridor
 // tiles, very high compression targets may be unreachable; Compress then
 // removes as much as connectivity allows. It returns the number of
-// ancillas removed.
+// ancillas removed. The grid must satisfy CheckInvariants, as every
+// layout builder's grid does.
 func (g *Grid) Compress(fraction float64, rng *rand.Rand) int {
 	if fraction <= 0 {
 		return 0
@@ -394,19 +404,24 @@ func (g *Grid) Compress(fraction float64, rng *rand.Rand) int {
 		fraction = 1
 	}
 	// The tiling may be shared with clones (see Clone): compress a copy.
+	// reindexAncillas makes fresh indexes.
 	g.kind = slices.Clone(g.kind)
-	g.ancTile = slices.Clone(g.ancTile)
 	n := len(g.dataTile)
 	a0 := len(g.ancTile)
 	target := a0 - int(fraction*float64(a0-n)+0.5)
+	seen := make([]bool, len(g.kind))
+	var stack []Coord
+	// left counts the ancillas. The exit tests read seenLeft, the count
+	// with the last candidate removed even when it was rejected (then one
+	// fewer than left): the compressed layouts, and the RNG draws that
+	// make them, are pinned with that reading.
+	left, seenLeft := a0, a0
 	removed := 0
-	for len(g.ancTile) > target {
+	for seenLeft > target {
 		progress := false
-		order := rng.Perm(len(g.ancTile))
-		tiles := make([]Coord, len(g.ancTile))
-		copy(tiles, g.ancTile)
-		for _, idx := range order {
-			if len(g.ancTile) <= target {
+		tiles := g.ancTile // this pass's ancillas, row-major
+		for _, idx := range rng.Perm(left) {
+			if seenLeft <= target {
 				break
 			}
 			c := tiles[idx]
@@ -415,38 +430,58 @@ func (g *Grid) Compress(fraction float64, rng *rand.Rand) int {
 				continue // removed earlier this pass
 			}
 			g.kind[i] = TileHole
-			if g.compressionValid() {
+			if g.removable(c, left-1, seen, &stack) {
+				left--
+				seenLeft = left
 				removed++
 				progress = true
 			} else {
 				g.kind[i] = TileAncilla
+				seenLeft = left - 1
 			}
 		}
 		g.reindexAncillas()
+		seenLeft = left
 		if !progress {
 			break
 		}
 	}
-	g.reindexAncillas()
 	return removed
 }
 
-// compressionValid checks the two invariants compression must preserve:
-// the ancilla network stays 4-connected and every data qubit keeps at
-// least one adjacent ancilla tile.
-func (g *Grid) compressionValid() bool {
-	g.reindexAncillas()
-	if !g.AncillaConnected() {
-		return false
-	}
-	var buf []Coord
-	for q := range g.dataTile {
-		buf = g.AncillaNeighbors(g.dataTile[q], buf[:0])
-		if len(buf) == 0 {
-			return false
+// removable reports whether the grid stays usable with tile c, an
+// ancilla of a grid that satisfied CheckInvariants, just made a hole,
+// leaving left ancillas: every data qubit next to c keeps an adjacent
+// ancilla, and the left ancillas stay 4-connected. seen and stack are
+// reachableAncillas' scratch.
+func (g *Grid) removable(c Coord, left int, seen []bool, stack *[]Coord) bool {
+	start, found := c, false
+	for d := North; d <= West; d++ {
+		switch n := c.Step(d); g.Kind(n) {
+		case TileAncilla:
+			start, found = n, true
+		case TileData:
+			if !g.hasAncillaNeighbor(n) {
+				return false
+			}
 		}
 	}
-	return true
+	if !found {
+		return false // c was the last ancilla
+	}
+	var n int
+	n, *stack = g.reachableAncillas(start, seen, *stack)
+	return n == left
+}
+
+// hasAncillaNeighbor reports whether c has a 4-adjacent ancilla tile.
+func (g *Grid) hasAncillaNeighbor(c Coord) bool {
+	for d := North; d <= West; d++ {
+		if g.Kind(c.Step(d)) == TileAncilla {
+			return true
+		}
+	}
+	return false
 }
 
 // NewGridFromTiles builds a grid from ASCII-art rows, one character per

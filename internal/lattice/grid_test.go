@@ -115,7 +115,7 @@ func TestAncillaIDsDense(t *testing.T) {
 
 func TestAncillaGraphStructure(t *testing.T) {
 	g := NewSTARGrid(4)
-	gr := g.AncillaGraphInto(nil, 0)
+	gr := g.AncillaGraphInto(nil)
 	if gr.NumVertices() != g.NumAncilla() {
 		t.Fatalf("graph vertices = %d, want %d", gr.NumVertices(), g.NumAncilla())
 	}

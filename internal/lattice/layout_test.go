@@ -245,7 +245,7 @@ func TestCompactDeterministic(t *testing.T) {
 // reused.
 func TestCloneIndependence(t *testing.T) {
 	base := MustBuild("star", 9, nil)
-	render := base.Render()
+	render, anc, ids := base.Render(), slices.Clone(base.ancTile), slices.Clone(base.ancID)
 	c := base.Clone()
 	if c.Render() != render {
 		t.Fatal("clone renders differently")
@@ -257,7 +257,8 @@ func TestCloneIndependence(t *testing.T) {
 	if removed := c.Compress(1, rand.New(rand.NewSource(1))); removed == 0 {
 		t.Fatal("compress removed nothing")
 	}
-	if base.Render() != render || base.NumAncilla() == c.NumAncilla() {
+	if base.Render() != render || base.NumAncilla() == c.NumAncilla() ||
+		!slices.Equal(base.ancTile, anc) || !slices.Equal(base.ancID, ids) {
 		t.Error("clone compression leaked into the base grid")
 	}
 	if err := base.CheckInvariants(); err != nil {

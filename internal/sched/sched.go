@@ -103,7 +103,7 @@ func open(g *lattice.Grid, c lattice.Coord, reserved []bool) bool {
 }
 
 // layered is the shared static-scheduler machinery. It implements
-// sim.Scheduler and sim.Releaser.
+// sim.Scheduler.
 type layered struct {
 	name string
 	path PathFinder
@@ -142,7 +142,7 @@ type driver interface {
 
 func (l *layered) Name() string { return l.name }
 
-// Release implements sim.Releaser: it returns l to the free list it came
+// Release implements sim.Scheduler: it returns l to the free list it came
 // from. Releasing twice is harmless; using l after Release is not.
 func (l *layered) Release() {
 	if f := l.free; f != nil {

@@ -5,32 +5,19 @@ import (
 	"sync"
 )
 
-// fnv32a is an inline, zero-allocation FNV-1a over s, used to pick shards
-// on the serving hot path (hash/fnv's hasher allocates per call).
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-const cacheShards = 8
-
-// resultCache is a sharded LRU over deterministic results (rescq.Summary
-// for simulations, string reports for experiments). Keys are the stable
-// digests from rescq.CacheKey, so sharding by key hash spreads uniformly
-// and each shard's lock only contends with 1/8th of the traffic.
+// resultCache is an LRU over deterministic results (rescq.Summary for
+// simulations, string reports for experiments) together with the in-flight
+// table that coalesces identical configurations, both under one mutex:
+// claim must see the table and the entries atomically, so one lock is all
+// the path ever takes. Keys are the stable digests from rescq.CacheKey.
+// Every method is safe on a nil cache (caching disabled): nothing hits,
+// every claim leads.
 type resultCache struct {
-	shards [cacheShards]*cacheShard
-}
-
-type cacheShard struct {
-	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recent; values are *cacheEntry
-	entries map[string]*list.Element
+	mu       sync.Mutex
+	cap      int
+	order    *list.List // front = most recent; values are *cacheEntry
+	entries  map[string]*list.Element
+	inflight map[string]chan struct{} // keys being computed right now
 }
 
 type cacheEntry struct {
@@ -39,70 +26,118 @@ type cacheEntry struct {
 }
 
 func newResultCache(capacity int) *resultCache {
-	c := &resultCache{}
-	per := capacity / cacheShards
-	if per < 1 {
-		per = 1
+	return &resultCache{
+		cap:      capacity,
+		order:    list.New(),
+		entries:  make(map[string]*list.Element),
+		inflight: make(map[string]chan struct{}),
 	}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			cap:     per,
-			order:   list.New(),
-			entries: make(map[string]*list.Element),
-		}
-	}
-	return c
 }
 
-func (c *resultCache) shard(key string) *cacheShard {
-	return c.shards[fnv32a(key)%cacheShards]
-}
-
+// get returns key's entry, marking it most recently used.
 func (c *resultCache) get(key string) (any, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touch(key)
+}
+
+// touch is get with c.mu held.
+func (c *resultCache) touch(key string) (any, bool) {
+	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
 	}
-	sh.order.MoveToFront(el)
+	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).val, true
 }
 
-func (c *resultCache) put(key string, val any) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
-		sh.order.MoveToFront(el)
+// servable reports whether an entry can serve spec: one with stripped
+// latency arrays (a partial cachedSummary) cannot serve a request that
+// keeps them.
+func servable(v any, spec runSpec) bool {
+	cs, isSum := v.(*cachedSummary)
+	return !(isSum && cs.partial && spec.KeepLatencies)
+}
+
+// lookup returns the cache entry for key if it can serve spec.
+func (c *resultCache) lookup(key string, spec runSpec) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	v, ok := c.get(key)
+	return v, ok && servable(v, spec)
+}
+
+// claim routes one configuration through the entries and the in-flight
+// table atomically: a hit returns the entry; an identical configuration
+// computing right now returns its wait channel (claim again once it
+// closes); otherwise the caller leads, and must leave(key) after the
+// cache fill.
+func (c *resultCache) claim(key string, spec runSpec) (v any, wait <-chan struct{}, hit bool) {
+	if c == nil {
+		return nil, nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w, ok := c.inflight[key]; ok {
+		return nil, w, false
+	}
+	if v, ok := c.touch(key); ok && servable(v, spec) {
+		return v, nil, true
+	}
+	c.inflight[key] = make(chan struct{})
+	return nil, nil, false
+}
+
+// leave ends a leader's flight, waking its waiters.
+func (c *resultCache) leave(key string) {
+	if c == nil {
 		return
 	}
-	sh.entries[key] = sh.order.PushFront(&cacheEntry{key: key, val: val})
-	for sh.order.Len() > sh.cap {
-		oldest := sh.order.Back()
-		sh.order.Remove(oldest)
-		delete(sh.entries, oldest.Value.(*cacheEntry).key)
+	c.mu.Lock()
+	w, ok := c.inflight[key]
+	delete(c.inflight, key)
+	c.mu.Unlock()
+	if ok {
+		close(w)
 	}
 }
 
-// len reports the total entry count across shards.
+// put stores val under key, evicting the least recently used entry past
+// the capacity.
+func (c *resultCache) put(key string, val any) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*cacheEntry).val = val
+		c.order.MoveToFront(el)
+		return
+	}
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
+	if c.order.Len() > c.cap {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	}
+}
+
+// len reports the resident entry count.
 func (c *resultCache) len() int {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += sh.order.Len()
-		sh.mu.Unlock()
+	if c == nil {
+		return 0
 	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }
 
-// capacity reports the total entry budget across shards.
+// capacity reports the entry budget.
 func (c *resultCache) capacity() int {
-	n := 0
-	for _, sh := range c.shards {
-		n += sh.cap
+	if c == nil {
+		return 0
 	}
-	return n
+	return c.cap
 }

@@ -36,32 +36,114 @@ func TestCacheBoundedEviction(t *testing.T) {
 	if c.len() > c.capacity() {
 		t.Fatalf("len %d exceeds capacity %d", c.len(), c.capacity())
 	}
-	// The newest keys (per shard) survive; key-499 landed last in its
-	// shard so must still be resident.
+	// key-499 landed last, so it must still be resident.
 	if _, ok := c.get("key-499"); !ok {
 		t.Fatal("most recent key was evicted")
 	}
 }
 
-func TestCacheLRUOrderWithinShard(t *testing.T) {
-	// One entry per shard: re-touching a key must protect it from the
-	// eviction a fresh key in the same shard triggers.
-	c := newResultCache(cacheShards)
-	sh := c.shard("x")
-	var same []string
-	for i := 0; same == nil || len(same) < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shard(k) == sh {
-			same = append(same, k)
+// TestCacheLRUOrder: eviction is exact LRU across every key: re-touching
+// the oldest key protects it, so the put that overflows the cache evicts
+// the next-oldest instead.
+func TestCacheLRUOrder(t *testing.T) {
+	c := newResultCache(3)
+	c.put("a", 0)
+	c.put("b", 1)
+	c.put("c", 2)
+	if _, ok := c.get("a"); !ok { // a is now the most recent
+		t.Fatal("a missing before any eviction")
+	}
+	c.put("d", 3) // evicts b, the least recently used
+	if _, ok := c.get("b"); ok {
+		t.Fatal("b survived; eviction is not LRU")
+	}
+	for _, k := range []string{"a", "c", "d"} {
+		if _, ok := c.get(k); !ok {
+			t.Fatalf("%s evicted", k)
 		}
 	}
-	c.put(same[0], 0)
-	c.put(same[1], 1) // evicts same[0] (per-shard cap 1)
-	if _, ok := c.get(same[0]); ok {
-		t.Fatal("oldest entry survived beyond shard capacity")
+	// A lookup touches too: a is now the oldest, refreshed, and c goes.
+	c.lookup("a", runSpec{})
+	c.put("e", 4)
+	if _, ok := c.get("c"); ok {
+		t.Fatal("c survived after lookup refreshed a")
 	}
-	if v, ok := c.get(same[1]); !ok || v.(int) != 1 {
-		t.Fatalf("newest entry missing: %v/%v", v, ok)
+	if _, ok := c.get("a"); !ok {
+		t.Fatal("a evicted despite its lookup")
+	}
+}
+
+// TestCacheCapacityExact: the budget is exactly the configured entry
+// count, not a multiple of some internal split.
+func TestCacheCapacityExact(t *testing.T) {
+	for _, n := range []int{1, 4, 10, 1023} {
+		c := newResultCache(n)
+		if got := c.capacity(); got != n {
+			t.Fatalf("capacity(%d) = %d", n, got)
+		}
+		for i := 0; i < 3*n; i++ {
+			c.put(fmt.Sprintf("key-%d", i), i)
+		}
+		if got := c.len(); got != n {
+			t.Fatalf("cache of %d holds %d entries after %d puts", n, got, 3*n)
+		}
+		for i := 2 * n; i < 3*n; i++ { // exactly the newest n survive
+			if _, ok := c.get(fmt.Sprintf("key-%d", i)); !ok {
+				t.Fatalf("cache of %d evicted key-%d, one of the newest %d", n, i, n)
+			}
+		}
+	}
+}
+
+// TestCacheClaimWaitsThenHits: a second claim of a key in flight gets the
+// leader's wait channel; once the leader fills the cache and leaves, the
+// channel closes and the next claim hits.
+func TestCacheClaimWaitsThenHits(t *testing.T) {
+	c := newResultCache(8)
+	if v, wait, hit := c.claim("k", runSpec{}); hit || wait != nil || v != nil {
+		t.Fatalf("first claim = %v/%v/%v, want lead", v, wait, hit)
+	}
+	_, wait, hit := c.claim("k", runSpec{})
+	if hit || wait == nil {
+		t.Fatalf("second claim = %v/%v, want a wait", wait, hit)
+	}
+	select {
+	case <-wait:
+		t.Fatal("wait closed before the leader left")
+	default:
+	}
+	c.put("k", "report")
+	c.leave("k")
+	<-wait
+	if v, wait, hit := c.claim("k", runSpec{}); !hit || wait != nil || v.(string) != "report" {
+		t.Fatalf("claim after leave = %v/%v/%v, want a hit", v, wait, hit)
+	}
+	// A failed leader leaves without a fill: the waiter then leads.
+	c.claim("x", runSpec{})
+	_, wait, _ = c.claim("x", runSpec{})
+	c.leave("x")
+	<-wait
+	if _, wait, hit := c.claim("x", runSpec{}); hit || wait != nil {
+		t.Fatalf("claim after a failed flight = %v/%v, want lead", wait, hit)
+	}
+}
+
+// TestNilCacheIsDisabled: with caching off (cache_entries < 0) every
+// method is safe on the nil cache, nothing hits and every claim leads.
+func TestNilCacheIsDisabled(t *testing.T) {
+	var c *resultCache
+	c.put("k", "v")
+	c.leave("k")
+	if _, ok := c.lookup("k", runSpec{}); ok {
+		t.Fatal("nil cache hit")
+	}
+	for i := 0; i < 2; i++ {
+		if _, wait, hit := c.claim("k", runSpec{}); hit || wait != nil {
+			t.Fatalf("nil cache claim %d = %v/%v, want lead", i, wait, hit)
+		}
+	}
+	if c.len() != 0 || c.capacity() != 0 {
+		t.Fatalf("nil cache len/capacity = %d/%d", c.len(), c.capacity())
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -194,15 +193,8 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, data)
 	}
-	body := cluster.EncodeExecuteResponseBinary(resp)
-	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-		if gz, ok := cluster.MaybeGzip(body); ok {
-			body = gz
-			w.Header().Set("Content-Encoding", "gzip")
-		}
-	}
 	w.Header().Set("Content-Type", cluster.BinaryContentType)
-	w.Write(body)
+	w.Write(cluster.EncodeExecuteResponseBinary(resp))
 }
 
 // Deadline and hedge derivation. Both are multiples of the observed
@@ -376,7 +368,7 @@ func (r *jobRun) dispatch(bi int, idxs []int, lease cluster.Lease) {
 		for k, idx := range idxs {
 			s.stats.ObserveConfigLatency(perConfig)
 			s.cacheFill(j.specs[idx].key, j.specs[idx].KeepLatencies, results[k])
-			s.leaveFlight(j.specs[idx].key)
+			s.cache.leave(j.specs[idx].key)
 			s.stats.RemoteConfigs.Add(1)
 			r.deliver(idx, results[k])
 		}

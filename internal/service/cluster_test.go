@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -362,7 +363,8 @@ func TestClusterWorkerExpiry(t *testing.T) {
 
 // TestWorkerExecuteEndpoint covers the worker-side dispatch surface
 // directly: a valid batch executes in order, malformed batches are 400s,
-// and a body in any format but the binary frame is a 415.
+// and a body in any format but the plain binary frame (a gzip-encoded
+// frame included) is a 415.
 func TestWorkerExecuteEndpoint(t *testing.T) {
 	runner := &countingRunner{}
 	cfg := config.Daemon{
@@ -438,6 +440,25 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusUnsupportedMediaType {
 		t.Fatalf("JSON batch: status %d, want 415", r.StatusCode)
+	}
+	// So is the same frame gzipped, as a coordinator of an older build
+	// would send it.
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(cluster.EncodeExecuteRequestBinary(req))
+	zw.Close()
+	gzReq, err := http.NewRequest(http.MethodPost, ts.URL+cluster.ExecutePath, &gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gzReq.Header.Set("Content-Type", cluster.BinaryContentType)
+	gzReq.Header.Set("Content-Encoding", "gzip")
+	if r, err = http.DefaultClient.Do(gzReq); err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("gzip-encoded batch: status %d, want 415", r.StatusCode)
 	}
 	if runner.calls.Load() != 2 {
 		t.Fatalf("rejected batches reached the runner: %d runs", runner.calls.Load())

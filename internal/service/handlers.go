@@ -409,10 +409,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		views = append(views, s.jobView(j, false))
 	}
 	// Sort by the numeric job counter, not the id string: the registry
-	// shards (and the WAL-replayed history inside them) iterate in map
-	// order, and plain string order misorders ids once the counter
-	// outgrows its zero padding — either way restart listings would not be
-	// deterministic.
+	// (and the WAL-replayed history inside it) iterates in map order, and
+	// plain string order misorders ids once the counter outgrows its zero
+	// padding — either way restart listings would not be deterministic.
 	sort.Slice(views, func(a, b int) bool { return store.JobIDLess(views[a].ID, views[b].ID) })
 	writeJSON(w, http.StatusOK, views)
 }
@@ -576,12 +575,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var p metrics.PromWriter
 	s.stats.WriteProm(&p)
-	entries, capacity := 0, 0
-	if s.cache != nil {
-		entries, capacity = s.cache.len(), s.cache.capacity()
-	}
-	p.Gauge("rescqd_cache_entries", "Result-cache entries resident.", int64(entries))
-	p.Gauge("rescqd_cache_capacity", "Result-cache entry budget.", int64(capacity))
+	p.Gauge("rescqd_cache_entries", "Result-cache entries resident.", int64(s.cache.len()))
+	p.Gauge("rescqd_cache_capacity", "Result-cache entry budget.", int64(s.cache.capacity()))
 	p.Gauge("rescqd_queue_pending", "Jobs waiting in the queue.", int64(s.sched.Len()))
 	p.Gauge("rescqd_queue_capacity", "Admission bound on pending configurations (0: unbounded).", max(int64(s.cfg.MaxQueueDepth), 0))
 	p.Gauge("rescqd_engine_slots", "Engine slots executing configurations.", int64(s.workers))

@@ -145,7 +145,7 @@ func (s *Server) acquireRemote(ctx context.Context) (cluster.Lease, bool, error)
 func (r *jobRun) claim(idxs []int) []int {
 	lead := idxs[:0]
 	for _, i := range idxs {
-		v, wait, hit := r.s.claim(r.j.specs[i].key, r.j.specs[i])
+		v, wait, hit := r.s.cache.claim(r.j.specs[i].key, r.j.specs[i])
 		switch {
 		case hit:
 			r.s.stats.CacheHits.Add(1)
@@ -182,7 +182,7 @@ func (r *jobRun) nextLead() (int, bool) {
 // a result aborted by the job's cancellation is discarded.
 func (r *jobRun) runLocal(i int) {
 	res := r.s.compute(r.j.ctx, r.j.specs[i].key, r.j.specs[i])
-	r.s.leaveFlight(r.j.specs[i].key)
+	r.s.cache.leave(r.j.specs[i].key)
 	if res.Error == "" || r.j.ctx.Err() == nil {
 		r.deliver(i, res)
 	}
@@ -204,7 +204,7 @@ func (r *jobRun) runOnPool(idxs []int) {
 // leaveFlights lands claimed configurations' flights undelivered.
 func (r *jobRun) leaveFlights(idxs []int) {
 	for _, i := range idxs {
-		r.s.leaveFlight(r.j.specs[i].key)
+		r.s.cache.leave(r.j.specs[i].key)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -48,13 +49,21 @@ func (r *latencyRunner) Run(ctx context.Context, bench string, opts rescq.Option
 		}
 	}
 	key := rescq.CacheKey("bench:"+bench, opts)
-	d := time.Duration(rand.New(rand.NewSource(r.seed^int64(fnv32a(key)))).Intn(3000)) * time.Microsecond
+	d := time.Duration(rand.New(rand.NewSource(r.seed^int64(keyHash(key)))).Intn(3000)) * time.Microsecond
 	select {
 	case <-time.After(d):
 	case <-ctx.Done():
 		return rescq.Summary{}, ctx.Err()
 	}
 	return fakeSummary(bench, opts), nil
+}
+
+// keyHash is FNV-1a over a cache key, so each configuration's jitter
+// depends only on the run seed and the configuration.
+func keyHash(key string) uint32 {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return h.Sum32()
 }
 
 // determinismSweep is 2 benchmarks x 3 schedulers x 4 distances = 24

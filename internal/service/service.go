@@ -65,7 +65,7 @@
 //
 // # Cache semantics
 //
-// Results are memoized in a sharded LRU keyed by rescq.CacheKey: a hash of
+// Results are memoized in one LRU keyed by rescq.CacheKey: a hash of
 // the circuit identity (benchmark name, or the full circuit text) and the
 // canonical rescq.Options (rescq.Options.Canonical — defaults applied,
 // equivalent spellings merged). Simulations are fully
@@ -255,8 +255,6 @@ func (e *OverloadError) Error() string {
 		e.Pending, e.Limit, e.RetryAfter)
 }
 
-const jobShards = 8
-
 // maxFinishedJobs and maxFinishedResults bound the terminal jobs the
 // registry retains for GET /v1/jobs inspection: beyond either, the
 // oldest-finished are evicted (the newest is always kept), so a
@@ -272,11 +270,6 @@ const (
 type finishedJob struct {
 	id      string
 	results int
-}
-
-type jobShard struct {
-	mu   sync.Mutex
-	jobs map[string]*Job
 }
 
 // Server owns the job queue, the worker pool, the result cache and the
@@ -310,14 +303,13 @@ type Server struct {
 	// execute endpoint (drain observability).
 	execInflight atomic.Int64
 
-	shards [jobShards]jobShard
-
-	finMu           sync.Mutex
-	finished        []finishedJob // terminal jobs in finish order, oldest first
-	finishedResults int           // the results they hold
-
-	flightMu sync.Mutex
-	inflight map[string]chan struct{} // cache keys being computed right now
+	// The job registry: every queued, running and retained terminal job,
+	// and the terminal ones in finish order, oldest first, with the
+	// results they hold (the retention bounds above).
+	jobsMu          sync.Mutex
+	jobs            map[string]*Job
+	finished        []finishedJob
+	finishedResults int
 
 	pool localPool // engine-slot accounting behind every job's local slots
 
@@ -365,16 +357,13 @@ func New(cfg config.Daemon, runner Runner) *Server {
 		// re-enqueues interrupted jobs into the scheduler before the
 		// worker pool spins up.
 		accepting: true,
+		jobs:      make(map[string]*Job),
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = newResultCache(cfg.CacheEntries)
-		s.inflight = make(map[string]chan struct{})
 	}
 	s.clust = newClusterState(cfg.Cluster)
 	s.pool.cond = sync.NewCond(&s.pool.mu)
-	for i := range s.shards {
-		s.shards[i].jobs = make(map[string]*Job)
-	}
 	return s
 }
 
@@ -453,36 +442,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Draining reports whether shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-func (s *Server) shard(id string) *jobShard {
-	return &s.shards[fnv32a(id)%jobShards]
-}
-
 func (s *Server) registerJob(j *Job) {
-	sh := s.shard(j.ID)
-	sh.mu.Lock()
-	sh.jobs[j.ID] = j
-	sh.mu.Unlock()
+	s.jobsMu.Lock()
+	s.jobs[j.ID] = j
+	s.jobsMu.Unlock()
 }
 
 // Job looks up a job by id.
 func (s *Server) Job(id string) (*Job, bool) {
-	sh := s.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	j, ok := sh.jobs[id]
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	j, ok := s.jobs[id]
 	return j, ok
 }
 
 // Jobs returns every known job (unordered).
 func (s *Server) Jobs() []*Job {
-	var out []*Job
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, j := range sh.jobs {
-			out = append(out, j)
-		}
-		sh.mu.Unlock()
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
+	out := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, j)
 	}
 	return out
 }
@@ -660,21 +640,14 @@ func (s *Server) retireJob(j *Job) {
 	j.mu.Lock()
 	n := len(j.results)
 	j.mu.Unlock()
-	s.finMu.Lock()
+	s.jobsMu.Lock()
+	defer s.jobsMu.Unlock()
 	s.finished = append(s.finished, finishedJob{j.ID, n})
 	s.finishedResults += n
-	var evict []finishedJob
 	for len(s.finished) > 1 && (len(s.finished) > maxFinishedJobs || s.finishedResults > maxFinishedResults) {
-		evict = append(evict, s.finished[0])
+		delete(s.jobs, s.finished[0].id)
 		s.finishedResults -= s.finished[0].results
 		s.finished = s.finished[1:] // the spent front goes when append next reallocates
-	}
-	s.finMu.Unlock()
-	for _, old := range evict {
-		sh := s.shard(old.id)
-		sh.mu.Lock()
-		delete(sh.jobs, old.id)
-		sh.mu.Unlock()
 	}
 }
 
@@ -820,18 +793,6 @@ func specKey(spec runSpec) string {
 	}
 }
 
-// lookup returns the cache entry for key if it can serve spec: an entry
-// with stripped latency arrays (a partial cachedSummary) cannot serve a
-// request that keeps them. A nil cache never hits.
-func (c *resultCache) lookup(key string, spec runSpec) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	v, ok := c.get(key)
-	cs, isSum := v.(*cachedSummary)
-	return v, ok && !(isSum && cs.partial && spec.KeepLatencies)
-}
-
 // cacheFill is the cache's one fill rule, for engine runs, worker results
 // and WAL replay alike: store what the request returned — the result's
 // own options and summary, which are never mutated once delivered. Unless
@@ -881,53 +842,18 @@ func cachedResult(spec runSpec, v any) ConfigResult {
 	return res
 }
 
-// claim routes one configuration through the cache and the in-flight
-// table atomically: a hit returns the entry; an identical configuration
-// computing right now returns its wait channel (claim again once it
-// closes); otherwise the caller leads, and must leaveFlight(key) after the
-// cache fill. Without a cache every claim leads.
-func (s *Server) claim(key string, spec runSpec) (v any, wait <-chan struct{}, hit bool) {
-	if s.cache == nil {
-		return nil, nil, false
-	}
-	s.flightMu.Lock()
-	defer s.flightMu.Unlock()
-	if c, ok := s.inflight[key]; ok {
-		return nil, c, false
-	}
-	if v, ok := s.cache.lookup(key, spec); ok {
-		return v, nil, true
-	}
-	s.inflight[key] = make(chan struct{})
-	return nil, nil, false
-}
-
-// leaveFlight ends a leader's flight, waking its waiters.
-func (s *Server) leaveFlight(key string) {
-	if s.cache == nil {
-		return
-	}
-	s.flightMu.Lock()
-	c, ok := s.inflight[key]
-	delete(s.inflight, key)
-	s.flightMu.Unlock()
-	if ok {
-		close(c)
-	}
-}
-
 // runOne serves one configuration on the calling goroutine (the worker
 // execute endpoint), claiming it like runJob does.
 func (s *Server) runOne(ctx context.Context, spec runSpec) ConfigResult {
 	key := specKey(spec)
 	for {
-		v, wait, hit := s.claim(key, spec)
+		v, wait, hit := s.cache.claim(key, spec)
 		switch {
 		case hit:
 			s.stats.CacheHits.Add(1)
 			return cachedResult(spec, v)
 		case wait == nil:
-			defer s.leaveFlight(key)
+			defer s.cache.leave(key)
 			return s.compute(ctx, key, spec)
 		}
 		s.stats.Coalesced.Add(1)

@@ -26,13 +26,11 @@ type Scheduler interface {
 	// until the end of the current cycle (see Op): the scheduler must not
 	// retain it.
 	OnOpDone(st *State, op *Op, success bool)
-}
-
-// Releaser is implemented by schedulers whose instances are pooled, as
-// sched.New hands them out: the engine calls Release once, when its run
-// ends, whatever the outcome, and the instance must not be used after
-// that. The static baselines and RESCQ both implement it.
-type Releaser interface {
+	// Release is called once, when the run ends, whatever the outcome;
+	// the instance must not be used after that. Pooled schedulers (the
+	// static baselines and RESCQ, as sched.New hands them out) go back
+	// to their free list here; a wrapper that embeds a Scheduler forwards
+	// it by method promotion.
 	Release()
 }
 
@@ -61,8 +59,8 @@ func (e *Engine) State() *State { return e.st }
 // Run executes the simulation until every gate completes and returns the
 // collected statistics. It fails on scheduler deadlock (no progress for
 // cfg.StallLimit cycles) or when cfg.MaxCycles is exceeded. An engine runs
-// once: Run returns the state's storage to the pool, and releases the
-// scheduler if it is a Releaser.
+// once: Run returns the state's storage to the pool and releases the
+// scheduler.
 func (e *Engine) Run() (*Result, error) {
 	return e.RunContext(context.Background())
 }
@@ -124,9 +122,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 func (e *Engine) release() {
 	e.st.release()
 	e.st = nil
-	if r, ok := e.sched.(Releaser); ok {
-		r.Release()
-	}
+	e.sched.Release()
 }
 
 // advance progresses all active ops by one cycle and fires completion

@@ -63,8 +63,9 @@ func reuseSequence() []reuseConfig {
 
 // stopper cuts a run short from inside: from cycle at on it either cancels
 // the run's context or stops scheduling, so the engine aborts on the
-// context or on the stall limit. It passes Release through, so the cut
-// run's scheduler goes back to the pool with its live state.
+// context or on the stall limit. Release is promoted from the embedded
+// scheduler, so the cut run's scheduler goes back to the pool with its
+// live state.
 type stopper struct {
 	sim.Scheduler
 	at     int
@@ -77,12 +78,6 @@ func (s *stopper) OnCycle(st *sim.State) {
 	} else if s.cancel != nil {
 		s.cancel()
 		s.Scheduler.OnCycle(st)
-	}
-}
-
-func (s *stopper) Release() {
-	if r, ok := s.Scheduler.(sim.Releaser); ok {
-		r.Release()
 	}
 }
 

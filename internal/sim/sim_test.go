@@ -39,6 +39,7 @@ func (s *scriptSched) OnOpDone(st *State, op *Op, success bool) {
 		s.onDone(st, op, success)
 	}
 }
+func (s *scriptSched) Release() {}
 
 func testCfg() Config { return Config{Distance: 7, PhysError: 1e-4} }
 
