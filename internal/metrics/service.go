@@ -51,9 +51,9 @@ type ServiceStats struct {
 	WorkersDrained      atomic.Int64 // draining workers released after their last in-flight batch
 
 	// Wire counters (coordinator side): batches that went out in the
-	// binary wire format, and their frame bytes, as framed (frames are
-	// not compressed), per direction. The HELP text's "post-compression"
-	// is kept because the /metrics goldens pin it.
+	// binary wire format, and their bytes as framed, per direction.
+	// Frames are not compressed, so the HELP text's "post-compression"
+	// (pinned by the /metrics goldens) reads the same bytes.
 	WireBinaryBatches  atomic.Int64 // batches put on the wire
 	WireBinaryBytesOut atomic.Int64 // dispatch request bytes on the wire
 	WireBinaryBytesIn  atomic.Int64 // dispatch response bytes on the wire

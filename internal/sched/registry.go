@@ -39,7 +39,8 @@ func Names() []string { return slices.Clone(names) }
 // New returns an instance of the named scheduler for one run. Instances
 // carry per-run state, so every seeded run takes its own; they are pooled,
 // so New hands out one that an engine released at the end of an earlier
-// run (see sim.Scheduler's Release) when there is one, and its Init resets it.
+// run (see sim.Scheduler's Release) when there is one, and its Init
+// resets it.
 // Unknown names fail with an error enumerating the known schedulers.
 func New(name string, p Params) (sim.Scheduler, error) {
 	switch name {
