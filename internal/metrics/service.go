@@ -52,8 +52,6 @@ type ServiceStats struct {
 
 	// Wire counters (coordinator side): batches that went out in the
 	// binary wire format, and their bytes as framed, per direction.
-	// Frames are not compressed, so the HELP text's "post-compression"
-	// (pinned by the /metrics goldens) reads the same bytes.
 	WireBinaryBatches  atomic.Int64 // batches put on the wire
 	WireBinaryBytesOut atomic.Int64 // dispatch request bytes on the wire
 	WireBinaryBytesIn  atomic.Int64 // dispatch response bytes on the wire
@@ -155,8 +153,8 @@ func (s *ServiceStats) WriteProm(p *PromWriter) {
 	p.Counter("rescqd_cluster_worker_expiries_total", "Workers expired by the liveness sweeper.", s.WorkerExpiries.Load())
 	p.Counter("rescqd_cluster_workers_drained_total", "Draining workers released after their last in-flight batch.", s.WorkersDrained.Load())
 	p.Counter("rescqd_cluster_wire_batches_total", "Batches put on the wire to cluster workers.", s.WireBinaryBatches.Load())
-	p.Counter("rescqd_cluster_wire_bytes_out_total", "Dispatch request bytes on the wire (post-compression).", s.WireBinaryBytesOut.Load())
-	p.Counter("rescqd_cluster_wire_bytes_in_total", "Dispatch response bytes on the wire (post-compression).", s.WireBinaryBytesIn.Load())
+	p.Counter("rescqd_cluster_wire_bytes_out_total", "Dispatch request bytes on the wire (as framed).", s.WireBinaryBytesOut.Load())
+	p.Counter("rescqd_cluster_wire_bytes_in_total", "Dispatch response bytes on the wire (as framed).", s.WireBinaryBytesIn.Load())
 	p.Counter("rescqd_job_latency_observations_total", "Completed jobs with recorded latency.", s.jobLatency.Count())
 	p.Summary("rescqd_job_latency_ms", "Completed-job latency quantiles in milliseconds.", &s.jobLatency, 0.5, 0.99)
 	p.Counter("rescqd_config_latency_observations_total", "Configurations with recorded execution latency.", s.configLatency.Count())

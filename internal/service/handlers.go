@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	rtmetrics "runtime/metrics"
 	"sort"
@@ -646,14 +647,41 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("rescqd_worker_draining", "Whether this worker is retiring (fenced from new batches).", boolGauge(s.WorkerDraining()))
 	}
 	p.Gauge("rescqd_uptime_seconds", "Daemon uptime.", int64(time.Since(s.startTime).Round(time.Second)/time.Second))
-	gc := [...]rtmetrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/heap/goal:bytes"}}
-	rtmetrics.Read(gc[:])
-	if gc[0].Value.Kind() == rtmetrics.KindFloat64 && gc[1].Value.Kind() == rtmetrics.KindUint64 {
+	rt := [...]rtmetrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/heap/goal:bytes"}, {Name: "/sched/latencies:seconds"}}
+	rtmetrics.Read(rt[:])
+	if rt[0].Value.Kind() == rtmetrics.KindFloat64 && rt[1].Value.Kind() == rtmetrics.KindUint64 {
 		p.Header("rescqd_go_gc_cpu_seconds_total", "counter", "Estimated CPU time the Go runtime spent on garbage collection.")
-		p.Float("rescqd_go_gc_cpu_seconds_total", gc[0].Value.Float64())
-		p.Gauge("rescqd_go_gc_heap_goal_bytes", "Heap size at which the Go runtime starts its next garbage collection.", int64(gc[1].Value.Uint64()))
+		p.Float("rescqd_go_gc_cpu_seconds_total", rt[0].Value.Float64())
+		p.Gauge("rescqd_go_gc_heap_goal_bytes", "Heap size at which the Go runtime starts its next garbage collection.", int64(rt[1].Value.Uint64()))
+	}
+	if rt[2].Value.Kind() == rtmetrics.KindFloat64Histogram {
+		h := rt[2].Value.Float64Histogram()
+		p.Header("rescqd_go_sched_latency_seconds", "summary", "Time goroutines spent runnable before the Go runtime ran them, as the upper bound of the quantile's bucket.")
+		p.Float("rescqd_go_sched_latency_seconds", bucketQuantile(h, 0.5), "quantile", "0.5")
+		p.Float("rescqd_go_sched_latency_seconds", bucketQuantile(h, 0.99), "quantile", "0.99")
 	}
 	w.Write(p.Bytes())
+}
+
+// bucketQuantile returns the upper bound of the bucket of h that holds
+// quantile q (its lower bound for the open top bucket), or 0 while h is
+// empty.
+func bucketQuantile(h *rtmetrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var seen uint64
+	for i, c := range h.Counts {
+		if seen += c; seen > 0 && seen >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return 0
 }
 
 // boolGauge renders a flag as a 0/1 gauge value.

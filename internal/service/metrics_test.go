@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,6 +39,7 @@ var maskedSeries = map[string]bool{
 	"rescqd_store_append_bytes_total":       true,
 	"rescqd_go_gc_cpu_seconds_total":        true,
 	"rescqd_go_gc_heap_goal_bytes":          true,
+	"rescqd_go_sched_latency_seconds":       true,
 }
 
 // maskExposition replaces the value of every masked sample with "X".
@@ -208,6 +211,25 @@ func TestMetricsSubMillisecondLatency(t *testing.T) {
 	// 250µs lands in the [240µs, 256µs) bucket.
 	if want := `rescqd_job_latency_ms{quantile="0.5"} 0.256`; !strings.Contains(text, want) {
 		t.Fatalf("/metrics missing %q:\n%s", want, text)
+	}
+}
+
+// TestBucketQuantile: the scheduling-latency quantiles read the upper
+// bound of the bucket holding the rank, the lower bound of the open top
+// bucket, and 0 for an empty histogram.
+func TestBucketQuantile(t *testing.T) {
+	inf := math.Inf(1)
+	h := &rtmetrics.Float64Histogram{
+		Counts:  []uint64{0, 3, 1, 1},
+		Buckets: []float64{-inf, 0, 1e-6, 1e-3, inf},
+	}
+	for _, c := range []struct{ q, want float64 }{{0.5, 1e-6}, {0.8, 1e-3}, {0.99, 1e-3}} {
+		if got := bucketQuantile(h, c.q); got != c.want {
+			t.Errorf("bucketQuantile(%v) = %v, want %v", c.q, got, c.want)
+		}
+	}
+	if got := bucketQuantile(&rtmetrics.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}, 0.5); got != 0 {
+		t.Errorf("empty histogram: bucketQuantile = %v, want 0", got)
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,5 +65,60 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 	if cycles > cancelCheckMask+4 {
 		t.Errorf("run kept going for %d cycles after cancellation (stride %d)", cycles, cancelCheckMask+1)
+	}
+}
+
+// TestRunContextYieldsAtPoll: with one P, a goroutine readied mid-run gets
+// to run at the engine's next context poll, not at the runtime's next
+// preemption. The runtime's 1-in-61 check of the global run queue can hand
+// the P straight back to the yielding engine once, so the bound is four
+// strides, not one.
+func TestRunContextYieldsAtPoll(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := lattice.MustBuild("star", 2, nil)
+	c := circuit.New("slow", 2)
+	c.CNOT(0, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const (
+		wakeAt   = 3
+		cancelAt = 20_000
+	)
+	started, wake := make(chan struct{}), make(chan struct{})
+	var woke atomic.Bool
+	go func() {
+		close(started)
+		<-wake
+		woke.Store(true)
+	}()
+	<-started // the waker is parked on wake before the run starts
+	cycles, seenAt := 0, 0
+	// The busy scheduler of TestRunContextCancelMidRun: only the context
+	// check ends the run.
+	busy := &scriptSched{
+		onCycle: func(st *State) {
+			cycles++
+			switch {
+			case cycles == wakeAt:
+				close(wake)
+			case cycles == cancelAt:
+				cancel()
+			}
+			if seenAt == 0 && woke.Load() {
+				seenAt = cycles
+			}
+			if st.QubitFree(0) {
+				if _, err := st.StartEdgeRotation(-1, 0, lattice.At(0, 1)); err != nil {
+					t.Errorf("StartEdgeRotation: %v", err)
+				}
+			}
+		},
+	}
+	if _, err := RunSeededContext(ctx, g, c, testCfg(), 1, busy); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if limit := wakeAt + 4*(cancelCheckMask+1); seenAt == 0 || seenAt > limit {
+		t.Errorf("woken goroutine first seen at cycle %d (0 = never in %d cycles), want by cycle %d",
+			seenAt, cycles, limit)
 	}
 }

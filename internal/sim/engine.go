@@ -3,9 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"repro/internal/circuit"
 	"repro/internal/lattice"
+	"repro/internal/rus"
 )
 
 // Scheduler is the policy plugged into the engine. The engine calls
@@ -65,16 +67,21 @@ func (e *Engine) Run() (*Result, error) {
 	return e.RunContext(context.Background())
 }
 
-// cancelCheckMask gates how often RunContext polls ctx: every 256 cycles.
-// Polling costs a nil-channel select, but even a mutex-guarded ctx would be
-// noise at this stride, while 256 cycles is a tiny fraction of any real
-// circuit's makespan — cancellation lands promptly mid-run.
+// cancelCheckMask gates how often RunContext polls ctx and yields its P:
+// every 256 cycles. Polling costs a nil-channel select and a Gosched, noise
+// at this stride, while 256 cycles is a tiny fraction of any real circuit's
+// makespan — cancellation lands promptly mid-run, and a goroutine that
+// became runnable meanwhile waits at most one stride for a P.
 const cancelCheckMask = 255
 
 // RunContext is Run with cooperative cancellation: the per-cycle loop
 // polls ctx every few hundred cycles and aborts with ctx's error, so a
 // cancelled serving request stops a long simulation mid-configuration
-// instead of running it to completion.
+// instead of running it to completion. At the same poll it yields its P.
+// A configuration never blocks, so when every P runs one, the goroutines
+// that read a request, wake on its completion or write its reply would
+// otherwise wait for the runtime's preemption, about every 10 ms. The
+// yield touches no RNG draw or decision, so every result is unchanged.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	st := e.st
 	defer e.release()
@@ -91,6 +98,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 					st.cycle, st.numDone, st.dag.Len(), ctx.Err())
 			default:
 			}
+			runtime.Gosched()
 		}
 		st.cycle++
 		if st.cycle > st.cfg.MaxCycles {
@@ -166,7 +174,7 @@ func (e *Engine) advance() bool {
 			if op.remaining <= 0 {
 				success := true
 				if op.Kind == OpInjection {
-					success = st.rng.Float64() < 0.5
+					success = st.rng.Float64() < rus.InjectionSuccessProb
 					if !success {
 						st.injectionFailures++
 					}
