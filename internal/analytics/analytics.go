@@ -61,9 +61,6 @@ var axisNames = []string{
 	"distance", "phys_error", "k", "tau_mst", "compression", "runs", "seed",
 }
 
-// AxisNames lists every queryable axis in canonical order.
-func AxisNames() []string { return append([]string(nil), axisNames...) }
-
 func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // value returns the string form of one axis — the same spelling used in

@@ -164,7 +164,7 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 
 	// Per-cell equality against the naive recompute: group by all axes so
 	// each group is exactly one cell.
-	resp, err := base.GroupBy(AxisNames(), nil)
+	resp, err := base.GroupBy(axisNames, nil)
 	if err != nil {
 		t.Fatalf("groupby all axes: %v", err)
 	}

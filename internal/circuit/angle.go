@@ -48,14 +48,6 @@ func NewAngle(num, den int64) Angle {
 	return Angle{Num: num, Den: den}
 }
 
-// Radians reports the angle in radians.
-func (a Angle) Radians() float64 {
-	return math.Pi * float64(a.Num) / float64(a.Den)
-}
-
-// IsZero reports whether the rotation is the identity.
-func (a Angle) IsZero() bool { return a.Num == 0 }
-
 // IsClifford reports whether the rotation is a multiple of pi/2 and can
 // therefore be absorbed into the Clifford frame without consuming an |m_theta>
 // resource state.

@@ -170,3 +170,8 @@ func TestDyadicTerminationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Radians reports the angle in radians.
+func (a Angle) Radians() float64 {
+	return math.Pi * float64(a.Num) / float64(a.Den)
+}

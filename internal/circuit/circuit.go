@@ -68,17 +68,11 @@ func (c *Circuit) H(q int) { c.append(KindH, q, 0, Zero) }
 // X appends a Pauli X on qubit q.
 func (c *Circuit) X(q int) { c.append(KindX, q, 0, Zero) }
 
-// Z appends a Pauli Z on qubit q.
-func (c *Circuit) Z(q int) { c.append(KindZ, q, 0, Zero) }
-
 // T appends a T gate (canonicalized to Rz(pi/4)).
 func (c *Circuit) T(q int) { c.append(KindT, q, 0, Zero) }
 
 // Tdg appends an inverse T gate (canonicalized to Rz(-pi/4)).
 func (c *Circuit) Tdg(q int) { c.append(KindTdg, q, 0, Zero) }
-
-// S appends an S gate (canonicalized to Rz(pi/2)).
-func (c *Circuit) S(q int) { c.append(KindS, q, 0, Zero) }
 
 // Stats summarizes a circuit the way the paper's Table 3 does.
 type Stats struct {
@@ -127,22 +121,10 @@ func (c *Circuit) Stats() Stats {
 	return s
 }
 
-// Scheduled returns the subsequence of gates that consume lattice resources
-// (everything that is not frame-only), preserving order and original IDs.
-func (c *Circuit) Scheduled() []Gate {
-	out := make([]Gate, 0, len(c.Gates))
-	for _, g := range c.Gates {
-		if !g.IsFrameOnly() {
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
 // Validate checks structural invariants: IDs match indices, operands are in
 // range, and CNOTs act on distinct qubits. Circuits built through the
-// builder methods always validate; the check exists for parsed inputs and
-// for property tests.
+// builder methods always validate; only tests call it, to check the
+// benchmark generators and fuzzed parser inputs.
 func (c *Circuit) Validate() error {
 	if c.NumQubits < 1 {
 		return errors.New("circuit: non-positive qubit count")

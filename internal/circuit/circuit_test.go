@@ -11,9 +11,9 @@ func TestBuilderAndStats(t *testing.T) {
 	c.H(0)
 	c.CNOT(0, 1)
 	c.Rz(1, NewAngle(1, 8))
-	c.T(2) // canonicalized to Rz(pi/4)
-	c.S(2) // Clifford: frame-only
-	c.X(0) // frame-only
+	c.T(2)                  // canonicalized to Rz(pi/4)
+	c.Rz(2, NewAngle(1, 2)) // S, Clifford: frame-only
+	c.X(0)                  // frame-only
 	c.CNOT(1, 2)
 
 	s := c.Stats()
@@ -91,19 +91,19 @@ func TestScheduledFiltersFrameOnly(t *testing.T) {
 	c := New("f", 2)
 	c.X(0)
 	c.CNOT(0, 1)
-	c.Z(1)
+	c.X(1)
 	c.Rz(0, NewAngle(1, 2)) // pi/2 is Clifford: frame-only
 	c.Rz(0, NewAngle(1, 4))
-	sch := c.Scheduled()
-	if len(sch) != 2 {
-		t.Fatalf("Scheduled returned %d gates, want 2", len(sch))
+	d := NewDAG(c)
+	if d.Len() != 2 {
+		t.Fatalf("DAG holds %d gates, want 2", d.Len())
 	}
-	if sch[0].Kind != KindCNOT || sch[1].Kind != KindRz {
-		t.Errorf("Scheduled gates = %v", sch)
+	if d.Gate(0).Kind != KindCNOT || d.Gate(1).Kind != KindRz {
+		t.Errorf("scheduled gates = %v, %v", d.Gate(0), d.Gate(1))
 	}
 	// Original IDs preserved.
-	if sch[0].ID != 1 || sch[1].ID != 4 {
-		t.Errorf("Scheduled IDs = %d,%d, want 1,4", sch[0].ID, sch[1].ID)
+	if d.Gate(0).ID != 1 || d.Gate(1).ID != 4 {
+		t.Errorf("scheduled IDs = %d,%d, want 1,4", d.Gate(0).ID, d.Gate(1).ID)
 	}
 }
 
@@ -141,8 +141,8 @@ func TestRandomCircuitInvariants(t *testing.T) {
 			return false
 		}
 		s := c.Stats()
-		return len(c.Scheduled())+s.FrameOnly == s.Total &&
-			s.Rz+s.CNOT+s.H == len(c.Scheduled())
+		n := NewDAG(c).Len()
+		return n+s.FrameOnly == s.Total && s.Rz+s.CNOT+s.H == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

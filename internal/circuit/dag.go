@@ -15,8 +15,6 @@ type DAG struct {
 
 	// nodes holds the scheduled gates in program order.
 	nodes []Gate
-	// index maps gate ID -> node index, or -1 for frame-only gates.
-	index []int
 
 	succ   [][]int // node index -> successor node indices
 	pred   [][]int // node index -> predecessor node indices
@@ -30,17 +28,11 @@ func NewDAG(c *Circuit) *DAG {
 	d := &DAG{
 		circ:  c,
 		nodes: make([]Gate, 0, len(c.Gates)),
-		index: make([]int, len(c.Gates)),
-	}
-	for i := range d.index {
-		d.index[i] = -1
 	}
 	for _, g := range c.Gates {
-		if g.IsFrameOnly() {
-			continue
+		if !g.IsFrameOnly() {
+			d.nodes = append(d.nodes, g)
 		}
-		d.index[g.ID] = len(d.nodes)
-		d.nodes = append(d.nodes, g)
 	}
 	n := len(d.nodes)
 	// Every edge joins consecutive gates on one qubit, so a node has at
@@ -112,22 +104,11 @@ func (d *DAG) Len() int { return len(d.nodes) }
 // Gate returns the scheduled gate at node index i.
 func (d *DAG) Gate(i int) Gate { return d.nodes[i] }
 
-// Gates returns all scheduled gates in program order. The returned slice is
-// shared; callers must not mutate it.
-func (d *DAG) Gates() []Gate { return d.nodes }
-
-// NodeOf returns the node index for a gate ID, or -1 if the gate is
-// frame-only and therefore not part of the DAG.
-func (d *DAG) NodeOf(gateID int) int { return d.index[gateID] }
-
 // arity is the most qubits a gate acts on.
 const arity = len(Gate{}.Qubits)
 
 // Succ returns the successor node indices of node i (shared slice).
 func (d *DAG) Succ(i int) []int { return d.succ[i] }
-
-// Pred returns the predecessor node indices of node i (shared slice).
-func (d *DAG) Pred(i int) []int { return d.pred[i] }
 
 // InDegree returns the number of predecessors of node i.
 func (d *DAG) InDegree(i int) int { return len(d.pred[i]) }
@@ -143,6 +124,8 @@ func (d *DAG) Layer(i int) int { return d.layer[i] }
 func (d *DAG) NumLayers() int { return d.layers }
 
 // CriticalPathLength returns the longest dependency chain in the circuit.
+// No program calls it yet: it is the unweighted form of the schedule
+// lower bound that a latency-weighted check is planned to build on.
 func (d *DAG) CriticalPathLength() int {
 	m := 0
 	for _, h := range d.height {
@@ -151,15 +134,4 @@ func (d *DAG) CriticalPathLength() int {
 		}
 	}
 	return m
-}
-
-// Roots returns the node indices with no predecessors (initially ready).
-func (d *DAG) Roots() []int {
-	var out []int
-	for i := range d.nodes {
-		if len(d.pred[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
 }

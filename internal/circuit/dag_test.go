@@ -47,7 +47,7 @@ func TestDAGSkipsFrameOnly(t *testing.T) {
 	c := New("frame", 2)
 	c.X(0) // frame-only
 	c.CNOT(0, 1)
-	c.S(1) // frame-only
+	c.Rz(1, NewAngle(1, 2)) // S: frame-only
 	c.H(1)
 	d := NewDAG(c)
 	if d.Len() != 2 {
@@ -148,4 +148,29 @@ func TestDAGReadySetCoversAllGates(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// NodeOf returns the node index for a gate ID, or -1 if the gate is
+// frame-only and therefore not part of the DAG.
+func (d *DAG) NodeOf(gateID int) int {
+	for i, g := range d.nodes {
+		if g.ID == gateID {
+			return i
+		}
+	}
+	return -1
+}
+
+// Pred returns the predecessor node indices of node i (shared slice).
+func (d *DAG) Pred(i int) []int { return d.pred[i] }
+
+// Roots returns the node indices with no predecessors (initially ready).
+func (d *DAG) Roots() []int {
+	var out []int
+	for i := range d.nodes {
+		if len(d.pred[i]) == 0 {
+			out = append(out, i)
+		}
+	}
+	return out
 }

@@ -75,19 +75,9 @@ const (
 
 // Client is the coordinator<->worker HTTP client: the coordinator uses
 // Execute to dispatch batches, workers use Register to announce themselves
-// and heartbeat. The zero value is not usable; build with NewClient or
-// NewTunedClient.
+// and heartbeat. The zero value is not usable; build with NewTunedClient.
 type Client struct {
 	hc *http.Client
-}
-
-// NewClient returns a client. A nil http.Client uses NewTunedClient's
-// transport.
-func NewClient(hc *http.Client) *Client {
-	if hc == nil {
-		return NewTunedClient()
-	}
-	return &Client{hc: hc}
 }
 
 // NewTunedClient returns a client tuned for intra-cluster traffic: no
@@ -161,16 +151,6 @@ func (c *Client) Register(ctx context.Context, coordinatorURL string, req Regist
 		return resp, err
 	}
 	err := c.postJSON(ctx, joinURL(coordinatorURL, RegisterPath), req, &resp)
-	return resp, err
-}
-
-// Drain asks a worker to retire gracefully: it stops accepting new
-// batches, finishes its in-flight ones, and deregisters from its
-// coordinator once idle. Idempotent — draining an already-draining worker
-// re-acknowledges.
-func (c *Client) Drain(ctx context.Context, workerURL string) (DrainResponse, error) {
-	var resp DrainResponse
-	err := c.postJSON(ctx, joinURL(workerURL, DrainPath), struct{}{}, &resp)
 	return resp, err
 }
 

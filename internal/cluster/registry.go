@@ -119,14 +119,6 @@ func (r *Registry) Upsert(req RegisterRequest) UpsertStatus {
 	return UpsertStatus{IsNew: !ok}
 }
 
-// Remove drops a worker (observed dead by a failed dispatch); its gone
-// channel is closed so watchers abort. Removing an unknown id is a no-op.
-func (r *Registry) Remove(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.removeLocked(id)
-}
-
 func (r *Registry) removeLocked(id string) {
 	w, ok := r.workers[id]
 	if !ok {

@@ -105,11 +105,12 @@ func TestAcquireRespectsCapacity(t *testing.T) {
 // TestAcquireNoWorkers: an empty registry fails fast with ErrNoWorkers
 // (the caller falls back to local execution) rather than blocking.
 func TestAcquireNoWorkers(t *testing.T) {
-	r := testRegistry(newFakeClock())
+	clock := newFakeClock()
+	r := testRegistry(clock)
 	if _, err := r.Acquire(context.Background()); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("Acquire on empty registry: %v, want ErrNoWorkers", err)
 	}
-	// And after the last worker is removed mid-wait, a blocked Acquire
+	// And after the last worker expires mid-wait, a blocked Acquire
 	// resolves to ErrNoWorkers instead of waiting forever.
 	r.Upsert(RegisterRequest{ID: "w-a", Capacity: 1})
 	l := mustAcquire(t, r)
@@ -120,7 +121,8 @@ func TestAcquireNoWorkers(t *testing.T) {
 	}()
 	time.Sleep(10 * time.Millisecond)
 	_ = l
-	r.Remove("w-a")
+	clock.advance(2 * time.Second)
+	r.ExpireDead(time.Second)
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrNoWorkers) {
@@ -188,10 +190,12 @@ func TestExpireDead(t *testing.T) {
 // re-registered incarnation with the same id — that would let dispatchers
 // overrun the fresh worker's capacity.
 func TestStaleLeaseReleaseIgnoresNewIncarnation(t *testing.T) {
-	r := testRegistry(newFakeClock())
+	clock := newFakeClock()
+	r := testRegistry(clock)
 	r.Upsert(RegisterRequest{ID: "w-a", Capacity: 1})
 	stale := mustAcquire(t, r)
-	r.Remove("w-a") // observed dead mid-batch
+	clock.advance(2 * time.Second)
+	r.ExpireDead(time.Second) // heartbeats stopped mid-batch
 
 	// The worker comes back (heartbeat after restart) and its only slot is
 	// acquired by a new dispatcher.

@@ -83,10 +83,6 @@ func (d Daemon) DrainTimeout() time.Duration {
 	return time.Duration(d.DrainTimeoutSec) * time.Second
 }
 
-// CacheDisabled reports whether the result cache is turned off
-// (CacheEntries < 0).
-func (d Daemon) CacheDisabled() bool { return d.CacheEntries < 0 }
-
 // Validate reports daemon configuration errors.
 func (d Daemon) Validate() error {
 	if d.Workers < 0 {

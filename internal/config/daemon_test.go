@@ -34,14 +34,14 @@ func TestDaemonDefaults(t *testing.T) {
 func TestDaemonCacheDisabled(t *testing.T) {
 	// 0 is "unset" (re-defaulted), negative is the explicit off switch.
 	d := Daemon{CacheEntries: -1}.WithDefaults()
-	if d.CacheEntries != -1 || !d.CacheDisabled() {
-		t.Fatalf("negative cache_entries should survive defaults and disable: %+v", d)
+	if d.CacheEntries != -1 {
+		t.Fatalf("negative cache_entries should survive defaults: %+v", d)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("disabled cache should validate: %v", err)
 	}
-	if (Daemon{}).WithDefaults().CacheDisabled() {
-		t.Fatal("default config should have the cache enabled")
+	if n := (Daemon{}).WithDefaults().CacheEntries; n <= 0 {
+		t.Fatalf("default cache_entries = %d, want the cache enabled", n)
 	}
 }
 

@@ -4,8 +4,10 @@ package core_test
 // external test package because internal/sched imports internal/core.
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/qbench"
@@ -21,12 +23,12 @@ func TestBeatsBaselineOnRzHeavyCircuit(t *testing.T) {
 	var rescqSum, greedySum float64
 	for seed := int64(0); seed < 3; seed++ {
 		g1 := lattice.NewSTARGrid(spec.Qubits)
-		r1, err := sim.RunSeeded(g1, spec.Circuit(), cfg, seed, core.New(core.DefaultConfig()))
+		r1, err := sim.RunDAGContext(context.Background(), g1, circuit.NewDAG(spec.Circuit()), cfg, seed, core.New(core.DefaultConfig()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		g2 := lattice.NewSTARGrid(spec.Qubits)
-		r2, err := sim.RunSeeded(g2, spec.Circuit(), cfg, seed, sched.NewGreedy())
+		r2, err := sim.RunDAGContext(context.Background(), g2, circuit.NewDAG(spec.Circuit()), cfg, seed, sched.NewGreedy())
 		if err != nil {
 			t.Fatal(err)
 		}

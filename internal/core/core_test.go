@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	mathrand "math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func cfg() sim.Config { return sim.Config{Distance: 7, PhysError: 1e-4} }
 func runOn(t *testing.T, c *circuit.Circuit, seed int64) *sim.Result {
 	t.Helper()
 	g := lattice.NewSTARGrid(c.NumQubits)
-	res, err := sim.RunSeeded(g, c, cfg(), seed, New(DefaultConfig()))
+	res, err := sim.RunDAGContext(context.Background(), g, circuit.NewDAG(c), cfg(), seed, New(DefaultConfig()))
 	if err != nil {
 		t.Fatalf("rescq on %s: %v", c.Name, err)
 	}
@@ -99,7 +100,7 @@ func TestDifferentKValues(t *testing.T) {
 	spec, _ := qbench.ByName("vqe_n13")
 	for _, k := range []int{25, 50, 100, 200} {
 		g := lattice.NewSTARGrid(spec.Qubits)
-		res, err := sim.RunSeeded(g, spec.Circuit(), cfg(), 3, New(Config{K: k}))
+		res, err := sim.RunDAGContext(context.Background(), g, circuit.NewDAG(spec.Circuit()), cfg(), 3, New(Config{K: k}))
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -115,7 +116,7 @@ func TestCompressedGridStillCompletes(t *testing.T) {
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
 		g := lattice.NewSTARGrid(c.NumQubits)
 		g.Compress(frac, mathrand.New(mathrand.NewSource(13)))
-		res, err := sim.RunSeeded(g, c, cfg(), 5, New(DefaultConfig()))
+		res, err := sim.RunDAGContext(context.Background(), g, circuit.NewDAG(c), cfg(), 5, New(DefaultConfig()))
 		if err != nil {
 			t.Fatalf("compression %v: %v", frac, err)
 		}
@@ -169,7 +170,7 @@ func TestMSTPipelineStaleness(t *testing.T) {
 	eng := sim.NewEngine(g, dag, cfg(), 1, New(Config{K: 5, TauMST: 7}))
 	// Run briefly by driving cycles through the engine's Run with a cap.
 	// Simpler: full run must still succeed with aggressive staleness.
-	if _, err := eng.Run(); err != nil {
+	if _, err := eng.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestDebugQAOAFSwap(t *testing.T) {
 	run := func(dumpAt int) (*stallDumper, error) {
 		s := New(DefaultConfig()).(*Scheduler)
 		d := &stallDumper{Scheduler: s, s: s, dumpAt: dumpAt}
-		_, err := sim.NewEngine(lattice.NewSTARGrid(c.NumQubits), dag, scfg, 0, d).Run()
+		_, err := sim.NewEngine(lattice.NewSTARGrid(c.NumQubits), dag, scfg, 0, d).RunContext(context.Background())
 		return d, err
 	}
 	d, err := run(0)

@@ -55,11 +55,11 @@ func TestAllSchedulersCompleteRandomPrograms(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomProgram(r)
 		comp := float64(r.Intn(3)) / 2 // 0, 0.5, 1.0
-		want := len(circuit.NewDAG(c).Gates())
+		want := circuit.NewDAG(c).Len()
 		for name, make := range mk {
 			g := lattice.MustBuild("star", c.NumQubits, nil)
 			g.Compress(comp, rand.New(rand.NewSource(seed+1)))
-			res, err := sim.RunSeeded(g, c, sim.Config{Distance: 7, PhysError: 1e-4}, seed, make())
+			res, err := sim.RunDAGContext(context.Background(), g, circuit.NewDAG(c), sim.Config{Distance: 7, PhysError: 1e-4}, seed, make())
 			if err != nil {
 				t.Logf("seed %d %s (compression %v): %v", seed, name, comp, err)
 				return false
@@ -95,7 +95,7 @@ func TestSchedulersAgreeOnDeterministicCircuits(t *testing.T) {
 		var first int
 		for seed := int64(1); seed <= 4; seed++ {
 			g := lattice.MustBuild("star", c.NumQubits, nil)
-			res, err := sim.RunSeeded(g, c, sim.Config{Distance: 7, PhysError: 1e-4}, seed, mk())
+			res, err := sim.RunDAGContext(context.Background(), g, circuit.NewDAG(c), sim.Config{Distance: 7, PhysError: 1e-4}, seed, mk())
 			if err != nil {
 				t.Fatal(err)
 			}

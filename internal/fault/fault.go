@@ -119,9 +119,6 @@ var (
 	spec   string // active schedule, verbatim, for banners and /healthz
 )
 
-// Enabled reports whether any failpoint is armed.
-func Enabled() bool { return armed.Load() }
-
 // Check evaluates the named failpoint. Dormant (the default) or unarmed
 // points return nil immediately. An armed error point whose trigger fires
 // returns an *Error matching ErrInjected; an armed delay point sleeps for
@@ -187,6 +184,7 @@ func Configure(schedule string, seed int64) error {
 }
 
 // Disable disarms every failpoint; Check returns to its one-load fast path.
+// Only tests call it: the store and service suites disarm between cases.
 func Disable() {
 	armed.Store(false)
 	mu.Lock()
@@ -229,8 +227,8 @@ func Active() string {
 	return spec
 }
 
-// Stats returns every armed point's evaluation/firing counts, for test
-// assertions.
+// Stats returns every armed point's evaluation/firing counts. Only tests
+// call it: the chaos suite asserts which faults fired.
 func Stats() map[string]PointStats {
 	out := make(map[string]PointStats)
 	mu.Lock()
@@ -243,7 +241,8 @@ func Stats() map[string]PointStats {
 	return out
 }
 
-// Fires returns one point's firing count (0 when unarmed).
+// Fires returns one point's firing count (0 when unarmed). Only tests call
+// it: the store suite counts a burst's injected failures.
 func Fires(name string) int64 {
 	mu.Lock()
 	p := points[name]
@@ -359,7 +358,8 @@ func pointSeed(seed int64, name string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// Names returns the armed point names, sorted (for logs and banners).
+// Names returns the armed point names, sorted. Only tests call it: the
+// chaos suite walks every armed point.
 func Names() []string {
 	mu.Lock()
 	defer mu.Unlock()

@@ -18,8 +18,8 @@ func arm(t *testing.T, schedule string, seed int64) {
 
 func TestDormantIsNil(t *testing.T) {
 	Disable()
-	if Enabled() {
-		t.Fatal("Enabled() with nothing configured")
+	if armed.Load() {
+		t.Fatal("failpoints armed with nothing configured")
 	}
 	if err := Check("anything"); err != nil {
 		t.Fatalf("dormant Check: %v", err)
@@ -166,7 +166,7 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 	// A failed Configure must not leave a half-armed schedule behind.
-	if Enabled() {
+	if armed.Load() {
 		t.Fatal("failed Configure left failpoints armed")
 	}
 }
@@ -193,7 +193,7 @@ func TestEnvActivation(t *testing.T) {
 	if spec, err := FromEnv(); err != nil || spec != "" {
 		t.Fatalf("empty env: %q, %v", spec, err)
 	}
-	if Enabled() {
+	if armed.Load() {
 		t.Fatal("empty env armed failpoints")
 	}
 }

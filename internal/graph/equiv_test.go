@@ -94,13 +94,13 @@ func TestPathIntoMatchesSearch(t *testing.T) {
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			buf = tr.PathInto(buf, u, v)
-			p2 := tr.Path(u, v)
+			p2 := tr.PathInto(nil, u, v)
 			if len(buf) != len(p2) {
-				t.Fatalf("PathInto/Path length mismatch for (%d,%d)", u, v)
+				t.Fatalf("PathInto lengths differ with and without a buffer for (%d,%d)", u, v)
 			}
 			for i := range buf {
 				if buf[i] != p2[i] {
-					t.Fatalf("PathInto/Path differ for (%d,%d): %v vs %v", u, v, buf, p2)
+					t.Fatalf("PathInto with and without a buffer differ for (%d,%d): %v vs %v", u, v, buf, p2)
 				}
 			}
 			if buf[0] != u || buf[len(buf)-1] != v {

@@ -73,9 +73,6 @@ func (g *Graph) AddEdge(u, v int, w float64) int {
 // Edge returns the edge with the given ID.
 func (g *Graph) Edge(id int) Edge { return g.edges[id] }
 
-// Weight returns the current weight of edge id.
-func (g *Graph) Weight(id int) float64 { return g.edges[id].W }
-
 // SetWeight updates the weight of edge id without any MST maintenance; use
 // Tree.UpdateWeight to keep a spanning tree consistent.
 func (g *Graph) SetWeight(id int, w float64) { g.edges[id].W = w }
@@ -87,32 +84,6 @@ func (g *Graph) Other(id, v int) int {
 		return e.V
 	}
 	return e.U
-}
-
-// Connected reports whether the whole vertex set forms one connected
-// component (isolated vertices therefore make a non-empty graph
-// disconnected).
-func (g *Graph) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, id := range g.adj[v] {
-			u := g.Other(int(id), v)
-			if !seen[u] {
-				seen[u] = true
-				count++
-				stack = append(stack, u)
-			}
-		}
-	}
-	return count == g.n
 }
 
 // DSU is a disjoint-set union (union-find) with path halving and union by
@@ -165,9 +136,6 @@ func (d *DSU) Union(a, b int) bool {
 	d.size[ra] += d.size[rb]
 	return true
 }
-
-// Same reports whether a and b are in the same set.
-func (d *DSU) Same(a, b int) bool { return d.Find(a) == d.Find(b) }
 
 // GridGraph builds the rows x cols 4-neighbour grid graph with all edge
 // weights w0 — the structure used for the section 5.4.1 MST timing

@@ -45,19 +45,6 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
-func TestConnected(t *testing.T) {
-	g := NewGraph(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	if g.Connected() {
-		t.Error("vertex 3 is isolated; graph should not be connected")
-	}
-	g.AddEdge(2, 3, 1)
-	if !g.Connected() {
-		t.Error("graph should now be connected")
-	}
-}
-
 // squareGraph builds the small example used in several tests:
 //
 //	0 --1.0-- 1
@@ -92,7 +79,7 @@ func TestKruskalSquare(t *testing.T) {
 func TestTreePath(t *testing.T) {
 	g, _ := squareGraph()
 	tr := Kruskal(g)
-	p := tr.Path(0, 3)
+	p := tr.PathInto(nil, 0, 3)
 	want := []int{0, 1, 2, 3}
 	if len(p) != len(want) {
 		t.Fatalf("Path = %v, want %v", p, want)
@@ -105,7 +92,7 @@ func TestTreePath(t *testing.T) {
 	if b, ok := tr.Bottleneck(0, 3); !ok || b != 3.0 {
 		t.Errorf("Bottleneck(0,3) = %v,%v, want 3,true", b, ok)
 	}
-	if p := tr.Path(2, 2); len(p) != 1 || p[0] != 2 {
+	if p := tr.PathInto(nil, 2, 2); len(p) != 1 || p[0] != 2 {
 		t.Errorf("Path(2,2) = %v, want [2]", p)
 	}
 }
@@ -115,7 +102,7 @@ func TestPathDisconnected(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(2, 3, 1)
 	tr := Kruskal(g)
-	if p := tr.Path(0, 3); p != nil {
+	if p := tr.PathInto(nil, 0, 3); p != nil {
 		t.Errorf("Path across components = %v, want nil", p)
 	}
 	if tr.SameComponent(0, 2) {
@@ -284,7 +271,7 @@ func minimaxBottleneck(g *Graph, u, v int) float64 {
 	}
 	edges := make([]we, g.NumEdges())
 	for i := 0; i < g.NumEdges(); i++ {
-		edges[i] = we{g.Weight(i), i}
+		edges[i] = we{g.Edge(i).W, i}
 	}
 	// Insertion-sort is fine at this size; avoids importing sort twice.
 	for i := 1; i < len(edges); i++ {
@@ -312,7 +299,7 @@ func TestTreePathWellFormed(t *testing.T) {
 		tr := Kruskal(g)
 		for k := 0; k < 10; k++ {
 			u, v := rng.Intn(24), rng.Intn(24)
-			p := tr.Path(u, v)
+			p := tr.PathInto(nil, u, v)
 			if p == nil || p[0] != u || p[len(p)-1] != v {
 				return false
 			}

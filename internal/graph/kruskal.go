@@ -78,7 +78,6 @@ func KruskalInto(g *Graph, t *Tree, dsu *DSU, order []int32) *Tree {
 		}
 	}
 	t.treeEdges = chosen
-	t.numEdges = len(chosen)
 	t.rebuildAdj(chosen)
 	return t
 }

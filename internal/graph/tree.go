@@ -7,10 +7,9 @@ import "math"
 // It supports path queries between vertices in the same component; by the
 // MST cycle/cut properties these paths are minimax (bottleneck-optimal).
 type Tree struct {
-	g        *Graph
-	inTree   []bool    // edge ID -> membership
-	adj      [][]int32 // vertex -> incident tree edge IDs
-	numEdges int
+	g      *Graph
+	inTree []bool    // edge ID -> membership
+	adj    [][]int32 // vertex -> incident tree edge IDs
 
 	// Reusable scratch state for searches, using epoch stamping so no
 	// per-query clearing or allocation is needed.
@@ -144,7 +143,6 @@ func (t *Tree) CloneInto(dst *Tree) *Tree {
 	}
 	dst.g = t.g
 	dst.rooted = false
-	dst.numEdges = t.numEdges
 	dst.inTree = append(dst.inTree[:0], t.inTree...)
 	if cap(dst.adj) >= t.g.n {
 		dst.adj = dst.adj[:t.g.n]
@@ -194,7 +192,6 @@ func (t *Tree) addTreeEdge(id int) {
 	t.inTree[id] = true
 	t.adj[e.U] = append(t.adj[e.U], int32(id))
 	t.adj[e.V] = append(t.adj[e.V], int32(id))
-	t.numEdges++
 	t.rooted = false
 }
 
@@ -203,7 +200,6 @@ func (t *Tree) removeTreeEdge(id int) {
 	t.inTree[id] = false
 	t.adj[e.U] = removeID(t.adj[e.U], int32(id))
 	t.adj[e.V] = removeID(t.adj[e.V], int32(id))
-	t.numEdges--
 	t.rooted = false
 }
 
@@ -217,37 +213,16 @@ func removeID(s []int32, id int32) []int32 {
 	return s
 }
 
-// Graph returns the underlying graph.
-func (t *Tree) Graph() *Graph { return t.g }
-
-// Contains reports whether edge id is in the tree.
+// Contains reports whether edge id is in the tree. Only tests call it:
+// core's MST audit compares the pipeline's tree with a fresh Kruskal edge
+// by edge.
 func (t *Tree) Contains(id int) bool { return t.inTree[id] }
 
-// NumTreeEdges returns the number of edges in the forest.
-func (t *Tree) NumTreeEdges() int { return t.numEdges }
-
-// TotalWeight returns the sum of tree edge weights.
-func (t *Tree) TotalWeight() float64 {
-	var w float64
-	for id, in := range t.inTree {
-		if in {
-			w += t.g.edges[id].W
-		}
-	}
-	return w
-}
-
-// Path returns the vertex sequence of the unique tree path from u to v
-// (inclusive of both endpoints), or nil if they are in different
-// components. Path(u, u) returns [u].
-func (t *Tree) Path(u, v int) []int {
-	return t.PathInto(nil, u, v)
-}
-
-// PathInto is Path reusing buf's storage for the result; it returns nil
-// when u and v are disconnected. Queries run over the rooted index: both
-// endpoints climb to their lowest common ancestor, so the cost is
-// proportional to the path length, not the component size.
+// PathInto returns the vertex sequence of the unique tree path from u to v
+// (inclusive of both endpoints) in buf's storage, or nil when u and v are
+// in different components; PathInto(buf, u, u) is [u]. Queries run over
+// the rooted index: both endpoints climb to their lowest common ancestor,
+// so the cost is proportional to the path length, not the component size.
 func (t *Tree) PathInto(buf []int, u, v int) []int {
 	buf = buf[:0]
 	if u == v {
@@ -281,41 +256,6 @@ func (t *Tree) PathInto(buf []int, u, v int) []int {
 	}
 	t.stack = vside[:0]
 	return buf
-}
-
-// PathEdges returns the tree edge IDs along the unique path from u to v, or
-// nil,false if disconnected.
-func (t *Tree) PathEdges(u, v int) ([]int32, bool) {
-	if u == v {
-		return []int32{}, true
-	}
-	t.ensureRooted()
-	if t.compOf[u] != t.compOf[v] {
-		return nil, false
-	}
-	var edges []int32
-	du, dv := t.depthOf[u], t.depthOf[v]
-	for du > dv {
-		edges = append(edges, t.parentOf[u])
-		u = int(t.parentVtx[u])
-		du--
-	}
-	var vEdges []int32
-	for dv > du {
-		vEdges = append(vEdges, t.parentOf[v])
-		v = int(t.parentVtx[v])
-		dv--
-	}
-	for u != v {
-		edges = append(edges, t.parentOf[u])
-		u = int(t.parentVtx[u])
-		vEdges = append(vEdges, t.parentOf[v])
-		v = int(t.parentVtx[v])
-	}
-	for i := len(vEdges) - 1; i >= 0; i-- {
-		edges = append(edges, vEdges[i])
-	}
-	return edges, true
 }
 
 // pathSearch runs an iterative DFS from u to v over tree edges and returns
@@ -353,48 +293,6 @@ func (t *Tree) pathSearch(u, v int) ([]int32, bool) {
 	}
 	t.stack = stack
 	return nil, false
-}
-
-// Bottleneck returns the maximum edge weight on the tree path between u and
-// v, and false if they are disconnected.
-func (t *Tree) Bottleneck(u, v int) (float64, bool) {
-	if u == v {
-		return 0, true
-	}
-	t.ensureRooted()
-	if t.compOf[u] != t.compOf[v] {
-		return 0, false
-	}
-	var m float64
-	climb := func(x int) int {
-		if w := t.g.edges[t.parentOf[x]].W; w > m {
-			m = w
-		}
-		return int(t.parentVtx[x])
-	}
-	du, dv := t.depthOf[u], t.depthOf[v]
-	for du > dv {
-		u = climb(u)
-		du--
-	}
-	for dv > du {
-		v = climb(v)
-		dv--
-	}
-	for u != v {
-		u = climb(u)
-		v = climb(v)
-	}
-	return m, true
-}
-
-// SameComponent reports whether u and v are connected in the forest.
-func (t *Tree) SameComponent(u, v int) bool {
-	if u == v {
-		return true
-	}
-	t.ensureRooted()
-	return t.compOf[u] == t.compOf[v]
 }
 
 // UpdateWeight changes the weight of edge id to w and restores the minimum

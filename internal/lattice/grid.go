@@ -93,7 +93,6 @@ func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.Row, c.Col) }
 type Grid struct {
 	rows, cols int
 	kind       []TileKind
-	qubitAt    []int // tile -> qubit ID, -1 if not a data tile
 	orient     []Orientation
 	dataTile   []Coord // qubit -> tile coordinate
 
@@ -139,7 +138,6 @@ func newBlockGrid(n, bc int) *Grid {
 		rows:      rows,
 		cols:      cols,
 		kind:      make([]TileKind, rows*cols),
-		qubitAt:   make([]int, rows*cols),
 		orient:    make([]Orientation, rows*cols),
 		dataTile:  make([]Coord, n),
 		blockRows: br,
@@ -147,13 +145,11 @@ func newBlockGrid(n, bc int) *Grid {
 	}
 	for i := range g.kind {
 		g.kind[i] = TileAncilla
-		g.qubitAt[i] = -1
 	}
 	for q := 0; q < n; q++ {
 		c := Coord{2*(q/bc) + 1, 2*(q%bc) + 1}
 		i := g.idx(c)
 		g.kind[i] = TileData
-		g.qubitAt[i] = q
 		g.dataTile[q] = c
 	}
 	g.reindexAncillas()
@@ -224,14 +220,6 @@ func (g *Grid) Kind(c Coord) TileKind {
 		return g.kind[i]
 	}
 	return TileHole
-}
-
-// QubitAt returns the qubit ID at tile c, or -1.
-func (g *Grid) QubitAt(c Coord) int {
-	if i, ok := g.Index(c); ok {
-		return g.qubitAt[i]
-	}
-	return -1
 }
 
 // DataTile returns the tile hosting qubit q.
@@ -498,11 +486,10 @@ func NewGridFromTiles(tiles []string) (*Grid, error) {
 		return nil, fmt.Errorf("lattice: custom grid rows must be non-empty")
 	}
 	g := &Grid{
-		rows:    rows,
-		cols:    cols,
-		kind:    make([]TileKind, rows*cols),
-		qubitAt: make([]int, rows*cols),
-		orient:  make([]Orientation, rows*cols),
+		rows:   rows,
+		cols:   cols,
+		kind:   make([]TileKind, rows*cols),
+		orient: make([]Orientation, rows*cols),
 	}
 	for r, row := range tiles {
 		if len(row) != cols {
@@ -510,11 +497,9 @@ func NewGridFromTiles(tiles []string) (*Grid, error) {
 		}
 		for c := 0; c < cols; c++ {
 			i := r*cols + c
-			g.qubitAt[i] = -1
 			switch row[c] {
 			case 'D':
 				g.kind[i] = TileData
-				g.qubitAt[i] = len(g.dataTile)
 				g.dataTile = append(g.dataTile, Coord{r, c})
 			case '.':
 				g.kind[i] = TileAncilla

@@ -20,8 +20,8 @@ func TestNewSTARGridLayout(t *testing.T) {
 		if g.DataTile(q) != c {
 			t.Errorf("DataTile(%d) = %v, want %v", q, g.DataTile(q), c)
 		}
-		if g.QubitAt(c) != q {
-			t.Errorf("QubitAt(%v) = %d, want %d", c, g.QubitAt(c), q)
+		if g.Kind(c) != TileData {
+			t.Errorf("tile %v of qubit %d is %v, want a data tile", c, q, g.Kind(c))
 		}
 	}
 	if g.NumAncilla() != 25-4 {
@@ -119,7 +119,7 @@ func TestAncillaGraphStructure(t *testing.T) {
 	if gr.NumVertices() != g.NumAncilla() {
 		t.Fatalf("graph vertices = %d, want %d", gr.NumVertices(), g.NumAncilla())
 	}
-	if !gr.Connected() {
+	if !g.AncillaConnected() {
 		t.Error("ancilla graph of a fresh grid must be connected")
 	}
 	// Each edge must join 4-adjacent ancilla tiles.

@@ -131,8 +131,8 @@ func checkLayoutInvariants(t *testing.T, name string, n int, g *Grid) {
 	seen := make(map[Coord]bool, n)
 	for q := 0; q < n; q++ {
 		c := g.DataTile(q)
-		if g.QubitAt(c) != q {
-			t.Fatalf("%s n=%d: DataTile/QubitAt disagree for qubit %d", name, n, q)
+		if g.Kind(c) != TileData {
+			t.Fatalf("%s n=%d: qubit %d sits on non-data tile %v", name, n, q, c)
 		}
 		if seen[c] {
 			t.Fatalf("%s n=%d: two qubits share tile %v", name, n, c)

@@ -215,3 +215,27 @@ func BenchmarkShortestAncillaPath(b *testing.B) {
 		}
 	}
 }
+
+// PathContiguous reports whether path is a sequence of 4-adjacent live
+// ancilla tiles.
+func (g *Grid) PathContiguous(path []Coord) bool {
+	for i, c := range path {
+		if g.Kind(c) != TileAncilla {
+			return false
+		}
+		if i > 0 {
+			p := path[i-1]
+			dr, dc := c.Row-p.Row, c.Col-p.Col
+			if dr < 0 {
+				dr = -dr
+			}
+			if dc < 0 {
+				dc = -dc
+			}
+			if dr+dc != 1 {
+				return false
+			}
+		}
+	}
+	return true
+}

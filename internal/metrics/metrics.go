@@ -1,9 +1,9 @@
 // Package metrics provides the small statistics and rendering toolkit
 // shared by the experiment harness and the rescqd daemon. For the paper's
 // tables and figures: exact integer histograms (Figure 5), geometric means
-// (Figure 10's summary), normalization, and fixed-width ASCII tables and
-// series so every one can be printed from a terminal. For the daemon: its
-// counter set (ServiceStats), lock-free microsecond latency histograms
+// (Figure 10's summary), and fixed-width ASCII tables and series so every
+// one can be printed from a terminal. For the daemon: its counter set
+// (ServiceStats), lock-free microsecond latency histograms
 // (LatencyHistogram) and the one Prometheus text writer (PromWriter) that
 // every /metrics series goes through.
 package metrics
@@ -11,7 +11,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -42,9 +41,6 @@ func (h *Histogram) AddAll(vs []int) {
 	}
 }
 
-// N returns the observation count.
-func (h *Histogram) N() int { return h.n }
-
 // Mean returns the arithmetic mean (0 for an empty histogram).
 func (h *Histogram) Mean() float64 {
 	if h.n == 0 {
@@ -53,10 +49,8 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Count returns the frequency of value v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Fraction returns the share of observations equal to v.
+// Fraction returns the share of observations equal to v. Only tests call
+// it: the experiments suite checks the Figure 5 latency claims.
 func (h *Histogram) Fraction(v int) float64 {
 	if h.n == 0 {
 		return 0
@@ -64,7 +58,8 @@ func (h *Histogram) Fraction(v int) float64 {
 	return float64(h.counts[v]) / float64(h.n)
 }
 
-// FractionAtMost returns the share of observations <= v.
+// FractionAtMost returns the share of observations <= v. Only tests call
+// it: the experiments suite checks the Figure 5 latency claims.
 func (h *Histogram) FractionAtMost(v int) float64 {
 	if h.n == 0 {
 		return 0
@@ -76,36 +71,6 @@ func (h *Histogram) FractionAtMost(v int) float64 {
 		}
 	}
 	return float64(c) / float64(h.n)
-}
-
-// Percentile returns the smallest value v such that at least p (0..1) of
-// the observations are <= v.
-func (h *Histogram) Percentile(p float64) int {
-	if h.n == 0 {
-		return 0
-	}
-	keys := h.sortedKeys()
-	target := int(math.Ceil(p * float64(h.n)))
-	if target < 1 {
-		target = 1
-	}
-	acc := 0
-	for _, k := range keys {
-		acc += h.counts[k]
-		if acc >= target {
-			return k
-		}
-	}
-	return keys[len(keys)-1]
-}
-
-func (h *Histogram) sortedKeys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // Render draws the histogram as ASCII bars, bucketing values above maxBin
@@ -167,15 +132,6 @@ func GeoMean(vs []float64) float64 {
 		sum += math.Log(v)
 	}
 	return math.Exp(sum / float64(len(vs)))
-}
-
-// Normalize divides every value by base.
-func Normalize(vs []float64, base float64) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = v / base
-	}
-	return out
 }
 
 // Table renders rows as a fixed-width ASCII table with a header.

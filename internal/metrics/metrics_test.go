@@ -10,13 +10,13 @@ import (
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
 	h.AddAll([]int{2, 2, 2, 5, 8})
-	if h.N() != 5 {
-		t.Errorf("N = %d", h.N())
+	if h.n != 5 {
+		t.Errorf("n = %d", h.n)
 	}
 	if got := h.Mean(); math.Abs(got-3.8) > 1e-12 {
 		t.Errorf("Mean = %v, want 3.8", got)
 	}
-	if h.Count(2) != 3 || h.Count(5) != 1 || h.Count(3) != 0 {
+	if h.counts[2] != 3 || h.counts[5] != 1 || h.counts[3] != 0 {
 		t.Error("counts wrong")
 	}
 	if got := h.Fraction(2); math.Abs(got-0.6) > 1e-12 {
@@ -27,25 +27,9 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentile(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Add(i)
-	}
-	if p := h.Percentile(0.5); p != 50 {
-		t.Errorf("p50 = %d", p)
-	}
-	if p := h.Percentile(0.99); p != 99 {
-		t.Errorf("p99 = %d", p)
-	}
-	if p := h.Percentile(1.0); p != 100 {
-		t.Errorf("p100 = %d", p)
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Mean() != 0 || h.Percentile(0.5) != 0 || h.Fraction(1) != 0 {
+	if h.Mean() != 0 || h.Fraction(1) != 0 || h.FractionAtMost(1) != 0 {
 		t.Error("empty histogram should return zeros")
 	}
 }
@@ -105,21 +89,15 @@ func TestGeoMeanProperties(t *testing.T) {
 		if g < lo-1e-9 || g > hi+1e-9 {
 			return false
 		}
-		scaled := GeoMean(Normalize(vs, 2))
+		halved := make([]float64, len(vs))
+		for i, v := range vs {
+			halved[i] = v / 2
+		}
+		scaled := GeoMean(halved)
 		return math.Abs(scaled-g/2) < 1e-9*g
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("Normalize = %v", out)
-		}
 	}
 }
 

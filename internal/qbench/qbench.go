@@ -19,7 +19,6 @@ package qbench
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/circuit"
@@ -89,19 +88,6 @@ var dags = func() map[string]func() *circuit.DAG {
 // representative set).
 func Representative() []string {
 	return []string{"dnn_n16", "gcm_n13", "qft_n160"}
-}
-
-// SmallSet returns a subset of benchmarks with modest qubit counts, used by
-// quick regression tests and the quickstart example.
-func SmallSet() []string {
-	var names []string
-	for _, s := range registry {
-		if s.Qubits <= 30 {
-			names = append(names, s.Name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 var registry = []Spec{

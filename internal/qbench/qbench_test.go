@@ -193,16 +193,3 @@ func TestQFTUsesApproximationCutoff(t *testing.T) {
 		}
 	}
 }
-
-func TestSmallSetNonEmpty(t *testing.T) {
-	small := SmallSet()
-	if len(small) < 5 {
-		t.Errorf("SmallSet = %v, want at least 5 entries", small)
-	}
-	for _, n := range small {
-		s, ok := ByName(n)
-		if !ok || s.Qubits > 30 {
-			t.Errorf("SmallSet entry %q invalid", n)
-		}
-	}
-}

@@ -8,23 +8,6 @@ import (
 	"repro/internal/circuit"
 )
 
-func TestParamsValidate(t *testing.T) {
-	if err := (Params{Distance: 7, PhysError: 1e-4}).Validate(); err != nil {
-		t.Errorf("valid params rejected: %v", err)
-	}
-	bad := []Params{
-		{Distance: 2, PhysError: 1e-4},
-		{Distance: 4, PhysError: 1e-4},
-		{Distance: 7, PhysError: 0},
-		{Distance: 7, PhysError: 0.6},
-	}
-	for _, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("params %+v should be invalid", p)
-		}
-	}
-}
-
 func TestSubsystemCount(t *testing.T) {
 	cases := map[int]int{3: 4, 5: 12, 7: 24, 9: 40, 11: 60, 13: 84}
 	for d, want := range cases {

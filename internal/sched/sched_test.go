@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	mathrand "math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func cfg() sim.Config { return sim.Config{Distance: 7, PhysError: 1e-4} }
 func runOn(t *testing.T, c *circuit.Circuit, s sim.Scheduler, seed int64) *sim.Result {
 	t.Helper()
 	g := lattice.MustBuild("star", c.NumQubits, nil)
-	res, err := sim.RunSeeded(g, c, cfg(), seed, s)
+	res, err := sim.RunDAGContext(context.Background(), g, circuit.NewDAG(c), cfg(), seed, s)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", s.Name(), c.Name, err)
 	}
@@ -114,7 +115,7 @@ func TestRunsOnCompressedGrid(t *testing.T) {
 	for _, frac := range []float64{0.5, 1.0} {
 		g := lattice.MustBuild("star", c.NumQubits, nil)
 		g.Compress(frac, newRand(11))
-		res, err := sim.RunSeeded(g, c, cfg(), 5, NewGreedy())
+		res, err := sim.RunDAGContext(context.Background(), g, circuit.NewDAG(c), cfg(), 5, NewGreedy())
 		if err != nil {
 			t.Fatalf("compression %v: %v", frac, err)
 		}

@@ -48,6 +48,7 @@ type Queue struct {
 	cfg     Config
 	tenants map[string]*tenant
 	queued  int    // items across all tenant queues
+	pending int64  // every tenant's backlog, summed
 	waiters int    // workers blocked in Pop
 	seq     uint64 // admission sequence, the tie-break key
 	closed  bool
@@ -122,6 +123,7 @@ func (q *Queue) push(tn string, cost int64, item any, exempt bool) error {
 		t.vt = q.vtime // arriving from idleness earns no credit
 	}
 	t.backlog += cost
+	q.pending += cost
 	t.open++
 	q.enqueueLocked(t, item)
 	return nil
@@ -200,10 +202,7 @@ func (q *Queue) Completed(tn string, n int64) {
 	if !ok || n <= 0 {
 		return
 	}
-	t.backlog -= n
-	if t.backlog < 0 {
-		t.backlog = 0
-	}
+	q.releaseLocked(t, n)
 	t.vt += float64(n) / t.weight
 }
 
@@ -213,11 +212,16 @@ func (q *Queue) Abandon(tn string, n int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if t, ok := q.tenants[tn]; ok && n > 0 {
-		t.backlog -= n
-		if t.backlog < 0 {
-			t.backlog = 0
-		}
+		q.releaseLocked(t, n)
 	}
+}
+
+// releaseLocked takes n configurations, at most its whole backlog, off
+// the tenant's backlog and the running total.
+func (q *Queue) releaseLocked(t *tenant, n int64) {
+	n = min(n, t.backlog)
+	t.backlog -= n
+	q.pending -= n
 }
 
 // JobDone reports one of tenant's open jobs reaching a terminal state.
@@ -269,6 +273,14 @@ func (q *Queue) Backlog(tn string) int64 {
 		return t.backlog
 	}
 	return 0
+}
+
+// Pending returns the admitted-but-unfinished configurations across all
+// tenants: the sum of every tenant's Backlog.
+func (q *Queue) Pending() int64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pending
 }
 
 // Len returns the queued-job count across all tenants.

@@ -109,9 +109,6 @@ func (s *Server) analyticsForget(jobID string) {
 	}
 }
 
-// Analytics exposes the aggregate store, for tests.
-func (s *Server) Analytics() *analytics.Store { return s.an }
-
 // analyticsEndpoints lists the mounted analytics routes, for
 // GET /v1/capabilities.
 func analyticsEndpoints() []string {

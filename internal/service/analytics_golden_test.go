@@ -211,7 +211,7 @@ func TestAnalyticsGoldenQueries(t *testing.T) {
 	}
 	s := replayFixture(t, config.Daemon{Workers: 1})
 
-	st := s.Analytics().Stats()
+	st := s.an.Stats()
 	// 12 aggregated configurations; the error result only advances its
 	// job's watermark.
 	if st.Groups != 12 || st.Ingested != 12 || st.Skipped != 1 {
@@ -285,7 +285,7 @@ func TestAnalyticsGoldenRestartIdentity(t *testing.T) {
 	attachDir(t, b, dir)
 	b.Start()
 	defer shutdownServer(t, b)
-	st := b.Analytics().Stats()
+	st := b.an.Stats()
 	if st.Ingested != 12 || st.IngestLag != 0 {
 		t.Fatalf("restore after snapshot = %+v, want 12 ingested with zero lag", st)
 	}

@@ -90,7 +90,7 @@ func benchCluster(b *testing.B, runner Runner, workers, capacity int) (*Server, 
 		wts := httptest.NewServer(ws.Handler())
 		ctx, cancel := context.WithCancel(context.Background())
 		hb := &cluster.Heartbeater{
-			Client:         cluster.NewClient(nil),
+			Client:         cluster.NewTunedClient(),
 			CoordinatorURL: coordTS.URL,
 			Self:           cluster.RegisterRequest{ID: wts.URL, URL: wts.URL, Capacity: capacity},
 			Interval:       wCfg.Cluster.HeartbeatInterval(),

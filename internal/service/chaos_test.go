@@ -109,7 +109,7 @@ func TestChaosSweepUnderFaults(t *testing.T) {
 
 	// The faults ran over the production data plane: the workers advertise
 	// the binary codec, so the surviving dispatches must have used it.
-	if n := coord.srv.Stats().WireBinaryBatches.Load(); n == 0 {
+	if n := coord.srv.stats.WireBinaryBatches.Load(); n == 0 {
 		t.Fatalf("seed %d: chaos sweep completed without a single binary-wire batch", seed)
 	}
 
@@ -125,10 +125,10 @@ func TestChaosSweepUnderFaults(t *testing.T) {
 
 	// The WAL burst hit the submission's append and flipped the daemon to
 	// lossy serving exactly once — it never surfaced as a request failure.
-	if n := coord.srv.Stats().DurabilityLost.Load(); n != 1 {
+	if n := coord.srv.stats.DurabilityLost.Load(); n != 1 {
 		t.Fatalf("seed %d: durability lost %d times, want 1", seed, n)
 	}
-	if n := coord.srv.Stats().LossyWrites.Load(); n == 0 {
+	if n := coord.srv.stats.LossyWrites.Load(); n == 0 {
 		t.Fatalf("seed %d: no writes were skipped in lossy mode", seed)
 	}
 
@@ -177,7 +177,7 @@ func TestWALDiskFullDegradesToLossy(t *testing.T) {
 	if health.Durable == nil || *health.Durable {
 		t.Fatalf("healthz durable = %v, want false", health.Durable)
 	}
-	if n := s.Stats().DurabilityLost.Load(); n != 1 {
+	if n := s.stats.DurabilityLost.Load(); n != 1 {
 		t.Fatalf("durability lost %d times, want 1", n)
 	}
 	prom := scrapeMetrics(t, ts.URL)
@@ -205,7 +205,7 @@ func TestWALDiskFullDegradesToLossy(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := s.Stats().DurabilityRestored.Load(); n != 1 {
+	if n := s.stats.DurabilityRestored.Load(); n != 1 {
 		t.Fatalf("durability restored %d times, want 1", n)
 	}
 

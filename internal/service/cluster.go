@@ -123,7 +123,7 @@ func (s *Server) WorkerDraining() bool { return s.workerDraining.Load() }
 // add workers; ≈ 0 with idle slots means it is safe to drain some.
 func (s *Server) scaleSignal() (backlogMS, slots int64, perSlotMS float64) {
 	_, p50, _ := s.stats.ConfigLatency()
-	backlogMS = int64(time.Duration(s.pending.Load()) * max(p50, time.Millisecond) / time.Millisecond)
+	backlogMS = int64(time.Duration(s.sched.Pending()) * max(p50, time.Millisecond) / time.Millisecond)
 	if s.clust != nil && s.clust.registry != nil {
 		n, _ := s.clust.registry.Capacity()
 		slots = int64(n)

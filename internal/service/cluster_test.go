@@ -94,7 +94,7 @@ func startWorkerSlots(t *testing.T, coordURL string, runner Runner, slots int) *
 	ctx, cancel := context.WithCancel(context.Background())
 	released := make(chan struct{})
 	hb := &cluster.Heartbeater{
-		Client:         cluster.NewClient(nil),
+		Client:         cluster.NewTunedClient(),
 		CoordinatorURL: coordURL,
 		Self:           cluster.RegisterRequest{ID: ts.URL, URL: ts.URL, Capacity: slots},
 		Interval:       cfg.Cluster.HeartbeatInterval(),
@@ -234,16 +234,16 @@ func TestClusterKillWorkerMidSweep(t *testing.T) {
 	if view.Progress.Done != 24 || view.Progress.Total != 24 {
 		t.Fatalf("progress = %+v, want 24/24", view.Progress)
 	}
-	if n := coord.srv.Stats().BatchesRedispatched.Load(); n == 0 {
+	if n := coord.srv.stats.BatchesRedispatched.Load(); n == 0 {
 		t.Fatal("dead worker's batch was never re-dispatched (counter is 0)")
 	}
-	if n := coord.srv.Stats().RemoteConfigs.Load(); n == 0 {
+	if n := coord.srv.stats.RemoteConfigs.Load(); n == 0 {
 		t.Fatal("no configuration was executed remotely")
 	}
-	if n := coord.srv.Stats().WireBinaryBatches.Load(); n == 0 {
+	if n := coord.srv.stats.WireBinaryBatches.Load(); n == 0 {
 		t.Fatal("workers advertised the binary codec but no batch went over the binary wire")
 	}
-	if n := coord.srv.Stats().WireBinaryBytesOut.Load(); n == 0 {
+	if n := coord.srv.stats.WireBinaryBytesOut.Load(); n == 0 {
 		t.Fatal("binary batches were counted but no outbound wire bytes were")
 	}
 
@@ -265,7 +265,7 @@ func TestClusterKillWorkerMidSweep(t *testing.T) {
 
 	// Re-submitting the sweep hits the coordinator cache for every
 	// configuration: no new dispatches, every result flagged cached.
-	dispatchedBefore := coord.srv.Stats().BatchesDispatched.Load()
+	dispatchedBefore := coord.srv.stats.BatchesDispatched.Load()
 	req2 := chaosSweep
 	req2.Async = false
 	second := decode[JobView](t, postJSON(t, coord.ts.URL+"/v1/sweep", req2))
@@ -277,7 +277,7 @@ func TestClusterKillWorkerMidSweep(t *testing.T) {
 			t.Fatalf("second sweep config %d not served from cache", r.Index)
 		}
 	}
-	if after := coord.srv.Stats().BatchesDispatched.Load(); after != dispatchedBefore {
+	if after := coord.srv.stats.BatchesDispatched.Load(); after != dispatchedBefore {
 		t.Fatalf("cached sweep dispatched %d new batches", after-dispatchedBefore)
 	}
 
@@ -323,10 +323,10 @@ func TestClusterFallbackWithoutWorkers(t *testing.T) {
 	if view.State != JobDone || len(view.Results) != 12 {
 		t.Fatalf("fallback sweep: state=%s results=%d, want done/12", view.State, len(view.Results))
 	}
-	if n := coord.srv.Stats().BatchesDispatched.Load(); n != 0 {
+	if n := coord.srv.stats.BatchesDispatched.Load(); n != 0 {
 		t.Fatalf("workerless coordinator dispatched %d batches", n)
 	}
-	if n := coord.srv.Stats().EngineRuns.Load(); n == 0 {
+	if n := coord.srv.stats.EngineRuns.Load(); n == 0 {
 		t.Fatal("fallback never ran the local engine")
 	}
 }
@@ -335,7 +335,7 @@ func TestClusterFallbackWithoutWorkers(t *testing.T) {
 // the liveness sweeper and disappears from /healthz.
 func TestClusterWorkerExpiry(t *testing.T) {
 	coord := startCoordinator(t, "")
-	client := cluster.NewClient(nil)
+	client := cluster.NewTunedClient()
 	resp, err := client.Register(context.Background(), coord.ts.URL,
 		cluster.RegisterRequest{ID: "w-ghost", URL: "http://127.0.0.1:1", Capacity: 1})
 	if err != nil {
@@ -346,7 +346,7 @@ func TestClusterWorkerExpiry(t *testing.T) {
 	}
 	waitForWorkers(t, coord, 1)
 	waitForWorkers(t, coord, 0) // never heartbeats again: expired
-	if n := coord.srv.Stats().WorkerExpiries.Load(); n == 0 {
+	if n := coord.srv.stats.WorkerExpiries.Load(); n == 0 {
 		t.Fatal("expiry counter is 0 after a worker was expired")
 	}
 	health := decode[healthBody](t, get(t, coord.ts.URL+"/healthz"))
@@ -740,7 +740,7 @@ func TestClusterDrainWorkerMidSweep(t *testing.T) {
 
 	// Wait until dispatch is genuinely under way, then drain the victim.
 	deadline := time.Now().Add(10 * time.Second)
-	for coord.srv.Stats().BatchesDispatched.Load() == 0 {
+	for coord.srv.stats.BatchesDispatched.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no batch dispatched within 10s")
 		}
@@ -768,7 +768,7 @@ func TestClusterDrainWorkerMidSweep(t *testing.T) {
 	// coordinator counts the drain, and the worker's heartbeat loop exits
 	// on the released ack.
 	waitForWorkers(t, coord, 2)
-	if n := coord.srv.Stats().WorkersDrained.Load(); n != 1 {
+	if n := coord.srv.stats.WorkersDrained.Load(); n != 1 {
 		t.Fatalf("WorkersDrained = %d, want 1", n)
 	}
 	select {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -198,35 +197,16 @@ func (s *Server) durabilityProbe() {
 // history); interrupted jobs come back queued with their completed prefix
 // in place, ready to resume.
 func (s *Server) replayJob(rj store.ReplayedJob, specs []runSpec, prefix []ConfigResult) *Job {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	tenant := rj.Job.Tenant
-	if tenant == "" {
-		// Records written before tenancy existed (and all default-tenant
-		// traffic since, which persists as "") replay as the default tenant.
-		tenant = schedq.DefaultTenant
-	}
-	j := &Job{
-		ID:        rj.Job.ID,
-		Kind:      rj.Job.Kind,
-		Created:   rj.Job.Created,
-		Tenant:    tenant,
-		specs:     specs,
-		total:     len(specs),
-		fromStore: true,
-		ctx:       ctx,
-		cancel:    cancel,
-		doneCh:    make(chan struct{}),
-		delivered: make(chan struct{}, 1),
-		results:   append(make([]ConfigResult, 0, len(specs)), prefix...),
-		state:     JobQueued,
-	}
+	j := s.makeJob(rj.Job.ID, rj.Job.Created, rj.Job.Kind, rj.Job.Tenant, specs)
+	j.fromStore = true
+	j.results = append(j.results, prefix...)
 	if rj.Terminal() {
 		j.state = JobState(rj.State)
 		if rj.Error != "" {
 			j.err = errors.New(rj.Error)
 		}
 		close(j.doneCh)
-		cancel() // history never runs; release the baseCtx child now
+		j.cancel() // history never runs; release the baseCtx child now
 		if len(prefix) == len(specs) {
 			j.specs = nil // complete history: nothing can run or resume it
 		}

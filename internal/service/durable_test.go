@@ -160,7 +160,7 @@ func TestRestartResumeAfterCrash(t *testing.T) {
 	if got := runnerB.calls.Load(); got != 2 {
 		t.Fatalf("restarted daemon ran the engine %d times, want 2 (configs 0-1 must come from the WAL)", got)
 	}
-	if jobs, results := b.Stats().ReplayedJobs.Load(), b.Stats().ReplayedResults.Load(); jobs != 1 || results != 2 {
+	if jobs, results := b.stats.ReplayedJobs.Load(), b.stats.ReplayedResults.Load(); jobs != 1 || results != 2 {
 		t.Fatalf("replay counters = %d/%d, want 1/2", jobs, results)
 	}
 
@@ -638,7 +638,7 @@ func TestAdmissionControl429(t *testing.T) {
 	if !strings.Contains(body.Error, "overloaded") {
 		t.Fatalf("shed error = %q", body.Error)
 	}
-	if got := s.Stats().JobsShed.Load(); got != 1 {
+	if got := s.stats.JobsShed.Load(); got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
 
@@ -662,7 +662,7 @@ func TestAdmissionControl429(t *testing.T) {
 	// Draining the backlog restores admission.
 	runner.tokens <- struct{}{}
 	runner.tokens <- struct{}{}
-	pollUntil(t, "backlog to drain", func() bool { return s.pending.Load() == 0 })
+	pollUntil(t, "backlog to drain", func() bool { return s.sched.Pending() == 0 })
 	again := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{
 		Benchmarks: []string{"gcm_n13", "qft_n18"}, Schedulers: []string{"rescq"}, Async: true,
 	})
@@ -770,6 +770,15 @@ func TestStreamWriteFailureCancelsJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	runner.tokens <- struct{}{} // config 0 completes and streams fine
+	runner.tokens <- struct{}{} // config 1 completes; its write fails -> cancel
+	// config 2 gets no token: only the cancellation can release it. Attach
+	// the stream once config 2 is in the gate, so the failed write always
+	// finds it in flight.
+	for range 3 {
+		<-runner.started
+	}
+
 	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", nil) // context never fires
 	fw := &failingWriter{failAfter: 1}                            // first config line ok, second write breaks
 	handlerDone := make(chan struct{})
@@ -777,10 +786,6 @@ func TestStreamWriteFailureCancelsJob(t *testing.T) {
 		s.streamNDJSON(fw, req, j)
 		close(handlerDone)
 	}()
-
-	runner.tokens <- struct{}{} // config 0 completes and streams fine
-	runner.tokens <- struct{}{} // config 1 completes; its write fails -> cancel
-	// config 2 gets no token: only the cancellation can release it.
 
 	select {
 	case <-handlerDone:
@@ -855,5 +860,79 @@ func TestCompactionTimeObservable(t *testing.T) {
 	}
 	if n, _ := sampleValue(prom, "rescqd_store_compactions_total"); n < 1 {
 		t.Fatalf("rescqd_store_compactions_total = %v after a compaction", n)
+	}
+}
+
+// TestRejectedJobsAfterRestart pins what the WAL keeps of a rejected
+// submission. The global max_queue_depth shed is checked before the job
+// record is written, so the job is gone after a restart. A tenant-quota
+// shed (429) and a full job queue (503) come from the scheduler push after
+// the record is written; failFast then appends a failed done record, so
+// after a restart the job lists as failed history.
+func TestRejectedJobsAfterRestart(t *testing.T) {
+	cases := []struct {
+		name   string
+		cfg    config.Daemon
+		tenant string
+		status int
+		listed bool
+	}{
+		{"global shed", config.Daemon{Workers: 1, MaxQueueDepth: 1, CacheEntries: -1}, "", http.StatusTooManyRequests, false},
+		{"tenant quota", config.Daemon{Workers: 1, CacheEntries: -1, Tenants: config.Tenants{
+			Policies: map[string]config.TenantPolicy{"small": {MaxQueuedConfigs: 1}},
+		}}, "small", http.StatusTooManyRequests, true},
+		{"queue full", config.Daemon{Workers: 1, QueueDepth: 1, CacheEntries: -1}, "", http.StatusServiceUnavailable, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			runner := &countingRunner{block: make(chan struct{}), started: make(chan struct{}, 8)}
+			_, ts, stop := durableServer(t, tc.cfg, runner, dir)
+			run := func(seed int64) int {
+				resp := postTenant(t, ts.URL+"/v1/run", tc.tenant,
+					RunRequest{Benchmark: "gcm_n13", Async: true, Options: rescq.Options{Seed: seed}})
+				resp.Body.Close()
+				return resp.StatusCode
+			}
+			if got := run(1); got != http.StatusAccepted {
+				t.Fatalf("first run status = %d, want 202", got)
+			}
+			<-runner.started // the one worker is busy from here on
+			status := run(2)
+			if status == http.StatusAccepted { // the queue-full case queues one first
+				status = run(3)
+			}
+			if status != tc.status {
+				t.Fatalf("rejection status = %d, want %d", status, tc.status)
+			}
+			var rejected string
+			for _, v := range decode[[]JobView](t, get(t, ts.URL+"/v1/jobs")) {
+				if v.State == JobFailed {
+					rejected = v.ID
+				}
+			}
+			if rejected == "" {
+				t.Fatal("the rejected job is not listed as failed before the restart")
+			}
+			close(runner.block)
+			stop()
+
+			_, ts2, _ := durableServer(t, tc.cfg, &countingRunner{}, dir)
+			var after *JobView
+			views := decode[[]JobView](t, get(t, ts2.URL+"/v1/jobs"))
+			for i := range views {
+				if views[i].ID == rejected {
+					after = &views[i]
+				}
+			}
+			switch {
+			case !tc.listed && after != nil:
+				t.Fatalf("rejected job %s listed after restart as %s, want absent", rejected, after.State)
+			case tc.listed && after == nil:
+				t.Fatalf("rejected job %s missing after restart, want failed history", rejected)
+			case tc.listed && after.State != JobFailed:
+				t.Fatalf("rejected job %s after restart = %s, want failed", rejected, after.State)
+			}
+		})
 	}
 }

@@ -581,7 +581,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Gauge("rescqd_queue_pending", "Jobs waiting in the queue.", int64(s.sched.Len()))
 	p.Gauge("rescqd_queue_capacity", "Admission bound on pending configurations (0: unbounded).", max(int64(s.cfg.MaxQueueDepth), 0))
 	p.Gauge("rescqd_engine_slots", "Engine slots executing configurations.", int64(s.workers))
-	p.Gauge("rescqd_pending_configs", "Run configurations admitted but not yet finished (admission-control backlog).", s.pending.Load())
+	p.Gauge("rescqd_pending_configs", "Run configurations admitted but not yet finished (admission-control backlog).", s.sched.Pending())
 	if snaps := s.sched.Snapshot(); len(snaps) > 0 {
 		p.Header("rescqd_tenant_queued_jobs", "gauge", "Jobs waiting in the scheduler, by tenant.")
 		for _, ts := range snaps {

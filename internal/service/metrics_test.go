@@ -206,7 +206,7 @@ func TestMetricsWorkerLabelEscaping(t *testing.T) {
 // up as its (bucketed) fraction of a millisecond, not as 0.
 func TestMetricsSubMillisecondLatency(t *testing.T) {
 	s, ts := newTestServer(t, config.Daemon{}, &countingRunner{})
-	s.Stats().ObserveLatency(250 * time.Microsecond)
+	s.stats.ObserveLatency(250 * time.Microsecond)
 	text := scrapeMetrics(t, ts.URL)
 	// 250µs lands in the [240µs, 256µs) bucket.
 	if want := `rescqd_job_latency_ms{quantile="0.5"} 0.256`; !strings.Contains(text, want) {

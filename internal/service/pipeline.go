@@ -286,7 +286,6 @@ func (r *jobRun) deliver(idx int, res ConfigResult) {
 		case r.j.delivered <- struct{}{}:
 		default: // a wake-up is already pending
 		}
-		r.s.pending.Add(-1)
 		r.s.sched.Completed(r.j.Tenant, 1)
 		r.next++
 	}

@@ -291,10 +291,6 @@ type Server struct {
 	// analytics.go for the wiring.
 	an *analytics.Store
 
-	// pending counts run configurations admitted but not yet finished —
-	// the quantity Daemon.MaxQueueDepth bounds (admission control).
-	pending atomic.Int64
-
 	// workerDraining is the worker-mode retirement latch (POST
 	// /internal/v1/drain): sticky, announced on heartbeats, fences the
 	// execute endpoint. Distinct from draining, the process-shutdown flag.
@@ -366,9 +362,6 @@ func New(cfg config.Daemon, runner Runner) *Server {
 	s.pool.cond = sync.NewCond(&s.pool.mu)
 	return s
 }
-
-// Stats exposes the metrics counters (used by handlers and tests).
-func (s *Server) Stats() *metrics.ServiceStats { return s.stats }
 
 // Workers reports the resolved worker-pool width (valid after Start).
 func (s *Server) Workers() int { return s.workers }
@@ -467,18 +460,27 @@ func (s *Server) Jobs() []*Job {
 	return out
 }
 
-// buildJob allocates a job over the given validated specs without
-// registering it, so callers can finish populating it (resume prefixes,
-// provenance) before it becomes visible to listings.
+// buildJob allocates a job over the given validated specs, minting its id
+// and creation time, without registering it, so callers can finish
+// populating it (resume prefixes, provenance) before it becomes visible to
+// listings.
 func (s *Server) buildJob(kind, tenant string, specs []runSpec) *Job {
+	return s.makeJob(fmt.Sprintf("job-%06d", s.nextID.Add(1)), time.Now(), kind, tenant, specs)
+}
+
+// makeJob is the one Job constructor: buildJob mints id and created, and
+// WAL replay passes the record's, so replay never draws from nextID. An
+// empty tenant (untagged traffic, which also persists as "", and records
+// written before tenancy existed) is the default tenant.
+func (s *Server) makeJob(id string, created time.Time, kind, tenant string, specs []runSpec) *Job {
 	if tenant == "" {
 		tenant = schedq.DefaultTenant
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	return &Job{
-		ID:        fmt.Sprintf("job-%06d", s.nextID.Add(1)),
+		ID:        id,
 		Kind:      kind,
-		Created:   time.Now(),
+		Created:   created,
 		Tenant:    tenant,
 		specs:     specs,
 		total:     len(specs),
@@ -519,7 +521,7 @@ func (s *Server) submit(j *Job) error {
 	// Replayed jobs bypass admission control: the WAL promised them a
 	// resume, and their work was already admitted in a previous life.
 	if limit := s.cfg.MaxQueueDepth; limit > 0 && !j.fromStore {
-		if cur := s.pending.Load(); cur+remaining > int64(limit) {
+		if cur := s.sched.Pending(); cur+remaining > int64(limit) {
 			s.mu.Unlock()
 			s.stats.JobsShed.Add(1)
 			s.stats.Tenant(j.Tenant).Shed.Add(1)
@@ -546,7 +548,6 @@ func (s *Server) submit(j *Job) error {
 	}
 	err := push(j.Tenant, remaining, j)
 	if err == nil {
-		s.pending.Add(remaining)
 		s.mu.Unlock()
 		s.stats.JobsQueued.Add(1)
 		s.stats.Tenant(j.Tenant).Queued.Add(1)
@@ -604,10 +605,14 @@ func (s *Server) retryAfter(pending int64) time.Duration {
 }
 
 // failFast marks a never-enqueued job failed so its registry entry is not
-// stuck in "queued" forever. If the job record already reached the WAL
-// (queue-full after the pre-send checkpoint), the failure is checkpointed
-// too so replay does not resurrect a rejected job; for shed/draining
-// rejections the store never saw the job and AppendDone no-ops.
+// stuck in "queued" forever, and checkpoints the failure so replay does not
+// resurrect a rejected job. What the WAL keeps depends on where submit
+// rejected it. The draining check and the global max_queue_depth shed come
+// before persistJob: the store never saw the job and AppendDone no-ops.
+// The rejections sched.Push returns (a tenant-quota shed, a full job queue,
+// a scheduler closed by a concurrent shutdown) come after the job record
+// is written, so the WAL keeps the job plus a failed done record, and after
+// a restart the job lists as failed history.
 func (s *Server) failFast(j *Job, err error) {
 	j.mu.Lock()
 	j.state = JobFailed
@@ -737,8 +742,7 @@ func (s *Server) execute(j *Job) {
 		j.specs = nil
 	}
 	j.mu.Unlock()
-	s.pending.Add(-int64(unfinished)) // configurations the break left behind
-	s.sched.Abandon(j.Tenant, int64(unfinished))
+	s.sched.Abandon(j.Tenant, int64(unfinished)) // configurations the break left behind
 	s.sched.JobDone(j.Tenant)
 	tc.Done.Add(1)
 	s.persistDone(j, state, err)

@@ -156,7 +156,7 @@ func TestRunCacheHit(t *testing.T) {
 	if got := runner.calls.Load(); got != 1 {
 		t.Fatalf("engine invoked %d times, want 1 (second request must be a cache hit)", got)
 	}
-	st := s.Stats()
+	st := s.stats
 	if st.CacheHits.Load() != 1 || st.CacheMisses.Load() != 1 || st.EngineRuns.Load() != 1 {
 		t.Fatalf("metrics hits=%d misses=%d engine=%d, want 1/1/1", st.CacheHits.Load(), st.CacheMisses.Load(), st.EngineRuns.Load())
 	}
@@ -426,7 +426,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	for err := range errCh {
 		t.Error(err)
 	}
-	st := s.Stats()
+	st := s.stats
 	if got := st.JobsDone.Load(); got != 48 { // 8*5 runs + 8 sweeps
 		t.Fatalf("jobs done = %d, want 48", got)
 	}
@@ -482,7 +482,7 @@ func TestDrainOnShutdown(t *testing.T) {
 	if !ok || job.State() != JobDone {
 		t.Fatalf("in-flight job state = %v, want done", job.State())
 	}
-	if s.Stats().JobsRejected.Load() == 0 {
+	if s.stats.JobsRejected.Load() == 0 {
 		t.Fatal("draining rejection not counted")
 	}
 }
@@ -556,7 +556,7 @@ func TestInflightCoalescing(t *testing.T) {
 	if !bv.Results[0].Cached {
 		t.Fatal("follower result should be served from cache")
 	}
-	st := s.Stats()
+	st := s.stats
 	if st.CacheHits.Load() != 1 || st.CacheMisses.Load() != 1 || st.EngineRuns.Load() != 1 {
 		t.Fatalf("metrics hits=%d misses=%d engine=%d, want 1/1/1", st.CacheHits.Load(), st.CacheMisses.Load(), st.EngineRuns.Load())
 	}
@@ -717,7 +717,7 @@ func TestQueueFullRejects503(t *testing.T) {
 		t.Fatalf("overflow status = %d, want 503", resp.StatusCode)
 	}
 	resp.Body.Close()
-	if got := s.Stats().JobsRejected.Load(); got != 1 {
+	if got := s.stats.JobsRejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 }
@@ -876,7 +876,7 @@ func TestEndToEndRealEngine(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("cached summary differs from computed one:\n%s\n%s", a, b)
 	}
-	if got := s.Stats().EngineRuns.Load(); got != 1 {
+	if got := s.stats.EngineRuns.Load(); got != 1 {
 		t.Fatalf("engine runs = %d, want 1", got)
 	}
 }

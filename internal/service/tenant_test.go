@@ -112,7 +112,7 @@ func TestFairnessWhaleAndInteractive(t *testing.T) {
 			t.Fatalf("whale already terminal (%s) after interactive run %d: the scheduler let the whale monopolize the worker", v.State, i)
 		}
 	}
-	if got := s.Stats().JobsPreempted.Load(); got < 1 {
+	if got := s.stats.JobsPreempted.Load(); got < 1 {
 		t.Fatalf("jobs preempted = %d, want >= 1 (interactive runs should have preempted the whale)", got)
 	}
 
@@ -144,7 +144,7 @@ func TestFairnessWhaleAndInteractive(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("preempted whale results differ from uncontended run:\n got: %s\nwant: %s", got, want)
 	}
-	if preempted, done := s.Stats().Tenant("whale").Preempted.Load(), s.Stats().Tenant("live").Done.Load(); preempted < 1 || done != 5 {
+	if preempted, done := s.stats.Tenant("whale").Preempted.Load(), s.stats.Tenant("live").Done.Load(); preempted < 1 || done != 5 {
 		t.Fatalf("tenant counters: whale preempted %d, live done %d", preempted, done)
 	}
 }
@@ -163,7 +163,7 @@ func TestShedRetryAfterPerTenant(t *testing.T) {
 	// upper edge of their bucket, and with one worker a backlog of 5
 	// configurations estimates a 52s drain.
 	for i := 0; i < 3; i++ {
-		s.Stats().ObserveLatency(10 * time.Second)
+		s.stats.ObserveLatency(10 * time.Second)
 	}
 
 	whaleSweep := SweepRequest{
@@ -198,7 +198,7 @@ func TestShedRetryAfterPerTenant(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if whale, quiet := s.Stats().Tenant("whale").Shed.Load(), s.Stats().Tenant("quiet").Shed.Load(); whale != 1 || quiet != 1 {
+	if whale, quiet := s.stats.Tenant("whale").Shed.Load(), s.stats.Tenant("quiet").Shed.Load(); whale != 1 || quiet != 1 {
 		t.Fatalf("per-tenant shed counters: whale %d, quiet %d", whale, quiet)
 	}
 }
@@ -400,5 +400,110 @@ func TestWALTenantCompat(t *testing.T) {
 	}
 	if v := getJob(t, tsB.URL, second.JobID); v.Tenant != "alice" {
 		t.Fatalf("replayed tagged job tenant = %q, want alice", v.Tenant)
+	}
+}
+
+// pendingMatchesBacklogs scrapes /metrics until rescqd_pending_configs
+// equals the sum of the rescqd_tenant_backlog_configs series (the two are
+// read under separate locks, so one scrape can straddle a completion) and
+// returns that value.
+func pendingMatchesBacklogs(t *testing.T, baseURL string) float64 {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		text := scrapeMetrics(t, baseURL)
+		pending, ok := sampleValue(text, "rescqd_pending_configs")
+		if !ok {
+			t.Fatalf("no rescqd_pending_configs sample:\n%s", text)
+		}
+		var sum float64
+		for _, line := range strings.Split(text, "\n") {
+			if rest, found := strings.CutPrefix(line, "rescqd_tenant_backlog_configs{"); found {
+				v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+				if err != nil {
+					t.Fatalf("backlog sample %q: %v", line, err)
+				}
+				sum += v
+			}
+		}
+		if pending == sum {
+			return pending
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rescqd_pending_configs %v != tenant backlog sum %v:\n%s", pending, sum, text)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPendingConfigsMatchTenantBacklogs: the admission backlog on
+// /metrics is the scheduler's running total, so it equals the per-tenant
+// backlogs through completed, cancelled, preempted and tenant-shed jobs
+// and returns to 0 once everything is terminal.
+func TestPendingConfigsMatchTenantBacklogs(t *testing.T) {
+	runner := &slowRunner{delay: 5 * time.Millisecond}
+	cfg := config.Daemon{Workers: 1, CacheEntries: -1, Tenants: config.Tenants{
+		Policies: map[string]config.TenantPolicy{"small": {MaxQueuedConfigs: 2}},
+	}}
+	s, ts := newTestServer(t, cfg, runner)
+	sweep := func(n int) SweepRequest {
+		return SweepRequest{Benchmarks: []string{"gcm_n13"}, Schedulers: []string{"rescq"},
+			Distances: oddDistances(n), Async: true}
+	}
+
+	// A whale sweep takes the one worker; a second sweep queues behind it.
+	whale := decode[JobView](t, postTenant(t, ts.URL+"/v1/sweep", "whale", sweep(20)))
+	gone := decode[JobView](t, postTenant(t, ts.URL+"/v1/sweep", "gone", sweep(10)))
+	if whale.ID == "" || gone.ID == "" {
+		t.Fatalf("sweeps rejected: %+v, %+v", whale, gone)
+	}
+	if p := pendingMatchesBacklogs(t, ts.URL); p <= 0 || p > 30 {
+		t.Fatalf("pending with two sweeps admitted = %v, want in (0, 30]", p)
+	}
+
+	// Cancelled: the queued sweep's configurations are abandoned.
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+gone.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	// Tenant-shed: over small's quota, so never admitted.
+	resp = postTenant(t, ts.URL+"/v1/sweep", "small", sweep(3))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("small over-quota status = %d, want 429", resp.StatusCode)
+	}
+	resp.Body.Close()
+	pendingMatchesBacklogs(t, ts.URL)
+
+	// Completed, and preempting the whale: synchronous interactive runs.
+	for i := 0; i < 3; i++ {
+		rr := decode[RunResponse](t, postTenant(t, ts.URL+"/v1/run", "live",
+			RunRequest{Benchmark: "gcm_n13", Options: rescq.Options{Seed: int64(i + 1)}}))
+		if rr.State != JobDone {
+			t.Fatalf("interactive run %d = %+v", i, rr)
+		}
+		pendingMatchesBacklogs(t, ts.URL)
+	}
+
+	if v := waitForJob(t, ts.URL, whale.ID); v.State != JobDone {
+		t.Fatalf("whale = %s, want done", v.State)
+	}
+	if v := waitForJob(t, ts.URL, gone.ID); v.State != JobCancelled {
+		t.Fatalf("cancelled sweep = %s, want cancelled", v.State)
+	}
+	if got := s.stats.Tenant("whale").Preempted.Load(); got < 1 {
+		t.Fatalf("whale preempted %d times, want >= 1", got)
+	}
+	if got := s.stats.Tenant("small").Shed.Load(); got != 1 {
+		t.Fatalf("small shed %d times, want 1", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for pendingMatchesBacklogs(t, ts.URL) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pending configurations never returned to 0:\n%s", scrapeMetrics(t, ts.URL))
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

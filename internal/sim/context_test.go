@@ -20,7 +20,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	c.CNOT(0, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSeededContext(ctx, g, c, testCfg(), 1, &scriptSched{})
+	_, err := RunDAGContext(ctx, g, circuit.NewDAG(c), testCfg(), 1, &scriptSched{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -52,7 +52,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunSeededContext(ctx, g, c, testCfg(), 1, busy)
+		_, err := RunDAGContext(ctx, g, circuit.NewDAG(c), testCfg(), 1, busy)
 		done <- err
 	}()
 	select {
@@ -114,7 +114,7 @@ func TestRunContextYieldsAtPoll(t *testing.T) {
 			}
 		},
 	}
-	if _, err := RunSeededContext(ctx, g, c, testCfg(), 1, busy); !errors.Is(err, context.Canceled) {
+	if _, err := RunDAGContext(ctx, g, circuit.NewDAG(c), testCfg(), 1, busy); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if limit := wakeAt + 4*(cancelCheckMask+1); seenAt == 0 || seenAt > limit {

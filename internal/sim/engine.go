@@ -54,19 +54,6 @@ func NewEngine(g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64, sched 
 	return &Engine{st: newState(g, dag, cfg, seed), sched: sched}
 }
 
-// State exposes the engine's state to code that drives it by hand (mainly
-// tests). It is valid until Run returns; after that it is nil.
-func (e *Engine) State() *State { return e.st }
-
-// Run executes the simulation until every gate completes and returns the
-// collected statistics. It fails on scheduler deadlock (no progress for
-// cfg.StallLimit cycles) or when cfg.MaxCycles is exceeded. An engine runs
-// once: Run returns the state's storage to the pool and releases the
-// scheduler.
-func (e *Engine) Run() (*Result, error) {
-	return e.RunContext(context.Background())
-}
-
 // cancelCheckMask gates how often RunContext polls ctx and yields its P:
 // every 256 cycles. Polling costs a nil-channel select and a Gosched, noise
 // at this stride, while 256 cycles is a tiny fraction of any real circuit's
@@ -74,10 +61,16 @@ func (e *Engine) Run() (*Result, error) {
 // became runnable meanwhile waits at most one stride for a P.
 const cancelCheckMask = 255
 
-// RunContext is Run with cooperative cancellation: the per-cycle loop
-// polls ctx every few hundred cycles and aborts with ctx's error, so a
-// cancelled serving request stops a long simulation mid-configuration
-// instead of running it to completion. At the same poll it yields its P.
+// RunContext executes the simulation until every gate completes and
+// returns the collected statistics. It fails on scheduler deadlock (no
+// progress for cfg.StallLimit cycles) or when cfg.MaxCycles is exceeded. An
+// engine runs once: RunContext returns the state's storage to the pool and
+// releases the scheduler.
+//
+// Cancellation is cooperative: the per-cycle loop polls ctx every few
+// hundred cycles and aborts with ctx's error, so a cancelled serving
+// request stops a long simulation mid-configuration instead of running it
+// to completion. At the same poll it yields its P.
 // A configuration never blocks, so when every P runs one, the goroutines
 // that read a request, wake on its completion or write its reply would
 // otherwise wait for the runtime's preemption, about every 10 ms. The

@@ -89,7 +89,7 @@ func TestEngineInvariantsAcrossMatrix(t *testing.T) {
 					s := &checkedScheduler{Scheduler: inner, c: sim.NewChecker()}
 					g := matrixGrid(t, layout, dag.Circuit().NumQubits)
 					e := sim.NewEngine(g, dag, sim.Config{Distance: 5, PhysError: 1e-4}, 1, s)
-					if _, err := e.Run(); err != nil {
+					if _, err := e.RunContext(context.Background()); err != nil {
 						t.Fatal(err)
 					}
 					if s.err != nil {
@@ -198,7 +198,7 @@ func TestEventActivityMatchesFullScan(t *testing.T) {
 				s := &scanScheduler{Scheduler: inner, window: window}
 				g := lattice.MustBuild("star", dag.Circuit().NumQubits, nil)
 				cfg := sim.Config{Distance: 7, PhysError: 1e-4, ActivityWindow: window}
-				res, err := sim.NewEngine(g, dag, cfg, 3, s).Run()
+				res, err := sim.NewEngine(g, dag, cfg, 3, s).RunContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -38,23 +38,13 @@ type Result struct {
 	EdgeRotations     int
 }
 
-// RunSeeded builds a fresh grid-independent engine run: it simulates circ
-// on grid under sched with one seed. The grid is mutated during simulation
-// (orientations); callers reusing grids across runs should rebuild them.
-func RunSeeded(g *lattice.Grid, c *circuit.Circuit, cfg Config, seed int64, sched Scheduler) (*Result, error) {
-	return RunSeededContext(context.Background(), g, c, cfg, seed, sched)
-}
-
-// RunSeededContext is RunSeeded with cooperative cancellation: the engine
-// polls ctx inside its cycle loop, so cancelling a request aborts a long
-// simulation promptly instead of at the run boundary.
-func RunSeededContext(ctx context.Context, g *lattice.Grid, c *circuit.Circuit, cfg Config, seed int64, sched Scheduler) (*Result, error) {
-	return RunDAGContext(ctx, g, circuit.NewDAG(c), cfg, seed, sched)
-}
-
-// RunDAGContext is RunSeededContext over a prebuilt dependency DAG. The
-// engine only reads the DAG, so one DAG can serve every seeded run of a
-// configuration — concurrent runs included.
+// RunDAGContext simulates the DAG's circuit on grid under sched with one
+// seed, with cooperative cancellation: the engine polls ctx inside its cycle
+// loop, so cancelling a request aborts a long simulation promptly instead of
+// at the run boundary. The grid is mutated during simulation (orientations);
+// callers reusing grids across runs should clone them. The engine only reads
+// the DAG, so one DAG can serve every seeded run of a configuration —
+// concurrent runs included.
 func RunDAGContext(ctx context.Context, g *lattice.Grid, dag *circuit.DAG, cfg Config, seed int64, sched Scheduler) (*Result, error) {
 	name := dag.Circuit().Name
 	res, err := NewEngine(g, dag, cfg, seed, sched).RunContext(ctx)

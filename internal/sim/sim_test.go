@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestEmptyCircuitCompletesImmediately(t *testing.T) {
 	g := lattice.MustBuild("star", 2, nil)
 	c := circuit.New("empty", 2)
 	c.X(0) // frame-only: DAG is empty
-	res, err := RunSeeded(g, c, testCfg(), 1, &scriptSched{})
+	res, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), testCfg(), 1, &scriptSched{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestCNOTTakesTwoCycles(t *testing.T) {
 			st.CompleteGate(op.Node)
 		},
 	}
-	res, err := RunSeeded(g, c, testCfg(), 1, sched)
+	res, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), testCfg(), 1, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestCNOTValidationErrors(t *testing.T) {
 	c.CNOT(0, 1)
 	dag := circuit.NewDAG(c)
 	eng := NewEngine(g, dag, testCfg(), 1, &scriptSched{})
-	st := eng.State()
+	st := eng.st
 	st.cycle = 1
 
 	// Path not touching control's Z edge.
@@ -159,7 +160,7 @@ func TestEdgeRotationTogglesOrientation(t *testing.T) {
 			}
 		},
 	}
-	res, err := RunSeeded(g, c, testCfg(), 1, sched)
+	res, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), testCfg(), 1, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestPrepInjectLifecycle(t *testing.T) {
 			}
 		},
 	}
-	res, err := RunSeeded(g, c, testCfg(), 42, sched)
+	res, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), testCfg(), 42, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestInjectionValidation(t *testing.T) {
 	c.Rz(0, angle)
 	dag := circuit.NewDAG(c)
 	eng := NewEngine(g, dag, testCfg(), 1, &scriptSched{})
-	st := eng.State()
+	st := eng.st
 	st.cycle = 1
 
 	// No prepared state anywhere.
@@ -287,7 +288,7 @@ func TestDiscardAndCancelPrep(t *testing.T) {
 	c.Rz(0, circuit.NewAngle(1, 3))
 	dag := circuit.NewDAG(c)
 	eng := NewEngine(g, dag, testCfg(), 1, &scriptSched{})
-	st := eng.State()
+	st := eng.st
 	st.cycle = 1
 	tile := lattice.At(0, 1)
 
@@ -328,7 +329,7 @@ func TestStallDetection(t *testing.T) {
 	c.CNOT(0, 1)
 	cfg := testCfg()
 	cfg.StallLimit = 10
-	_, err := RunSeeded(g, c, cfg, 1, &scriptSched{}) // never schedules anything
+	_, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), cfg, 1, &scriptSched{}) // never schedules anything
 	if err == nil {
 		t.Fatal("expected stall error")
 	}
@@ -351,7 +352,7 @@ func TestMaxCyclesAbort(t *testing.T) {
 			}
 		},
 	}
-	if _, err := RunSeeded(g, c, cfg, 1, busy); err == nil {
+	if _, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), cfg, 1, busy); err == nil {
 		t.Fatal("expected max-cycles error")
 	}
 }
@@ -390,7 +391,7 @@ func TestInjectionFailureRateNearHalf(t *testing.T) {
 				}
 			},
 		}
-		res, err := RunSeeded(g, c, testCfg(), seed, sched)
+		res, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), testCfg(), seed, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +433,7 @@ func TestActivityWindowTracksBusyAncilla(t *testing.T) {
 		},
 	}
 	eng := NewEngine(g, dag, cfg, 1, sched)
-	if _, err := eng.Run(); err != nil {
+	if _, err := eng.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// The path ancilla was busy both cycles of a 2-cycle run; window 10.
@@ -455,7 +456,7 @@ func TestIdleStopsWhenLastGateCompletesWithoutOp(t *testing.T) {
 			}
 		},
 	}
-	res, err := RunSeeded(g, c, testCfg(), 1, sched)
+	res, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), testCfg(), 1, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +510,7 @@ func TestDeterministicUnderSameSeed(t *testing.T) {
 				}
 			},
 		}
-		res, err := RunSeeded(g, c, testCfg(), seed, sched)
+		res, err := RunDAGContext(context.Background(), g, circuit.NewDAG(c), testCfg(), seed, sched)
 		if err != nil {
 			t.Fatal(err)
 		}

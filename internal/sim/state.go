@@ -14,7 +14,8 @@ import (
 type GateStatus uint8
 
 const (
-	// GatePending means some dependency has not completed.
+	// GatePending means some dependency has not completed. It is the zero
+	// value the engine's reset leaves; only the invariants test names it.
 	GatePending GateStatus = iota
 	// GateReady means all dependencies completed; the scheduler may act.
 	GateReady
@@ -285,13 +286,6 @@ func (st *State) Grid() *lattice.Grid { return st.grid }
 
 // DAG returns the gate dependency DAG.
 func (st *State) DAG() *circuit.DAG { return st.dag }
-
-// RNG returns the simulation's seeded random source. Schedulers may use it
-// for tie-breaking so whole runs stay reproducible from one seed.
-func (st *State) RNG() *rand.Rand { return st.rng }
-
-// Config returns the simulation configuration.
-func (st *State) Config() Config { return st.cfg }
 
 // PrepExpectedCycles returns the mean |m_theta> preparation time used for
 // expected-free-time estimates.

@@ -7,11 +7,11 @@ import (
 	"repro/internal/fault"
 )
 
-// TestFaultInjectionOnAppendAndProbe: the wal.write and wal.sync
-// failpoints surface injected errors from every append path, from Sync
-// and from Probe, and clear the moment the schedule is disarmed — the
-// store carries no sticky failure state of its own (lossy-mode
-// bookkeeping lives in the service layer, keyed off these errors).
+// TestFaultInjectionOnAppendAndProbe: the wal.write failpoint surfaces
+// injected errors from every append path and from Probe, and clears the
+// moment the schedule is disarmed — the store carries no sticky failure
+// state of its own (lossy-mode bookkeeping lives in the service layer,
+// keyed off these errors).
 func TestFaultInjectionOnAppendAndProbe(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -22,7 +22,7 @@ func TestFaultInjectionOnAppendAndProbe(t *testing.T) {
 		t.Fatalf("append before injection: %v", err)
 	}
 
-	if err := fault.Configure(FaultWrite+"=err(disk full);"+FaultSync+"=err(io error)", 1); err != nil {
+	if err := fault.Configure(FaultWrite+"=err(disk full)", 1); err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
 	defer fault.Disable()
@@ -39,9 +39,6 @@ func TestFaultInjectionOnAppendAndProbe(t *testing.T) {
 	if err := s.Probe(); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("Probe under injection = %v, want ErrInjected", err)
 	}
-	if err := s.Sync(); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("Sync under injection = %v, want ErrInjected", err)
-	}
 
 	// A failed append must not corrupt in-memory state: the job whose
 	// record never hit the disk is not tracked.
@@ -57,9 +54,6 @@ func TestFaultInjectionOnAppendAndProbe(t *testing.T) {
 	}
 	if err := s.AppendJob(JobRecord{ID: "job-000002"}); err != nil {
 		t.Fatalf("AppendJob after disarm: %v", err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatalf("Sync after disarm: %v", err)
 	}
 }
 

@@ -107,18 +107,14 @@ const (
 	recState  = "state"
 )
 
-// Failpoints on the WAL's write paths (see internal/fault). An injected
-// "disk full" here is how the chaos suite proves the daemon degrades to
-// lossy serving instead of 5xx-ing submissions; an injected "short"
-// message additionally simulates a partially-completed write so the
-// torn-tail rollback is exercised end to end.
-const (
-	// FaultWrite fires in every record append (and in Probe, so a probe
-	// sees the same simulated disk the appends do).
-	FaultWrite = "wal.write"
-	// FaultSync fires in Sync, the OS-crash checkpoint on graceful drain.
-	FaultSync = "wal.sync"
-)
+// FaultWrite is the failpoint on the WAL's write paths (see
+// internal/fault): it fires in every record append, and in Probe, so a
+// probe sees the same simulated disk the appends do. An injected "disk
+// full" here is how the chaos suite proves the daemon degrades to lossy
+// serving instead of 5xx-ing submissions; an injected "short" message
+// additionally simulates a partially-completed write so the torn-tail
+// rollback is exercised end to end.
+const FaultWrite = "wal.write"
 
 // JobRecord persists one submitted job: its identity and its fully
 // validated run specifications (opaque to the store). Tenant is the
@@ -638,7 +634,8 @@ func (s *Store) maybeCompactLocked() error {
 
 // Compact writes the in-memory index into the snapshot file (evicting
 // terminal jobs beyond the retention bound), atomically replaces the
-// previous snapshot, and truncates the log in place.
+// previous snapshot, and truncates the log in place. The store compacts on
+// its own; the service and rescq-walcat tests call Compact to force one.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -904,21 +901,6 @@ func fileName(file uint8) string {
 		return SnapName
 	}
 	return WALName
-}
-
-// Sync flushes the log to stable storage (fsync). Appends themselves only
-// guarantee process-crash durability (the write reaches the kernel); Sync
-// is the OS-crash checkpoint the daemon takes on graceful drain.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return errClosed
-	}
-	if err := fault.Check(FaultSync); err != nil {
-		return fmt.Errorf("store: sync: %w", err)
-	}
-	return s.f.Sync()
 }
 
 // Probe checks whether the WAL can take writes again, for the service's
@@ -1190,7 +1172,8 @@ func (sc *recordScan) replayBinary(br *bufio.Reader) error {
 // duplicate and out-of-order result indices are dropped, and a second job
 // record for a known id is ignored. Orphan results whose job record never
 // appears are attached to a synthetic spec-less job so their cache keys
-// remain recoverable.
+// remain recoverable. Open replays on its own; the service tests call
+// Replay to read a log back as written.
 func Replay(r io.Reader) ([]ReplayedJob, int, int, error) {
 	st := newReplayState()
 	sc := recordScan{file: fileLog, apply: st.apply}
