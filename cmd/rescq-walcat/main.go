@@ -8,10 +8,10 @@
 //	rescq-walcat /var/lib/rescqd/wal.snap /var/lib/rescqd/wal.jsonl
 //	rescq-walcat /var/lib/rescqd/wal.jsonl | jq -c 'select(.type == "done")'
 //
-// The output is itself a valid JSON-era log: typed result payloads print
-// as the JSON the result had before it was encoded. A torn or corrupt
-// tail is reported on stderr after the records before it, with exit
-// status 1.
+// The output is itself a valid JSON-era log: typed job specs and result
+// payloads print as the JSON they had before they were encoded. A torn or
+// corrupt tail is reported on stderr after the records before it, with
+// exit status 1.
 package main
 
 import (

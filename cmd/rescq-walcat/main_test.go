@@ -60,6 +60,43 @@ func TestWalcatPrintsSnapshotAndLog(t *testing.T) {
 	}
 }
 
+// TestWalcatPrintsTypedSpecs: a job record holding typed specs, as the
+// daemon writes it, prints with the JSON spec list a JSON-era log held, so
+// the output stays a valid JSON-era log.
+func TestWalcatPrintsTypedSpecs(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []resultcodec.Spec{
+		{Benchmark: "gcm_n13", Opts: rescq.Options{Scheduler: "greedy", Distance: 7, PhysError: 1e-4}},
+		{Name: "bell", CircuitText: "qubits 2\n1\ncnot 0 1\n", KeepLatencies: true,
+			Opts: rescq.Options{Layout: "compact", LayoutParams: map[string]string{"fraction": "0.5"}}},
+	}
+	typed, err := resultcodec.AppendSpecs(nil, &specs[0], &specs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendJob(store.JobRecord{ID: "job-000001", Kind: "sweep", Created: time.Unix(1700000000, 0).UTC(),
+		Specs: typed, Tenant: "acme"}); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run([]string{filepath.Join(dir, store.WALName)}, &stdout, &stderr)
+	s.Close()
+	if code != 0 || stderr.Len() != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	want := `{"type":"job","id":"job-000001","kind":"sweep","created":"2023-11-14T22:13:20Z","specs":[` +
+		`{"Benchmark":"gcm_n13","Name":"","CircuitText":"","Experiment":"","Quick":false,"Opts":{"scheduler":"greedy","distance":7,"phys_error":0.0001},"KeepLatencies":false},` +
+		`{"Benchmark":"","Name":"bell","CircuitText":"qubits 2\n1\ncnot 0 1\n","Experiment":"","Quick":false,"Opts":{"layout":"compact","layout_params":{"fraction":"0.5"}},"KeepLatencies":true}` +
+		`],"tenant":"acme"}` + "\n"
+	if stdout.String() != want {
+		t.Fatalf("output:\n%s\nwant:\n%s", stdout.String(), want)
+	}
+}
+
 func TestWalcatErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(nil, &stdout, &stderr); code != 2 {

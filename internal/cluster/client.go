@@ -16,24 +16,6 @@ import (
 	"repro/internal/fault"
 )
 
-// Failpoint names on the intra-cluster RPC paths (see internal/fault).
-// Dispatch and register failures injected here exercise exactly the code
-// that handles a dead or flaky peer: retry budgets, the circuit breaker,
-// re-dispatch and heartbeat recovery.
-const (
-	// FaultDispatch fires on the coordinator side of Execute, before the
-	// POST leaves the process: an injected error is indistinguishable from
-	// a transport failure to the dispatch loop.
-	FaultDispatch = "cluster.dispatch"
-	// FaultRegister fires inside Register (worker heartbeats and the
-	// initial announcement).
-	FaultRegister = "cluster.register"
-	// FaultExecute is checked by the worker's execute handler (in
-	// internal/service): a delay stalls the batch like an overloaded
-	// worker, an error turns into a 500 the coordinator must survive.
-	FaultExecute = "cluster.execute"
-)
-
 // StatusError is a non-200 reply from a cluster peer. The status code is
 // what lets the dispatch loop separate peer-says-no (4xx: the request
 // itself is bad — a poison batch; re-sending it anywhere is useless) from
@@ -147,7 +129,7 @@ func (c *Client) postJSON(ctx context.Context, url string, body, out any) error 
 // Register announces (or heartbeats) a worker to the coordinator.
 func (c *Client) Register(ctx context.Context, coordinatorURL string, req RegisterRequest) (RegisterResponse, error) {
 	var resp RegisterResponse
-	if err := fault.Check(FaultRegister); err != nil {
+	if err := fault.Check(fault.ClusterRegister); err != nil {
 		return resp, err
 	}
 	err := c.postJSON(ctx, joinURL(coordinatorURL, RegisterPath), req, &resp)
@@ -167,7 +149,7 @@ type WireTraffic struct {
 // transport error (a SIGKILLed worker resets the connection) or non-200
 // status marks the batch undelivered; the caller re-dispatches it.
 func (c *Client) Execute(ctx context.Context, workerURL string, req ExecuteRequest) (ExecuteResponse, WireTraffic, error) {
-	if err := fault.Check(FaultDispatch); err != nil {
+	if err := fault.Check(fault.ClusterDispatch); err != nil {
 		return ExecuteResponse{}, WireTraffic{}, err
 	}
 	body := EncodeExecuteRequestBinary(req)

@@ -34,9 +34,10 @@
 // any other Content-Type, or any Content-Encoding but identity, with 415.
 //
 // The package is deliberately ignorant of the service layer's spec and
-// result schemas: specs and results travel as json.RawMessage, so
-// internal/service owns the payload shapes and this package owns
-// membership, liveness, load accounting and transport.
+// result schemas: each spec and each result travels as an opaque blob
+// (the typed encodings of internal/resultcodec), so internal/service owns
+// the payload shapes and this package owns membership, liveness, load
+// accounting and transport.
 package cluster
 
 import (
@@ -108,8 +109,8 @@ type DrainResponse struct {
 // coordinator-assigned global index of the configuration within its job,
 // and the opaque service-layer spec.
 type ExecuteConfig struct {
-	Index int             `json:"index"`
-	Spec  json.RawMessage `json:"spec"`
+	Index int    `json:"index"`
+	Spec  []byte `json:"spec"`
 }
 
 // ExecuteRequest is one dispatched batch.

@@ -46,6 +46,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,6 +58,33 @@ import (
 // ErrInjected is the sentinel every injected error matches via errors.Is,
 // so callers (and tests) can tell an injected failure from an organic one.
 var ErrInjected = errors.New("fault: injected")
+
+// Failpoint names: every site compiled into the daemon. Configure refuses
+// any other name, so a misspelt schedule fails instead of arming a point
+// nothing checks.
+const (
+	// ClusterDispatch fires on the coordinator side of a batch dispatch,
+	// before the POST leaves the process: an injected error is
+	// indistinguishable from a transport failure to the dispatch loop.
+	ClusterDispatch = "cluster.dispatch"
+	// ClusterRegister fires in a worker's registration call (heartbeats
+	// and the initial announcement).
+	ClusterRegister = "cluster.register"
+	// ClusterExecute is checked by the worker's execute handler: a delay
+	// stalls the batch like an overloaded worker, an error turns into a
+	// 500 the coordinator must survive.
+	ClusterExecute = "cluster.execute"
+	// WALWrite fires in every WAL record append, and in the store's
+	// durability probe, so a probe sees the same simulated disk the
+	// appends do. An injected "disk full" is how the chaos suite proves
+	// the daemon degrades to lossy serving instead of failing
+	// submissions; an injected "short" message also simulates a partial
+	// write, so the torn-tail rollback runs end to end.
+	WALWrite = "wal.write"
+)
+
+// pointNames lists every failpoint name, for parse and its error message.
+var pointNames = []string{ClusterDispatch, ClusterRegister, ClusterExecute, WALWrite}
 
 // Error is an injected failure: which point fired and the configured
 // message.
@@ -259,6 +287,7 @@ func Fires(name string) int64 {
 // separated term:
 //
 //	term    = name "=" action
+//	name    = one of pointNames
 //	action  = [count "*"] kind ["(" arg ")"] ["%" prob]
 //	kind    = "err" | "delay" | "off"
 //
@@ -276,6 +305,9 @@ func parse(schedule string, seed int64) (map[string]*point, error) {
 		name = strings.TrimSpace(name)
 		if !ok || name == "" || strings.TrimSpace(action) == "" {
 			return nil, fmt.Errorf("fault: bad term %q (want name=action)", term)
+		}
+		if !slices.Contains(pointNames, name) {
+			return nil, fmt.Errorf("fault: unknown failpoint %q (want one of %s)", name, strings.Join(pointNames, ", "))
 		}
 		if _, dup := parsed[name]; dup {
 			return nil, fmt.Errorf("fault: point %q armed twice", name)

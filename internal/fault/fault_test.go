@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -49,31 +50,31 @@ func TestErrAlways(t *testing.T) {
 }
 
 func TestCountTrigger(t *testing.T) {
-	arm(t, "p=2*err", 1)
+	arm(t, WALWrite+"=2*err", 1)
 	for i := 0; i < 2; i++ {
-		if Check("p") == nil {
+		if Check(WALWrite) == nil {
 			t.Fatalf("eval %d: count trigger did not fire", i)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		if err := Check("p"); err != nil {
+		if err := Check(WALWrite); err != nil {
 			t.Fatalf("count exhausted but still firing: %v", err)
 		}
 	}
-	if got := Fires("p"); got != 2 {
+	if got := Fires(WALWrite); got != 2 {
 		t.Fatalf("Fires = %d, want 2", got)
 	}
-	if st := Stats()["p"]; st.Evals != 7 || st.Fires != 2 {
+	if st := Stats()[WALWrite]; st.Evals != 7 || st.Fires != 2 {
 		t.Fatalf("Stats = %+v, want 7 evals / 2 fires", st)
 	}
 }
 
 func TestProbabilityIsSeededAndDeterministic(t *testing.T) {
 	fires := func(seed int64) []bool {
-		arm(t, "p=err%0.5", seed)
+		arm(t, ClusterDispatch+"=err%0.5", seed)
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = Check("p") != nil
+			out[i] = Check(ClusterDispatch) != nil
 		}
 		Disable()
 		return out
@@ -106,9 +107,9 @@ func TestProbabilityIsSeededAndDeterministic(t *testing.T) {
 }
 
 func TestDelay(t *testing.T) {
-	arm(t, "p=delay(30ms)", 1)
+	arm(t, ClusterExecute+"=delay(30ms)", 1)
 	start := time.Now()
-	if err := Check("p"); err != nil {
+	if err := Check(ClusterExecute); err != nil {
 		t.Fatalf("delay point returned an error: %v", err)
 	}
 	if took := time.Since(start); took < 20*time.Millisecond {
@@ -117,20 +118,21 @@ func TestDelay(t *testing.T) {
 }
 
 func TestMultiPointSchedule(t *testing.T) {
-	arm(t, "a=err; b=1*err(boom); c=off", 7)
-	if Check("a") == nil || Check("b") == nil {
+	schedule := "cluster.dispatch=err; cluster.execute=1*err(boom); wal.write=off"
+	arm(t, schedule, 7)
+	if Check(ClusterDispatch) == nil || Check(ClusterExecute) == nil {
 		t.Fatal("armed points did not fire")
 	}
-	if err := Check("b"); err != nil {
-		t.Fatalf("b's count exhausted but fired again: %v", err)
+	if err := Check(ClusterExecute); err != nil {
+		t.Fatalf("cluster.execute's count exhausted but fired again: %v", err)
 	}
-	if err := Check("c"); err != nil {
+	if err := Check(WALWrite); err != nil {
 		t.Fatalf("off point fired: %v", err)
 	}
-	if got := Active(); got != "a=err; b=1*err(boom); c=off" {
+	if got := Active(); got != schedule {
 		t.Fatalf("Active() = %q", got)
 	}
-	want := []string{"a", "b", "c"}
+	want := []string{ClusterDispatch, ClusterExecute, WALWrite}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v", got)
@@ -145,20 +147,20 @@ func TestMultiPointSchedule(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"noequals",
-		"p=",
+		"wal.write=",
 		"=err",
-		"p=explode",
-		"p=err%2",
-		"p=err%0",
-		"p=err%x",
-		"p=0*err",
-		"p=-1*err",
-		"p=delay",
-		"p=delay(xyz)",
-		"p=delay(-5ms)",
-		"p=off(arg)",
-		"p=err(unclosed",
-		"p=err;p=err",
+		"wal.write=explode",
+		"wal.write=err%2",
+		"wal.write=err%0",
+		"wal.write=err%x",
+		"wal.write=0*err",
+		"wal.write=-1*err",
+		"wal.write=delay",
+		"wal.write=delay(xyz)",
+		"wal.write=delay(-5ms)",
+		"wal.write=off(arg)",
+		"wal.write=err(unclosed",
+		"wal.write=err;wal.write=err",
 	} {
 		if err := Configure(bad, 1); err == nil {
 			Disable()
@@ -171,15 +173,40 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownPointRefused: a name no site checks is refused, with the
+// known names in the error, and arms nothing (not even the valid terms
+// beside it).
+func TestUnknownPointRefused(t *testing.T) {
+	Disable()
+	for _, bad := range []string{"wal.sync=err", "wal.writ=err(disk full)", "wal.write=err;cluster.dispach=delay(5ms)"} {
+		err := Configure(bad, 1)
+		if err == nil {
+			Disable()
+			t.Fatalf("Configure(%q) accepted an unknown failpoint", bad)
+		}
+		if !strings.Contains(err.Error(), "unknown failpoint") || !strings.Contains(err.Error(), WALWrite) {
+			t.Fatalf("Configure(%q) = %v, want the unknown name and the known ones", bad, err)
+		}
+		if armed.Load() || Active() != "" {
+			t.Fatalf("Configure(%q) failed but left failpoints armed", bad)
+		}
+	}
+	t.Setenv(EnvSpec, "wal.sync=err")
+	if _, err := FromEnv(); err == nil {
+		Disable()
+		t.Fatal("FromEnv accepted an unknown failpoint")
+	}
+}
+
 func TestEnvActivation(t *testing.T) {
-	t.Setenv(EnvSpec, "p=err")
+	t.Setenv(EnvSpec, "wal.write=err")
 	t.Setenv(EnvSeed, "99")
 	spec, err := FromEnv()
-	if err != nil || spec != "p=err" {
+	if err != nil || spec != "wal.write=err" {
 		t.Fatalf("FromEnv() = %q, %v", spec, err)
 	}
 	t.Cleanup(Disable)
-	if Check("p") == nil {
+	if Check(WALWrite) == nil {
 		t.Fatal("env-armed point did not fire")
 	}
 
@@ -199,14 +226,14 @@ func TestEnvActivation(t *testing.T) {
 }
 
 func TestConcurrentChecks(t *testing.T) {
-	arm(t, "p=err%0.5;q=delay(1ms)%0.2", 3)
+	arm(t, "cluster.dispatch=err%0.5;cluster.execute=delay(1ms)%0.2", 3)
 	done := make(chan struct{})
 	for i := 0; i < 8; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 200; j++ {
-				Check("p")
-				Check("q")
+				Check(ClusterDispatch)
+				Check(ClusterExecute)
 			}
 		}()
 	}
@@ -214,7 +241,7 @@ func TestConcurrentChecks(t *testing.T) {
 		<-done
 	}
 	st := Stats()
-	if st["p"].Evals != 1600 || st["q"].Evals != 1600 {
+	if st[ClusterDispatch].Evals != 1600 || st[ClusterExecute].Evals != 1600 {
 		t.Fatalf("Stats = %+v, want 1600 evals each", st)
 	}
 }

@@ -1,10 +1,12 @@
-// Package resultcodec defines ConfigResult, the result of one run
-// configuration of a rescqd job, and its typed binary encoding: the
-// payload rescqd writes into every WAL result record.
+// Package resultcodec defines the two payloads rescqd persists and
+// dispatches, with their typed binary encodings: ConfigResult, the result
+// of one run configuration (every WAL result record, every dispatch
+// response), and Spec, one run configuration (the spec list of every WAL
+// job record, every config of a dispatch batch).
 //
-// # Encoding
+// # Result encoding
 //
-// A typed payload is a tag byte (0x01, which no JSON document starts
+// A typed result is a tag byte (0x01, which no JSON document starts
 // with), a flags byte, then the fields in a fixed order with no names:
 //
 //	tag | flags | index | benchmark | scheduler | layout
@@ -20,23 +22,40 @@
 //	    | rz_latencies | mean_idle_fraction | preps_started
 //	    | injections_count | edge_rotations
 //
-// Integers are zigzag varints, counts and string lengths uvarints, floats
-// their IEEE-754 bits as 8 little-endian bytes, strings UTF-8 bytes after
-// their length, params their keys in increasing order each followed by
-// its value, and latency arrays a count followed by that many integers.
 // The flags byte marks which of the optional parts are present and holds
 // the booleans (see the flag constants). Bracketed parts are present only
 // when their flag is set.
 //
-// The encoding is canonical: Decode accepts exactly the bytes Append
-// produces (minimal varints, sorted unique params, no trailing bytes,
-// finite floats, valid UTF-8), so every accepted payload re-encodes to
-// itself, and a decoded payload marshals to the same JSON the result
-// marshalled to before it was encoded. Results that JSON cannot hold
-// either (NaN or infinite floats) are refused by Append.
+// # Spec list encoding
 //
-// Payloads written before this encoding existed are JSON documents;
-// Decode and JSON accept both forms.
+// A typed spec list is a tag byte (0x02; a JSON spec list starts with
+// '['), a spec count, then each spec as
+//
+//	flags | benchmark | name | circuit_text | experiment
+//	      | scheduler | layout | params | distance | phys_error
+//	      | k | tau_mst | compression | runs | seed
+//
+// where the options part is laid out as in a result, and the flags byte
+// holds Quick (bit 0) and KeepLatencies (bit 1).
+//
+// # Common rules
+//
+// Integers are zigzag varints, counts and string lengths uvarints, floats
+// their IEEE-754 bits as 8 little-endian bytes, strings UTF-8 bytes after
+// their length, params their keys in increasing order each followed by
+// its value, and latency arrays a count followed by that many integers.
+//
+// Both encodings are canonical: Decode and DecodeSpecs accept exactly the
+// bytes Append and AppendSpecs produce (minimal varints, sorted unique
+// params, known flag bits, no trailing bytes, finite floats, valid
+// UTF-8), so every accepted payload re-encodes to itself, and a decoded
+// payload marshals to the same JSON it marshalled to before it was
+// encoded. Payloads that JSON cannot hold either (NaN or infinite floats)
+// are refused by the encoders.
+//
+// Result payloads written before the typed encoding existed are JSON
+// documents, and Decode and JSON accept both forms. A JSON spec list is
+// the caller's to sniff (it starts with '['); DecodeSpecs refuses it.
 package resultcodec
 
 import (
@@ -112,17 +131,8 @@ func Append(dst []byte, r *ConfigResult) ([]byte, error) {
 	w.str(r.Benchmark)
 	w.str(r.Scheduler)
 	w.str(r.Layout)
-	if o := r.Options; o != nil {
-		w.str(string(o.Scheduler))
-		w.str(o.Layout)
-		w.params(o.LayoutParams)
-		w.int(int64(o.Distance))
-		w.f64(o.PhysError)
-		w.int(int64(o.K))
-		w.int(int64(o.TauMST))
-		w.f64(o.Compression)
-		w.int(int64(o.Runs))
-		w.int(o.Seed)
+	if r.Options != nil {
+		w.options(r.Options)
 	}
 	if s := r.Summary; s != nil {
 		w.str(s.Benchmark)
@@ -170,20 +180,6 @@ func Decode(p []byte, r *ConfigResult) error {
 	return json.Unmarshal(p, r)
 }
 
-// JSON returns a result payload's JSON form: a typed payload is decoded
-// and marshalled, which reproduces the JSON the result had before it was
-// encoded; any other payload is returned as it is.
-func JSON(p []byte) ([]byte, error) {
-	if len(p) == 0 || p[0] != tag {
-		return p, nil
-	}
-	res, err := decodeTyped(p)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(res)
-}
-
 // decodeTyped parses a typed payload, refusing every byte string Append
 // cannot produce.
 func decodeTyped(p []byte) (ConfigResult, error) {
@@ -201,17 +197,8 @@ func decodeTyped(p []byte) (ConfigResult, error) {
 	res.Scheduler = rd.str()
 	res.Layout = rd.str()
 	if flags&flagOptions != 0 {
-		o := &rescq.Options{Scheduler: rescq.SchedulerKind(rd.str())}
-		o.Layout = rd.str()
-		o.LayoutParams = rd.params()
-		o.Distance = rd.int()
-		o.PhysError = rd.f64()
-		o.K = rd.int()
-		o.TauMST = rd.int()
-		o.Compression = rd.f64()
-		o.Runs = rd.int()
-		o.Seed = rd.int64()
-		res.Options = o
+		res.Options = new(rescq.Options)
+		rd.options(res.Options)
 	}
 	if flags&flagSummary != 0 {
 		s := &rescq.Summary{}
@@ -301,6 +288,20 @@ func (w *writer) params(m map[string]string) {
 		w.str(k)
 		w.str(m[k])
 	}
+}
+
+// options appends every field of o, in the order reader.options reads them.
+func (w *writer) options(o *rescq.Options) {
+	w.str(string(o.Scheduler))
+	w.str(o.Layout)
+	w.params(o.LayoutParams)
+	w.int(int64(o.Distance))
+	w.f64(o.PhysError)
+	w.int(int64(o.K))
+	w.int(int64(o.TauMST))
+	w.f64(o.Compression)
+	w.int(int64(o.Runs))
+	w.int(o.Seed)
 }
 
 // reader consumes fields, keeping the first error; after one, every read
@@ -398,6 +399,21 @@ func (r *reader) ints() []int {
 		v[i] = r.int()
 	}
 	return v
+}
+
+// options reads every field of an Options, in the order writer.options
+// appends them.
+func (r *reader) options(o *rescq.Options) {
+	o.Scheduler = rescq.SchedulerKind(r.str())
+	o.Layout = r.str()
+	o.LayoutParams = r.params()
+	o.Distance = r.int()
+	o.PhysError = r.f64()
+	o.K = r.int()
+	o.TauMST = r.int()
+	o.Compression = r.f64()
+	o.Runs = r.int()
+	o.Seed = r.int64()
 }
 
 // params reads a layout-param map; keys must be strictly increasing.

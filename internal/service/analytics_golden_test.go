@@ -13,6 +13,7 @@ import (
 
 	rescq "repro"
 	"repro/internal/config"
+	"repro/internal/resultcodec"
 	"repro/internal/store"
 )
 
@@ -109,7 +110,7 @@ func fixtureRecords() []any {
 				opts := rescq.Options{
 					Scheduler: rescq.SchedulerKind(sched), Compression: comp, Runs: 2,
 				}.Canonical()
-				spec := runSpec{Benchmark: bench, Opts: opts}
+				spec := runSpec{Spec: resultcodec.Spec{Benchmark: bench, Opts: opts}}
 				base := schedBase[sched] + benchOff[bench] + int(comp*60)
 				res := newConfigResult(spec)
 				res.Index = len(results1)
@@ -123,7 +124,7 @@ func fixtureRecords() []any {
 	// One failed configuration: occupies a result index in the WAL, must
 	// advance the analytics watermark without aggregating.
 	errOpts := rescq.Options{Scheduler: "rescq", Distance: 9, Runs: 2}.Canonical()
-	errSpec := runSpec{Benchmark: "gcm_n13", Opts: errOpts}
+	errSpec := runSpec{Spec: resultcodec.Spec{Benchmark: "gcm_n13", Opts: errOpts}}
 	errRes := newConfigResult(errSpec)
 	errRes.Index = len(results1)
 	errRes.Error = "engine: injected fixture failure"
@@ -141,7 +142,7 @@ func fixtureRecords() []any {
 			opts := rescq.Options{
 				Scheduler: rescq.SchedulerKind(sched), Layout: layout, Runs: 1, Seed: 5,
 			}.Canonical()
-			spec := runSpec{Benchmark: "gcm_n13", Opts: opts}
+			spec := runSpec{Spec: resultcodec.Spec{Benchmark: "gcm_n13", Opts: opts}}
 			base := 110
 			if sched == "autobraid" {
 				base = 130

@@ -7,12 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	rescq "repro"
 	"repro/internal/cluster"
 	"repro/internal/config"
+	"repro/internal/schedq"
+	"repro/internal/store"
 )
 
 // skewRunner is the stub engine behind BenchmarkCoordinatorDispatch: it
@@ -170,4 +174,83 @@ func BenchmarkCoordinatorDispatch(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(configs*b.N)/b.Elapsed().Seconds(), "configs/sec")
+}
+
+// BenchmarkAttachStore measures crash recovery: AttachStore on a crashed
+// store holding 42 finished sweeps of the same 384 configurations, the
+// shape of the store the benchmark harness's warm-restart workload
+// recovers (8 benchmarks x 3 schedulers x 4 distances x 4 error rates).
+// The store is written through the daemon's own persist path, and each
+// iteration recovers a fresh copy of it: a recovery ends with an
+// analytics checkpoint that a second recovery of the same directory
+// would restore instead of re-folding the log.
+func BenchmarkAttachStore(b *testing.B) {
+	const jobs = 42
+	crashed := b.TempDir()
+	w := New(config.Daemon{Workers: 1}, newGatedRunner())
+	if _, err := w.AttachStore(crashed); err != nil {
+		b.Fatal(err)
+	}
+	specs, err := w.expandSweep(SweepRequest{
+		Benchmarks: []string{"vqe_n13", "hamsim_n25", "ising_n34", "qaoa_n15", "wstate_n27", "qaoafswap_n15", "qft_n18", "gcm_n13"},
+		Schedulers: []string{"rescq", "greedy", "autobraid"},
+		Distances:  []int{5, 7, 9, 11},
+		PhysErrors: []float64{1e-4, 2e-4, 5e-4, 1e-3},
+		Runs:       1, Seed: 7,
+	})
+	if err != nil || len(specs) != 384 {
+		b.Fatalf("%d specs, %v", len(specs), err)
+	}
+	for i := 0; i < jobs; i++ {
+		j := w.buildJob("sweep", schedq.DefaultTenant, specs)
+		w.persistJob(j)
+		for k := range specs {
+			res := newConfigResult(specs[k])
+			res.Index = k
+			opts := specs[k].Opts.Canonical()
+			sum := fakeSummary(specs[k].Benchmark, opts)
+			res.Options, res.Summary = &opts, &sum
+			w.persistResult(j, specKey(specs[k]), res)
+		}
+		w.persistDone(j, JobDone, nil)
+	}
+	if w.Lossy() {
+		b.Fatal("the store went lossy while it was written")
+	}
+	files := map[string][]byte{}
+	for _, name := range []string{store.SnapName, store.WALName} {
+		if raw, err := os.ReadFile(filepath.Join(crashed, name)); err == nil {
+			files[name] = raw
+		}
+	}
+	shutdownBench(b, w)
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		for name, raw := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s := New(config.Daemon{Workers: 1}, newGatedRunner())
+		b.StartTimer()
+		rs, err := s.AttachStore(dir)
+		b.StopTimer()
+		if err != nil || rs.Jobs != jobs || rs.Results != jobs*len(specs) {
+			b.Fatalf("replayed %+v, %v", rs, err)
+		}
+		shutdownBench(b, s)
+		b.StartTimer()
+	}
+}
+
+func shutdownBench(b *testing.B, s *Server) {
+	b.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		b.Fatal(err)
+	}
 }

@@ -11,10 +11,8 @@ import (
 	"time"
 
 	rescq "repro"
-	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/fault"
-	"repro/internal/store"
 )
 
 // chaosSeed is the fault schedule's PRNG seed: RESCQ_CHAOS_SEED when set
@@ -63,10 +61,10 @@ func TestChaosSweepUnderFaults(t *testing.T) {
 	// Every fragile layer at once: dispatch RPCs fail, worker execution
 	// stalls, heartbeats drop, and the WAL takes a two-write disk-full
 	// burst on the coordinator.
-	schedule := cluster.FaultDispatch + "=err(chaos: dispatch)%0.25;" +
-		cluster.FaultExecute + "=delay(25ms)%0.4;" +
-		cluster.FaultRegister + "=err(chaos: register)%0.1;" +
-		store.FaultWrite + "=2*err(disk full)"
+	schedule := fault.ClusterDispatch + "=err(chaos: dispatch)%0.25;" +
+		fault.ClusterExecute + "=delay(25ms)%0.4;" +
+		fault.ClusterRegister + "=err(chaos: register)%0.1;" +
+		fault.WALWrite + "=2*err(disk full)"
 	if err := fault.Configure(schedule, seed); err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
@@ -159,7 +157,7 @@ func TestWALDiskFullDegradesToLossy(t *testing.T) {
 		s.Shutdown(ctx)
 	})
 
-	if err := fault.Configure(store.FaultWrite+"=err(disk full)", 1); err != nil {
+	if err := fault.Configure(fault.WALWrite+"=err(disk full)", 1); err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
 	defer fault.Disable()

@@ -141,7 +141,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	// Chaos hook: an injected delay stalls this worker like an overloaded
 	// node (exercising the coordinator's deadline and hedging paths); an
 	// injected error becomes the 500 a crashing worker would produce.
-	if err := fault.Check(cluster.FaultExecute); err != nil {
+	if err := fault.Check(fault.ClusterExecute); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -165,12 +165,20 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
+	// Each spec is a typed one-spec list. A JSON spec (from a coordinator
+	// of an older build) is a 400, so that coordinator runs the batch
+	// locally, as it does any poison batch.
 	specs := make([]runSpec, len(req.Configs))
 	for i, c := range req.Configs {
-		if err := json.Unmarshal(c.Spec, &specs[i]); err != nil {
+		one, err := resultcodec.DecodeSpecs(c.Spec)
+		if err == nil && len(one) != 1 {
+			err = fmt.Errorf("%d specs in one config", len(one))
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad spec %d: %w", i, err))
 			return
 		}
+		specs[i].Spec = one[0]
 	}
 	resp := cluster.ExecuteResponse{Results: make([]json.RawMessage, 0, len(specs))}
 	for i, spec := range specs {
@@ -283,7 +291,7 @@ func (z *batchSizer) steady() int {
 func buildExecuteRequest(j *Job, bi int, idxs []int) (cluster.ExecuteRequest, error) {
 	req := cluster.ExecuteRequest{JobID: j.ID, Batch: bi, Configs: make([]cluster.ExecuteConfig, len(idxs))}
 	for k, idx := range idxs {
-		data, err := json.Marshal(j.specs[idx])
+		data, err := resultcodec.AppendSpecs(nil, &j.specs[idx].Spec)
 		if err != nil {
 			return req, fmt.Errorf("service: encode config %d: %w", idx, err)
 		}

@@ -381,13 +381,13 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 		s.Shutdown(ctx)
 	})
 
-	specs := []runSpec{
+	specs := []resultcodec.Spec{
 		{Benchmark: "gcm_n13", Opts: rescq.Options{Runs: 1}},
 		{Benchmark: "qft_n18", Opts: rescq.Options{Runs: 1}},
 	}
 	req := cluster.ExecuteRequest{JobID: "job-000001", Configs: make([]cluster.ExecuteConfig, len(specs))}
-	for i, sp := range specs {
-		data, err := json.Marshal(sp)
+	for i := range specs {
+		data, err := resultcodec.AppendSpecs(nil, &specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,12 +419,32 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 		t.Fatalf("runner ran %d times, want 2", runner.calls.Load())
 	}
 
-	// Malformed batches never reach the engine.
+	// Malformed batches never reach the engine. A spec in JSON, as a
+	// coordinator of an older build sends it, is one of them: the 400
+	// makes that coordinator run the batch locally.
+	jsonSpec, err := json.Marshal(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoSpecs, err := resultcodec.AppendSpecs(nil, &specs[0], &specs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range [][]byte{[]byte(`"not-a-spec"`), jsonSpec, twoSpecs} {
+		body := cluster.EncodeExecuteRequestBinary(cluster.ExecuteRequest{JobID: "j",
+			Configs: []cluster.ExecuteConfig{{Index: 0, Spec: spec}}})
+		r, err := http.Post(ts.URL+cluster.ExecutePath, cluster.BinaryContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Fatalf("spec %q: status %d, want 400", spec, r.StatusCode)
+		}
+	}
 	for _, body := range [][]byte{
 		nil, []byte(`{`),
 		cluster.EncodeExecuteRequestBinary(cluster.ExecuteRequest{JobID: "j"}),
-		cluster.EncodeExecuteRequestBinary(cluster.ExecuteRequest{JobID: "j",
-			Configs: []cluster.ExecuteConfig{{Index: 0, Spec: json.RawMessage(`"not-a-spec"`)}}}),
 	} {
 		r, err := http.Post(ts.URL+cluster.ExecutePath, cluster.BinaryContentType, bytes.NewReader(body))
 		if err != nil {
@@ -435,8 +455,9 @@ func TestWorkerExecuteEndpoint(t *testing.T) {
 			t.Fatalf("body %q: status %d, want 400", body, r.StatusCode)
 		}
 	}
-	// The same valid batch as JSON is a format this build does not speak.
-	r := postJSON(t, ts.URL+cluster.ExecutePath, req)
+	// A batch as JSON is a format this build does not speak.
+	r := postJSON(t, ts.URL+cluster.ExecutePath, cluster.ExecuteRequest{JobID: "job-000001",
+		Configs: []cluster.ExecuteConfig{{Index: 5, Spec: jsonSpec}}})
 	r.Body.Close()
 	if r.StatusCode != http.StatusUnsupportedMediaType {
 		t.Fatalf("JSON batch: status %d, want 415", r.StatusCode)
@@ -484,8 +505,8 @@ func TestWorkerResultsTypedOnTheWire(t *testing.T) {
 		Cluster:      config.Cluster{Mode: config.ModeWorker, CoordinatorURL: "http://unused:1"},
 	}.WithDefaults()
 	s, ts := newTestServer(t, cfg, EngineRunner{})
-	spec := runSpec{Benchmark: "gcm_n13", Opts: rescq.Options{Runs: 1}}
-	data, err := json.Marshal(spec)
+	spec := runSpec{Spec: resultcodec.Spec{Benchmark: "gcm_n13", Opts: rescq.Options{Runs: 1}}}
+	data, err := resultcodec.AppendSpecs(nil, &spec.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +619,7 @@ func TestWorkerExecuteCancelReturns503(t *testing.T) {
 		s.Shutdown(ctx)
 	})
 
-	spec, err := json.Marshal(runSpec{Benchmark: "vqe_n13", Opts: rescq.Options{Runs: 1}})
+	spec, err := resultcodec.AppendSpecs(nil, &resultcodec.Spec{Benchmark: "vqe_n13", Opts: rescq.Options{Runs: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,8 +105,8 @@ func (s *Server) AttachStore(dir string) (ReplayStats, error) {
 		if len(rj.Job.Specs) == 0 {
 			continue // orphan results: cache re-seed only, no job to rebuild
 		}
-		var specs []runSpec
-		if err := json.Unmarshal(rj.Job.Specs, &specs); err != nil || len(specs) == 0 {
+		specs, err := decodeJobSpecs(rj.Job.Specs)
+		if err != nil || len(specs) == 0 {
 			continue
 		}
 		j := s.replayJob(rj, specs, prefix)
@@ -218,6 +218,26 @@ func (s *Server) replayJob(rj store.ReplayedJob, specs []runSpec, prefix []Confi
 	return j
 }
 
+// decodeJobSpecs decodes a job record's spec list: typed, or a JSON array
+// in records written before the typed encoding (JSON-era logs, and the
+// deflated job frames of binary logs that predate it).
+func decodeJobSpecs(p []byte) ([]runSpec, error) {
+	var specs []runSpec
+	if len(p) > 0 && p[0] == '[' {
+		err := json.Unmarshal(p, &specs)
+		return specs, err
+	}
+	typed, err := resultcodec.DecodeSpecs(p)
+	if err != nil {
+		return nil, err
+	}
+	specs = make([]runSpec, len(typed))
+	for i := range typed {
+		specs[i].Spec = typed[i]
+	}
+	return specs, nil
+}
+
 // parseJobID extracts the numeric counter from a "job-%06d" id (0 when
 // the id has another shape).
 func parseJobID(id string) int64 {
@@ -272,7 +292,11 @@ func (s *Server) persistJob(j *Job) {
 	if s.skipPersist() {
 		return
 	}
-	specs, err := json.Marshal(j.specs)
+	list := make([]*resultcodec.Spec, len(j.specs))
+	for i := range j.specs {
+		list[i] = &j.specs[i].Spec
+	}
+	specs, err := resultcodec.AppendSpecs(nil, list...)
 	if err != nil {
 		s.stats.StoreErrors.Add(1)
 		return

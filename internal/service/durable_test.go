@@ -253,6 +253,9 @@ func rewriteAsJSONEra(t *testing.T, dir string) {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
 		for _, j := range jobs {
+			if j.Job.Specs, err = resultcodec.JSON(j.Job.Specs); err != nil {
+				t.Fatal(err)
+			}
 			recs := []any{j.Job}
 			for _, r := range j.Results {
 				if r.Result, err = resultcodec.JSON(r.Result); err != nil {
@@ -489,7 +492,7 @@ func TestStaleReportNotServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, _ := json.Marshal([]runSpec{{Experiment: "fig14", Quick: true}})
+	specs, _ := json.Marshal([]runSpec{{Spec: resultcodec.Spec{Experiment: "fig14", Quick: true}}})
 	for _, err := range []error{
 		st.AppendJob(store.JobRecord{ID: "job-000001", Kind: "run", Created: time.Now(), Specs: specs}),
 		st.AppendResult(store.ResultRecord{JobID: "job-000001", Key: "exp:fig14:quick=true",

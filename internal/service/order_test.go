@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/resultcodec"
 	"repro/internal/store"
 )
 
@@ -64,7 +65,7 @@ func TestJobsListOrderAfterReplay(t *testing.T) {
 
 	// The replay must also have advanced the id counter past the largest
 	// replayed id, so a fresh submission cannot collide.
-	j := s.newJob("run", "", []runSpec{{Benchmark: "gcm_n13"}})
+	j := s.newJob("run", "", []runSpec{{Spec: resultcodec.Spec{Benchmark: "gcm_n13"}}})
 	if store.JobIDLess(j.ID, "job-1000000") || j.ID == "job-1000000" {
 		t.Fatalf("fresh job id %s does not follow job-1000000", j.ID)
 	}

@@ -139,18 +139,11 @@ const (
 	JobCancelled JobState = "cancelled"
 )
 
-// runSpec is one fully-validated run configuration inside a job.
+// runSpec is one fully-validated run configuration inside a job: its
+// persisted and dispatched fields, defined beside their typed encoding in
+// internal/resultcodec, and its cache key.
 type runSpec struct {
-	// Exactly one of Benchmark, CircuitText or Experiment is set.
-	Benchmark   string
-	Name        string // label for CircuitText runs
-	CircuitText string
-	Experiment  string
-	Quick       bool
-	Opts        rescq.Options
-	// KeepLatencies retains the per-gate latency arrays in the stored
-	// result (tens of thousands of ints per run; stripped otherwise).
-	KeepLatencies bool
+	resultcodec.Spec
 	// key is the spec's specKey, computed once: by expandSweep's dedupe or
 	// validateRun at submission, or by the first pickup for specs decoded
 	// from a WAL job record. Unexported, so neither job records nor the

@@ -18,6 +18,7 @@ import (
 
 	rescq "repro"
 	"repro/internal/config"
+	"repro/internal/resultcodec"
 )
 
 // countingRunner is a Runner that fabricates deterministic summaries and
@@ -572,7 +573,7 @@ func TestFinishedJobEviction(t *testing.T) {
 	s := New(config.Daemon{}, &countingRunner{})
 	var first *Job
 	for i := 0; i < maxFinishedJobs+100; i++ {
-		j := s.newJob("run", "", []runSpec{{Benchmark: "gcm_n13", Opts: rescq.Options{Seed: int64(i + 1)}}})
+		j := s.newJob("run", "", []runSpec{{Spec: resultcodec.Spec{Benchmark: "gcm_n13", Opts: rescq.Options{Seed: int64(i + 1)}}}})
 		if first == nil {
 			first = j
 		}
@@ -593,7 +594,7 @@ func TestFinishedJobEviction(t *testing.T) {
 	// even when it alone exceeds the result bound.
 	s = New(config.Daemon{}, &countingRunner{})
 	retire := func(results int) *Job {
-		j := s.newJob("sweep", "", []runSpec{{Benchmark: "gcm_n13"}})
+		j := s.newJob("sweep", "", []runSpec{{Spec: resultcodec.Spec{Benchmark: "gcm_n13"}}})
 		j.results = make([]ConfigResult, results)
 		s.retireJob(j)
 		return j
@@ -636,7 +637,7 @@ func TestSubmitShutdownRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; i < 10; i++ {
-					j := s.newJob("run", "", []runSpec{{Benchmark: "gcm_n13"}})
+					j := s.newJob("run", "", []runSpec{{Spec: resultcodec.Spec{Benchmark: "gcm_n13"}}})
 					if err := s.submit(j); err != nil {
 						return // draining: expected
 					}

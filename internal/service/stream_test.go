@@ -151,7 +151,7 @@ func TestStreamSendsFirstResultWhileSecondComputes(t *testing.T) {
 // through the store, whose lock would wait out a write in progress): it
 // must already hold the record of that line and of every line before it.
 func TestStreamedResultIsPersistedFirst(t *testing.T) {
-	if err := fault.Configure(store.FaultWrite+"=delay(2ms)", 1); err != nil {
+	if err := fault.Configure(fault.WALWrite+"=delay(2ms)", 1); err != nil {
 		t.Fatal(err)
 	}
 	defer fault.Disable()

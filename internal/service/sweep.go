@@ -7,6 +7,7 @@ import (
 
 	rescq "repro"
 	"repro/internal/circuit"
+	"repro/internal/resultcodec"
 )
 
 // SweepRequest is the POST /v1/sweep payload: the cross product of every
@@ -79,7 +80,7 @@ func (s *Server) validateRun(req RunRequest) (runSpec, error) {
 	if nSources != 1 {
 		return runSpec{}, fmt.Errorf("service: exactly one of benchmark, circuit_text or experiment must be set")
 	}
-	spec := runSpec{
+	spec := runSpec{Spec: resultcodec.Spec{
 		Benchmark:     req.Benchmark,
 		Name:          req.Name,
 		CircuitText:   req.CircuitText,
@@ -87,7 +88,7 @@ func (s *Server) validateRun(req RunRequest) (runSpec, error) {
 		Quick:         req.Quick,
 		Opts:          req.Options,
 		KeepLatencies: req.IncludeLatencies,
-	}
+	}}
 	if spec.Opts.Layout == "" {
 		spec.Opts.Layout = s.cfg.Layout
 	}
@@ -189,7 +190,7 @@ func (s *Server) expandSweep(req SweepRequest) ([]runSpec, error) {
 									return nil, fmt.Errorf("service: %s/%s layout=%s d=%d p=%g k=%d c=%g: %w",
 										bench, sched, layout, d, p, k, comp, err)
 								}
-								spec := runSpec{Benchmark: bench, Opts: opts}
+								spec := runSpec{Spec: resultcodec.Spec{Benchmark: bench, Opts: opts}}
 								spec.key = specKey(spec)
 								if !seen[spec.key] {
 									seen[spec.key] = true

@@ -41,10 +41,9 @@ const (
 	// maxRecordBytes caps one record's payload, matching the JSON
 	// replayer's maximum line length: anything larger is torn or hostile.
 	maxRecordBytes = 64 * 1024 * 1024
-	// compressMin is the body size at which flate is worth its CPU: a
-	// sweep's job record (its JSON specs) and the analytics state blob
-	// clear it, done markers and small job records don't. Result records
-	// are never compressed (see encodeRecord).
+	// compressMin is the body size at which flate is worth its CPU: the
+	// analytics state blob clears it. Only state records are compressed
+	// (see encodeRecord).
 	compressMin = 256
 )
 
@@ -104,11 +103,11 @@ func binaryBody(v any) (kind byte, body []byte, err error) {
 }
 
 // One flate writer, over a megabyte of state, serves every deflate under
-// flateMu: only job records and state snapshots are compressed, so calls
-// are rare, and a sync.Pool would lose the writer at every GC cycle and
-// make nearly every call build a new one. flateReaders pools the
-// decompressors: replay inflates every compressed frame, which includes
-// each result record of a log written before results went uncompressed.
+// flateMu: only state snapshots are compressed, so calls are rare, and a
+// sync.Pool would lose the writer at every GC cycle and make nearly every
+// call build a new one. flateReaders pools the decompressors: replay
+// inflates every compressed frame, which includes each job record and
+// each result record of a log written before those went uncompressed.
 var (
 	flateMu      sync.Mutex
 	flateWriter  *flate.Writer
@@ -167,18 +166,20 @@ func inflate(body []byte, limit int64) ([]byte, error) {
 // detectable by construction; the CRC is what catches bit rot and
 // partially-flushed frames whose length survived.
 //
-// Result records, one per completed configuration and so the bulk of the
-// appends, are written uncompressed: the service's typed result encoding
-// is already compact, and deflating it would cost more CPU than the write
-// itself. Logs written before that hold flate-compressed result frames,
-// which replay inflates and compaction copies as they are.
+// Only state records are compressed. Result records, one per completed
+// configuration and so the bulk of the appends, and job records hold the
+// service's typed encodings, which are already compact: deflating them
+// cost more CPU than the write itself, and inflating a job's specs at
+// replay cost more than decoding them. Logs written before that hold
+// flate-compressed job and result frames, which replay inflates and
+// compaction copies as they are.
 func encodeRecord(v any) ([]byte, error) {
 	kind, body, err := binaryBody(v)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode record: %w", err)
 	}
 	flags := byte(0)
-	if kind != binKindResult && len(body) >= compressMin {
+	if kind == binKindState && len(body) >= compressMin {
 		if c, ok := deflate(body); ok {
 			body, flags = c, flagCompressed
 		}

@@ -281,7 +281,7 @@ func TestTornTailShortWriteRecovery(t *testing.T) {
 			logBefore := fi.Size()
 
 			// The disk completes half the record's write, then errors.
-			if err := fault.Configure(FaultWrite+"=1*err(short)", 1); err != nil {
+			if err := fault.Configure(fault.WALWrite+"=1*err(short)", 1); err != nil {
 				t.Fatal(err)
 			}
 			defer fault.Disable()

@@ -22,7 +22,7 @@ func TestFaultInjectionOnAppendAndProbe(t *testing.T) {
 		t.Fatalf("append before injection: %v", err)
 	}
 
-	if err := fault.Configure(FaultWrite+"=err(disk full)", 1); err != nil {
+	if err := fault.Configure(fault.WALWrite+"=err(disk full)", 1); err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
 	defer fault.Disable()
@@ -66,7 +66,7 @@ func TestFaultCountedBurst(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer s.Close()
-	if err := fault.Configure(FaultWrite+"=2*err(disk full)", 1); err != nil {
+	if err := fault.Configure(fault.WALWrite+"=2*err(disk full)", 1); err != nil {
 		t.Fatalf("Configure: %v", err)
 	}
 	defer fault.Disable()
@@ -79,7 +79,7 @@ func TestFaultCountedBurst(t *testing.T) {
 	if err := s.AppendJob(JobRecord{ID: "job-000009"}); err != nil {
 		t.Fatalf("append after the burst: %v", err)
 	}
-	if n := fault.Fires(FaultWrite); n != 2 {
+	if n := fault.Fires(fault.WALWrite); n != 2 {
 		t.Fatalf("fires = %d, want 2", n)
 	}
 }

@@ -9,14 +9,14 @@
 // then length-prefixed frames — uvarint payload length, the payload (kind
 // byte, flags byte, length-prefixed fields), and a CRC32 of the payload.
 // Length+CRC framing makes torn tails and partial appends detectable by
-// construction. Job and state records are flate-compressed when it pays;
-// result records never are. A result record's payload is what the service
-// hands the store: rescqd writes a typed result (internal/resultcodec, a
-// fixed-field varint encoding led by a tag byte that no JSON document
-// starts with), which is under a quarter the size of its JSON and needs no
-// compression. Logs written before that hold JSON result payloads in
-// flate-compressed frames; replay still inflates them, and compaction
-// copies them as they are.
+// construction. State records are flate-compressed when it pays; job and
+// result records never are. Their payloads are what the service hands the
+// store: rescqd writes typed spec lists and typed results
+// (internal/resultcodec, fixed-field varint encodings led by a tag byte
+// that no JSON document starts with), which are a fraction of the size of
+// their JSON and need no compression. Logs written before that hold JSON
+// spec lists and JSON result payloads in flate-compressed frames; replay
+// still inflates them, and compaction copies them as they are.
 //
 // Files written before the binary format existed are headerless
 // newline-delimited JSON records:
@@ -27,9 +27,10 @@
 //
 // Replay sniffs each file's format from its first bytes, so such a
 // JSON-era log or snapshot still reads back, and the first Open migrates
-// it to binary (its result payloads stay JSON). The store never writes
-// JSON; Dump prints any file as JSON lines for debugging, given a function
-// that turns result payloads into JSON (see cmd/rescq-walcat).
+// it to binary (its spec lists and result payloads stay JSON). The store
+// never writes JSON; Dump prints any file as JSON lines for debugging,
+// given a function that turns spec lists and result payloads into JSON
+// (see cmd/rescq-walcat).
 //
 // The store is deliberately ignorant of the payload shapes: specs and
 // results travel as opaque bytes, so the service layer owns the schema
@@ -107,17 +108,11 @@ const (
 	recState  = "state"
 )
 
-// FaultWrite is the failpoint on the WAL's write paths (see
-// internal/fault): it fires in every record append, and in Probe, so a
-// probe sees the same simulated disk the appends do. An injected "disk
-// full" here is how the chaos suite proves the daemon degrades to lossy
-// serving instead of 5xx-ing submissions; an injected "short" message
-// additionally simulates a partially-completed write so the torn-tail
-// rollback is exercised end to end.
-const FaultWrite = "wal.write"
-
 // JobRecord persists one submitted job: its identity and its fully
-// validated run specifications (opaque to the store). Tenant is the
+// validated run specifications. Specs is opaque to the store: the
+// service's typed spec list, or, in records written before that
+// encoding, a JSON array (which is what a JSON-era line's "specs" field
+// holds, and what Dump prints either way). Tenant is the
 // owning tenant for scheduler accounting; "" — every record written
 // before tenancy existed, and all default-tenant traffic since — replays
 // as the default tenant, so old logs need no migration.
@@ -572,7 +567,7 @@ func (s *Store) rollbackTailLocked() {
 // where it landed. Callers encode before taking the lock, so the lock
 // covers the write and the index update only.
 func (s *Store) writeLocked(frame []byte) (frameRef, error) {
-	if err := fault.Check(FaultWrite); err != nil {
+	if err := fault.Check(fault.WALWrite); err != nil {
 		// An injected "short" message simulates a write that only
 		// partially completed (ENOSPC mid-record): half the frame lands
 		// on disk and the rollback must clean it up, exactly as for an
@@ -914,7 +909,7 @@ func (s *Store) Probe() error {
 	if s.f == nil {
 		return errClosed
 	}
-	if err := fault.Check(FaultWrite); err != nil {
+	if err := fault.Check(fault.WALWrite); err != nil {
 		return fmt.Errorf("store: probe: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
@@ -1186,19 +1181,26 @@ func Replay(r io.Reader) ([]ReplayedJob, int, int, error) {
 // Dump writes every record of a log or snapshot stream, binary or
 // JSON-era, to w as one JSON line, in file order. That is the JSON-era log
 // format, so a dump replays to the same jobs as the stream it came from.
-// The store does not know the result payloads' encoding: resultJSON turns
-// each result payload into the JSON that line embeds (nil embeds payloads
-// as they are, which then must be JSON). Records up to a torn or corrupt
-// tail are written before the tail is reported as an error.
-func Dump(r io.Reader, w io.Writer, resultJSON func([]byte) ([]byte, error)) error {
+// The store does not know the encoding of a job's specs or a result:
+// payloadJSON turns each of those payloads into the JSON that line embeds
+// (nil embeds payloads as they are, which then must be JSON). Records up
+// to a torn or corrupt tail are written before the tail is reported as an
+// error.
+func Dump(r io.Reader, w io.Writer, payloadJSON func([]byte) ([]byte, error)) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	enc.SetEscapeHTML(false) // payloads are embedded verbatim
 	var werr error
 	sc := recordScan{apply: func(rec any, _ frameRef) error {
-		if rr, ok := rec.(ResultRecord); ok && resultJSON != nil && werr == nil {
-			rr.Result, werr = resultJSON(rr.Result)
-			rec = rr
+		if payloadJSON != nil && werr == nil {
+			switch r := rec.(type) {
+			case JobRecord:
+				r.Specs, werr = payloadJSON(r.Specs)
+				rec = r
+			case ResultRecord:
+				r.Result, werr = payloadJSON(r.Result)
+				rec = r
+			}
 		}
 		if werr == nil {
 			werr = enc.Encode(rec)
